@@ -2,17 +2,14 @@
 metric evaluation, bank simulation, and gradient checking.
 
 Every subcommand accepts --seed and --out; outputs are deterministic for
-a fixed seed.  Set ROADLIFT_THREADS to evaluate frames in parallel (the
-merge order is fixed, so results do not depend on the worker count).
+a fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +28,9 @@ from .evaluation import (
     detection_ratio_curve,
     frame_detection_stats,
     match,
+    overlap_matrix,
     pr_curve_from_stats,
+    stats_from_match,
 )
 from .formats import (
     FormatError,
@@ -76,14 +75,6 @@ def _emit(text: str, out: str | None) -> None:
 def _read_calibration(path: str):
     doc = parse_calibration_doc(Path(path).read_text())
     return doc.rig, doc.scene_id
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ROADLIFT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"ROADLIFT_THREADS must be an integer, got {raw!r}")
 
 
 def cmd_plane(args) -> int:
@@ -157,35 +148,26 @@ def cmd_evaluate(args) -> int:
     if len(gts) != len(preds):
         raise ValueError(f"frame count mismatch: {len(gts)} GT vs {len(preds)} prediction files")
     classes = sorted({b.category for frame in gts for b in frame})
-    workers = _worker_count()
-
-    def stats_for(gt_filter, pred_class):
-        frames = [
-            (g, [b for b in p if pred_class is None or b.category == pred_class])
-            for g, p in zip(gts, preds)
-        ]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                stats = list(
-                    pool.map(
-                        lambda fr: frame_detection_stats(
-                            fr[0], fr[1], args.iou, args.kind, gt_filter
-                        ),
-                        frames,
-                    )
-                )
-        else:
-            stats = [
-                frame_detection_stats(g, p, args.iou, args.kind, gt_filter) for g, p in frames
-            ]
-        return pr_curve_from_stats(stats)
+    # One overlap matrix per frame; the "all" row matches on it whole
+    # (across categories), each class row on its class's columns.
+    overlaps = [overlap_matrix(g, p, args.kind) for g, p in zip(gts, preds)]
+    matches = [
+        match(g, p, args.iou, args.kind, overlaps=m) for g, p, m in zip(gts, preds, overlaps)
+    ]
 
     rows = ["metric,class,threshold,value"]
     metric = f"ap_{args.kind}"
-    curve = stats_for(None, None)
+    curve = pr_curve_from_stats(stats_from_match(r) for r in matches)
     rows.append(f"{metric},all,{_fmt(args.iou)},{_fmt(curve.ap)}")
     for cls in classes:
-        curve = stats_for(lambda b, c=cls: b.category == c, cls)
+        stats = []
+        for g, p, m in zip(gts, preds, overlaps):
+            cols = [i for i, b in enumerate(p) if b.category == cls]
+            stats.append(frame_detection_stats(
+                g, [p[i] for i in cols], args.iou, args.kind,
+                gt_filter=lambda b, c=cls: b.category == c, overlaps=m[:, cols],
+            ))
+        curve = pr_curve_from_stats(stats)
         rows.append(f"{metric},{cls},{_fmt(args.iou)},{_fmt(curve.ap)}")
     if args.ratio_thresholds:
         thresholds = [float(t) for t in args.ratio_thresholds.split(",")]
@@ -194,7 +176,6 @@ def cmd_evaluate(args) -> int:
             rows.append(f"detection_ratio,all,{_fmt(t)},{_fmt(ratio)}")
     _emit("\n".join(rows) + "\n", args.out)
     if args.distance_csv:
-        matches = [match(g, p, args.iou, args.kind) for g, p in zip(gts, preds)]
         table = distance_error(matches, DEFAULT_DISTANCE_BINS)
         lines = ["bin_lo_m,bin_hi_m,mean_error_pct,matched"]
         for b in table.bins:

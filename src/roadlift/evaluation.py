@@ -5,8 +5,9 @@ and the detected-ratio-vs-distance curve.
 Matching follows the usual benchmark convention: predictions claim
 ground truths in descending score order, each taking the unmatched GT
 with the highest IoU at or above the threshold (ties break toward the
-lower GT index).  Frames are independent, so per-frame statistics can
-be computed in parallel and merged before the precision/recall sweep.
+lower GT index).  Each frame's overlaps are one ``overlap_matrix``,
+which every metric of that frame can share; per-frame statistics are
+merged before the precision/recall sweep.
 """
 
 from __future__ import annotations
@@ -144,6 +145,59 @@ class MatchResult:
 
 _IOU_KINDS = ("bev", "3d", "pixel")
 
+# Relative and absolute slack on the prefilter's reach, so rounding in
+# the centre distance can never drop a pair whose footprints touch.
+_REACH_SLACK = 1e-9
+
+
+def _check_kind(iou_kind: str) -> None:
+    if iou_kind not in _IOU_KINDS:
+        raise ValueError(f"iou_kind must be one of {_IOU_KINDS}, got {iou_kind!r}")
+
+
+def overlap_matrix(gts, preds, iou_kind: str, gt_boxes_2d=None, pred_boxes_2d=None) -> np.ndarray:
+    """(n_gt, n_pred) overlap of every ground truth with every prediction.
+
+    For "bev" and "3d" a numpy prefilter keeps only the pairs whose BEV
+    centre distance is within the sum of the two footprints' half
+    diagonals (and, for "3d", whose [z, z+h] extents overlap, the test
+    ``iou3d`` makes first); only those are scored by ``bev_iou`` /
+    ``iou3d``.  The pairs dropped are disjoint, which the scalar
+    functions score exactly 0, so every entry equals the scalar IoU.
+    "pixel" scores every pair with ``box2d_iou`` on the supplied image
+    rectangles.
+    """
+    _check_kind(iou_kind)
+    gts = tuple(gts)
+    preds = tuple(preds)
+    out = np.zeros((len(gts), len(preds)))
+    if iou_kind == "pixel":
+        if gt_boxes_2d is None or pred_boxes_2d is None:
+            raise ValueError("pixel matching requires 2D boxes for both sides")
+        if len(gt_boxes_2d) != len(gts) or len(pred_boxes_2d) != len(preds):
+            raise ValueError("2D box lists must align with the 3D boxes")
+        for gi, g2d in enumerate(gt_boxes_2d):
+            for pi, p2d in enumerate(pred_boxes_2d):
+                out[gi, pi] = box2d_iou(g2d, p2d)
+        return out
+    if not gts or not preds:
+        return out
+    g = np.array([(b.x, b.y, b.l, b.w, b.z, b.h) for b in gts]).T
+    p = np.array([(b.x, b.y, b.l, b.w, b.z, b.h) for b in preds]).T
+    reach = np.hypot(g[2], g[3])[:, None] / 2.0 + np.hypot(p[2], p[3])[None, :] / 2.0
+    dist = np.hypot(g[0][:, None] - p[0][None, :], g[1][:, None] - p[1][None, :])
+    near = dist <= reach * (1.0 + _REACH_SLACK) + _REACH_SLACK
+    if iou_kind == "3d":
+        top = np.minimum((g[4] + g[5])[:, None], (p[4] + p[5])[None, :])
+        near &= top - np.maximum(g[4][:, None], p[4][None, :]) > 0.0
+        measure = iou3d
+    else:
+        measure = bev_iou
+    gis, pis = np.nonzero(near)
+    for gi, pi in zip(gis.tolist(), pis.tolist()):
+        out[gi, pi] = measure(gts[gi], preds[pi])
+    return out
+
 
 def match(
     gts,
@@ -152,6 +206,7 @@ def match(
     iou_kind: str = "bev",
     gt_boxes_2d=None,
     pred_boxes_2d=None,
+    overlaps=None,
 ) -> MatchResult:
     """Greedy score-descending matching of predictions to ground truths.
 
@@ -159,50 +214,39 @@ def match(
     boxes themselves; "pixel" matches on axis-aligned image rectangles,
     which must then be supplied for both sides (mirroring benchmarks
     that associate boxes in the image plane before measuring 3D error).
+    ``overlaps`` is a precomputed ``overlap_matrix`` of these boxes;
+    without it the matrix is computed here.
+
+    Categories are not compared: a car prediction may claim a truck
+    ground truth.  Per-class scores come from passing one class on each
+    side; the KITTI devkit instead always matches within each class.
     """
-    if iou_kind not in _IOU_KINDS:
-        raise ValueError(f"iou_kind must be one of {_IOU_KINDS}, got {iou_kind!r}")
+    _check_kind(iou_kind)
     gts = tuple(gts)
     preds = tuple(preds)
     if any(p.score is None for p in preds):
         raise ValueError("all predictions must carry a score")
-    if iou_kind == "pixel":
-        if gt_boxes_2d is None or pred_boxes_2d is None:
-            raise ValueError("pixel matching requires 2D boxes for both sides")
-        if len(gt_boxes_2d) != len(gts) or len(pred_boxes_2d) != len(preds):
-            raise ValueError("2D box lists must align with the 3D boxes")
-
-        def overlap(gi: int, pi: int) -> float:
-            return box2d_iou(gt_boxes_2d[gi], pred_boxes_2d[pi])
-
-    else:
-        measure = bev_iou if iou_kind == "bev" else iou3d
-
-        def overlap(gi: int, pi: int) -> float:
-            return measure(gts[gi], preds[pi])
-
+    if overlaps is None:
+        overlaps = overlap_matrix(gts, preds, iou_kind, gt_boxes_2d, pred_boxes_2d)
+    elif np.shape(overlaps) != (len(gts), len(preds)):
+        raise ValueError(
+            f"overlaps must have shape {(len(gts), len(preds))}, got {np.shape(overlaps)}"
+        )
+    # One row per prediction; a taken ground truth's column becomes -1,
+    # so argmax (first maximum, i.e. lowest GT index) only sees free ones.
+    free = np.array(overlaps, dtype=float).T
     order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
-    taken = [False] * len(gts)
     pairs = []
-    for pi in order:
-        best_gi = -1
-        best_iou = 0.0
-        for gi in range(len(gts)):
-            if taken[gi]:
-                continue
-            iou = overlap(gi, pi)
-            if iou >= iou_threshold and iou > best_iou:
-                best_iou = iou
-                best_gi = gi
-        if best_gi >= 0:
-            taken[best_gi] = True
-            pairs.append(
-                MatchPair(best_gi, pi, best_iou, bev_center_distance(gts[best_gi], preds[pi]))
-            )
+    if gts:
+        for pi in order:
+            row = free[pi]
+            gi = int(row.argmax())
+            iou = float(row[gi])
+            if iou >= iou_threshold and iou > 0.0:
+                free[:, gi] = -1.0
+                pairs.append(MatchPair(gi, pi, iou, bev_center_distance(gts[gi], preds[pi])))
     matched_gt = {p.gt_index for p in pairs}
     matched_pred = {p.pred_index for p in pairs}
-    if len(matched_gt) != len(pairs) or len(matched_pred) != len(pairs):
-        raise RuntimeError("internal error: duplicate assignment in matching")
     return MatchResult(
         pairs=tuple(pairs),
         unmatched_gt=tuple(i for i in range(len(gts)) if i not in matched_gt),
@@ -257,23 +301,34 @@ def frame_detection_stats(
     gt_filter=None,
     gt_boxes_2d=None,
     pred_boxes_2d=None,
+    overlaps=None,
 ) -> FrameStats:
     """Match one frame and reduce it to score/TP rows.  ``gt_filter``
     restricts the ground truth (difficulty tiers are caller-supplied
-    predicates, not built in)."""
+    predicates, not built in).  ``overlaps`` is the ``overlap_matrix``
+    of the unfiltered ground truth against ``preds``; ``gt_filter``
+    selects its rows too."""
     gts = tuple(gts)
     if gt_filter is not None:
         keep = [i for i, g in enumerate(gts) if gt_filter(g)]
         gts = tuple(gts[i] for i in keep)
         if gt_boxes_2d is not None:
             gt_boxes_2d = [gt_boxes_2d[i] for i in keep]
-    preds = tuple(preds)
-    result = match(gts, preds, iou_threshold, iou_kind, gt_boxes_2d, pred_boxes_2d)
-    matched = {p.pred_index for p in result.pairs}
+        if overlaps is not None:
+            overlaps = np.asarray(overlaps)[keep]
+    return stats_from_match(
+        match(gts, preds, iou_threshold, iou_kind, gt_boxes_2d, pred_boxes_2d, overlaps)
+    )
+
+
+def stats_from_match(result: MatchResult) -> FrameStats:
+    """The score/TP rows of one matched frame."""
+    is_tp = np.zeros(len(result.preds), dtype=bool)
+    is_tp[[p.pred_index for p in result.pairs]] = True
     return FrameStats(
-        scores=np.array([p.score for p in preds], dtype=float),
-        is_tp=np.array([i in matched for i in range(len(preds))], dtype=bool),
-        n_gt=len(gts),
+        scores=np.array([p.score for p in result.preds], dtype=float),
+        is_tp=is_tp,
+        n_gt=len(result.gts),
     )
 
 
@@ -387,12 +442,16 @@ def detection_ratio_curve(gts_per_frame, preds_per_frame, thresholds) -> list[fl
         raise ValueError("frame lists must have equal length")
     nearest = []
     for gts, preds in zip(gts_per_frame, preds_per_frame):
-        for gt in gts:
-            if preds:
-                nearest.append(min(bev_center_distance(gt, p) for p in preds))
-            else:
-                nearest.append(math.inf)
+        if not gts:
+            continue
+        if not preds:
+            nearest.append(np.full(len(gts), math.inf))
+            continue
+        g = np.array([(b.x, b.y) for b in gts])
+        p = np.array([(b.x, b.y) for b in preds])
+        dist = np.hypot(g[:, 0, None] - p[None, :, 0], g[:, 1, None] - p[None, :, 1])
+        nearest.append(dist.min(axis=1))
     if not nearest:
         return [0.0 for _ in thresholds]
-    arr = np.array(nearest)
+    arr = np.concatenate(nearest)
     return [float(np.mean(arr <= t)) for t in thresholds]

@@ -263,6 +263,24 @@ class TestCli:
         assert run_command(args) == 0
         assert capsys.readouterr().out == serial
 
+    def test_evaluate_all_row_matches_across_categories(self, tmp_path, capsys):
+        # A car prediction on a truck: the "all" row counts it, the truck
+        # row (which only sees truck predictions) does not.
+        for side, box in (
+            ("gt", Box3D(30, 0, 0, 10, 2.5, 3.2, 0, category="truck")),
+            ("pred", Box3D(30, 0, 0, 10, 2.5, 3.2, 0, category="car", score=0.9)),
+        ):
+            (tmp_path / f"{side}.txt").write_text(serialize_labels([box]))
+        code = run_command(
+            ["evaluate", "--gt", str(tmp_path / "gt.txt"), "--pred", str(tmp_path / "pred.txt"),
+             "--kind", "3d"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "ap_3d,all,0.5,100",
+            "ap_3d,truck,0.5,0",
+        ]
+
     def test_gradcheck_exit_code_and_csv(self, tmp_path, capsys):
         out = tmp_path / "grad.csv"
         code = run_command(["gradcheck", "--seed", "3", "--out", str(out)])

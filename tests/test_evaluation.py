@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from roadlift import evaluation
 from roadlift.camera_geometry import Box3D
 from roadlift.evaluation import (
     average_precision_r40,
@@ -13,8 +14,11 @@ from roadlift.evaluation import (
     distance_error,
     footprint_polygon,
     frame_detection_stats,
+    MatchPair,
+    bev_center_distance,
     iou3d,
     match,
+    overlap_matrix,
     pr_curve_from_stats,
 )
 
@@ -223,6 +227,187 @@ class TestMatch:
             match([], [], 0.5, "volumetric")
 
 
+def _reference_match(gts, preds, iou_threshold, measure):
+    """The O(n*m) greedy loop ``match`` ran before it matched on an
+    overlap matrix, kept verbatim as the behaviour to preserve."""
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
+    taken = [False] * len(gts)
+    pairs = []
+    for pi in order:
+        best_gi = -1
+        best_iou = 0.0
+        for gi in range(len(gts)):
+            if taken[gi]:
+                continue
+            iou = measure(gts[gi], preds[pi])
+            if iou >= iou_threshold and iou > best_iou:
+                best_iou = iou
+                best_gi = gi
+        if best_gi >= 0:
+            taken[best_gi] = True
+            pairs.append(
+                MatchPair(best_gi, pi, best_iou, bev_center_distance(gts[best_gi], preds[pi]))
+            )
+    matched_gt = {p.gt_index for p in pairs}
+    matched_pred = {p.pred_index for p in pairs}
+    return (
+        tuple(pairs),
+        tuple(i for i in range(len(gts)) if i not in matched_gt),
+        tuple(i for i in range(len(preds)) if i not in matched_pred),
+    )
+
+
+_CATEGORY_DIMS = {"car": (4.5, 1.8, 1.5), "truck": (10.0, 2.5, 3.2), "ped": (0.6, 0.6, 1.7)}
+
+
+def _random_frame(rng, sparse: bool):
+    """GTs of mixed categories, predictions jittered around them (some
+    edge- or face-touching, some with a swapped category), false
+    positives, and scores from a small set so ties are common."""
+    gts = []
+    for _ in range(int(rng.integers(0, 9))):
+        cat = str(rng.choice(list(_CATEGORY_DIMS)))
+        l, w, h = _CATEGORY_DIMS[cat]
+        if sparse:
+            r, a = rng.uniform(5, 250), rng.uniform(-math.pi, math.pi)
+            x, y = r * math.cos(a), r * math.sin(a)
+        else:
+            x, y = rng.uniform(-6, 6), rng.uniform(-6, 6)
+        theta = float(rng.choice([0.0, rng.uniform(-math.pi, math.pi)]))
+        gts.append(Box3D(x, y, rng.uniform(-0.2, 0.2), l, w, h, theta, category=cat))
+    preds = []
+    for g in gts:
+        if rng.uniform() < 0.15:
+            continue
+        cat = g.category if rng.uniform() < 0.8 else str(rng.choice(list(_CATEGORY_DIMS)))
+        l, w, h = _CATEGORY_DIMS[cat]
+        x, y, z = g.x, g.y, g.z
+        style = rng.uniform()
+        if style < 0.15:  # footprints share an edge
+            x += math.cos(g.theta) * (g.l + l) / 2
+            y += math.sin(g.theta) * (g.l + l) / 2
+        elif style < 0.25:  # boxes share a horizontal face
+            z += g.h
+        else:
+            x += rng.normal(0, 0.8)
+            y += rng.normal(0, 0.8)
+            z += rng.normal(0, 0.2)
+        score = float(rng.choice([0.3, 0.5, 0.5, 0.9]))
+        preds.append(Box3D(x, y, z, l, w, h, g.theta + rng.normal(0, 0.2),
+                           category=cat, score=score))
+    for _ in range(int(rng.integers(0, 4))):
+        cat = str(rng.choice(list(_CATEGORY_DIMS)))
+        l, w, h = _CATEGORY_DIMS[cat]
+        span = 250 if sparse else 8
+        preds.append(Box3D(rng.uniform(-span, span), rng.uniform(-span, span), 0.0, l, w, h,
+                           rng.uniform(-math.pi, math.pi), category=cat,
+                           score=float(rng.choice([0.3, 0.5, 0.9]))))
+    order = rng.permutation(len(preds))
+    return gts, [preds[i] for i in order]
+
+
+class TestMatchPinnedToReference:
+    @pytest.mark.parametrize("kind", ["bev", "3d"])
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    def test_identical_to_reference_loop(self, kind, sparse):
+        measure = bev_iou if kind == "bev" else iou3d
+        rng = np.random.default_rng([7, kind == "3d", sparse])
+        for _ in range(60):
+            gts, preds = _random_frame(rng, sparse)
+            for threshold in (0.0, 0.1, 0.5):
+                got = match(gts, preds, threshold, kind)
+                pairs, unmatched_gt, unmatched_pred = _reference_match(
+                    gts, preds, threshold, measure
+                )
+                assert got.pairs == pairs
+                assert got.unmatched_gt == unmatched_gt
+                assert got.unmatched_pred == unmatched_pred
+
+
+class TestOverlapMatrix:
+    @pytest.mark.parametrize("kind", ["bev", "3d"])
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    def test_zero_entries_have_zero_scalar_iou(self, kind, sparse):
+        measure = bev_iou if kind == "bev" else iou3d
+        rng = np.random.default_rng([8, kind == "3d", sparse])
+        for _ in range(60):
+            gts, preds = _random_frame(rng, sparse)
+            m = overlap_matrix(gts, preds, kind)
+            assert m.shape == (len(gts), len(preds))
+            for gi, pi in itertools.product(range(len(gts)), range(len(preds))):
+                assert m[gi, pi] == measure(gts[gi], preds[pi])
+
+    def test_touching_footprints_survive_the_prefilter(self, monkeypatch):
+        # Corner to corner along the diagonal: the centre distance equals
+        # the sum of the half diagonals exactly.  The scalar IoU is looked
+        # up as a module global, so a replacement sees every scored pair.
+        scored = []
+
+        def recording_bev_iou(a, b):
+            scored.append(b.x)
+            return bev_iou(a, b)
+
+        monkeypatch.setattr(evaluation, "bev_iou", recording_bev_iou)
+        a = box(l=4, w=2)
+        touching = box(x=4.0, y=2.0, l=4, w=2, score=0.5)
+        apart = box(x=4.0 + 1e-6, y=2.0 + 1e-6, l=4, w=2, score=0.5)
+        m = overlap_matrix([a], [touching, apart], "bev")
+        assert scored == [4.0]
+        assert m[0, 0] == bev_iou(a, touching) and m[0, 1] == 0.0
+
+    @pytest.mark.parametrize("kind", ["bev", "3d", "pixel"])
+    def test_empty_sides(self, kind):
+        boxes = [box(), box(x=1.0)]
+        preds = [box(score=0.5)]
+        extra = {"gt_boxes_2d": [], "pred_boxes_2d": [(0, 0, 1, 1)]} if kind == "pixel" else {}
+        assert overlap_matrix([], preds, kind, **extra).shape == (0, 1)
+        extra = {"gt_boxes_2d": [(0, 0, 1, 1)] * 2, "pred_boxes_2d": []} if kind == "pixel" else {}
+        assert overlap_matrix(boxes, [], kind, **extra).shape == (2, 0)
+        empty_gt = match([], preds, 0.5, "bev", overlaps=np.zeros((0, 1)))
+        assert empty_gt.pairs == () and empty_gt.unmatched_pred == (0,)
+        empty_pred = match(boxes, [], 0.5, "bev", overlaps=np.zeros((2, 0)))
+        assert empty_pred.pairs == () and empty_pred.unmatched_gt == (0, 1)
+
+    def test_pixel_kind_is_the_box2d_matrix(self):
+        rng = np.random.default_rng(9)
+        gt2d = []
+        for _ in range(5):
+            x1, y1 = rng.uniform(0, 100, 2)
+            gt2d.append((x1, y1, x1 + rng.uniform(5, 40), y1 + rng.uniform(5, 40)))
+        pred2d = [(x1 + rng.normal(0, 5), y1 + rng.normal(0, 5), x2, y2)
+                  for x1, y1, x2, y2 in gt2d[:4]]
+        gts = [box(x=100.0 * i) for i in range(5)]
+        preds = [box(score=0.5) for _ in range(4)]
+        m = overlap_matrix(gts, preds, "pixel", gt2d, pred2d)
+        want = np.array([[box2d_iou(g, p) for p in pred2d] for g in gt2d])
+        assert np.array_equal(m, want)
+
+    def test_pixel_kind_requires_aligned_boxes(self):
+        with pytest.raises(ValueError, match="align"):
+            overlap_matrix([box()], [box(score=0.5)], "pixel", [], [(0, 0, 1, 1)])
+
+    def test_match_rejects_misshapen_overlaps(self):
+        with pytest.raises(ValueError, match="shape"):
+            match([box()], [box(score=0.5)], 0.5, overlaps=np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("kind", ["bev", "3d"])
+    def test_class_slice_equals_direct_stats(self, kind):
+        rng = np.random.default_rng([10, kind == "3d"])
+        for _ in range(40):
+            gts, preds = _random_frame(rng, sparse=False)
+            m = overlap_matrix(gts, preds, kind)
+            for cls in _CATEGORY_DIMS:
+                cols = [i for i, b in enumerate(preds) if b.category == cls]
+                class_preds = [preds[i] for i in cols]
+                keep = lambda b: b.category == cls  # noqa: E731
+                got = frame_detection_stats(gts, class_preds, 0.3, kind, keep,
+                                            overlaps=m[:, cols])
+                want = frame_detection_stats(gts, class_preds, 0.3, kind, keep)
+                assert np.array_equal(got.scores, want.scores)
+                assert np.array_equal(got.is_tp, want.is_tp)
+                assert got.n_gt == want.n_gt
+
+
 class TestAveragePrecision:
     def test_perfect(self):
         gts = [[box(x=10 * i, l=4, w=2) for i in range(4)]]
@@ -371,6 +556,25 @@ class TestDetectionRatio:
         thresholds = [0.1, 0.5, 1, 2, 5, 10, 50]
         ratios = detection_ratio_curve(gts, preds, thresholds)
         assert all(a <= b for a, b in zip(ratios, ratios[1:]))
+
+    def test_matches_scalar_loop(self):
+        # Frames with no GT or no predictions mixed in; the scalar loop
+        # is the per-GT definition the vectorised version replaced.
+        rng = np.random.default_rng(11)
+        gts, preds = [], []
+        for _ in range(30):
+            gts.append([box(x=rng.uniform(-50, 50), y=rng.uniform(-50, 50))
+                        for _ in range(int(rng.integers(0, 6)))])
+            preds.append([box(x=rng.uniform(-50, 50), y=rng.uniform(-50, 50), score=0.5)
+                          for _ in range(int(rng.integers(0, 6)))])
+        nearest = [
+            min((bev_center_distance(g, p) for p in frame_preds), default=math.inf)
+            for frame_gts, frame_preds in zip(gts, preds)
+            for g in frame_gts
+        ]
+        thresholds = [0.5, 1, 2, 5, 10, 20]
+        want = [float(np.mean(np.array(nearest) <= t)) for t in thresholds]
+        assert detection_ratio_curve(gts, preds, thresholds) == want
 
 
 class TestStructuralInvariants:
