@@ -96,10 +96,6 @@ class RigidTransform:
         p = np.asarray(points, dtype=float)
         return p @ self.rotation.T + self.translation
 
-    def inverse(self) -> "RigidTransform":
-        rot = self.rotation.T
-        return RigidTransform(rot, -rot @ self.translation)
-
 
 @dataclass(frozen=True)
 class CameraRig:
@@ -125,12 +121,6 @@ class CameraRig:
             raise ValueError("principal point must be finite")
         if not (self.image_width > 0 and self.image_height > 0):
             raise ValueError("image dimensions must be positive")
-
-    @property
-    def intrinsic_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.f_x, 0.0, self.a_x], [0.0, self.f_y, self.a_y], [0.0, 0.0, 1.0]]
-        )
 
     def camera_center_ground(self) -> np.ndarray:
         """Camera optical center expressed in ground coordinates."""
@@ -273,6 +263,24 @@ def lift_to_ground(
         raise GeometryError("plane behind camera")
     scale = (plane.camera_height - h_r) / y_v
     return plane.virtual_to_ground.apply(scale * p_v)
+
+
+def ray_ground(rig: CameraRig, plane: GroundPlane, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of ``depth_to_ground`` and ``lift_to_ground(..., 0.0)``,
+    which serve single pixels: each ray's camera-frame depth and its
+    (..., 3) ground point at z_g = 0, NaN where the scalar form raises
+    GeometryError (the ray misses the ground in front of the camera)."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    den = plane.a * (u - rig.a_x) / rig.f_x + plane.b * (v - rig.a_y) / rig.f_y + plane.c
+    rays = np.stack([(u - rig.a_x) / rig.f_x, (v - rig.a_y) / rig.f_y, np.ones_like(u)], axis=-1)
+    p_v = rays @ plane.cam_to_virtual.T
+    y_v = p_v[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        depth = -plane.d / den
+        scale = plane.camera_height / y_v
+    depth = np.where((np.abs(den) > RAY_PARALLEL_TOL) & (depth > 0), depth, np.nan)
+    scale = np.where(y_v > RAY_PARALLEL_TOL, scale, np.nan)
+    return depth, plane.virtual_to_ground.apply(scale[..., None] * p_v)
 
 
 def project_to_image(rig: CameraRig, p_g) -> tuple[float, float]:

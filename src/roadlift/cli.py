@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,15 @@ from .loss_functions import (
     random_smooth_case,
 )
 from .position_embedding import embed_depth_map
-from .scene_cue_bank import FeatureGrid, SceneBank, extract_cues, make_mask, save_bank
+from .scene_cue_bank import (
+    FeatureGrid,
+    SceneBank,
+    cell_centers,
+    extract_cues,
+    grid_dims_for_image,
+    make_mask,
+    save_bank,
+)
 from .scene_scheduler import SceneScheduler, SchedulerConfig, apply_augmentation
 from .synthetic_world import (
     NoiseModel,
@@ -73,12 +82,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_calibration(path: str):
-    doc = parse_calibration_doc(Path(path).read_text())
-    return doc.rig, doc.scene_id
+    return parse_calibration_doc(Path(path).read_text()).rig
 
 
 def cmd_plane(args) -> int:
-    rig, _ = _read_calibration(args.calib)
+    rig = _read_calibration(args.calib)
     plane = ground_plane_from_extrinsics(rig)
     text = (
         f"{_fmt(plane.a)} {_fmt(plane.b)} {_fmt(plane.c)} {_fmt(plane.d)}\n"
@@ -89,7 +97,7 @@ def cmd_plane(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    rig, _ = _read_calibration(args.calib)
+    rig = _read_calibration(args.calib)
     plane = ground_plane_from_extrinsics(rig)
     point = lift_to_ground(rig, plane, args.u, args.v, args.hr)
     _emit(" ".join(_fmt(v) for v in point) + "\n", args.out)
@@ -213,28 +221,21 @@ def cmd_bank_sim(args) -> int:
         return FeatureGrid(truth.values + sigma * rng.standard_normal(truth.values.shape))
 
     def _mask_for(target_scene: SyntheticScene, frame_scene: SyntheticScene):
+        rig = target_scene.rig
         points = []
         for box in frame_scene.objects:
             try:
-                points.append(project_to_image(target_scene.rig, box.bottom_center))
+                points.append(project_to_image(rig, box.bottom_center))
             except GeometryError:
                 continue
-        dims = (target_scene.rig.image_height // 8, target_scene.rig.image_width // 8)
-        return make_mask(points, dims)
+        return make_mask(points, grid_dims_for_image(rig.image_height, rig.image_width))
 
     for t in range(n_frames):
         frame_scene = scene if t == 0 else resample_objects(scene, scene_cfg, t)
         params, did_reset = scheduler.step(sid)
         if aug_scene is None or did_reset:
             aug_rig = apply_augmentation(scene.rig, params)
-            aug_scene = SyntheticScene(
-                rig=aug_rig,
-                plane=ground_plane_from_extrinsics(aug_rig),
-                field=scene.field,
-                objects=scene.objects,
-                scene_id=sid,
-                seed=scene.seed,
-            )
+            aug_scene = replace(scene, rig=aug_rig, plane=ground_plane_from_extrinsics(aug_rig))
             true_aug = render_cue_grid(aug_scene, channels)
             resets += int(did_reset)
         mask = _mask_for(aug_scene, frame_scene)
@@ -285,18 +286,17 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    rig, _ = _read_calibration(args.calib)
+    rig = _read_calibration(args.calib)
     plane = ground_plane_from_extrinsics(rig)
     grid = embed_depth_map(rig, plane, args.de)
+    us, vs = cell_centers(rig.image_height, rig.image_width)
     rows = ["row,col,depth_m,sin0,cos0"]
-    for r in range(grid.shape[0]):
-        for c in range(grid.shape[1]):
-            u, v = (c + 0.5) * 8, (r + 0.5) * 8
-            try:
-                depth = _fmt(depth_to_ground(rig, plane, u, v))
-            except GeometryError:
-                depth = "-"
-            rows.append(f"{r},{c},{depth},{_fmt(grid[r, c, 0])},{_fmt(grid[r, c, 1])}")
+    for (r, c), u in np.ndenumerate(us):
+        try:
+            depth = _fmt(depth_to_ground(rig, plane, float(u), float(vs[r, c])))
+        except GeometryError:
+            depth = "-"
+        rows.append(f"{r},{c},{depth},{_fmt(grid[r, c, 0])},{_fmt(grid[r, c, 1])}")
     _emit("\n".join(rows) + "\n", args.out)
     return 0
 

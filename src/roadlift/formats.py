@@ -117,10 +117,6 @@ def parse_calibration_doc(text: str) -> CalibrationDoc:
     return CalibrationDoc(rig=rig, scene_id=scene_id)
 
 
-def parse_calibration(text: str) -> CameraRig:
-    return parse_calibration_doc(text).rig
-
-
 def serialize_calibration(rig: CameraRig, scene_id: str = "scene-0") -> str:
     matrix = np.eye(4)
     matrix[:3, :3] = rig.extrinsic.rotation

@@ -9,24 +9,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .camera_geometry import CameraRig, GroundPlane, RAY_PARALLEL_TOL
-from .scene_cue_bank import STRIDE, grid_dims_for_image
+from .camera_geometry import CameraRig, GroundPlane, ray_ground
+from .scene_cue_bank import cell_centers
 
 DEFAULT_TEMPERATURE = 10000.0
 
 
-def sine_encode(value: float, d_e: int, temperature: float = DEFAULT_TEMPERATURE) -> np.ndarray:
-    """Interleaved sin/cos encoding of a scalar: entry 2i is
-    sin(value / temperature^(2i/d_e)), entry 2i+1 the matching cos."""
+def sine_encode(value, d_e: int, temperature: float = DEFAULT_TEMPERATURE) -> np.ndarray:
+    """Interleaved sin/cos encoding: entry 2i is
+    sin(value / temperature^(2i/d_e)), entry 2i+1 the matching cos.
+
+    Arrays are encoded elementwise: an input of shape S gives (*S, d_e).
+    """
     if d_e <= 0 or d_e % 2:
         raise ValueError(f"embedding size must be a positive even integer, got {d_e}")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     freq = temperature ** (2.0 * np.arange(d_e // 2) / d_e)
-    ang = value / freq
-    out = np.empty(d_e)
-    out[0::2] = np.sin(ang)
-    out[1::2] = np.cos(ang)
+    ang = np.asarray(value, dtype=float)[..., None] / freq
+    out = np.empty(ang.shape[:-1] + (d_e,))
+    out[..., 0::2] = np.sin(ang)
+    out[..., 1::2] = np.cos(ang)
     return out
 
 
@@ -43,22 +46,9 @@ def embed_depth_map(
     parallel to the plane or intersecting behind the camera) are all
     zeros.
     """
-    if d_e <= 0 or d_e % 2:
-        raise ValueError(f"embedding size must be a positive even integer, got {d_e}")
-    h_cells, w_cells = grid_dims_for_image(rig.image_height, rig.image_width)
-    u = (np.arange(w_cells) + 0.5) * STRIDE
-    v = (np.arange(h_cells) + 0.5) * STRIDE
-    uu, vv = np.meshgrid(u, v)
-    den = plane.a * (uu - rig.a_x) / rig.f_x + plane.b * (vv - rig.a_y) / rig.f_y + plane.c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        depth = np.where(np.abs(den) > RAY_PARALLEL_TOL, -plane.d / den, np.nan)
-    valid = np.isfinite(depth) & (depth > 0)
-    freq = temperature ** (2.0 * np.arange(d_e // 2) / d_e)
-    ang = np.where(valid, depth, 0.0)[:, :, None] / freq
-    out = np.empty((h_cells, w_cells, d_e))
-    out[:, :, 0::2] = np.sin(ang)
-    out[:, :, 1::2] = np.cos(ang)
-    out[~valid] = 0.0
+    depth, _ = ray_ground(rig, plane, *cell_centers(rig.image_height, rig.image_width))
+    out = sine_encode(depth, d_e, temperature)
+    out[np.isnan(depth)] = 0.0
     return out
 
 

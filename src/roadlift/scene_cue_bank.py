@@ -108,6 +108,12 @@ def grid_dims_for_image(image_height: int, image_width: int) -> tuple[int, int]:
     return image_height // STRIDE, image_width // STRIDE
 
 
+def cell_centers(image_height: int, image_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel (u, v) of every feature cell's center, as two (H/8, W/8) arrays."""
+    h, w = grid_dims_for_image(image_height, image_width)
+    return tuple(np.meshgrid((np.arange(w) + 0.5) * STRIDE, (np.arange(h) + 0.5) * STRIDE))
+
+
 def bank_memory_elements(image_height: int, image_width: int, channels: int) -> int:
     """Element count of one scene's buffer: (H/8) * (W/8) * channels."""
     h, w = grid_dims_for_image(image_height, image_width)
@@ -173,9 +179,6 @@ class SceneBank:
 
     def scene_ids(self) -> list[str]:
         return list(self._scenes)
-
-    def has_scene(self, scene_id: str) -> bool:
-        return scene_id in self._scenes
 
     def memorized(self, scene_id: str) -> FeatureGrid:
         return FeatureGrid(self._scenes[scene_id].memorized)
@@ -281,22 +284,43 @@ def save_bank(bank: SceneBank, path) -> None:
 
 
 def load_bank(path) -> SceneBank:
+    """Read a bank written by ``save_bank``; a truncated or overlong file,
+    a repeated scene, non-finite memory or a negative counter raises
+    ValueError naming the problem."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a scene bank file (bad magic)")
-        version, n_scenes, h, w, d = struct.unpack("<5I", fh.read(20))
-        if version != _VERSION:
-            raise ValueError(f"unsupported bank version {version}")
-        bank = SceneBank()
-        for _ in range(n_scenes):
-            (id_len,) = struct.unpack("<I", fh.read(4))
-            sid = fh.read(id_len).decode("utf-8")
-            (frames_seen,) = struct.unpack("<Q", fh.read(8))
-            values = np.frombuffer(fh.read(8 * h * w * d), dtype="<f8").reshape(h, w, d)
-            counter = np.frombuffer(fh.read(8 * h * w), dtype="<i8").reshape(h, w)
-            bank._scenes[sid] = _SceneSlot(
-                memorized=values.astype(float),
-                counter=counter.astype(np.int64),
-                frames_seen=frames_seen,
-            )
+        data = memoryview(fh.read())
+    if data[:4] != _MAGIC:
+        raise ValueError("not a scene bank file (bad magic)")
+    pos = 4
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if len(data) - pos < n:
+            raise ValueError(f"truncated bank file: {what} needs {n} bytes at offset {pos}")
+        pos += n
+        return data[pos - n : pos]
+
+    version, n_scenes, h, w, d = struct.unpack("<5I", take(20, "header"))
+    if version != _VERSION:
+        raise ValueError(f"unsupported bank version {version}")
+    bank = SceneBank()
+    for _ in range(n_scenes):
+        (id_len,) = struct.unpack("<I", take(4, "scene id length"))
+        sid = str(take(id_len, "scene id"), "utf-8")
+        if sid in bank._scenes:
+            raise ValueError(f"duplicate scene {sid!r}")
+        (frames_seen,) = struct.unpack("<Q", take(8, f"scene {sid!r} frame count"))
+        values = np.frombuffer(take(8 * h * w * d, f"scene {sid!r} values"), dtype="<f8")
+        counter = np.frombuffer(take(8 * h * w, f"scene {sid!r} counters"), dtype="<i8")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"scene {sid!r}: memory contains non-finite values")
+        if np.any(counter < 0):
+            raise ValueError(f"scene {sid!r}: negative observation counter")
+        bank._scenes[sid] = _SceneSlot(
+            memorized=values.astype(float).reshape(h, w, d),
+            counter=counter.astype(np.int64).reshape(h, w),
+            frames_seen=frames_seen,
+        )
+    if pos != len(data):
+        raise ValueError(f"{len(data) - pos} trailing bytes after the last scene")
     return bank

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera_geometry import CameraRig, RigidTransform
+from .scene_cue_bank import STRIDE
 
 
 def _rot_x(angle: float) -> np.ndarray:
@@ -47,9 +48,6 @@ class AugmentationParams:
             raise ValueError("augmentation parameters must be finite")
         if self.intrinsic_scale <= 0:
             raise ValueError("intrinsic scale must be positive")
-
-
-IDENTITY_AUGMENTATION = AugmentationParams(1.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -85,14 +83,14 @@ def apply_augmentation(rig: CameraRig, params: AugmentationParams) -> CameraRig:
     """Apply an augmentation to a rig.
 
     Intrinsics and image dimensions scale together (resize semantics),
-    with dimensions rounded to multiples of 8 so the cue-grid stride
-    stays exact.  The extrinsic is pre-rotated by roll, then pitch,
+    with dimensions rounded to multiples of the cue-grid stride so the
+    grid stays exact.  The extrinsic is pre-rotated by roll, then pitch,
     about the camera's own axes; the camera center stays put.
     """
     s = params.intrinsic_scale
-    new_w = int(round(rig.image_width * s / 8)) * 8
-    new_h = int(round(rig.image_height * s / 8)) * 8
-    if new_w < 8 or new_h < 8:
+    new_w = int(round(rig.image_width * s / STRIDE)) * STRIDE
+    new_h = int(round(rig.image_height * s / STRIDE)) * STRIDE
+    if new_w < STRIDE or new_h < STRIDE:
         raise ValueError("intrinsic scale shrinks the image below one grid cell")
     noise = _rot_x(math.radians(params.pitch_noise)) @ _rot_z(
         math.radians(params.roll_noise)
@@ -130,7 +128,6 @@ class SceneScheduler:
 
     def __init__(self, config: SchedulerConfig):
         self.config = config
-        self.epoch = 0
         self._scenes: dict[str, _SceneState] = {}
 
     def _state(self, scene_id: str) -> _SceneState:
@@ -155,10 +152,3 @@ class SceneScheduler:
 
     def frames_seen(self, scene_id: str) -> int:
         return self._scenes[scene_id].frames if scene_id in self._scenes else 0
-
-    def current_params(self, scene_id: str) -> AugmentationParams:
-        return self._state(scene_id).params
-
-    def next_epoch(self) -> int:
-        self.epoch += 1
-        return self.epoch

@@ -29,9 +29,10 @@ from .camera_geometry import (
     ground_plane_from_extrinsics,
     lift_to_ground,
     project_to_image,
+    ray_ground,
     rig_from_pose,
 )
-from .scene_cue_bank import STRIDE, FeatureGrid, grid_dims_for_image
+from .scene_cue_bank import FeatureGrid, cell_centers, grid_dims_for_image
 
 # Salt values keeping the generation / simulation / cue-noise streams apart.
 _SALT_SCENE, _SALT_SIM, _SALT_CUE, _SALT_OBJECTS = 1, 2, 3, 4
@@ -443,22 +444,12 @@ def render_cue_grid(scene: SyntheticScene, channels: int) -> FeatureGrid:
     """
     if channels < 1:
         raise ValueError("at least one channel is required")
-    rig, plane = scene.rig, scene.plane
-    h_cells, w_cells = grid_dims_for_image(rig.image_height, rig.image_width)
-    u = (np.arange(w_cells) + 0.5) * STRIDE
-    v = (np.arange(h_cells) + 0.5) * STRIDE
-    uu, vv = np.meshgrid(u, v)
-    rays = np.stack(
-        [(uu - rig.a_x) / rig.f_x, (vv - rig.a_y) / rig.f_y, np.ones_like(uu)], axis=-1
-    )
-    p_v = rays @ plane.cam_to_virtual.T
-    y_v = p_v[..., 1]
-    valid = y_v > 1e-9
-    scale = np.where(valid, plane.camera_height / np.where(valid, y_v, 1.0), 0.0)
-    v2g = plane.virtual_to_ground
-    ground = (scale[..., None] * p_v) @ v2g.rotation.T + v2g.translation
+    rig = scene.rig
+    _, ground = ray_ground(rig, scene.plane, *cell_centers(rig.image_height, rig.image_width))
+    h_cells, w_cells = ground.shape[:2]
     values = np.zeros((h_cells, w_cells, channels))
-    values[:, :, 0] = np.where(valid, scene.field.evaluate(ground[..., 0], ground[..., 1]), 0.0)
+    height = scene.field.evaluate(ground[..., 0], ground[..., 1])
+    values[:, :, 0] = np.where(np.isnan(height), 0.0, height)
     col = np.arange(w_cells) / w_cells
     row = np.arange(h_cells) / h_cells
     xx, yy = np.meshgrid(col, row)

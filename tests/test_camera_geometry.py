@@ -16,8 +16,10 @@ from roadlift.camera_geometry import (
     height_sensitivity,
     lift_to_ground,
     project_to_image,
+    ray_ground,
     rig_from_pose,
 )
+from roadlift.scene_cue_bank import cell_centers
 
 
 def nadir_rig(height=10.0):
@@ -155,6 +157,61 @@ class TestLiftToGround:
         plane = ground_plane_from_extrinsics(rig)
         with pytest.raises(GeometryError):
             lift_to_ground(rig, plane, rig.a_x, 0.0, 0.0)
+
+
+RAY_RIGS = {
+    "nadir": nadir_rig(),
+    "rolled": rig_from_pose(6.0, 30.0, yaw_deg=-40.0, roll_deg=25.0),
+    "horizon": rig_from_pose(7.0, 8.0, yaw_deg=120.0, f_x=1400.0, f_y=1400.0),
+}
+
+
+class TestRayGround:
+    """The array kernel against the scalar functions it batches."""
+
+    @pytest.mark.parametrize("name", sorted(RAY_RIGS))
+    def test_scalar_pixels_equal_scalar_functions(self, name):
+        rig = RAY_RIGS[name]
+        plane = ground_plane_from_extrinsics(rig)
+        rng = np.random.default_rng(5)
+        pixels = [(rig.a_x, rig.a_y), (0.0, 0.0), (1535.5, 1023.5), (-400.0, -2000.0)]
+        pixels += [tuple(p) for p in rng.uniform((-200, -600), (1736, 1224), (400, 2))]
+        missed = 0
+        for u, v in pixels:
+            depth, point = ray_ground(rig, plane, u, v)
+            assert depth.shape == () and point.shape == (3,)
+            try:
+                assert depth == depth_to_ground(rig, plane, u, v)
+            except GeometryError:
+                assert np.isnan(depth)
+            try:
+                assert np.array_equal(point, lift_to_ground(rig, plane, u, v, 0.0))
+            except GeometryError:
+                assert np.isnan(point).all()
+                missed += 1
+        assert missed < len(pixels)
+        assert (missed > 0) == (name != "nadir")
+
+    @pytest.mark.parametrize("name", sorted(RAY_RIGS))
+    def test_cell_grid_matches_per_cell_scalar(self, name):
+        rig = RAY_RIGS[name]
+        plane = ground_plane_from_extrinsics(rig)
+        us, vs = cell_centers(rig.image_height, rig.image_width)
+        depth, points = ray_ground(rig, plane, us, vs)
+        assert depth.shape == us.shape and points.shape == us.shape + (3,)
+        for (r, c), u in np.ndenumerate(us):
+            v = vs[r, c]
+            try:
+                assert depth[r, c] == depth_to_ground(rig, plane, u, v)
+            except GeometryError:
+                assert np.isnan(depth[r, c])
+            try:
+                expected = lift_to_ground(rig, plane, u, v, 0.0)
+            except GeometryError:
+                assert np.isnan(points[r, c]).all()
+                continue
+            # A batched (N, 3) @ R.T may round the last bit differently.
+            assert np.abs(points[r, c] - expected).max() <= 1e-9
 
 
 class TestProjectToImage:

@@ -8,7 +8,6 @@ from roadlift.camera_geometry import Box3D, RigidTransform, CameraRig, rig_from_
 from roadlift.cli import run_command
 from roadlift.formats import (
     FormatError,
-    parse_calibration,
     parse_calibration_doc,
     parse_labels,
     serialize_calibration,
@@ -34,19 +33,19 @@ class TestCalibrationFormat:
         data = json.loads(nadir_calibration_text())
         del data["intrinsics"]["fy"]
         with pytest.raises(FormatError, match="intrinsics.fy"):
-            parse_calibration(json.dumps(data))
+            parse_calibration_doc(json.dumps(data)).rig
 
     def test_bad_bottom_row(self):
         data = json.loads(nadir_calibration_text())
         data["extrinsic"][3] = [0, 0, 0.1, 1]
         with pytest.raises(FormatError, match="bottom row"):
-            parse_calibration(json.dumps(data))
+            parse_calibration_doc(json.dumps(data)).rig
 
     def test_non_orthonormal_rotation_rejected(self):
         data = json.loads(nadir_calibration_text())
         data["extrinsic"][0][0] = 1.3
         with pytest.raises(FormatError, match="orthonormal"):
-            parse_calibration(json.dumps(data))
+            parse_calibration_doc(json.dumps(data)).rig
 
     def test_slightly_rounded_rotation_snapped(self):
         # Entries rounded to 7 decimals are beyond 1e-9 orthonormality but
@@ -54,7 +53,7 @@ class TestCalibrationFormat:
         rig = rig_from_pose(7.0, 23.0, yaw_deg=31.0, roll_deg=1.7)
         data = json.loads(serialize_calibration(rig))
         data["extrinsic"] = [[round(v, 7) for v in row] for row in data["extrinsic"]]
-        parsed = parse_calibration(json.dumps(data))
+        parsed = parse_calibration_doc(json.dumps(data)).rig
         assert np.max(np.abs(parsed.extrinsic.rotation - rig.extrinsic.rotation)) < 1e-6
 
     def test_random_round_trips(self):
@@ -68,12 +67,12 @@ class TestCalibrationFormat:
                 f_x=rng.uniform(800, 2400),
                 f_y=rng.uniform(800, 2400),
             )
-            again = parse_calibration(serialize_calibration(rig))
+            again = parse_calibration_doc(serialize_calibration(rig)).rig
             assert again == rig
 
     def test_not_json(self):
         with pytest.raises(FormatError, match="JSON"):
-            parse_calibration("fx: 1000")
+            parse_calibration_doc("fx: 1000").rig
 
 
 class TestLabelFormat:
@@ -192,7 +191,7 @@ class TestCli:
         gt_files = sorted((out / "gt").glob("*.txt"))
         pred_files = sorted((out / "pred").glob("*.txt"))
         assert len(gt_files) == 2 and len(pred_files) == 2
-        parse_calibration((out / "calib.json").read_text())
+        parse_calibration_doc((out / "calib.json").read_text()).rig
         for f in gt_files + pred_files:
             parse_labels(f.read_text())
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from roadlift.camera_geometry import (
+    RAY_PARALLEL_TOL,
     CameraRig,
     GeometryError,
     RigidTransform,
@@ -11,7 +12,13 @@ from roadlift.camera_geometry import (
     ground_plane_from_extrinsics,
     rig_from_pose,
 )
-from roadlift.position_embedding import embed_depth_map, embed_query, sine_encode
+from roadlift.position_embedding import (
+    DEFAULT_TEMPERATURE,
+    embed_depth_map,
+    embed_query,
+    sine_encode,
+)
+from roadlift.scene_cue_bank import STRIDE, grid_dims_for_image
 
 
 def nadir_rig(height=10.0):
@@ -41,6 +48,13 @@ class TestSineEncode:
             out = sine_encode(rng.uniform(-500, 500), 32)
             assert np.all(np.abs(out) <= 1.0)
 
+    def test_arrays_encoded_elementwise(self):
+        values = np.array([[0.0, 1.0, -2.5], [3.7, 120.0, 1e4]])
+        out = sine_encode(values, 6, temperature=50.0)
+        assert out.shape == (2, 3, 6)
+        for idx, value in np.ndenumerate(values):
+            assert np.array_equal(out[idx], sine_encode(float(value), 6, temperature=50.0))
+
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
             sine_encode(1.0, 5)
@@ -59,7 +73,47 @@ class TestSineEncode:
         assert diffs.min() > 1e-6
 
 
+def _reference_embed_depth_map(rig, plane, d_e, temperature=DEFAULT_TEMPERATURE):
+    """embed_depth_map as its inline depth and encoding computed it before
+    the shared ray-ground kernel; kept verbatim as the oracle."""
+    if d_e <= 0 or d_e % 2:
+        raise ValueError(f"embedding size must be a positive even integer, got {d_e}")
+    h_cells, w_cells = grid_dims_for_image(rig.image_height, rig.image_width)
+    u = (np.arange(w_cells) + 0.5) * STRIDE
+    v = (np.arange(h_cells) + 0.5) * STRIDE
+    uu, vv = np.meshgrid(u, v)
+    den = plane.a * (uu - rig.a_x) / rig.f_x + plane.b * (vv - rig.a_y) / rig.f_y + plane.c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        depth = np.where(np.abs(den) > RAY_PARALLEL_TOL, -plane.d / den, np.nan)
+    valid = np.isfinite(depth) & (depth > 0)
+    freq = temperature ** (2.0 * np.arange(d_e // 2) / d_e)
+    ang = np.where(valid, depth, 0.0)[:, :, None] / freq
+    out = np.empty((h_cells, w_cells, d_e))
+    out[:, :, 0::2] = np.sin(ang)
+    out[:, :, 1::2] = np.cos(ang)
+    out[~valid] = 0.0
+    return out
+
+
+PIN_RIGS = {
+    "nadir": nadir_rig(),
+    "rolled": rig_from_pose(6.0, 30.0, yaw_deg=-40.0, roll_deg=25.0),
+    "horizon": rig_from_pose(7.0, 8.0, yaw_deg=120.0, f_x=1400.0, f_y=1400.0),
+    "augmented": rig_from_pose(8.0, 12.0, roll_deg=2.0, f_x=1190.0, f_y=1190.0, a_x=652.3,
+                               a_y=431.9, image_width=1304, image_height=872),
+}
+
+
 class TestEmbedDepthMap:
+    @pytest.mark.parametrize("name", sorted(PIN_RIGS))
+    @pytest.mark.parametrize("d_e,temperature", [(2, 10000.0), (6, 10000.0), (64, 10000.0),
+                                                 (8, 20.0)])
+    def test_equals_reference_inline_encoding(self, name, d_e, temperature):
+        rig = PIN_RIGS[name]
+        plane = ground_plane_from_extrinsics(rig)
+        grid = embed_depth_map(rig, plane, d_e, temperature)
+        assert np.array_equal(grid, _reference_embed_depth_map(rig, plane, d_e, temperature))
+
     def test_nadir_constant(self):
         rig = nadir_rig()
         plane = ground_plane_from_extrinsics(rig)

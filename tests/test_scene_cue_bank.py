@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from roadlift.scene_cue_bank import (
     FeatureGrid,
     SceneBank,
     bank_memory_elements,
+    cell_centers,
     extract_cues,
     fuse_for_decoder,
     load_bank,
@@ -308,6 +311,17 @@ class TestBankMemoryElements:
             bank_memory_elements(1020, 1536, 256)
 
 
+class TestCellCenters:
+    def test_centers_of_a_small_grid(self):
+        us, vs = cell_centers(16, 24)
+        np.testing.assert_array_equal(us, [[4.0, 12.0, 20.0]] * 2)
+        np.testing.assert_array_equal(vs, [[4.0] * 3, [12.0] * 3])
+
+    def test_indivisible_dims_rejected(self):
+        with pytest.raises(ValueError, match="divisible"):
+            cell_centers(1020, 1536)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(16)
@@ -331,6 +345,30 @@ class TestSerialization:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(ValueError, match="magic"):
+            load_bank(path)
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda raw: raw[:10], "truncated bank file: header"),
+            (lambda raw: raw[:33], "truncated bank file: scene 'a' frame count"),
+            (lambda raw: raw[:-4], "truncated bank file: scene 'b' counters"),
+            (lambda raw: raw + b"\x00", "1 trailing bytes"),
+            (lambda raw: raw[:37] + struct.pack("<d", np.nan) + raw[45:], "non-finite"),
+            (lambda raw: raw[:-8] + struct.pack("<q", -1), "negative"),
+            (lambda raw: raw[:65] + b"a" + raw[66:], "duplicate scene 'a'"),
+        ],
+        ids=["short-header", "short-frames", "short-counters", "trailing", "nan", "negative",
+             "duplicate"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, corrupt, message):
+        bank = SceneBank()
+        for sid in ("a", "b"):
+            bank.update_running_average(sid, grid_from([[[1.5, -2.0]]]), full_mask(1, 1))
+        path = tmp_path / "bank.bin"
+        save_bank(bank, path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ValueError, match=message):
             load_bank(path)
 
     def test_mixed_shapes_rejected(self, tmp_path):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from roadlift.camera_geometry import (
+    CameraRig,
+    RigidTransform,
     ground_plane_from_extrinsics,
     height_sensitivity,
     lift_to_ground,
@@ -22,6 +24,7 @@ from roadlift.synthetic_world import (
     resample_objects,
     simulate_predictions,
 )
+from roadlift.scene_cue_bank import STRIDE, grid_dims_for_image
 
 CFG = SceneConfig(
     n_objects=6,
@@ -177,7 +180,57 @@ class TestSimulatePredictions:
             assert x1 <= u <= x2 and y1 <= v <= y2
 
 
+def _reference_render_channel0(scene):
+    """Channel 0 of render_cue_grid as its inline vectorised lift computed
+    it before the shared ray-ground kernel; kept verbatim as the oracle."""
+    rig, plane = scene.rig, scene.plane
+    h_cells, w_cells = grid_dims_for_image(rig.image_height, rig.image_width)
+    u = (np.arange(w_cells) + 0.5) * STRIDE
+    v = (np.arange(h_cells) + 0.5) * STRIDE
+    uu, vv = np.meshgrid(u, v)
+    rays = np.stack(
+        [(uu - rig.a_x) / rig.f_x, (vv - rig.a_y) / rig.f_y, np.ones_like(uu)], axis=-1
+    )
+    p_v = rays @ plane.cam_to_virtual.T
+    y_v = p_v[..., 1]
+    valid = y_v > 1e-9
+    scale = np.where(valid, plane.camera_height / np.where(valid, y_v, 1.0), 0.0)
+    v2g = plane.virtual_to_ground
+    ground = (scale[..., None] * p_v) @ v2g.rotation.T + v2g.translation
+    return np.where(valid, scene.field.evaluate(ground[..., 0], ground[..., 1]), 0.0)
+
+
+def _pin_scenes():
+    """Generated scenes plus hand-made rigs: nadir, rolled, horizon in
+    view, and an augmented (non-default) image size."""
+    field = GroundField.random(np.random.default_rng(11), amplitude=1.5)
+    nadir = CameraRig(
+        1000.0, 1000.0, 768.0, 512.0,
+        RigidTransform(np.diag([1.0, -1.0, -1.0]), np.array([0.0, 0.0, 10.0])), 1536, 1024,
+    )
+    rigs = [
+        nadir,
+        rig_from_pose(6.0, 30.0, yaw_deg=-40.0, roll_deg=25.0),
+        rig_from_pose(7.0, 8.0, yaw_deg=120.0, f_x=1400.0, f_y=1400.0),
+        rig_from_pose(8.0, 12.0, roll_deg=2.0, f_x=1190.0, f_y=1190.0, a_x=652.3,
+                      a_y=431.9, image_width=1304, image_height=872),
+    ]
+    scenes = [generate_scene(CFG, seed) for seed in (0, 1, 2, 31)]
+    for i, rig in enumerate(rigs):
+        plane = ground_plane_from_extrinsics(rig)
+        scenes.append(SyntheticScene(rig, plane, field, (), f"pin-{i}", seed=i))
+    return scenes
+
+
 class TestRenderCueGrid:
+    @pytest.mark.parametrize("index", range(8))
+    def test_channel0_equals_reference_inline_lift(self, index):
+        scene = _pin_scenes()[index]
+        ch0 = render_cue_grid(scene, 2).values[:, :, 0]
+        expected = _reference_render_channel0(scene)
+        assert np.array_equal(ch0, expected)
+        assert (ch0 != 0.0).any()
+
     def test_constant_field_channel0(self):
         scene = single_object_scene(field=GroundField.constant(0.3))
         grid = render_cue_grid(scene, 2)
