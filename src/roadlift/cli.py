@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -48,6 +49,7 @@ from .loss_functions import (
 )
 from .position_embedding import embed_depth_map
 from .scene_cue_bank import (
+    CueMask,
     FeatureGrid,
     SceneBank,
     cell_centers,
@@ -151,6 +153,9 @@ def _load_frames(path: str) -> list[list]:
 
 
 def cmd_evaluate(args) -> int:
+    foot = (0.0, 0.0)
+    if args.calib:
+        foot = tuple(_read_calibration(args.calib).camera_center_ground()[:2])
     gts = _load_frames(args.gt)
     preds = _load_frames(args.pred)
     if len(gts) != len(preds):
@@ -184,7 +189,7 @@ def cmd_evaluate(args) -> int:
             rows.append(f"detection_ratio,all,{_fmt(t)},{_fmt(ratio)}")
     _emit("\n".join(rows) + "\n", args.out)
     if args.distance_csv:
-        table = distance_error(matches, DEFAULT_DISTANCE_BINS)
+        table = distance_error(matches, DEFAULT_DISTANCE_BINS, camera_foot=foot)
         lines = ["bin_lo_m,bin_hi_m,mean_error_pct,matched"]
         for b in table.bins:
             value = "-" if b.mean_error_pct is None else _fmt(b.mean_error_pct)
@@ -193,13 +198,33 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _observe(truth: FeatureGrid, mask: CueMask, sigma: float, rng) -> FeatureGrid:
+    """``truth`` plus ``sigma`` Gaussian noise at the masked cells, zero
+    elsewhere.  Noise is drawn only up to the last masked cell: the
+    Generator fills arrays in C order, so that draw is a prefix of a
+    full-grid draw and every masked value equals the full draw's."""
+    channels = truth.values.shape[2]
+    flat = np.flatnonzero(mask.cells)
+    values = np.zeros_like(truth.values)
+    if flat.size:
+        noise = rng.standard_normal((flat[-1] + 1) * channels).reshape(-1, channels)
+        values.reshape(-1, channels)[flat] = (
+            truth.values.reshape(-1, channels)[flat] + sigma * noise[flat]
+        )
+    return FeatureGrid(values)
+
+
 def cmd_bank_sim(args) -> int:
     config = json.loads(Path(args.config).read_text())
     scene_cfg = SceneConfig.from_mapping(config.get("scene", {}))
     n_frames = int(config.get("frames", 60))
+    if n_frames < 1:
+        raise ValueError("frames must be at least 1")
     momentum = float(config.get("momentum", 0.1))
     channels = int(config.get("channels", 4))
     sigma = float(config.get("cue_noise_sigma", 0.05))
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"cue_noise_sigma must be a finite number >= 0, got {sigma}")
     sched_block = dict(config.get("scheduler", {}))
     sched_block.setdefault("tau", int(config.get("tau", 20)))
     sched_block.setdefault("seed", args.seed)
@@ -216,9 +241,6 @@ def cmd_bank_sim(args) -> int:
     aug_scene: SyntheticScene | None = None
     true_aug: FeatureGrid | None = None
     resets = 0
-
-    def _observe(truth: FeatureGrid, rng) -> FeatureGrid:
-        return FeatureGrid(truth.values + sigma * rng.standard_normal(truth.values.shape))
 
     def _mask_for(target_scene: SyntheticScene, frame_scene: SyntheticScene):
         rig = target_scene.rig
@@ -239,7 +261,8 @@ def cmd_bank_sim(args) -> int:
             true_aug = render_cue_grid(aug_scene, channels)
             resets += int(did_reset)
         mask = _mask_for(aug_scene, frame_scene)
-        cues = extract_cues(_observe(true_aug, np.random.default_rng([args.seed, 5, t])), mask)
+        rng = np.random.default_rng([args.seed, 5, t])
+        cues = extract_cues(_observe(true_aug, mask, sigma, rng), mask)
         if did_reset:
             bank_train.reset_scene(sid, cues)
         else:
@@ -252,9 +275,8 @@ def cmd_bank_sim(args) -> int:
                 f"{_fmt(float(np.abs(err).mean()))},{_fmt(float((err ** 2).mean()))}"
             )
         mask_plain = _mask_for(scene, frame_scene)
-        cues_plain = extract_cues(
-            _observe(true_plain, np.random.default_rng([args.seed, 6, t])), mask_plain
-        )
+        rng = np.random.default_rng([args.seed, 6, t])
+        cues_plain = extract_cues(_observe(true_plain, mask_plain, sigma, rng), mask_plain)
         bank_infer.update_running_average(sid, cues_plain, mask_plain)
         seen = bank_infer.counter(sid) > 0
         if seen.any():
@@ -347,6 +369,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated meters; adds detection_ratio rows",
     )
     p.add_argument("--distance-csv", default=None, help="also write a binned distance-error CSV")
+    p.add_argument(
+        "--calib",
+        default=None,
+        help="calibration JSON; the distance CSV measures range from its camera's "
+        "ground foot point instead of (0, 0)",
+    )
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser(

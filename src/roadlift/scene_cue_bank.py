@@ -70,6 +70,16 @@ class FeatureGrid:
         return cls.zeros(h, w, channels)
 
 
+def _frozen_grid(values: np.ndarray) -> FeatureGrid:
+    """Wrap a float grid this module built from validated grids: set it
+    read-only in place, without the public constructor's copy and
+    finiteness scan."""
+    values.setflags(write=False)
+    grid = object.__new__(FeatureGrid)
+    object.__setattr__(grid, "values", values)
+    return grid
+
+
 @dataclass(frozen=True, eq=False)
 class CueMask:
     """0-1 grid marking cells near reference points.  ``skipped`` counts
@@ -142,14 +152,17 @@ def make_mask(points, grid_dims: tuple[int, int]) -> CueMask:
 
 
 def extract_cues(features: FeatureGrid, mask: CueMask) -> FeatureGrid:
-    """Elementwise product of features with the mask; off-mask cells are
-    exactly zero."""
+    """The features at masked cells; off-mask cells are +0.0.  The
+    result is read-only."""
     if mask.cells.shape != features.values.shape[:2]:
         raise ValueError(
             f"mask shape {mask.cells.shape} does not match grid "
             f"{features.values.shape[:2]}"
         )
-    return FeatureGrid(features.values * mask.cells[:, :, None])
+    sel = mask.cells.astype(bool)
+    values = np.zeros_like(features.values)
+    values[sel] = features.values[sel]
+    return _frozen_grid(values)
 
 
 def fuse_for_decoder(current: FeatureGrid, memorized: FeatureGrid) -> FeatureGrid:
@@ -181,7 +194,10 @@ class SceneBank:
         return list(self._scenes)
 
     def memorized(self, scene_id: str) -> FeatureGrid:
-        return FeatureGrid(self._scenes[scene_id].memorized)
+        """A read-only copy of the scene's memory.  It is not re-validated:
+        the memory only holds blends of validated grids or values that
+        ``load_bank`` checked."""
+        return _frozen_grid(self._scenes[scene_id].memorized.copy())
 
     def counter(self, scene_id: str) -> np.ndarray:
         return self._scenes[scene_id].counter.copy()
@@ -230,7 +246,10 @@ class SceneBank:
             self._scenes[scene_id].frames_seen = 1
             return
         if mask is None:
-            slot.memorized = (1.0 - momentum) * slot.memorized + momentum * cues.values
+            # In place, same operations as (1-m)*memory + m*cues; every
+            # slot owns its array (reset_scene and load_bank copy).
+            slot.memorized *= 1.0 - momentum
+            slot.memorized += momentum * cues.values
         else:
             if mask.cells.shape != slot.memorized.shape[:2]:
                 raise ValueError("mask shape does not match bank grid")
@@ -266,21 +285,21 @@ class SceneBank:
 
 def save_bank(bank: SceneBank, path) -> None:
     """Write the bank in the binary container documented at module top."""
-    ids = sorted(bank.scene_ids())
-    shapes = {bank.memorized(sid).values.shape for sid in ids}
+    slots = sorted(bank._scenes.items())
+    shapes = {slot.memorized.shape for _, slot in slots}
     if len(shapes) > 1:
         raise ValueError(f"scenes have mixed grid shapes: {sorted(shapes)}")
     shape = shapes.pop() if shapes else (0, 0, 0)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<5I", _VERSION, len(ids), *shape))
-        for sid in ids:
+        fh.write(struct.pack("<5I", _VERSION, len(slots), *shape))
+        for sid, slot in slots:
             raw = sid.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-            fh.write(struct.pack("<Q", bank.frames_seen(sid)))
-            fh.write(np.ascontiguousarray(bank.memorized(sid).values, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(bank.counter(sid), dtype="<i8").tobytes())
+            fh.write(struct.pack("<Q", slot.frames_seen))
+            fh.write(np.ascontiguousarray(slot.memorized, dtype="<f8"))
+            fh.write(np.ascontiguousarray(slot.counter, dtype="<i8"))
 
 
 def load_bank(path) -> SceneBank:

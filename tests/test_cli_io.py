@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from roadlift.camera_geometry import Box3D, RigidTransform, CameraRig, rig_from_pose
-from roadlift.cli import run_command
+from roadlift.cli import _observe, run_command
 from roadlift.formats import (
     FormatError,
     parse_calibration_doc,
@@ -13,6 +13,7 @@ from roadlift.formats import (
     serialize_calibration,
     serialize_labels,
 )
+from roadlift.scene_cue_bank import CueMask, FeatureGrid, make_mask
 
 
 def nadir_calibration_text():
@@ -334,6 +335,54 @@ class TestCli:
         first, last = float(infer[0][5]), float(infer[-1][5])
         assert last < first
 
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ({"frames": 0}, "error: frames must be at least 1"),
+            ({"frames": -3}, "error: frames must be at least 1"),
+            ({"cue_noise_sigma": -0.05}, "error: cue_noise_sigma must be a finite number >= 0"),
+            ({"cue_noise_sigma": math.nan}, "error: cue_noise_sigma must be a finite number >= 0"),
+        ],
+        ids=["zero-frames", "negative-frames", "negative-sigma", "nan-sigma"],
+    )
+    def test_bank_sim_rejects_bad_config(self, tmp_path, capsys, override, message):
+        config = tmp_path / "bank.json"
+        config.write_text(json.dumps({"scene": {"n_objects": 2}, "channels": 2, **override}))
+        out, bank_path = tmp_path / "bank.csv", tmp_path / "bank.bin"
+        code = run_command(
+            ["bank-sim", "--config", str(config), "--out", str(out), "--bank-out", str(bank_path)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(message)
+        assert captured.out == ""
+        assert not out.exists() and not bank_path.exists()
+
+    def test_evaluate_distance_csv_ranges_from_calib_camera(self, tmp_path, capsys):
+        # Camera 10 m above ground point (100, 0): a GT 10 m past it falls
+        # in the first bin with --calib, in the third (110 m) without.
+        ext = RigidTransform(np.diag([1.0, -1.0, -1.0]), np.array([-100.0, 0.0, 10.0]))
+        rig = CameraRig(1000.0, 1000.0, 768.0, 512.0, ext, 1536, 1024)
+        np.testing.assert_array_equal(rig.camera_center_ground(), [100.0, 0.0, 10.0])
+        calib = tmp_path / "calib.json"
+        calib.write_text(serialize_calibration(rig, scene_id="offset"))
+        for side, box in (
+            ("gt", Box3D(110, 0, 0, 4, 1.8, 1.5, 0)),
+            ("pred", Box3D(110.5, 0, 0, 4, 1.8, 1.5, 0, score=0.9)),
+        ):
+            (tmp_path / f"{side}.txt").write_text(serialize_labels([box]))
+        base = ["evaluate", "--gt", str(tmp_path / "gt.txt"), "--pred", str(tmp_path / "pred.txt")]
+        tables = {}
+        for name, extra in (("origin", []), ("camera", ["--calib", str(calib)])):
+            dist = tmp_path / f"{name}.csv"
+            assert run_command(base + ["--distance-csv", str(dist)] + extra) == 0
+            tables[name] = dist.read_text().splitlines()[1:]
+        assert tables["camera"] == ["0,50,5,1", "50,100,-,0", "100,150,-,0", "150,200,-,0"]
+        assert tables["origin"] == [
+            "0,50,-,0", "50,100,-,0", f"100,150,{0.5 / 110 * 100:.10g},1", "150,200,-,0"
+        ]
+
     def test_embed_csv(self, nadir_calib_file, capsys):
         code = run_command(["embed", "--calib", str(nadir_calib_file), "--de", "4"])
         assert code == 0
@@ -351,3 +400,37 @@ class TestCli:
     def test_simulate_requires_out(self, sim_config_file, capsys):
         assert run_command(["simulate", "--config", str(sim_config_file)]) == 1
         assert "requires --out" in capsys.readouterr().err
+
+
+class TestBankSimNoise:
+    """bank-sim draws observation noise only up to the last masked cell;
+    numpy's Generator fills arrays in C order, so that draw is a prefix
+    of the full-grid draw and every masked value is unchanged."""
+
+    @pytest.mark.parametrize("seed", [0, 7, [0, 5, 0], [63, 6, 59]])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 5, 3), (30, 40, 64), (128, 192, 4)])
+    def test_flat_draw_is_prefix_of_grid_draw(self, seed, shape):
+        h, w, c = shape
+        full = np.random.default_rng(seed).standard_normal(shape).reshape(-1)
+        for n in sorted({1, (h * w) // 3 + 1, h * w - 1, h * w} - {0}):
+            part = np.random.default_rng(seed).standard_normal(n * c)
+            assert np.array_equal(part, full[: n * c])
+
+    def test_observe_equals_full_draw_on_mask(self):
+        rng = np.random.default_rng(1)
+        truth = FeatureGrid(rng.standard_normal((12, 16, 5)) * 3.0)
+        masks = [
+            make_mask([(4.0, 4.0)], (12, 16)),
+            make_mask([(127.5, 95.5)], (12, 16)),
+            make_mask([(60.0, 0.0), (0.0, 50.0)], (12, 16)),
+            CueMask((rng.random((12, 16)) < 0.1).astype(np.uint8)),
+            CueMask(np.zeros((12, 16), dtype=np.uint8)),
+            CueMask(np.ones((12, 16), dtype=np.uint8)),
+        ]
+        for t, mask in enumerate(masks):
+            noise = np.random.default_rng([3, 5, t]).standard_normal(truth.values.shape)
+            full = (truth.values + 0.05 * noise) * mask.cells[:, :, None]
+            got = _observe(truth, mask, 0.05, np.random.default_rng([3, 5, t]))
+            sel = mask.cells.astype(bool)
+            assert got.values[sel].tobytes() == full[sel].tobytes()
+            assert got.values[~sel].tobytes() == bytes(8 * 5 * int((~sel).sum()))

@@ -31,6 +31,35 @@ def full_mask(h=4, w=5):
     return CueMask(np.ones((h, w), dtype=np.uint8))
 
 
+def _reference_extract_cues(features: FeatureGrid, mask: CueMask) -> FeatureGrid:
+    """extract_cues as the full-grid product with the 0-1 mask, verbatim."""
+    if mask.cells.shape != features.values.shape[:2]:
+        raise ValueError(
+            f"mask shape {mask.cells.shape} does not match grid "
+            f"{features.values.shape[:2]}"
+        )
+    return FeatureGrid(features.values * mask.cells[:, :, None])
+
+
+def _reference_update_momentum(memorized: np.ndarray, cues: FeatureGrid, momentum: float):
+    """The full-grid momentum blend, out of place, verbatim."""
+    return (1.0 - momentum) * memorized + momentum * cues.values
+
+
+def pin_masks(rng, h, w):
+    """Random masks plus masks whose blocks are clipped at every border."""
+    corners = [(0.0, 0.0), (w * 8 - 1.0, 0.0), (0.0, h * 8 - 1.0), (w * 8 - 1.0, h * 8 - 1.0)]
+    edges = [(w * 4.0, 0.0), (0.0, h * 4.0), (w * 8 - 0.5, h * 4.0), (w * 4.0, h * 8 - 0.5)]
+    return [
+        make_mask(corners, (h, w)),
+        make_mask(edges, (h, w)),
+        make_mask(corners + edges, (h, w)),
+        CueMask((rng.random((h, w)) < 0.3).astype(np.uint8)),
+        CueMask(np.zeros((h, w), dtype=np.uint8)),
+        full_mask(h, w),
+    ]
+
+
 class TestMakeMask:
     def test_interior_point_gives_nine_cells(self):
         mask = make_mask([(84.0, 84.0)], (20, 20))  # cell (10, 10)
@@ -102,6 +131,30 @@ class TestExtractCues:
         with pytest.raises(ValueError):
             extract_cues(FeatureGrid.zeros(4, 5, 2), CueMask(np.zeros((5, 5), np.uint8)))
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 7, 2), (9, 6, 4), (16, 24, 8)])
+    def test_equals_reference_product(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        grid = FeatureGrid(rng.standard_normal(shape) * 10.0)
+        for mask in pin_masks(rng, *shape[:2]):
+            out = extract_cues(grid, mask)
+            ref = _reference_extract_cues(grid, mask)
+            assert np.array_equal(out.values, ref.values)
+            sel = mask.cells.astype(bool)
+            assert out.values[sel].tobytes() == ref.values[sel].tobytes()
+
+    def test_off_mask_cells_are_positive_zero(self):
+        grid = grid_from(-np.ones((3, 3, 2)))
+        mask = CueMask(np.eye(3, dtype=np.uint8))
+        out = extract_cues(grid, mask)
+        assert not np.signbit(out.values[~mask.cells.astype(bool)]).any()
+        np.testing.assert_array_equal(out.values[mask.cells.astype(bool)], -1.0)
+
+    def test_result_is_read_only(self):
+        out = extract_cues(random_grid(np.random.default_rng(3)), full_mask())
+        with pytest.raises(ValueError):
+            out.values[0, 0, 0] = 1.0
+
 
 class TestMomentumUpdate:
     def test_momentum_one_replaces(self):
@@ -170,6 +223,51 @@ class TestMomentumUpdate:
         lo = np.minimum(old.values, new.values) - 1e-12
         hi = np.maximum(old.values, new.values) + 1e-12
         assert np.all(mem >= lo) and np.all(mem <= hi)
+
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.1, 0.3, 0.5, 1.0])
+    def test_equals_reference_blend(self, momentum):
+        rng = np.random.default_rng(11)
+        init = FeatureGrid(rng.standard_normal((6, 7, 3)))
+        bank = SceneBank()
+        bank.reset_scene("s", init)
+        expected = init.values
+        for mask in pin_masks(rng, 6, 7):
+            cues = extract_cues(FeatureGrid(rng.standard_normal((6, 7, 3))), mask)
+            bank.update_momentum("s", cues, momentum)
+            expected = _reference_update_momentum(expected, cues, momentum)
+            assert bank.memorized("s").values.tobytes() == expected.tobytes()
+
+    def test_memorized_grid_is_a_snapshot(self):
+        rng = np.random.default_rng(12)
+        bank = SceneBank()
+        bank.reset_scene("s", random_grid(rng))
+        snap = bank.memorized("s")
+        before = snap.values.copy()
+        bank.update_momentum("s", random_grid(rng), 0.5)
+        bank.update_momentum("s", random_grid(rng), 0.5, mask=full_mask())
+        bank.update_running_average("s", random_grid(rng), full_mask())
+        np.testing.assert_array_equal(snap.values, before)
+        assert not np.array_equal(bank.memorized("s").values, before)
+
+    def test_reset_does_not_alias_init(self):
+        rng = np.random.default_rng(13)
+        init = random_grid(rng)
+        before = init.values.copy()
+        bank = SceneBank()
+        bank.reset_scene("s", init)
+        bank.update_momentum("s", random_grid(rng), 0.5)
+        bank.update_momentum("s", random_grid(rng), 0.5, mask=full_mask())
+        np.testing.assert_array_equal(init.values, before)
+
+    def test_lazy_init_does_not_alias_first_cues(self):
+        rng = np.random.default_rng(14)
+        cues = random_grid(rng)
+        before = cues.values.copy()
+        bank = SceneBank()
+        bank.update_momentum("s", cues, 0.5)
+        bank.update_momentum("s", random_grid(rng), 0.5)
+        np.testing.assert_array_equal(cues.values, before)
 
 
 class TestRunningAverage:
@@ -371,6 +469,44 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             load_bank(path)
 
+    def test_loaded_bank_accepts_both_updates(self, tmp_path):
+        rng = np.random.default_rng(17)
+        bank = SceneBank()
+        bank.update_running_average("s", random_grid(rng), full_mask())
+        path = tmp_path / "bank.bin"
+        save_bank(bank, path)
+        loaded = load_bank(path)
+        start = loaded.memorized("s").values
+        cues = random_grid(rng)
+        loaded.update_momentum("s", cues, 0.25)
+        expected = _reference_update_momentum(start, cues, 0.25)
+        assert loaded.memorized("s").values.tobytes() == expected.tobytes()
+        loaded.update_running_average("s", cues, full_mask())
+        np.testing.assert_array_equal(loaded.counter("s"), np.full((4, 5), 2))
+        assert loaded.frames_seen("s") == 3
+
+    def test_save_reads_each_scene_at_most_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(18)
+        bank = SceneBank()
+        for sid in ("b", "a"):
+            bank.update_running_average(sid, random_grid(rng, 2, 3, 2), full_mask(2, 3))
+        expected = [b"RLSB", struct.pack("<5I", 1, 2, 2, 3, 2)]
+        for sid in ("a", "b"):
+            expected += [
+                struct.pack("<I", 1), sid.encode(), struct.pack("<Q", 1),
+                bank.memorized(sid).values.astype("<f8").tobytes(),
+                bank.counter(sid).astype("<i8").tobytes(),
+            ]
+        reads = []
+        memorized = SceneBank.memorized
+        monkeypatch.setattr(
+            SceneBank, "memorized", lambda self, sid: reads.append(sid) or memorized(self, sid)
+        )
+        path = tmp_path / "bank.bin"
+        save_bank(bank, path)
+        assert path.read_bytes() == b"".join(expected)
+        assert max(map(reads.count, ("a", "b"))) <= 1
+
     def test_mixed_shapes_rejected(self, tmp_path):
         bank = SceneBank()
         bank.reset_scene("a", FeatureGrid.zeros(4, 5, 2))
@@ -380,6 +516,18 @@ class TestSerialization:
 
 
 class TestFeatureGrid:
+    def test_memorized_is_read_only(self):
+        bank = SceneBank()
+        bank.reset_scene("s", FeatureGrid.zeros(2, 2, 1))
+        with pytest.raises(ValueError):
+            bank.memorized("s").values[0, 0, 0] = 1.0
+
+    def test_public_constructor_copies(self):
+        raw = np.zeros((2, 2, 1))
+        grid = FeatureGrid(raw)
+        raw[0, 0, 0] = 5.0
+        assert grid.values[0, 0, 0] == 0.0
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             grid_from([[[np.nan]]])
