@@ -143,15 +143,13 @@ class GroundPlane:
     b: float
     c: float
     d: float
-    camera_height: float
     cam_to_virtual: np.ndarray
     virtual_to_ground: RigidTransform
 
     def __eq__(self, other):
         return (
             isinstance(other, GroundPlane)
-            and (self.a, self.b, self.c, self.d, self.camera_height)
-            == (other.a, other.b, other.c, other.d, other.camera_height)
+            and (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
             and np.array_equal(self.cam_to_virtual, other.cam_to_virtual)
             and self.virtual_to_ground == other.virtual_to_ground
         )
@@ -160,10 +158,8 @@ class GroundPlane:
         n = np.array([self.a, self.b, self.c])
         if abs(np.linalg.norm(n) - 1.0) > ALGEBRAIC_TOL:
             raise ValueError("plane normal is not unit length")
-        if self.camera_height <= 0:
+        if self.d >= 0:
             raise ValueError("camera height must be positive")
-        if abs(self.camera_height - abs(self.d)) > ALGEBRAIC_TOL:
-            raise ValueError("camera height must equal |d|")
         m = _readonly(self.cam_to_virtual)
         if np.max(np.abs(m.T @ m - np.eye(3))) > ALGEBRAIC_TOL:
             raise ValueError("cam_to_virtual is not orthonormal")
@@ -178,6 +174,11 @@ class GroundPlane:
     @property
     def normal(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c])
+
+    @property
+    def camera_height(self) -> float:
+        """Height of the camera center above the plane, -d."""
+        return -self.d
 
 
 def _minimal_rotation_y_to(n: np.ndarray) -> np.ndarray:
@@ -222,7 +223,6 @@ def ground_plane_from_extrinsics(rig: CameraRig) -> GroundPlane:
         b=float(normal[1]) + 0.0,
         c=float(normal[2]) + 0.0,
         d=d,
-        camera_height=-d,
         cam_to_virtual=cam_to_virtual,
         virtual_to_ground=virtual_to_ground,
     )
@@ -340,6 +340,12 @@ class Box3D:
         return np.array([self.x, self.y, self.z])
 
 
+def rot_z(angle: float) -> np.ndarray:
+    """Rotation by ``angle`` counter-clockwise about +z."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 # Corner sign patterns in the documented order: (l, w, h) signs enumerate
 # (---), (--+), (-+-), (-++), (+--), (+-+), (++-), (+++).
 CORNER_SIGNS = np.array(
@@ -354,9 +360,7 @@ def corners_from_parts(
     ordering.  (x, y, z) is the bottom-face center; the +h/2 shift moves
     to the cuboid center before the signed half-extents are applied."""
     half = CORNER_SIGNS * np.array([l / 2.0, w / 2.0, h / 2.0])
-    c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return half @ rot.T + np.array([x, y, z + h / 2.0])
+    return half @ rot_z(theta).T + np.array([x, y, z + h / 2.0])
 
 
 def corners_of(box: Box3D) -> np.ndarray:

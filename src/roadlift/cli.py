@@ -1,8 +1,8 @@
 """Command-line surface: geometry one-liners, synthetic experiments,
 metric evaluation, bank simulation, and gradient checking.
 
-Every subcommand accepts --seed and --out; outputs are deterministic for
-a fixed seed.
+Every subcommand accepts --out.  simulate, bank-sim and gradcheck also
+take --seed, and their outputs are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .evaluation import (
 )
 from .formats import (
     FormatError,
+    check_json,
     parse_calibration_doc,
     parse_labels,
     serialize_calibration,
@@ -122,10 +123,9 @@ def cmd_sensitivity(args) -> int:
 def cmd_simulate(args) -> int:
     if not args.out:
         raise ValueError("simulate requires --out (output directory)")
-    config = json.loads(Path(args.config).read_text())
-    scene_cfg = SceneConfig.from_mapping(config.get("scene", {}))
-    noise = NoiseModel.from_mapping(config.get("noise", {}))
-    n_frames = int(config.get("frames", 1))
+    like = {"scene": SceneConfig(), "noise": NoiseModel(), "frames": 1}
+    config = check_json(json.loads(Path(args.config).read_text()), like, "")
+    scene_cfg, noise, n_frames = config["scene"], config["noise"], config["frames"]
     if n_frames < 1:
         raise ValueError("frames must be at least 1")
     scene = generate_scene(scene_cfg, args.seed)
@@ -135,31 +135,40 @@ def cmd_simulate(args) -> int:
     (out / "calib.json").write_text(serialize_calibration(scene.rig, scene.scene_id))
     for k in range(n_frames):
         frame_scene = scene if k == 0 else resample_objects(scene, scene_cfg, k)
-        record = simulate_predictions(frame_scene, noise, seed=k, timestamp=float(k))
+        record = simulate_predictions(frame_scene, noise, seed=k)
         (out / "gt" / f"frame_{k:04d}.txt").write_text(serialize_labels(record.gt_boxes))
         (out / "pred" / f"frame_{k:04d}.txt").write_text(serialize_labels(record.pred_boxes))
     print(f"wrote {n_frames} frame(s) for {scene.scene_id} to {out}")
     return 0
 
 
-def _load_frames(path: str) -> list[list]:
+def _label_files(path: str) -> list[Path]:
     p = Path(path)
-    if p.is_dir():
-        files = sorted(p.glob("*.txt"))
-        if not files:
-            raise ValueError(f"no .txt label files under {p}")
-        return [parse_labels(f.read_text()) for f in files]
-    return [parse_labels(p.read_text())]
+    if not p.is_dir():
+        return [p]
+    files = sorted(p.glob("*.txt"))
+    if not files:
+        raise ValueError(f"no .txt label files under {p}")
+    return files
 
 
 def cmd_evaluate(args) -> int:
+    if not 0.0 <= args.iou <= 1.0:
+        raise ValueError(f"--iou must be a number in [0, 1], got {args.iou}")
     foot = (0.0, 0.0)
     if args.calib:
         foot = tuple(_read_calibration(args.calib).camera_center_ground()[:2])
-    gts = _load_frames(args.gt)
-    preds = _load_frames(args.pred)
-    if len(gts) != len(preds):
-        raise ValueError(f"frame count mismatch: {len(gts)} GT vs {len(preds)} prediction files")
+    gt_files, pred_files = _label_files(args.gt), _label_files(args.pred)
+    if Path(args.gt).is_dir() and Path(args.pred).is_dir():
+        unpaired = sorted({f.name for f in gt_files} ^ {f.name for f in pred_files})
+        if unpaired:
+            raise ValueError(f"{unpaired[0]} is in only one of {args.gt} and {args.pred}")
+    if len(gt_files) != len(pred_files):
+        raise ValueError(
+            f"frame count mismatch: {len(gt_files)} GT vs {len(pred_files)} prediction files"
+        )
+    gts = [parse_labels(f.read_text()) for f in gt_files]
+    preds = [parse_labels(f.read_text()) for f in pred_files]
     classes = sorted({b.category for frame in gts for b in frame})
     # One overlap matrix per frame; the "all" row matches on it whole
     # (across categories), each class row on its class's columns.
@@ -214,26 +223,27 @@ def _observe(truth: FeatureGrid, mask: CueMask, sigma: float, rng) -> FeatureGri
     return FeatureGrid(values)
 
 
+def _error_row(phase: str, t: int, did_reset: bool, err: np.ndarray) -> str:
+    """One CSV row from the channel-0 errors at a frame's cells."""
+    return (
+        f"{phase},{t},{int(did_reset)},{err.size},"
+        f"{_fmt(float(np.abs(err).mean()))},{_fmt(float((err ** 2).mean()))}"
+    )
+
+
 def cmd_bank_sim(args) -> int:
-    config = json.loads(Path(args.config).read_text())
-    scene_cfg = SceneConfig.from_mapping(config.get("scene", {}))
-    n_frames = int(config.get("frames", 60))
+    like = {"scene": SceneConfig(), "frames": 60, "momentum": 0.1, "channels": 4,
+            "cue_noise_sigma": 0.05, "scheduler": SchedulerConfig(tau=20, seed=args.seed)}
+    config = check_json(json.loads(Path(args.config).read_text()), like, "")
+    scene_cfg, n_frames, channels = config["scene"], config["frames"], config["channels"]
     if n_frames < 1:
         raise ValueError("frames must be at least 1")
-    momentum = float(config.get("momentum", 0.1))
-    channels = int(config.get("channels", 4))
-    sigma = float(config.get("cue_noise_sigma", 0.05))
+    momentum, sigma = config["momentum"], config["cue_noise_sigma"]
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"cue_noise_sigma must be a finite number >= 0, got {sigma}")
-    sched_block = dict(config.get("scheduler", {}))
-    sched_block.setdefault("tau", int(config.get("tau", 20)))
-    sched_block.setdefault("seed", args.seed)
-    unknown = set(sched_block) - set(SchedulerConfig.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"unknown scheduler config keys: {sorted(unknown)}")
     scene = generate_scene(scene_cfg, args.seed)
     sid = scene.scene_id
-    scheduler = SceneScheduler(SchedulerConfig(**sched_block))
+    scheduler = SceneScheduler(config["scheduler"])
     bank_train = SceneBank()
     bank_infer = SceneBank()
     true_plain = render_cue_grid(scene, channels)
@@ -270,10 +280,7 @@ def cmd_bank_sim(args) -> int:
         sel = mask.cells.astype(bool)
         if sel.any():
             err = bank_train.memorized(sid).values[sel, 0] - true_aug.values[sel, 0]
-            rows.append(
-                f"train,{t},{int(did_reset)},{int(sel.sum())},"
-                f"{_fmt(float(np.abs(err).mean()))},{_fmt(float((err ** 2).mean()))}"
-            )
+            rows.append(_error_row("train", t, did_reset, err))
         mask_plain = _mask_for(scene, frame_scene)
         rng = np.random.default_rng([args.seed, 6, t])
         cues_plain = extract_cues(_observe(true_plain, mask_plain, sigma, rng), mask_plain)
@@ -281,10 +288,7 @@ def cmd_bank_sim(args) -> int:
         seen = bank_infer.counter(sid) > 0
         if seen.any():
             err = bank_infer.memorized(sid).values[seen, 0] - true_plain.values[seen, 0]
-            rows.append(
-                f"infer,{t},0,{int(seen.sum())},"
-                f"{_fmt(float(np.abs(err).mean()))},{_fmt(float((err ** 2).mean()))}"
-            )
+            rows.append(_error_row("infer", t, False, err))
     _emit("\n".join(rows) + "\n", args.out)
     if args.bank_out:
         save_bank(bank_infer, args.bank_out)
@@ -329,8 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Roadside monocular 3D detection geometry and metrics toolkit",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common.add_argument("--out", default=None, help="write primary output to this path")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plane", parents=[common], help="print the virtual ground plane")
@@ -354,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", action="store_true", help="emit a range,error CSV in 10 m steps")
     p.set_defaults(func=cmd_sensitivity)
 
-    p = sub.add_parser("simulate", parents=[common], help="generate a scene + noisy predictions")
+    p = sub.add_parser("simulate", parents=[seeded], help="generate a scene + noisy predictions")
     p.add_argument("--config", required=True, help="JSON: {scene: {...}, noise: {...}, frames: N}")
     p.set_defaults(func=cmd_simulate)
 
@@ -378,19 +383,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser(
-        "bank-sim", parents=[common], help="simulate schedule + bank accumulation convergence"
+        "bank-sim", parents=[seeded], help="simulate schedule + bank accumulation convergence"
     )
     p.add_argument(
         "--config",
         required=True,
-        help="JSON: {scene: {...}, frames, tau | scheduler: {...}, momentum, "
-        "channels, cue_noise_sigma}",
+        help="JSON: {scene: {...}, frames, scheduler: {...}, momentum, channels, "
+        "cue_noise_sigma}",
     )
     p.add_argument("--bank-out", default=None, help="also save the inference bank (binary)")
     p.set_defaults(func=cmd_bank_sim)
 
     p = sub.add_parser(
-        "gradcheck", parents=[common], help="analytic vs finite-difference loss gradients"
+        "gradcheck", parents=[seeded], help="analytic vs finite-difference loss gradients"
     )
     p.set_defaults(func=cmd_gradcheck)
 
@@ -411,7 +416,8 @@ def run_command(argv) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 1
-    except (GeometryError, FormatError, ValueError, OSError) as exc:
+    # RecursionError: a JSON config nested deeper than the parser's stack.
+    except (GeometryError, FormatError, ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

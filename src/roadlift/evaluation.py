@@ -76,6 +76,16 @@ def _footprint_intersection_area(a: Box3D, b: Box3D) -> float:
     return _polygon_area(poly)
 
 
+def _ratio(inter: float, size_a: float, size_b: float) -> float:
+    """Intersection over union of two regions of the given sizes, the
+    intersection clamped to the smaller one and the ratio to [0, 1]."""
+    inter = min(inter, size_a, size_b)
+    union = size_a + size_b - inter
+    if union <= 0.0:
+        return 0.0
+    return min(max(inter / union, 0.0), 1.0)
+
+
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """Rotated-rectangle IoU of the two BEV footprints.
 
@@ -84,14 +94,7 @@ def bev_iou(a: Box3D, b: Box3D) -> float:
     corner-paired regression loss penalizes them; orientation-sensitive
     metrics are out of scope.
     """
-    inter = _footprint_intersection_area(a, b)
-    area_a = a.l * a.w
-    area_b = b.l * b.w
-    inter = min(inter, area_a, area_b)
-    union = area_a + area_b - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return _ratio(_footprint_intersection_area(a, b), a.l * a.w, b.l * b.w)
 
 
 def iou3d(a: Box3D, b: Box3D) -> float:
@@ -101,13 +104,7 @@ def iou3d(a: Box3D, b: Box3D) -> float:
     if overlap_h <= 0.0:
         return 0.0
     inter = _footprint_intersection_area(a, b) * overlap_h
-    vol_a = a.l * a.w * a.h
-    vol_b = b.l * b.w * b.h
-    inter = min(inter, vol_a, vol_b)
-    union = vol_a + vol_b - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return _ratio(inter, a.l * a.w * a.h, b.l * b.w * b.h)
 
 
 def box2d_iou(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
@@ -259,27 +256,21 @@ def match(
 
 @dataclass(frozen=True)
 class PRCurve:
-    """Precision at the 40 evenly spaced recall sample points, and the
-    resulting average precision in percent."""
+    """Precision at the 40 evenly spaced recall sample points i/40,
+    i = 1..40, and the resulting average precision in percent."""
 
-    recalls: np.ndarray
     precisions: np.ndarray
     ap: float
     zero_gt_warning: bool = False
 
     def __post_init__(self):
-        rec = np.asarray(self.recalls, dtype=float)
         prec = np.asarray(self.precisions, dtype=float)
-        if rec.shape != (N_RECALL_POINTS,) or prec.shape != (N_RECALL_POINTS,):
+        if prec.shape != (N_RECALL_POINTS,):
             raise ValueError(f"curves must have {N_RECALL_POINTS} samples")
-        expected = np.arange(1, N_RECALL_POINTS + 1) / N_RECALL_POINTS
-        if np.max(np.abs(rec - expected)) > 1e-12:
-            raise ValueError("recall points must be i/40 for i in 1..40")
         if np.any((prec < 0) | (prec > 1)):
             raise ValueError("precision must lie in [0, 1]")
         if not 0.0 <= self.ap <= 100.0:
             raise ValueError("AP must lie in [0, 100]")
-        object.__setattr__(self, "recalls", rec)
         object.__setattr__(self, "precisions", prec)
 
 
@@ -338,13 +329,12 @@ def pr_curve_from_stats(stats_list) -> PRCurve:
     right of each recall sample point."""
     stats_list = list(stats_list)
     n_gt = sum(s.n_gt for s in stats_list)
-    recall_points = np.arange(1, N_RECALL_POINTS + 1) / N_RECALL_POINTS
     if n_gt == 0:
-        return PRCurve(recall_points, np.zeros(N_RECALL_POINTS), 0.0, zero_gt_warning=True)
+        return PRCurve(np.zeros(N_RECALL_POINTS), 0.0, zero_gt_warning=True)
     scores = np.concatenate([s.scores for s in stats_list]) if stats_list else np.zeros(0)
     is_tp = np.concatenate([s.is_tp for s in stats_list]) if stats_list else np.zeros(0, bool)
     if scores.size == 0:
-        return PRCurve(recall_points, np.zeros(N_RECALL_POINTS), 0.0)
+        return PRCurve(np.zeros(N_RECALL_POINTS), 0.0)
     order = np.argsort(-scores, kind="stable")
     tp = np.cumsum(is_tp[order])
     fp = np.cumsum(~is_tp[order])
@@ -352,10 +342,11 @@ def pr_curve_from_stats(stats_list) -> PRCurve:
     recall = tp / n_gt
     # Max precision over all ranks whose recall is >= the query point.
     best_right = np.maximum.accumulate(precision[::-1])[::-1]
+    recall_points = np.arange(1, N_RECALL_POINTS + 1) / N_RECALL_POINTS
     idx = np.searchsorted(recall, recall_points, side="left")
     precisions = np.where(idx < len(recall), best_right[np.minimum(idx, len(recall) - 1)], 0.0)
     ap = float(precisions.mean() * 100.0)
-    return PRCurve(recall_points, precisions, ap)
+    return PRCurve(precisions, ap)
 
 
 def average_precision_r40(

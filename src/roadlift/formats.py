@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, is_dataclass, replace
 
 import numpy as np
 
@@ -61,11 +62,42 @@ def _number(mapping: dict, key: str, context: str) -> float:
     return float(value)
 
 
+def check_json(value, like, name: str):
+    """``like`` with parsed JSON ``value`` in its place, or FormatError
+    naming the field ``name``.  An int takes an integer, a float any
+    number, a str a string, a tuple an equally long list matched item by
+    item (a one-item tuple: any length), and a dict or dataclass an
+    object with known keys, which replace those of ``like``."""
+    if isinstance(like, dict) or is_dataclass(like):
+        keys = like if isinstance(like, dict) else vars(like)
+        where = f"{name} config" if name else "config"
+        if not isinstance(value, dict):
+            raise FormatError(f"{where} must be a JSON object, got {json.dumps(value)}")
+        unknown = set(value) - set(keys)
+        if unknown:
+            raise FormatError(f"unknown {where} keys: {sorted(unknown)}")
+        prefix = f"{name}." if name else ""
+        checked = {k: check_json(v, keys[k], prefix + k) for k, v in value.items()}
+        return {**like, **checked} if isinstance(like, dict) else replace(like, **checked)
+    if isinstance(like, tuple):
+        if isinstance(value, list) and len(like) in (1, len(value)):
+            return tuple(
+                check_json(v, like[min(i, len(like) - 1)], f"{name}[{i}]")
+                for i, v in enumerate(value)
+            )
+    elif type(value) is type(like) or (
+        type(like) is float and type(value) is int and abs(value) <= sys.float_info.max
+    ):
+        return value
+    raise FormatError(f"field {name} must be like {json.dumps(like)}, got {json.dumps(value)}")
+
+
 def parse_calibration_doc(text: str) -> CalibrationDoc:
     """Parse a calibration document; errors name the offending field."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        # Every number is real-valued: an integer beyond float range reads as inf.
+        data = json.loads(text, parse_int=float)
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"calibration is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("calibration document must be a JSON object")
@@ -83,14 +115,19 @@ def parse_calibration_doc(text: str) -> CalibrationDoc:
     height = _number(image, "height", "image.")
     if width != int(width) or height != int(height):
         raise FormatError("image dimensions must be integers")
-    matrix = _require(data, "extrinsic", "")
-    arr = np.array(matrix, dtype=float) if isinstance(matrix, list) else None
-    if arr is None or arr.shape != (4, 4) or not np.all(np.isfinite(arr)):
+    for field, value in (("intrinsics.fx", fx), ("intrinsics.fy", fy),
+                         ("image.width", width), ("image.height", height)):
+        if value <= 0:
+            raise FormatError(f"field {field} must be positive, got {value!r}")
+    matrix = check_json(_require(data, "extrinsic", ""), ((0.0,) * 4,) * 4, "extrinsic")
+    arr = np.array(matrix, dtype=float)
+    if not np.all(np.isfinite(arr)):
         raise FormatError("field extrinsic must be a finite 4x4 matrix")
     if not np.array_equal(arr[3], [0.0, 0.0, 0.0, 1.0]):
         raise FormatError("extrinsic bottom row must be (0, 0, 0, 1)")
     rot = arr[:3, :3]
-    ortho_err = np.max(np.abs(rot.T @ rot - np.eye(3)))
+    with np.errstate(over="ignore"):  # huge entries: inf, rejected below without a warning
+        ortho_err = np.max(np.abs(rot.T @ rot - np.eye(3)))
     if ortho_err > PARSE_ROTATION_TOL:
         raise FormatError("extrinsic rotation is not orthonormal (tolerance 1e-6)")
     if np.linalg.det(rot) < 0:
@@ -167,9 +204,9 @@ def parse_labels(text: str) -> list[Box3D]:
     return boxes
 
 
-def serialize_labels(boxes, header: bool = True) -> str:
+def serialize_labels(boxes) -> str:
     """Write boxes in the label-line format; scores are emitted when set."""
-    lines = [LABEL_HEADER.rstrip("\n")] if header else []
+    lines = [LABEL_HEADER.rstrip("\n")]
     for i, box in enumerate(boxes):
         if any(ch.isspace() for ch in box.category):
             raise FormatError(f"box {i}: category must not contain whitespace")

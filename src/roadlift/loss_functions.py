@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera_geometry import CORNER_SIGNS, Box3D, corners_from_parts, corners_of
+from .camera_geometry import CORNER_SIGNS, Box3D, corners_from_parts, corners_of, rot_z
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +220,7 @@ def _gradient_of_vector(
     # +h/2 bottom-to-center shift for h.
     c_dims = corners_from_parts(gt.x, gt.y, gt.z, dims[0], dims[1], dims[2], gt.theta)
     signs = np.sign(c_dims - gt_corners)
-    cg, sg = math.cos(gt.theta), math.sin(gt.theta)
-    rot = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
+    rot = rot_z(gt.theta)
     for k in range(3):
         jac = CORNER_SIGNS[:, k : k + 1] / 2.0 * rot[:, k]
         if k == 2:

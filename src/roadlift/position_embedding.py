@@ -72,4 +72,4 @@ def embed_query(
                 f"query coordinate {value} is outside [-0.1, 1.1]; "
                 "normalize by the image dimensions first"
             )
-    return np.concatenate([sine_encode(v, d_e, temperature) for v in coords])
+    return sine_encode(coords, d_e, temperature).reshape(-1)

@@ -224,19 +224,11 @@ class SceneBank:
                 )
         return slot
 
-    def update_momentum(
-        self,
-        scene_id: str,
-        cues: FeatureGrid,
-        momentum: float = 0.1,
-        mask: CueMask | None = None,
-    ) -> None:
-        """Training-mode update: memory <- (1-momentum)*memory + momentum*cues.
-
-        Applied at every cell by default (cues are zero off-mask anyway);
-        pass ``mask`` to restrict the blend to masked cells.  The first
-        update of an unknown scene initializes the memory to that
-        frame's cues.
+    def update_momentum(self, scene_id: str, cues: FeatureGrid, momentum: float = 0.1) -> None:
+        """Training-mode update: memory <- (1-momentum)*memory + momentum*cues
+        at every cell.  Cues from ``extract_cues`` are zero off the mask,
+        so unmasked cells decay toward zero.  The first update of an
+        unknown scene initializes the memory to that frame's cues.
         """
         if not 0.0 <= momentum <= 1.0:
             raise ValueError(f"momentum must lie in [0, 1], got {momentum}")
@@ -245,18 +237,10 @@ class SceneBank:
             self.reset_scene(scene_id, cues)
             self._scenes[scene_id].frames_seen = 1
             return
-        if mask is None:
-            # In place, same operations as (1-m)*memory + m*cues; every
-            # slot owns its array (reset_scene and load_bank copy).
-            slot.memorized *= 1.0 - momentum
-            slot.memorized += momentum * cues.values
-        else:
-            if mask.cells.shape != slot.memorized.shape[:2]:
-                raise ValueError("mask shape does not match bank grid")
-            sel = mask.cells.astype(bool)
-            slot.memorized[sel] = (
-                (1.0 - momentum) * slot.memorized[sel] + momentum * cues.values[sel]
-            )
+        # In place, same operations as (1-m)*memory + m*cues; every slot
+        # owns its array (reset_scene and load_bank copy).
+        slot.memorized *= 1.0 - momentum
+        slot.memorized += momentum * cues.values
         slot.frames_seen += 1
 
     def update_running_average(

@@ -18,18 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera_geometry import CameraRig, RigidTransform
+from .camera_geometry import CameraRig, RigidTransform, rot_z
 from .scene_cue_bank import STRIDE
 
 
 def _rot_x(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def _rot_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -92,9 +87,7 @@ def apply_augmentation(rig: CameraRig, params: AugmentationParams) -> CameraRig:
     new_h = int(round(rig.image_height * s / STRIDE)) * STRIDE
     if new_w < STRIDE or new_h < STRIDE:
         raise ValueError("intrinsic scale shrinks the image below one grid cell")
-    noise = _rot_x(math.radians(params.pitch_noise)) @ _rot_z(
-        math.radians(params.roll_noise)
-    )
+    noise = _rot_x(math.radians(params.pitch_noise)) @ rot_z(math.radians(params.roll_noise))
     ext = rig.extrinsic
     return CameraRig(
         f_x=rig.f_x * s,

@@ -32,6 +32,7 @@ from .camera_geometry import (
     ray_ground,
     rig_from_pose,
 )
+from .formats import check_json
 from .scene_cue_bank import FeatureGrid, cell_centers, grid_dims_for_image
 
 # Salt values keeping the generation / simulation / cue-noise streams apart.
@@ -60,15 +61,16 @@ class GroundField:
             raise ValueError("coefficients must be finite")
         if self.xy_scale <= 0 or self.max_abs <= 0:
             raise ValueError("xy_scale and max_abs must be positive")
-        (x0, x1), (y0, y1) = self.roi
-        xs = np.linspace(x0, x1, 41)
-        ys = np.linspace(y0, y1, 41)
-        grid = self._raw(*np.meshgrid(xs, ys))
-        peak = float(np.abs(grid).max())
+        peak = self._roi_peak()
         if peak > self.max_abs + 1e-9:
             raise ValueError(
                 f"surface height reaches {peak:.3f} m, beyond the {self.max_abs} m bound"
             )
+
+    def _roi_peak(self) -> float:
+        """Largest unclipped |height| on a 41 x 41 grid over the ROI."""
+        xs, ys = (np.linspace(lo, hi, 41) for lo, hi in self.roi)
+        return float(np.abs(self._raw(*np.meshgrid(xs, ys))).max())
 
     def _raw(self, x, y):
         xn = np.asarray(x, dtype=float) / self.xy_scale
@@ -119,9 +121,7 @@ class GroundField:
         ]
         # Probe with an effectively unbounded max_abs, then rescale to fit.
         probe = cls(coeffs=tuple(coeffs), xy_scale=scale, bumps=tuple(bumps), roi=roi, max_abs=1e9)
-        (x0, x1), (y0, y1) = roi
-        grid = probe._raw(*np.meshgrid(np.linspace(x0, x1, 41), np.linspace(y0, y1, 41)))
-        peak = float(np.abs(grid).max())
+        peak = probe._roi_peak()
         factor = amplitude / peak if peak > 0 else 0.0
         return cls(
             coeffs=tuple(factor * c for c in coeffs),
@@ -165,19 +165,8 @@ class SceneConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "SceneConfig":
-        known = {f: data[f] for f in data}
-        valid = set(cls.__dataclass_fields__)
-        unknown = set(known) - valid
-        if unknown:
-            raise ValueError(f"unknown scene config keys: {sorted(unknown)}")
-        if "categories" in known:
-            known["categories"] = tuple(
-                (str(name), tuple(tuple(b) for b in bands)) for name, bands in known["categories"]
-            )
-        for key in ("range_band", "height_band", "pitch_band_deg", "roll_band_deg", "focal_band"):
-            if key in known:
-                known[key] = tuple(known[key])
-        return cls(**known)
+        """The defaults overridden by a parsed JSON object; see ``check_json``."""
+        return check_json(data, cls(), "scene")
 
 
 @dataclass(frozen=True)
@@ -193,17 +182,15 @@ class NoiseModel:
     false_positive_rate: float = 0.0
 
     def __post_init__(self):
-        if min(self.sigma_hr, self.sigma_dims, self.sigma_yaw, self.sigma_center_px) < 0:
+        sigmas = (self.sigma_hr, self.sigma_dims, self.sigma_yaw, self.sigma_center_px)
+        if not all(s >= 0 for s in sigmas):  # NaN fails too
             raise ValueError("noise sigmas must be non-negative")
         if not (0 <= self.drop_rate <= 1 and 0 <= self.false_positive_rate <= 1):
             raise ValueError("rates must lie in [0, 1]")
 
     @classmethod
     def from_mapping(cls, data: dict) -> "NoiseModel":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown noise config keys: {sorted(unknown)}")
-        return cls(**data)
+        return check_json(data, cls(), "noise")
 
 
 @dataclass(frozen=True)
@@ -229,7 +216,6 @@ class FrameRecord:
     simulated detector output."""
 
     scene_id: str
-    timestamp: float
     gt_boxes: tuple[Box3D, ...]
     gt_boxes_2d: tuple[tuple[float, float, float, float], ...]
     gt_bottom_centers: tuple[tuple[float, float], ...]
@@ -320,9 +306,7 @@ def resample_objects(scene: SyntheticScene, config: SceneConfig, seed: int) -> S
 _SCORE_SCALES = {"hr": 0.5, "dims": 0.2, "yaw": 0.3, "center": 4.0}
 
 
-def simulate_predictions(
-    scene: SyntheticScene, noise: NoiseModel, seed: int, timestamp: float = 0.0
-) -> FrameRecord:
+def simulate_predictions(scene: SyntheticScene, noise: NoiseModel, seed: int) -> FrameRecord:
     """Perturb each surviving ground-truth object per the noise model and
     rebuild its 3D location from the noisy (u_c, v_c, h_r) through the
     same lifting path the detector uses.  Scores decay exponentially
@@ -421,7 +405,6 @@ def simulate_predictions(
 
     return FrameRecord(
         scene_id=scene.scene_id,
-        timestamp=timestamp,
         gt_boxes=scene.objects,
         gt_boxes_2d=gt2d,
         gt_bottom_centers=gt_bc,

@@ -46,6 +46,7 @@ class TestGroundPlane:
         plane = ground_plane_from_extrinsics(nadir_rig())
         assert (plane.a, plane.b, plane.c, plane.d) == (0.0, 0.0, 1.0, -10.0)
         assert plane.camera_height == 10.0
+        assert plane.camera_height == -plane.d
 
     def test_camera_on_plane_rejected(self):
         ext = RigidTransform(np.eye(3), np.zeros(3))
@@ -347,6 +348,7 @@ class TestProperties:
     )
     def test_round_trip(self, rig, u, v, hr_frac):
         plane = ground_plane_from_extrinsics(rig)
+        assert plane.camera_height == -plane.d
         h_r = hr_frac * (plane.camera_height - 1.0)
         try:
             point = lift_to_ground(rig, plane, u, v, h_r)

@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from roadlift.camera_geometry import Box3D, RigidTransform, CameraRig, rig_from_pose
 from roadlift.cli import _observe, run_command
@@ -75,6 +78,33 @@ class TestCalibrationFormat:
         with pytest.raises(FormatError, match="JSON"):
             parse_calibration_doc("fx: 1000").rig
 
+    @pytest.mark.parametrize(
+        "section,key,value,field",
+        [
+            ("intrinsics", "fx", -1000.0, "intrinsics.fx"),
+            ("intrinsics", "fy", 0, "intrinsics.fy"),
+            ("intrinsics", "fx", 10**400, "intrinsics.fx"),
+            ("image", "width", 0, "image.width"),
+            ("image", "height", -8, "image.height"),
+            ("extrinsic", 1, [0, -1, 0], r"extrinsic\[1\]"),
+            ("extrinsic", 2, [0, 0, "-1", 10], r"extrinsic\[2\]\[2\]"),
+            ("extrinsic", 2, [0, 0, {}, 10], r"extrinsic\[2\]\[2\]"),
+            ("extrinsic", 3, [0, 0, 0, True], r"extrinsic\[3\]\[3\]"),
+        ],
+        ids=["negative-fx", "zero-fy", "huge-fx", "zero-width", "negative-height",
+             "ragged-extrinsic", "string-entry", "object-entry", "bool-entry"],
+    )
+    def test_bad_value_raises_format_error_naming_field(self, section, key, value, field):
+        data = json.loads(nadir_calibration_text())
+        data[section][key] = value
+        with pytest.raises(FormatError, match=field):
+            parse_calibration_doc(json.dumps(data))
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5000], ids=["deep", "long-integer"])
+    def test_unreadable_json_raises_format_error(self, text):
+        with pytest.raises(FormatError, match="JSON"):
+            parse_calibration_doc(text)
+
 
 class TestLabelFormat:
     def test_empty_file(self):
@@ -123,6 +153,125 @@ class TestLabelFormat:
     def test_whitespace_category_rejected(self):
         with pytest.raises(FormatError, match="whitespace"):
             serialize_labels([Box3D(0, 0, 0, 1, 1, 1, 0, category="big vehicle")])
+
+
+# Any JSON value, for replacing one field of a valid document.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=8,
+)
+_CALIBRATION_PATHS = [
+    ("intrinsics",), ("intrinsics", "fx"), ("intrinsics", "fy"), ("intrinsics", "cx"),
+    ("intrinsics", "cy"), ("image",), ("image", "width"), ("image", "height"), ("scene_id",),
+    ("extrinsic",), ("extrinsic", 0), ("extrinsic", 3), ("extrinsic", 0, 1), ("extrinsic", 1, 1),
+    ("extrinsic", 2, 3), ("extrinsic", 3, 3),
+]
+
+
+@st.composite
+def calibration_texts(draw):
+    """A valid calibration document with up to three fields replaced,
+    nudged or deleted, or arbitrary text."""
+    rig = rig_from_pose(draw(st.floats(4.0, 12.0)), draw(st.floats(5.0, 60.0)),
+                        yaw_deg=draw(st.floats(-180.0, 180.0)))
+    doc = json.loads(serialize_calibration(rig, scene_id="fuzz"))
+    for _ in range(draw(st.integers(0, 3))):
+        *parents, key = draw(st.sampled_from(_CALIBRATION_PATHS))
+        holder = doc
+        try:
+            for step in parents:
+                holder = holder[step]
+            old = holder[key]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier change removed this field
+        if not isinstance(holder, (dict, list)):
+            continue
+        action = draw(st.sampled_from(["replace", "nudge", "delete"]))
+        if action == "nudge" and isinstance(old, (int, float)) and not isinstance(old, bool):
+            holder[key] = old + draw(st.sampled_from([1e-7, -1e-3, 0.5, -1.0, 1e6]))
+        elif action == "delete" and isinstance(holder, dict):
+            del holder[key]
+        else:
+            holder[key] = draw(json_values)
+    return draw(st.sampled_from([json.dumps(doc), draw(st.text(max_size=40))]))
+
+
+_LABEL_TOKENS = st.one_of(
+    st.sampled_from(["car", "#", "nan", "-inf", "1e999", "1_0", "0", "-0.0", "0.5", "2", "٣"]),
+    st.floats().map(repr),
+    st.text(max_size=4),
+)
+_VALID_LABEL_LINE = st.builds(
+    lambda cat, xyz, lwh, yaw, score: " ".join(
+        [cat, *map(repr, xyz + lwh + [yaw])] + ([] if score is None else [repr(score)])
+    ),
+    st.sampled_from(["car", "truck", "ped"]),
+    st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+    st.lists(st.floats(0.01, 20.0), min_size=3, max_size=3),
+    st.floats(-10.0, 10.0),
+    st.none() | st.floats(0.0, 1.0),
+)
+label_texts = st.lists(
+    _VALID_LABEL_LINE | st.lists(_LABEL_TOKENS, max_size=10).map(" ".join), max_size=5
+).map("\n".join)
+
+
+def assert_success_or_one_error_line(argv, capsys):
+    """Exit 0, or exit 1 with one ``error:`` line on stderr and no
+    warning (a run outside pytest would print it there too)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(argv)
+    err = capsys.readouterr().err
+    assert code == 0 or (
+        code == 1 and err.startswith("error: ") and err.count("\n") == 1 and not caught
+    ), (code, err, [str(w.message) for w in caught])
+
+
+class TestReaderFuzz:
+    """Every reader returns a value its serialiser round-trips, or
+    raises FormatError; the CLI turns any input file into exit 0 or one
+    error line and exit 1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=label_texts)
+    def test_labels_round_trip_or_format_error(self, text):
+        try:
+            boxes = parse_labels(text)
+        except FormatError:
+            return
+        assert parse_labels(serialize_labels(boxes)) == boxes
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=calibration_texts())
+    def test_calibration_round_trips_or_format_error(self, text):
+        try:
+            doc = parse_calibration_doc(text)
+        except FormatError:
+            return
+        assert parse_calibration_doc(serialize_calibration(doc.rig, doc.scene_id)) == doc
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.binary(max_size=120) | calibration_texts().map(str.encode))
+    @example(data=nadir_calibration_text().replace("-1.0", "-1e200", 1).encode())
+    def test_cli_on_any_calibration_bytes(self, tmp_path, capsys, data):
+        calib = tmp_path / "calib.json"
+        calib.write_bytes(data)
+        assert_success_or_one_error_line(["plane", "--calib", str(calib)], capsys)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.binary(max_size=120) | label_texts.map(str.encode))
+    def test_cli_on_any_label_bytes(self, tmp_path, capsys, data):
+        fuzzed, good = tmp_path / "fuzzed.txt", tmp_path / "good.txt"
+        fuzzed.write_bytes(data)
+        good.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
+        for gt, pred in ((fuzzed, good), (good, fuzzed)):
+            argv = ["evaluate", "--gt", str(gt), "--pred", str(pred), "--kind", "3d"]
+            assert_success_or_one_error_line(argv, capsys)
 
 
 @pytest.fixture()
@@ -250,18 +399,42 @@ class TestCli:
         assert code == 0
         assert "ap_bev,all,0.5,100" in capsys.readouterr().out
 
-    def test_evaluate_threads_env_matches_serial(
-        self, sim_config_file, tmp_path, capsys, monkeypatch
-    ):
+    def test_evaluate_is_deterministic(self, sim_config_file, tmp_path, capsys):
         out = tmp_path / "sim"
         run_command(["simulate", "--config", str(sim_config_file), "--seed", "4", "--out", str(out)])
         capsys.readouterr()
         args = ["evaluate", "--gt", str(out / "gt"), "--pred", str(out / "pred"), "--iou", "0.5"]
         assert run_command(args) == 0
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("ROADLIFT_THREADS", "4")
+        first = capsys.readouterr().out
         assert run_command(args) == 0
-        assert capsys.readouterr().out == serial
+        assert capsys.readouterr().out == first
+
+    def test_evaluate_pairs_label_files_by_name(self, tmp_path, capsys):
+        box = Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)
+        for side, names in (("gt", ["frame_0001.txt", "frame_0002.txt"]),
+                            ("pred", ["frame_0001.txt", "frame_0009.txt"])):
+            (tmp_path / side).mkdir()
+            for name in names:
+                (tmp_path / side / name).write_text(serialize_labels([box]))
+        code = run_command(
+            ["evaluate", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred")]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: frame_0002.txt ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("iou", ["nan", "7", "-1", "inf", "1.0000001"])
+    def test_evaluate_rejects_iou_outside_unit_interval(self, tmp_path, capsys, iou):
+        labels = tmp_path / "labels.txt"
+        labels.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
+        code = run_command(["evaluate", "--gt", str(labels), "--pred", str(labels), "--iou", iou])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: --iou must be a number in [0, 1]")
+        assert captured.out == ""
 
     def test_evaluate_all_row_matches_across_categories(self, tmp_path, capsys):
         # A car prediction on a truck: the "all" row counts it, the truck
@@ -308,7 +481,7 @@ class TestCli:
                         "image_height": 240,
                     },
                     "frames": 30,
-                    "tau": 12,
+                    "scheduler": {"tau": 12},
                     "channels": 2,
                     "cue_noise_sigma": 0.05,
                 }
@@ -342,12 +515,31 @@ class TestCli:
             ({"frames": -3}, "error: frames must be at least 1"),
             ({"cue_noise_sigma": -0.05}, "error: cue_noise_sigma must be a finite number >= 0"),
             ({"cue_noise_sigma": math.nan}, "error: cue_noise_sigma must be a finite number >= 0"),
+            ([], "error: config must be a JSON object"),
+            ({"frames": None}, "error: field frames must be like 60, got null"),
+            ({"frames": [1]}, "error: field frames must be like 60, got [1]"),
+            ({"frames": 2.5}, "error: field frames must be like 60, got 2.5"),
+            ({"scene": {"n_objects": "5"}}, 'error: field scene.n_objects must be like 8, got "5"'),
+            ({"scene": {"range_band": 5}}, "error: field scene.range_band must be like [5.0, "),
+            ({"momentum": None}, "error: field momentum must be like 0.1, got null"),
+            ({"cue_noise_sigma": 10**400}, "error: field cue_noise_sigma must be like 0.05"),
+            ({"scene": []}, "error: scene config must be a JSON object"),
+            ({"scheduler": []}, "error: scheduler config must be a JSON object"),
+            ({"scheduler": {"tau": 2.5}}, "error: field scheduler.tau must be like 20, got 2.5"),
+            ({"frmes": 2}, "error: unknown config keys: ['frmes']"),
+            ({"tau": 12}, "error: unknown config keys: ['tau']"),
+            ({"noise": {}}, "error: unknown config keys: ['noise']"),
         ],
-        ids=["zero-frames", "negative-frames", "negative-sigma", "nan-sigma"],
+        ids=["zero-frames", "negative-frames", "negative-sigma", "nan-sigma", "list-document",
+             "null-frames", "list-frames", "float-frames", "string-objects", "number-band",
+             "null-momentum", "huge-sigma", "list-scene", "list-scheduler", "float-tau",
+             "misspelt-key", "top-level-tau", "noise-block"],
     )
     def test_bank_sim_rejects_bad_config(self, tmp_path, capsys, override, message):
         config = tmp_path / "bank.json"
-        config.write_text(json.dumps({"scene": {"n_objects": 2}, "channels": 2, **override}))
+        base = {"scene": {"n_objects": 2}, "channels": 2}
+        doc = {**base, **override} if isinstance(override, dict) else override
+        config.write_text(json.dumps(doc))
         out, bank_path = tmp_path / "bank.csv", tmp_path / "bank.bin"
         code = run_command(
             ["bank-sim", "--config", str(config), "--out", str(out), "--bank-out", str(bank_path)]
@@ -358,6 +550,68 @@ class TestCli:
         assert captured.err.startswith(message)
         assert captured.out == ""
         assert not out.exists() and not bank_path.exists()
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ({"frames": 0}, "error: frames must be at least 1"),
+            ([], "error: config must be a JSON object"),
+            ({"frames": None}, "error: field frames must be like 1, got null"),
+            ({"frames": [1]}, "error: field frames must be like 1, got [1]"),
+            ({"frames": 2.5}, "error: field frames must be like 1, got 2.5"),
+            ({"scene": {"n_objects": "5"}}, 'error: field scene.n_objects must be like 8, got "5"'),
+            ({"scene": {"range_band": 5}}, "error: field scene.range_band must be like [5.0, "),
+            ({"noise": {"sigma_hr": "x"}}, 'error: field noise.sigma_hr must be like 0.0, got "x"'),
+            ({"noise": {"sigma_hr": math.nan}}, "error: noise sigmas must be non-negative"),
+            ({"scene": []}, "error: scene config must be a JSON object"),
+            ({"noise": []}, "error: noise config must be a JSON object"),
+            ({"frmes": 2}, "error: unknown config keys: ['frmes']"),
+            ({"noise": {"sigma": 0.1}}, "error: unknown noise config keys: ['sigma']"),
+        ],
+        ids=["zero-frames", "list-document", "null-frames", "list-frames", "float-frames",
+             "string-objects", "number-band", "string-sigma", "nan-sigma", "list-scene",
+             "list-noise", "misspelt-key", "unknown-noise-key"],
+    )
+    def test_simulate_rejects_bad_config(self, tmp_path, capsys, override, message):
+        config = tmp_path / "sim.json"
+        base = {"scene": {"n_objects": 2}, "frames": 1}
+        doc = {**base, **override} if isinstance(override, dict) else override
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "sim"
+        assert run_command(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(message)
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_deeply_nested_config_is_one_error_line(self, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        for command in ("simulate", "bank-sim"):
+            out = tmp_path / command
+            assert run_command([command, "--config", str(config), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plane", "--calib", "{calib}"],
+            ["lift", "--calib", "{calib}", "--u", "768", "--v", "512", "--hr", "0"],
+            ["sensitivity", "--height", "7", "--range", "200", "--dh", "0.5"],
+            ["evaluate", "--gt", "{labels}", "--pred", "{labels}"],
+            ["embed", "--calib", "{calib}", "--de", "4"],
+        ],
+        ids=["plane", "lift", "sensitivity", "evaluate", "embed"],
+    )
+    def test_unseeded_commands_reject_seed(self, nadir_calib_file, tmp_path, capsys, argv):
+        labels = tmp_path / "labels.txt"
+        labels.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
+        argv = [a.format(calib=nadir_calib_file, labels=labels) for a in argv]
+        assert run_command(argv) == 0
+        assert run_command(argv + ["--seed", "1"]) == 2
 
     def test_evaluate_distance_csv_ranges_from_calib_camera(self, tmp_path, capsys):
         # Camera 10 m above ground point (100, 0): a GT 10 m past it falls

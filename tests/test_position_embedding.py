@@ -157,7 +157,32 @@ class TestEmbedDepthMap:
         assert all(a > b for a, b in zip(depths, depths[1:]))
 
 
+def _reference_embed_query(box2d, bottom_center, d_e=64, temperature=DEFAULT_TEMPERATURE):
+    """embed_query as the concatenation of per-scalar encodings, verbatim."""
+    coords = [*box2d, *bottom_center]
+    for value in coords:
+        if not -0.1 <= value <= 1.1:
+            raise ValueError(
+                f"query coordinate {value} is outside [-0.1, 1.1]; "
+                "normalize by the image dimensions first"
+            )
+    return np.concatenate([sine_encode(v, d_e, temperature) for v in coords])
+
+
 class TestEmbedQuery:
+    @pytest.mark.parametrize("d_e,temperature", [(2, 10000.0), (8, 10000.0), (64, 10000.0),
+                                                 (256, 10000.0), (64, 20.0), (6, 1.5)])
+    def test_equals_reference_concatenation(self, d_e, temperature):
+        rng = np.random.default_rng(d_e)
+        queries = [((0, 0, 0, 0), (0, 0)), ((-0.1, -0.1, 1.1, 1.1), (1.1, -0.1))] + [
+            (tuple(c[:4]), tuple(c[4:])) for c in rng.uniform(-0.1, 1.1, (8, 6))
+        ]
+        for box2d, bottom_center in queries:
+            got = embed_query(box2d, bottom_center, d_e, temperature)
+            assert np.array_equal(
+                got, _reference_embed_query(box2d, bottom_center, d_e, temperature)
+            )
+
     def test_zero_coordinates(self):
         out = embed_query((0, 0, 0, 0), (0, 0), d_e=4)
         np.testing.assert_array_equal(out, [0, 1, 0, 1] * 6)

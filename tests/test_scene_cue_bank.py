@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from roadlift.scene_cue_bank import (
@@ -197,20 +197,6 @@ class TestMomentumUpdate:
         with pytest.raises(ValueError):
             bank.update_momentum("s", FeatureGrid.zeros(2, 2, 1), momentum=1.5)
 
-    def test_masked_only_mode(self):
-        rng = np.random.default_rng(7)
-        init, cues = random_grid(rng), random_grid(rng)
-        mask = CueMask((rng.random((4, 5)) < 0.5).astype(np.uint8))
-        bank = SceneBank()
-        bank.reset_scene("s", init)
-        bank.update_momentum("s", cues, momentum=0.3, mask=mask)
-        mem = bank.memorized("s").values
-        sel = mask.cells.astype(bool)
-        np.testing.assert_allclose(
-            mem[sel], 0.7 * init.values[sel] + 0.3 * cues.values[sel], atol=1e-12
-        )
-        np.testing.assert_array_equal(mem[~sel], init.values[~sel])
-
     @settings(max_examples=50, deadline=None)
     @given(lam=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
     def test_convexity_per_cell(self, lam, seed):
@@ -245,7 +231,6 @@ class TestMomentumUpdate:
         snap = bank.memorized("s")
         before = snap.values.copy()
         bank.update_momentum("s", random_grid(rng), 0.5)
-        bank.update_momentum("s", random_grid(rng), 0.5, mask=full_mask())
         bank.update_running_average("s", random_grid(rng), full_mask())
         np.testing.assert_array_equal(snap.values, before)
         assert not np.array_equal(bank.memorized("s").values, before)
@@ -257,7 +242,6 @@ class TestMomentumUpdate:
         bank = SceneBank()
         bank.reset_scene("s", init)
         bank.update_momentum("s", random_grid(rng), 0.5)
-        bank.update_momentum("s", random_grid(rng), 0.5, mask=full_mask())
         np.testing.assert_array_equal(init.values, before)
 
     def test_lazy_init_does_not_alias_first_cues(self):
@@ -468,6 +452,41 @@ class TestSerialization:
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(ValueError, match=message):
             load_bank(path)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=4),
+        cut=st.none() | st.integers(0, 160),
+        tail=st.binary(max_size=12),
+        noise=st.booleans(),
+    )
+    def test_any_bytes_round_trip_or_value_error(self, tmp_path, edits, cut, tail, noise):
+        # Bytes of a valid two-scene bank with a few bytes changed, cut
+        # short or extended; sometimes a valid header before pure noise.
+        bank = SceneBank()
+        for sid in ("b", "a"):
+            bank.update_running_average(sid, grid_from([[[1.5, -2.0], [0.25, 3.0]]]),
+                                        full_mask(1, 2))
+        path = tmp_path / "bank.bin"
+        save_bank(bank, path)
+        raw = bytearray(path.read_bytes()[:24] + tail if noise else path.read_bytes())
+        for pos, value in edits:
+            if pos < len(raw):
+                raw[pos] = value
+        path.write_bytes(bytes(raw[:cut]) + tail)
+        try:
+            loaded = load_bank(path)
+        except ValueError:
+            return
+        again_path = tmp_path / "again.bin"
+        save_bank(loaded, again_path)
+        again = load_bank(again_path)
+        assert sorted(again.scene_ids()) == sorted(loaded.scene_ids())
+        for sid in loaded.scene_ids():
+            assert again.memorized(sid).values.tobytes() == loaded.memorized(sid).values.tobytes()
+            np.testing.assert_array_equal(again.counter(sid), loaded.counter(sid))
+            assert again.frames_seen(sid) == loaded.frames_seen(sid)
 
     def test_loaded_bank_accepts_both_updates(self, tmp_path):
         rng = np.random.default_rng(17)
