@@ -53,6 +53,7 @@ from .scene_cue_bank import (
     CueMask,
     FeatureGrid,
     SceneBank,
+    _frozen_grid,
     cell_centers,
     extract_cues,
     grid_dims_for_image,
@@ -207,20 +208,34 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# Cells per standard_normal fill in _observe: the reused noise buffer
+# holds this many cells' channels instead of the whole grid.
+_NOISE_CHUNK = 1024
+
+
 def _observe(truth: FeatureGrid, mask: CueMask, sigma: float, rng) -> FeatureGrid:
     """``truth`` plus ``sigma`` Gaussian noise at the masked cells, zero
-    elsewhere.  Noise is drawn only up to the last masked cell: the
-    Generator fills arrays in C order, so that draw is a prefix of a
-    full-grid draw and every masked value equals the full draw's."""
+    elsewhere; the result is read-only.  Noise is drawn in row-major
+    cell order up to the last masked cell, ``_NOISE_CHUNK`` cells per
+    fill of one reused buffer, and each fill's masked rows are written
+    as they are drawn.  The Generator fills arrays in C order and each
+    fill continues the stream, so every masked value equals the one a
+    single full-grid draw gives."""
     channels = truth.values.shape[2]
     flat = np.flatnonzero(mask.cells)
     values = np.zeros_like(truth.values)
     if flat.size:
-        noise = rng.standard_normal((flat[-1] + 1) * channels).reshape(-1, channels)
-        values.reshape(-1, channels)[flat] = (
-            truth.values.reshape(-1, channels)[flat] + sigma * noise[flat]
-        )
-    return FeatureGrid(values)
+        out = values.reshape(-1, channels)
+        src = truth.values.reshape(-1, channels)
+        end = flat[-1] + 1
+        buf = np.empty((min(end, _NOISE_CHUNK), channels))
+        for start in range(0, end, _NOISE_CHUNK):
+            n = min(_NOISE_CHUNK, end - start)
+            rng.standard_normal(out=buf[:n])
+            lo, hi = np.searchsorted(flat, (start, start + n))
+            cells = flat[lo:hi]
+            out[cells] = src[cells] + sigma * buf[cells - start]
+    return _frozen_grid(values)
 
 
 def _error_row(phase: str, t: int, did_reset: bool, err: np.ndarray) -> str:
@@ -232,7 +247,16 @@ def _error_row(phase: str, t: int, did_reset: bool, err: np.ndarray) -> str:
 
 
 def cmd_bank_sim(args) -> int:
-    like = {"scene": SceneConfig(), "frames": 60, "momentum": 0.1, "channels": 4,
+    """Run one scene's frames through a training bank (momentum updates,
+    augmented camera, reset every ``tau`` frames) and an inference bank
+    (running mean, plain camera), writing each frame's channel-0 errors.
+
+    Frame ``t`` observes the training grid with the noise stream
+    ``[seed, 5, t]`` and the inference grid with ``[seed, 6, t]``.  The
+    inference draw runs on one worker thread while the training half
+    runs on this one; banks and rows are updated only here, in frame
+    order, so the outputs do not depend on thread timing."""
+    like ={"scene": SceneConfig(), "frames": 60, "momentum": 0.1, "channels": 4,
             "cue_noise_sigma": 0.05, "scheduler": SchedulerConfig(tau=20, seed=args.seed)}
     config = check_json(json.loads(Path(args.config).read_text()), like, "")
     scene_cfg, n_frames, channels = config["scene"], config["frames"], config["channels"]
@@ -262,33 +286,42 @@ def cmd_bank_sim(args) -> int:
                 continue
         return make_mask(points, grid_dims_for_image(rig.image_height, rig.image_width))
 
-    for t in range(n_frames):
-        frame_scene = scene if t == 0 else resample_objects(scene, scene_cfg, t)
-        params, did_reset = scheduler.step(sid)
-        if aug_scene is None or did_reset:
-            aug_rig = apply_augmentation(scene.rig, params)
-            aug_scene = replace(scene, rig=aug_rig, plane=ground_plane_from_extrinsics(aug_rig))
-            true_aug = render_cue_grid(aug_scene, channels)
-            resets += int(did_reset)
-        mask = _mask_for(aug_scene, frame_scene)
-        rng = np.random.default_rng([args.seed, 5, t])
-        cues = extract_cues(_observe(true_aug, mask, sigma, rng), mask)
-        if did_reset:
-            bank_train.reset_scene(sid, cues)
-        else:
-            bank_train.update_momentum(sid, cues, momentum)
-        sel = mask.cells.astype(bool)
-        if sel.any():
-            err = bank_train.memorized(sid).values[sel, 0] - true_aug.values[sel, 0]
-            rows.append(_error_row("train", t, did_reset, err))
-        mask_plain = _mask_for(scene, frame_scene)
-        rng = np.random.default_rng([args.seed, 6, t])
-        cues_plain = extract_cues(_observe(true_plain, mask_plain, sigma, rng), mask_plain)
-        bank_infer.update_running_average(sid, cues_plain, mask_plain)
-        seen = bank_infer.counter(sid) > 0
-        if seen.any():
-            err = bank_infer.memorized(sid).values[seen, 0] - true_plain.values[seen, 0]
-            rows.append(_error_row("infer", t, False, err))
+    from concurrent.futures import ThreadPoolExecutor
+
+    # The inference stream's noise is drawn on the worker thread while
+    # the training half runs here; numpy releases the GIL while it
+    # fills.  Each stream has its own generator, and every bank update
+    # and CSV row stays on this thread in frame order.
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for t in range(n_frames):
+            frame_scene = scene if t == 0 else resample_objects(scene, scene_cfg, t)
+            mask_plain = _mask_for(scene, frame_scene)
+            observed_plain = worker.submit(
+                _observe, true_plain, mask_plain, sigma, np.random.default_rng([args.seed, 6, t])
+            )
+            params, did_reset = scheduler.step(sid)
+            if aug_scene is None or did_reset:
+                aug_rig = apply_augmentation(scene.rig, params)
+                aug_scene = replace(scene, rig=aug_rig, plane=ground_plane_from_extrinsics(aug_rig))
+                true_aug = render_cue_grid(aug_scene, channels)
+                resets += int(did_reset)
+            mask = _mask_for(aug_scene, frame_scene)
+            rng = np.random.default_rng([args.seed, 5, t])
+            cues = extract_cues(_observe(true_aug, mask, sigma, rng), mask)
+            if did_reset:
+                bank_train.reset_scene(sid, cues)
+            else:
+                bank_train.update_momentum(sid, cues, momentum)
+            sel = mask.cells.astype(bool)
+            if sel.any():
+                err = bank_train.memorized(sid).values[sel, 0] - true_aug.values[sel, 0]
+                rows.append(_error_row("train", t, did_reset, err))
+            cues_plain = extract_cues(observed_plain.result(), mask_plain)
+            bank_infer.update_running_average(sid, cues_plain, mask_plain)
+            seen = bank_infer.counter(sid) > 0
+            if seen.any():
+                err = bank_infer.memorized(sid).values[seen, 0] - true_plain.values[seen, 0]
+                rows.append(_error_row("infer", t, False, err))
     _emit("\n".join(rows) + "\n", args.out)
     if args.bank_out:
         save_bank(bank_infer, args.bank_out)

@@ -71,8 +71,8 @@ class FeatureGrid:
 
 
 def _frozen_grid(values: np.ndarray) -> FeatureGrid:
-    """Wrap a float grid this module built from validated grids: set it
-    read-only in place, without the public constructor's copy and
+    """Wrap a float grid built inside the package from validated grids:
+    set it read-only in place, without the public constructor's copy and
     finiteness scan."""
     values.setflags(write=False)
     grid = object.__new__(FeatureGrid)

@@ -60,8 +60,10 @@ class SchedulerConfig:
             raise ValueError("tau must be at least 1")
         if not 0 < self.clamp_lo <= self.clamp_hi:
             raise ValueError("clamp interval must satisfy 0 < lo <= hi")
-        if min(self.sigma_scale, self.sigma_roll_deg, self.sigma_pitch_deg) < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        for name in ("sigma_scale", "sigma_roll_deg", "sigma_pitch_deg"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 def sample_augmentation(rng: np.random.Generator, config: SchedulerConfig) -> AugmentationParams:

@@ -61,8 +61,8 @@ class GroundField:
             raise ValueError("coefficients must be finite")
         if self.xy_scale <= 0 or self.max_abs <= 0:
             raise ValueError("xy_scale and max_abs must be positive")
-        peak = self._roi_peak()
-        if peak > self.max_abs + 1e-9:
+        # An infinite bound cannot be exceeded, so its scan is skipped.
+        if math.isfinite(self.max_abs) and (peak := self._roi_peak()) > self.max_abs + 1e-9:
             raise ValueError(
                 f"surface height reaches {peak:.3f} m, beyond the {self.max_abs} m bound"
             )
@@ -119,8 +119,10 @@ class GroundField:
             )
             for _ in range(n_bumps)
         ]
-        # Probe with an effectively unbounded max_abs, then rescale to fit.
-        probe = cls(coeffs=tuple(coeffs), xy_scale=scale, bumps=tuple(bumps), roi=roi, max_abs=1e9)
+        # Probe unbounded (its constructor skips the scan), then rescale to fit.
+        probe = cls(
+            coeffs=tuple(coeffs), xy_scale=scale, bumps=tuple(bumps), roi=roi, max_abs=math.inf
+        )
         peak = probe._roi_peak()
         factor = amplitude / peak if peak > 0 else 0.0
         return cls(
@@ -435,14 +437,22 @@ def render_cue_grid(scene: SyntheticScene, channels: int) -> FeatureGrid:
     values[:, :, 0] = np.where(np.isnan(height), 0.0, height)
     col = np.arange(w_cells) / w_cells
     row = np.arange(h_cells) / h_cells
-    xx, yy = np.meshgrid(col, row)
+    layer = np.empty((h_cells, w_cells))
+    wave = np.empty_like(layer)
     for ci in range(1, channels):
         rng = np.random.default_rng([_SALT_CUE, scene.seed, ci])
-        layer = np.zeros_like(xx)
+        layer.fill(0.0)
         for _ in range(3):
             amp = rng.uniform(0.1, 0.5)
             fx, fy = rng.uniform(0.5, 3.0, size=2)
             phase = rng.uniform(0.0, math.tau)
-            layer += amp * np.cos(math.tau * (fx * xx + fy * yy) + phase)
+            # amp * cos(tau * (fx * x + fy * y) + phase), one step at a
+            # time in place: the same operations in the same order.
+            np.add(fx * col[None, :], fy * row[:, None], out=wave)
+            wave *= math.tau
+            wave += phase
+            np.cos(wave, out=wave)
+            wave *= amp
+            layer += wave
         values[:, :, ci] = layer
     return FeatureGrid(values)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from roadlift.camera_geometry import Box3D, RigidTransform, CameraRig, rig_from_pose
-from roadlift.cli import _observe, run_command
+from roadlift.cli import _NOISE_CHUNK, _observe, run_command
 from roadlift.formats import (
     FormatError,
     parse_calibration_doc,
@@ -529,11 +530,18 @@ class TestCli:
             ({"frmes": 2}, "error: unknown config keys: ['frmes']"),
             ({"tau": 12}, "error: unknown config keys: ['tau']"),
             ({"noise": {}}, "error: unknown config keys: ['noise']"),
+            ({"scheduler": {"sigma_scale": math.nan}},
+             "error: sigma_scale must be non-negative, got nan"),
+            ({"scheduler": {"sigma_roll_deg": math.nan}},
+             "error: sigma_roll_deg must be non-negative, got nan"),
+            ({"scheduler": {"sigma_pitch_deg": math.nan}},
+             "error: sigma_pitch_deg must be non-negative, got nan"),
         ],
         ids=["zero-frames", "negative-frames", "negative-sigma", "nan-sigma", "list-document",
              "null-frames", "list-frames", "float-frames", "string-objects", "number-band",
              "null-momentum", "huge-sigma", "list-scene", "list-scheduler", "float-tau",
-             "misspelt-key", "top-level-tau", "noise-block"],
+             "misspelt-key", "top-level-tau", "noise-block", "nan-sigma-scale",
+             "nan-sigma-roll", "nan-sigma-pitch"],
     )
     def test_bank_sim_rejects_bad_config(self, tmp_path, capsys, override, message):
         config = tmp_path / "bank.json"
@@ -688,3 +696,63 @@ class TestBankSimNoise:
             sel = mask.cells.astype(bool)
             assert got.values[sel].tobytes() == full[sel].tobytes()
             assert got.values[~sel].tobytes() == bytes(8 * 5 * int((~sel).sum()))
+
+    @pytest.mark.parametrize("channels", [1, 64])
+    @pytest.mark.parametrize("case", ["chunk-1", "chunk", "chunk+1", "final", "empty", "full"])
+    def test_observe_equals_full_draw_across_chunks(self, channels, case):
+        # A grid of about 2.5 chunks, so the draw spans several fills.
+        w = 64
+        h = -(-5 * _NOISE_CHUNK // (2 * w))
+        n_cells = h * w
+        rng = np.random.default_rng([channels, len(case)])
+        truth = FeatureGrid(rng.standard_normal((h, w, channels)) * 3.0)
+        if case == "empty":
+            cells = np.zeros(n_cells, dtype=np.uint8)
+        elif case == "full":
+            cells = np.ones(n_cells, dtype=np.uint8)
+        else:
+            # The last masked cell sits at or next to a chunk boundary,
+            # or at the grid's final cell.
+            last = {"chunk-1": _NOISE_CHUNK - 1, "chunk": _NOISE_CHUNK,
+                    "chunk+1": _NOISE_CHUNK + 1, "final": n_cells - 1}[case]
+            cells = (rng.random(n_cells) < 0.05).astype(np.uint8)
+            cells[last:] = 0
+            cells[last] = 1
+        mask = CueMask(cells.reshape(h, w))
+        seed = [9, 6, channels]
+        full = np.random.default_rng(seed).standard_normal(n_cells * channels + 1)
+        noise = full[: n_cells * channels].reshape(h, w, channels)
+        sel = mask.cells.astype(bool)
+        want = np.zeros((h, w, channels))
+        want[sel] = truth.values[sel] + 0.05 * noise[sel]
+
+        draw = np.random.default_rng(seed)
+        got = _observe(truth, mask, 0.05, draw)
+        assert got.values.tobytes() == want.tobytes()
+        assert not got.values.flags.writeable
+        # The draw stops at the last masked cell.
+        drawn = (np.flatnonzero(cells)[-1] + 1) * channels if cells.any() else 0
+        assert draw.standard_normal() == full[drawn]
+
+    def test_bank_sim_repeats_and_matches_recorded_csv(self, tmp_path, capsys):
+        # 64x48 inference cells; frame 0's last masked cell is cell 2,058,
+        # so its draw spans three noise chunks.
+        config = tmp_path / "bank.json"
+        config.write_text(json.dumps({
+            "scene": {"n_objects": 16, "range_band": [10, 150], "pitch_band_deg": [8, 20],
+                      "height_band": [5, 10], "focal_band": [400, 700],
+                      "image_width": 512, "image_height": 384},
+            "frames": 16, "scheduler": {"tau": 6}, "channels": 8, "cue_noise_sigma": 0.05,
+        }))
+        runs = []
+        for k in range(2):
+            out, bank_path = tmp_path / f"bank{k}.csv", tmp_path / f"bank{k}.bin"
+            code = run_command(["bank-sim", "--config", str(config), "--seed", "2",
+                                "--out", str(out), "--bank-out", str(bank_path)])
+            assert code == 0
+            runs.append((out.read_bytes(), bank_path.read_bytes()))
+        assert runs[0] == runs[1]
+        # Recorded before the noise draw was chunked and threaded.
+        assert hashlib.sha256(runs[0][0]).hexdigest() == (
+            "3127966f0c6aa0d6f76d48bed0cbbf256a550ece8caef14a81a917bc32edf684"
+        )

@@ -198,6 +198,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SchedulerConfig(clamp_lo=1.0, clamp_hi=0.5)
 
+    @pytest.mark.parametrize("name", ["sigma_scale", "sigma_roll_deg", "sigma_pitch_deg"])
+    @pytest.mark.parametrize("value", [-0.1, math.nan])
+    def test_bad_sigma_names_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got {value}$"):
+            SchedulerConfig(**{name: value})
+
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             AugmentationParams(0.0, 0.0, 0.0)

@@ -10,9 +10,11 @@ from roadlift.camera_geometry import (
     height_sensitivity,
     lift_to_ground,
     project_to_image,
+    ray_ground,
     rig_from_pose,
 )
 from roadlift.synthetic_world import (
+    _SALT_CUE,
     Box3D,
     GroundField,
     NoiseModel,
@@ -24,7 +26,7 @@ from roadlift.synthetic_world import (
     resample_objects,
     simulate_predictions,
 )
-from roadlift.scene_cue_bank import STRIDE, grid_dims_for_image
+from roadlift.scene_cue_bank import STRIDE, FeatureGrid, cell_centers, grid_dims_for_image
 
 CFG = SceneConfig(
     n_objects=6,
@@ -71,6 +73,31 @@ class TestGroundField:
         f1 = GroundField.random(rng, amplitude=1.0)
         f2 = GroundField.random(rng, amplitude=1.0)
         assert f1.evaluate(30.0, 40.0) != f2.evaluate(30.0, 40.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize(
+        "amplitude,roi,n_bumps",
+        [(1.0, ((-300.0, 300.0), (-300.0, 300.0)), 2), (0.3, ((-50.0, 80.0), (-20.0, 10.0)), 0),
+         (2.0, ((-270.0, 270.0), (-270.0, 270.0)), 5)],
+        ids=["default", "small-roi", "many-bumps"],
+    )
+    def test_random_equals_reference(self, seed, amplitude, roi, n_bumps):
+        got = GroundField.random(np.random.default_rng(seed), amplitude, roi, n_bumps)
+        want = _reference_ground_field_random(np.random.default_rng(seed), amplitude, roi, n_bumps)
+        assert got == want
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_generate_scene_scans_roi_twice(self, seed, monkeypatch):
+        calls = []
+        scan = GroundField._roi_peak
+
+        def counting(self):
+            calls.append(self.max_abs)
+            return scan(self)
+
+        monkeypatch.setattr(GroundField, "_roi_peak", counting)
+        generate_scene(CFG, seed)
+        assert len(calls) == 2
 
 
 class TestGenerateScene:
@@ -200,6 +227,62 @@ def _reference_render_channel0(scene):
     return np.where(valid, scene.field.evaluate(ground[..., 0], ground[..., 1]), 0.0)
 
 
+def _reference_ground_field_random(rng, amplitude=1.0, roi=((-300.0, 300.0), (-300.0, 300.0)),
+                                   n_bumps=2):
+    """GroundField.random as it was while its probe scanned the ROI in
+    its own constructor; kept verbatim as the oracle."""
+    if not 0 < amplitude <= 2.0:
+        raise ValueError("amplitude must lie in (0, 2]")
+    scale = max(abs(v) for band in roi for v in band)
+    coeffs = rng.standard_normal(10)
+    bumps = [
+        (
+            rng.standard_normal(),
+            rng.uniform(*roi[0]),
+            rng.uniform(*roi[1]),
+            rng.uniform(scale / 10.0, scale / 2.0),
+        )
+        for _ in range(n_bumps)
+    ]
+    # Probe with an effectively unbounded max_abs, then rescale to fit.
+    probe = GroundField(coeffs=tuple(coeffs), xy_scale=scale, bumps=tuple(bumps), roi=roi,
+                        max_abs=1e9)
+    peak = probe._roi_peak()
+    factor = amplitude / peak if peak > 0 else 0.0
+    return GroundField(
+        coeffs=tuple(factor * c for c in coeffs),
+        xy_scale=scale,
+        bumps=tuple((factor * a, cx, cy, s) for a, cx, cy, s in bumps),
+        roi=roi,
+    )
+
+
+def _reference_render_cue_grid(scene, channels):
+    """render_cue_grid as it was while each cos channel multiplied two
+    full meshgrids; kept verbatim as the oracle."""
+    if channels < 1:
+        raise ValueError("at least one channel is required")
+    rig = scene.rig
+    _, ground = ray_ground(rig, scene.plane, *cell_centers(rig.image_height, rig.image_width))
+    h_cells, w_cells = ground.shape[:2]
+    values = np.zeros((h_cells, w_cells, channels))
+    height = scene.field.evaluate(ground[..., 0], ground[..., 1])
+    values[:, :, 0] = np.where(np.isnan(height), 0.0, height)
+    col = np.arange(w_cells) / w_cells
+    row = np.arange(h_cells) / h_cells
+    xx, yy = np.meshgrid(col, row)
+    for ci in range(1, channels):
+        rng = np.random.default_rng([_SALT_CUE, scene.seed, ci])
+        layer = np.zeros_like(xx)
+        for _ in range(3):
+            amp = rng.uniform(0.1, 0.5)
+            fx, fy = rng.uniform(0.5, 3.0, size=2)
+            phase = rng.uniform(0.0, math.tau)
+            layer += amp * np.cos(math.tau * (fx * xx + fy * yy) + phase)
+        values[:, :, ci] = layer
+    return FeatureGrid(values)
+
+
 def _pin_scenes():
     """Generated scenes plus hand-made rigs: nadir, rolled, horizon in
     view, and an augmented (non-default) image size."""
@@ -222,7 +305,20 @@ def _pin_scenes():
     return scenes
 
 
+@pytest.fixture(scope="module")
+def pin_scenes():
+    return _pin_scenes()
+
+
 class TestRenderCueGrid:
+    @pytest.mark.parametrize("channels", [1, 4, 64])
+    @pytest.mark.parametrize("index", range(8))
+    def test_all_channels_equal_reference_bytes(self, pin_scenes, index, channels):
+        scene = pin_scenes[index]
+        got = render_cue_grid(scene, channels).values
+        want = _reference_render_cue_grid(scene, channels).values
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
     @pytest.mark.parametrize("index", range(8))
     def test_channel0_equals_reference_inline_lift(self, index):
         scene = _pin_scenes()[index]
