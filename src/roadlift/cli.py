@@ -50,10 +50,9 @@ from .loss_functions import (
 )
 from .position_embedding import embed_depth_map
 from .scene_cue_bank import (
-    CueMask,
     FeatureGrid,
     SceneBank,
-    _frozen_grid,
+    _scattered_grid,
     cell_centers,
     extract_cues,
     grid_dims_for_image,
@@ -62,6 +61,7 @@ from .scene_cue_bank import (
 )
 from .scene_scheduler import SceneScheduler, SchedulerConfig, apply_augmentation
 from .synthetic_world import (
+    CueField,
     NoiseModel,
     SceneConfig,
     SyntheticScene,
@@ -213,29 +213,32 @@ def cmd_evaluate(args) -> int:
 _NOISE_CHUNK = 1024
 
 
-def _observe(truth: FeatureGrid, mask: CueMask, sigma: float, rng) -> FeatureGrid:
-    """``truth`` plus ``sigma`` Gaussian noise at the masked cells, zero
-    elsewhere; the result is read-only.  Noise is drawn in row-major
-    cell order up to the last masked cell, ``_NOISE_CHUNK`` cells per
-    fill of one reused buffer, and each fill's masked rows are written
-    as they are drawn.  The Generator fills arrays in C order and each
-    fill continues the stream, so every masked value equals the one a
-    single full-grid draw gives."""
-    channels = truth.values.shape[2]
-    flat = np.flatnonzero(mask.cells)
-    values = np.zeros_like(truth.values)
-    if flat.size:
-        out = values.reshape(-1, channels)
-        src = truth.values.reshape(-1, channels)
-        end = flat[-1] + 1
+def _observe(truth: np.ndarray, cells: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """``truth`` plus ``sigma`` Gaussian noise, as a new array.  ``truth``
+    holds one row of channels per flat cell in ``cells`` (ascending
+    row-major indices into the grid).  Noise is drawn in row-major cell
+    order up to the last of ``cells``, ``_NOISE_CHUNK`` cells per fill of
+    one reused buffer, and each fill's rows at ``cells`` are used as they
+    are drawn.  The Generator fills arrays in C order and each fill
+    continues the stream, so every value equals the one a single
+    full-grid draw gives."""
+    channels = truth.shape[1]
+    values = np.empty_like(truth)
+    if cells.size:
+        end = cells[-1] + 1
         buf = np.empty((min(end, _NOISE_CHUNK), channels))
         for start in range(0, end, _NOISE_CHUNK):
             n = min(_NOISE_CHUNK, end - start)
             rng.standard_normal(out=buf[:n])
-            lo, hi = np.searchsorted(flat, (start, start + n))
-            cells = flat[lo:hi]
-            out[cells] = src[cells] + sigma * buf[cells - start]
-    return _frozen_grid(values)
+            lo, hi = np.searchsorted(cells, (start, start + n))
+            values[lo:hi] = truth[lo:hi] + sigma * buf[cells[lo:hi] - start]
+    return values
+
+
+def _observed_grid(truth: np.ndarray, cells: np.ndarray, shape, sigma: float, rng) -> FeatureGrid:
+    """``_observe`` at ``cells``, scattered into a read-only zero grid of
+    ``shape``: the observation the bank calls take."""
+    return _scattered_grid(_observe(truth, cells, sigma, rng), cells, shape)
 
 
 def _error_row(phase: str, t: int, did_reset: bool, err: np.ndarray) -> str:
@@ -251,18 +254,24 @@ def cmd_bank_sim(args) -> int:
     augmented camera, reset every ``tau`` frames) and an inference bank
     (running mean, plain camera), writing each frame's channel-0 errors.
 
-    Frame ``t`` observes the training grid with the noise stream
-    ``[seed, 5, t]`` and the inference grid with ``[seed, 6, t]``.  The
-    inference draw runs on one worker thread while the training half
-    runs on this one; banks and rows are updated only here, in frame
-    order, so the outputs do not depend on thread timing."""
+    Frame ``t`` observes the training cues with the noise stream
+    ``[seed, 5, t]`` and the inference cues with ``[seed, 6, t]``.  The
+    plain camera's cues are rendered once; each augmented camera's are
+    evaluated only at the cells each frame's mask reads.  The inference
+    observation runs on one worker thread, queued one frame ahead, while
+    the training half runs on this one; banks and rows are updated only
+    here, in frame order, so the outputs do not depend on thread timing."""
     like ={"scene": SceneConfig(), "frames": 60, "momentum": 0.1, "channels": 4,
             "cue_noise_sigma": 0.05, "scheduler": SchedulerConfig(tau=20, seed=args.seed)}
     config = check_json(json.loads(Path(args.config).read_text()), like, "")
     scene_cfg, n_frames, channels = config["scene"], config["frames"], config["channels"]
     if n_frames < 1:
         raise ValueError("frames must be at least 1")
+    if channels < 1:
+        raise ValueError(f"channels must be at least 1, got {channels}")
     momentum, sigma = config["momentum"], config["cue_noise_sigma"]
+    if not 0.0 <= momentum <= 1.0:  # NaN fails too
+        raise ValueError(f"momentum must lie in [0, 1], got {momentum}")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"cue_noise_sigma must be a finite number >= 0, got {sigma}")
     scene = generate_scene(scene_cfg, args.seed)
@@ -271,9 +280,10 @@ def cmd_bank_sim(args) -> int:
     bank_train = SceneBank()
     bank_infer = SceneBank()
     true_plain = render_cue_grid(scene, channels)
+    plain_rows = true_plain.values.reshape(-1, channels)
     rows = ["phase,frame,did_reset,cells,mean_abs_err,mean_sq_err"]
     aug_scene: SyntheticScene | None = None
-    true_aug: FeatureGrid | None = None
+    aug_cues: CueField | None = None
     resets = 0
 
     def _mask_for(target_scene: SyntheticScene, frame_scene: SyntheticScene):
@@ -288,40 +298,55 @@ def cmd_bank_sim(args) -> int:
 
     from concurrent.futures import ThreadPoolExecutor
 
-    # The inference stream's noise is drawn on the worker thread while
-    # the training half runs here; numpy releases the GIL while it
-    # fills.  Each stream has its own generator, and every bank update
-    # and CSV row stays on this thread in frame order.
+    def _submit_plain(worker, t: int):
+        """Frame ``t``'s objects and plain mask, with its inference
+        observation queued on ``worker``."""
+        frame_scene = scene if t == 0 else resample_objects(scene, scene_cfg, t)
+        mask_plain = _mask_for(scene, frame_scene)
+        cells_plain = np.flatnonzero(mask_plain.cells)
+        observed_plain = worker.submit(
+            _observed_grid, plain_rows[cells_plain], cells_plain, true_plain.values.shape,
+            sigma, np.random.default_rng([args.seed, 6, t]),
+        )
+        return frame_scene, mask_plain, observed_plain
+
+    # The inference stream's noise is drawn on the worker thread, queued
+    # one frame ahead, while the training half runs here; numpy releases
+    # the GIL while it fills.  Each stream has its own generator, and
+    # every bank update and CSV row stays on this thread in frame order.
     with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = _submit_plain(worker, 0)
         for t in range(n_frames):
-            frame_scene = scene if t == 0 else resample_objects(scene, scene_cfg, t)
-            mask_plain = _mask_for(scene, frame_scene)
-            observed_plain = worker.submit(
-                _observe, true_plain, mask_plain, sigma, np.random.default_rng([args.seed, 6, t])
-            )
+            frame_scene, mask_plain, observed_plain = pending
+            if t + 1 < n_frames:
+                pending = _submit_plain(worker, t + 1)
             params, did_reset = scheduler.step(sid)
             if aug_scene is None or did_reset:
                 aug_rig = apply_augmentation(scene.rig, params)
                 aug_scene = replace(scene, rig=aug_rig, plane=ground_plane_from_extrinsics(aug_rig))
-                true_aug = render_cue_grid(aug_scene, channels)
+                aug_cues = CueField(aug_scene, channels)
                 resets += int(did_reset)
             mask = _mask_for(aug_scene, frame_scene)
+            cells = np.flatnonzero(mask.cells)
+            truth = aug_cues.at(cells)
             rng = np.random.default_rng([args.seed, 5, t])
-            cues = extract_cues(_observe(true_aug, mask, sigma, rng), mask)
+            cues = extract_cues(_observed_grid(truth, cells, aug_cues.shape, sigma, rng), mask)
             if did_reset:
                 bank_train.reset_scene(sid, cues)
             else:
-                bank_train.update_momentum(sid, cues, momentum)
-            sel = mask.cells.astype(bool)
-            if sel.any():
-                err = bank_train.memorized(sid).values[sel, 0] - true_aug.values[sel, 0]
+                bank_train.update_momentum(sid, cues, momentum, mask)
+            if cells.size:
+                err = bank_train.memorized(sid, cells)[:, 0] - truth[:, 0]
                 rows.append(_error_row("train", t, did_reset, err))
             cues_plain = extract_cues(observed_plain.result(), mask_plain)
             bank_infer.update_running_average(sid, cues_plain, mask_plain)
-            seen = bank_infer.counter(sid) > 0
-            if seen.any():
-                err = bank_infer.memorized(sid).values[seen, 0] - true_plain.values[seen, 0]
+            seen = np.flatnonzero(bank_infer.counter(sid) > 0)
+            if seen.size:
+                err = bank_infer.memorized(sid, seen)[:, 0] - plain_rows[seen, 0]
                 rows.append(_error_row("infer", t, False, err))
+            # Drop this frame's grids (and the future holding one) before
+            # the next frame's are built: it keeps the peak RSS down.
+            del cues, cues_plain, observed_plain
     _emit("\n".join(rows) + "\n", args.out)
     if args.bank_out:
         save_bank(bank_infer, args.bank_out)

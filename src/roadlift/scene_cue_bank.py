@@ -80,6 +80,14 @@ def _frozen_grid(values: np.ndarray) -> FeatureGrid:
     return grid
 
 
+def _scattered_grid(values: np.ndarray, cells: np.ndarray, shape) -> FeatureGrid:
+    """A read-only grid of ``shape`` that holds ``values`` (one row of
+    channels per flat row-major cell in ``cells``) and +0.0 elsewhere."""
+    grid = np.zeros(shape)
+    grid.reshape(-1, shape[2])[cells] = values
+    return _frozen_grid(grid)
+
+
 @dataclass(frozen=True, eq=False)
 class CueMask:
     """0-1 grid marking cells near reference points.  ``skipped`` counts
@@ -153,16 +161,16 @@ def make_mask(points, grid_dims: tuple[int, int]) -> CueMask:
 
 def extract_cues(features: FeatureGrid, mask: CueMask) -> FeatureGrid:
     """The features at masked cells; off-mask cells are +0.0.  The
-    result is read-only."""
+    result is read-only.  Only the masked cells are read: they are
+    gathered by flat index and scattered into a fresh zero grid."""
     if mask.cells.shape != features.values.shape[:2]:
         raise ValueError(
             f"mask shape {mask.cells.shape} does not match grid "
             f"{features.values.shape[:2]}"
         )
-    sel = mask.cells.astype(bool)
-    values = np.zeros_like(features.values)
-    values[sel] = features.values[sel]
-    return _frozen_grid(values)
+    shape = features.values.shape
+    cells = np.flatnonzero(mask.cells)
+    return _scattered_grid(features.values.reshape(-1, shape[2])[cells], cells, shape)
 
 
 def fuse_for_decoder(current: FeatureGrid, memorized: FeatureGrid) -> FeatureGrid:
@@ -193,11 +201,17 @@ class SceneBank:
     def scene_ids(self) -> list[str]:
         return list(self._scenes)
 
-    def memorized(self, scene_id: str) -> FeatureGrid:
-        """A read-only copy of the scene's memory.  It is not re-validated:
-        the memory only holds blends of validated grids or values that
+    def memorized(self, scene_id: str, cells=None) -> FeatureGrid | np.ndarray:
+        """A read-only copy of the scene's memory as a ``FeatureGrid``.  With
+        ``cells`` (flat row-major indices into the height x width grid),
+        only those cells are copied: a (len(cells), channels) array, one
+        row per cell in the given order.  Neither is re-validated: the
+        memory only holds blends of validated grids or values that
         ``load_bank`` checked."""
-        return _frozen_grid(self._scenes[scene_id].memorized.copy())
+        memory = self._scenes[scene_id].memorized
+        if cells is None:
+            return _frozen_grid(memory.copy())
+        return memory.reshape(-1, memory.shape[2])[cells]
 
     def counter(self, scene_id: str) -> np.ndarray:
         return self._scenes[scene_id].counter.copy()
@@ -224,14 +238,22 @@ class SceneBank:
                 )
         return slot
 
-    def update_momentum(self, scene_id: str, cues: FeatureGrid, momentum: float = 0.1) -> None:
+    def update_momentum(
+        self, scene_id: str, cues: FeatureGrid, momentum: float = 0.1, mask: CueMask | None = None
+    ) -> None:
         """Training-mode update: memory <- (1-momentum)*memory + momentum*cues
         at every cell.  Cues from ``extract_cues`` are zero off the mask,
-        so unmasked cells decay toward zero.  The first update of an
-        unknown scene initializes the memory to that frame's cues.
+        so unmasked cells decay toward zero.  Given that ``mask``, cues
+        are read at its cells only: the memory is scaled in place and
+        momentum*cues is added at the masked cells, with no full-grid
+        temporary.  Off-mask cells then skip adding a +0.0 cue, which
+        changes only a -0.0 product, left as -0.0.  The first update of
+        an unknown scene initializes the memory to that frame's cues.
         """
         if not 0.0 <= momentum <= 1.0:
             raise ValueError(f"momentum must lie in [0, 1], got {momentum}")
+        if mask is not None and mask.cells.shape != cues.values.shape[:2]:
+            raise ValueError("mask shape does not match cue grid")
         slot = self._slot_for_update(scene_id, cues)
         if slot is None:
             self.reset_scene(scene_id, cues)
@@ -240,7 +262,11 @@ class SceneBank:
         # In place, same operations as (1-m)*memory + m*cues; every slot
         # owns its array (reset_scene and load_bank copy).
         slot.memorized *= 1.0 - momentum
-        slot.memorized += momentum * cues.values
+        if mask is None:
+            slot.memorized += momentum * cues.values
+        else:
+            sel = np.nonzero(mask.cells)
+            slot.memorized[sel] += momentum * cues.values[sel]
         slot.frames_seen += 1
 
     def update_running_average(

@@ -59,8 +59,10 @@ class GroundField:
             raise ValueError(f"expected {len(_POLY_POWERS)} polynomial coefficients")
         if not all(math.isfinite(c) for c in self.coeffs):
             raise ValueError("coefficients must be finite")
-        if self.xy_scale <= 0 or self.max_abs <= 0:
-            raise ValueError("xy_scale and max_abs must be positive")
+        if not (math.isfinite(self.xy_scale) and self.xy_scale > 0):
+            raise ValueError(f"xy_scale must be a finite number > 0, got {self.xy_scale}")
+        if not self.max_abs > 0:  # NaN fails too; inf means unbounded
+            raise ValueError(f"max_abs must be a number > 0, got {self.max_abs}")
         # An infinite bound cannot be exceeded, so its scan is skipped.
         if math.isfinite(self.max_abs) and (peak := self._roi_peak()) > self.max_abs + 1e-9:
             raise ValueError(
@@ -417,42 +419,78 @@ def simulate_predictions(scene: SyntheticScene, noise: NoiseModel, seed: int) ->
     )
 
 
-def render_cue_grid(scene: SyntheticScene, channels: int) -> FeatureGrid:
-    """Scene-cue grid at 1/8 resolution.
+# Cells per block when CueField evaluates the wave channels: the
+# temporaries hold one block's cells x channels, not the whole grid's.
+_CUE_BLOCK = 1024
+
+
+class CueField:
+    """Scene-cue values of one scene at 1/8 resolution, evaluated at any
+    set of cells.
 
     Channel 0 holds the surface height h_r at the virtual-plane point
-    imaged by each cell center (zero above the horizon); remaining
-    channels carry smooth noise seeded by the scene, standing in for the
-    learned feature content.  Depends only on the rig, the field, and
-    the scene seed, never on the object list: two frames of one scene
-    render identically.
+    imaged by each cell center (zero above the horizon), computed here
+    for the whole grid with one ``ray_ground`` call.  Each remaining
+    channel is a sum of three cosine waves over the cell's normalised
+    (column, row), standing in for the learned feature content; their
+    parameters are drawn here, once, from a stream seeded by the scene
+    seed and the channel.  Depends only on the rig, the field, and the
+    scene seed, never on the object list.
     """
-    if channels < 1:
-        raise ValueError("at least one channel is required")
-    rig = scene.rig
-    _, ground = ray_ground(rig, scene.plane, *cell_centers(rig.image_height, rig.image_width))
-    h_cells, w_cells = ground.shape[:2]
-    values = np.zeros((h_cells, w_cells, channels))
-    height = scene.field.evaluate(ground[..., 0], ground[..., 1])
-    values[:, :, 0] = np.where(np.isnan(height), 0.0, height)
-    col = np.arange(w_cells) / w_cells
-    row = np.arange(h_cells) / h_cells
-    layer = np.empty((h_cells, w_cells))
-    wave = np.empty_like(layer)
-    for ci in range(1, channels):
-        rng = np.random.default_rng([_SALT_CUE, scene.seed, ci])
-        layer.fill(0.0)
-        for _ in range(3):
-            amp = rng.uniform(0.1, 0.5)
-            fx, fy = rng.uniform(0.5, 3.0, size=2)
-            phase = rng.uniform(0.0, math.tau)
-            # amp * cos(tau * (fx * x + fy * y) + phase), one step at a
-            # time in place: the same operations in the same order.
-            np.add(fx * col[None, :], fy * row[:, None], out=wave)
-            wave *= math.tau
-            wave += phase
-            np.cos(wave, out=wave)
-            wave *= amp
-            layer += wave
-        values[:, :, ci] = layer
-    return FeatureGrid(values)
+
+    def __init__(self, scene: SyntheticScene, channels: int):
+        if channels < 1:
+            raise ValueError("at least one channel is required")
+        rig = scene.rig
+        _, ground = ray_ground(rig, scene.plane, *cell_centers(rig.image_height, rig.image_width))
+        self.shape = (*ground.shape[:2], channels)
+        height = scene.field.evaluate(ground[..., 0], ground[..., 1])
+        self._height = np.where(np.isnan(height), 0.0, height).reshape(-1)
+        # _waves[k, :, ci - 1] = (amp, fx, fy, phase) of channel ci's wave k.
+        self._waves = np.empty((3, 4, channels - 1))
+        for ci in range(1, channels):
+            rng = np.random.default_rng([_SALT_CUE, scene.seed, ci])
+            for k in range(3):
+                amp = rng.uniform(0.1, 0.5)
+                fx, fy = rng.uniform(0.5, 3.0, size=2)
+                phase = rng.uniform(0.0, math.tau)
+                self._waves[k, :, ci - 1] = amp, fx, fy, phase
+
+    def at(self, cells) -> np.ndarray:
+        """Every channel at the given flat (row-major) cell indices, as a
+        new (len(cells), channels) array.  Each value is computed by the
+        same operations in the same order whichever cells are asked for,
+        so it does not depend on the set."""
+        h_cells, w_cells, channels = self.shape
+        cells = np.asarray(cells, dtype=np.intp).reshape(-1)
+        if cells.size and not (0 <= cells.min() and cells.max() < h_cells * w_cells):
+            raise ValueError(f"cell index out of range for a {h_cells}x{w_cells} grid")
+        out = np.empty((cells.size, channels))
+        out[:, 0] = self._height[cells]
+        if channels == 1:
+            return out
+        for lo in range(0, cells.size, _CUE_BLOCK):
+            block = cells[lo : lo + _CUE_BLOCK]
+            col = (block % w_cells / w_cells)[:, None]
+            row = (block // w_cells / h_cells)[:, None]
+            layer = out[lo : lo + block.size, 1:]
+            layer.fill(0.0)
+            for amp, fx, fy, phase in self._waves:
+                # amp * cos(tau * (fx * x + fy * y) + phase), one step at
+                # a time in place.
+                wave = fx * col
+                wave += fy * row
+                wave *= math.tau
+                wave += phase
+                np.cos(wave, out=wave)
+                wave *= amp
+                layer += wave
+        return out
+
+
+def render_cue_grid(scene: SyntheticScene, channels: int) -> FeatureGrid:
+    """Scene-cue grid at 1/8 resolution: ``CueField`` evaluated at every
+    cell.  Two frames of one scene render identically."""
+    cues = CueField(scene, channels)
+    h_cells, w_cells, _ = cues.shape
+    return FeatureGrid(cues.at(np.arange(h_cells * w_cells)).reshape(cues.shape))

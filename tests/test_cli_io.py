@@ -8,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from roadlift import cli
 from roadlift.camera_geometry import Box3D, RigidTransform, CameraRig, rig_from_pose
-from roadlift.cli import _NOISE_CHUNK, _observe, run_command
+from roadlift.cli import _NOISE_CHUNK, _observed_grid, run_command
 from roadlift.formats import (
     FormatError,
     parse_calibration_doc,
@@ -18,6 +19,8 @@ from roadlift.formats import (
     serialize_labels,
 )
 from roadlift.scene_cue_bank import CueMask, FeatureGrid, make_mask
+from roadlift.scene_scheduler import SceneScheduler, SchedulerConfig, apply_augmentation
+from roadlift.synthetic_world import SceneConfig, generate_scene
 
 
 def nadir_calibration_text():
@@ -536,14 +539,23 @@ class TestCli:
              "error: sigma_roll_deg must be non-negative, got nan"),
             ({"scheduler": {"sigma_pitch_deg": math.nan}},
              "error: sigma_pitch_deg must be non-negative, got nan"),
+            ({"momentum": 2.0}, "error: momentum must lie in [0, 1], got 2.0"),
+            ({"momentum": math.nan}, "error: momentum must lie in [0, 1], got nan"),
+            ({"channels": 0}, "error: channels must be at least 1, got 0"),
         ],
         ids=["zero-frames", "negative-frames", "negative-sigma", "nan-sigma", "list-document",
              "null-frames", "list-frames", "float-frames", "string-objects", "number-band",
              "null-momentum", "huge-sigma", "list-scene", "list-scheduler", "float-tau",
              "misspelt-key", "top-level-tau", "noise-block", "nan-sigma-scale",
-             "nan-sigma-roll", "nan-sigma-pitch"],
+             "nan-sigma-roll", "nan-sigma-pitch", "momentum-above-one", "nan-momentum",
+             "zero-channels"],
     )
-    def test_bank_sim_rejects_bad_config(self, tmp_path, capsys, override, message):
+    def test_bank_sim_rejects_bad_config(self, tmp_path, capsys, monkeypatch, override, message):
+        # Configs are checked before any work: no scene is generated.
+        generated = []
+        real_generate = cli.generate_scene
+        monkeypatch.setattr(cli, "generate_scene",
+                            lambda *a: generated.append(a) or real_generate(*a))
         config = tmp_path / "bank.json"
         base = {"scene": {"n_objects": 2}, "channels": 2}
         doc = {**base, **override} if isinstance(override, dict) else override
@@ -558,6 +570,7 @@ class TestCli:
         assert captured.err.startswith(message)
         assert captured.out == ""
         assert not out.exists() and not bank_path.exists()
+        assert generated == []
 
     @pytest.mark.parametrize(
         "override,message",
@@ -664,6 +677,13 @@ class TestCli:
         assert "requires --out" in capsys.readouterr().err
 
 
+def _observe_on_mask(truth: FeatureGrid, mask: CueMask, sigma: float, rng) -> FeatureGrid:
+    """``_observed_grid`` at the mask's cells of ``truth``."""
+    cells = np.flatnonzero(mask.cells)
+    shape = truth.values.shape
+    return _observed_grid(truth.values.reshape(-1, shape[2])[cells], cells, shape, sigma, rng)
+
+
 class TestBankSimNoise:
     """bank-sim draws observation noise only up to the last masked cell;
     numpy's Generator fills arrays in C order, so that draw is a prefix
@@ -692,7 +712,7 @@ class TestBankSimNoise:
         for t, mask in enumerate(masks):
             noise = np.random.default_rng([3, 5, t]).standard_normal(truth.values.shape)
             full = (truth.values + 0.05 * noise) * mask.cells[:, :, None]
-            got = _observe(truth, mask, 0.05, np.random.default_rng([3, 5, t]))
+            got = _observe_on_mask(truth, mask, 0.05, np.random.default_rng([3, 5, t]))
             sel = mask.cells.astype(bool)
             assert got.values[sel].tobytes() == full[sel].tobytes()
             assert got.values[~sel].tobytes() == bytes(8 * 5 * int((~sel).sum()))
@@ -727,7 +747,7 @@ class TestBankSimNoise:
         want[sel] = truth.values[sel] + 0.05 * noise[sel]
 
         draw = np.random.default_rng(seed)
-        got = _observe(truth, mask, 0.05, draw)
+        got = _observe_on_mask(truth, mask, 0.05, draw)
         assert got.values.tobytes() == want.tobytes()
         assert not got.values.flags.writeable
         # The draw stops at the last masked cell.
@@ -756,3 +776,64 @@ class TestBankSimNoise:
         assert hashlib.sha256(runs[0][0]).hexdigest() == (
             "3127966f0c6aa0d6f76d48bed0cbbf256a550ece8caef14a81a917bc32edf684"
         )
+
+    def test_bank_sim_with_resized_augmentations_matches_recorded_outputs(self, tmp_path, capsys):
+        # tau 3 over 12 frames resets the training bank four times, and the
+        # scale band makes the augmented grid change size between resets.
+        scene = {"n_objects": 16, "range_band": [10, 150], "pitch_band_deg": [8, 20],
+                 "height_band": [5, 10], "focal_band": [400, 700],
+                 "image_width": 512, "image_height": 384}
+        scheduler = {"tau": 3, "clamp_lo": 0.6, "clamp_hi": 1.0}
+        config = tmp_path / "bank.json"
+        config.write_text(json.dumps({"scene": scene, "frames": 12, "scheduler": scheduler,
+                                      "channels": 8, "cue_noise_sigma": 0.05}))
+        out, bank_path = tmp_path / "bank.csv", tmp_path / "bank.bin"
+        code = run_command(["bank-sim", "--config", str(config), "--seed", "4",
+                            "--out", str(out), "--bank-out", str(bank_path)])
+        assert code == 0
+        base = generate_scene(SceneConfig.from_mapping(scene), 4)
+        steps = SceneScheduler(SchedulerConfig(seed=4, **scheduler))
+        sizes = []
+        for _ in range(12):
+            params, did_reset = steps.step(base.scene_id)
+            rig = apply_augmentation(base.rig, params)
+            if did_reset or not sizes:
+                sizes.append((rig.image_height // 8, rig.image_width // 8))
+        assert len(sizes) == 5 and len(set(sizes)) == 3
+        assert any(a != b for a, b in zip(sizes, sizes[1:]))
+        # Recorded before bank-sim evaluated the augmented cues at masked
+        # cells only.
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d163e62888117f3ba8df02fe9e5a511337731d72626a1527b65e5e45cc14ffa3"
+        )
+        assert hashlib.sha256(bank_path.read_bytes()).hexdigest() == (
+            "8f817cb4035c6c049e0508ad23aa49421f13e0bd7aca9fbd63e09635573a8a9c"
+        )
+
+    def test_bank_sim_renders_once_and_reads_memory_at_cells(self, tmp_path, monkeypatch):
+        # The augmented cues are evaluated at each frame's masked cells, and
+        # the error rows read the banks at cells: one full render per run
+        # (the plain camera's) and no full-grid memory copy per frame.
+        from roadlift.scene_cue_bank import SceneBank
+
+        renders, reads = [], []
+        real_render, real_memorized = cli.render_cue_grid, SceneBank.memorized
+        monkeypatch.setattr(cli, "render_cue_grid",
+                            lambda *a: renders.append(a) or real_render(*a))
+
+        def memorized(bank, scene_id, cells=None):
+            reads.append(cells is None)
+            return real_memorized(bank, scene_id, cells)
+
+        monkeypatch.setattr(SceneBank, "memorized", memorized)
+        config = tmp_path / "bank.json"
+        config.write_text(json.dumps({
+            "scene": {"n_objects": 6, "pitch_band_deg": [8, 12], "image_width": 512,
+                      "image_height": 384},
+            "frames": 9, "scheduler": {"tau": 3}, "channels": 3,
+        }))
+        code = run_command(["bank-sim", "--config", str(config), "--seed", "5",
+                            "--out", str(tmp_path / "bank.csv")])
+        assert code == 0
+        assert len(renders) == 1
+        assert reads and not any(reads)

@@ -224,6 +224,42 @@ class TestMomentumUpdate:
             expected = _reference_update_momentum(expected, cues, momentum)
             assert bank.memorized("s").values.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("momentum", [0.0, 0.1, 0.3, 0.5, 1.0])
+    def test_masked_blend_equals_full_blend(self, momentum):
+        rng = np.random.default_rng(19)
+        init = FeatureGrid(rng.standard_normal((6, 7, 3)))
+        full, masked = SceneBank(), SceneBank()
+        full.reset_scene("s", init)
+        masked.reset_scene("s", init)
+        for mask in pin_masks(rng, 6, 7):
+            cues = extract_cues(FeatureGrid(rng.standard_normal((6, 7, 3))), mask)
+            full.update_momentum("s", cues, momentum)
+            masked.update_momentum("s", cues, momentum, mask)
+            want, got = full.memorized("s").values, masked.memorized("s").values
+            # Equal as numbers; as bytes wherever no product rounds to -0.0
+            # (momentum 1 zeroes negative memory off the mask).
+            np.testing.assert_array_equal(got, want)
+            if momentum < 1.0:
+                assert got.tobytes() == want.tobytes()
+        assert masked.frames_seen("s") == full.frames_seen("s")
+
+    def test_masked_blend_checks_the_mask_shape(self):
+        bank = SceneBank()
+        bank.reset_scene("s", FeatureGrid.zeros(4, 5, 2))
+        with pytest.raises(ValueError, match="mask shape"):
+            bank.update_momentum("s", FeatureGrid.zeros(4, 5, 2), 0.5, full_mask(5, 4))
+
+    def test_memorized_at_cells_copies_those_rows(self):
+        rng = np.random.default_rng(20)
+        bank = SceneBank()
+        bank.reset_scene("s", random_grid(rng))
+        cells = np.array([0, 3, 7, 19])
+        got = bank.memorized("s", cells)
+        assert got.tobytes() == bank.memorized("s").values.reshape(-1, 2)[cells].tobytes()
+        got[:] = 99.0
+        assert not np.any(bank.memorized("s").values == 99.0)
+        assert bank.memorized("s", np.array([], dtype=np.intp)).shape == (0, 2)
+
     def test_memorized_grid_is_a_snapshot(self):
         rng = np.random.default_rng(12)
         bank = SceneBank()

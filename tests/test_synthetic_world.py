@@ -16,6 +16,7 @@ from roadlift.camera_geometry import (
 from roadlift.synthetic_world import (
     _SALT_CUE,
     Box3D,
+    CueField,
     GroundField,
     NoiseModel,
     SceneConfig,
@@ -62,6 +63,19 @@ class TestGroundField:
         coeffs = (5.0,) + (0.0,) * 9
         with pytest.raises(ValueError, match="bound"):
             GroundField(coeffs=coeffs)
+
+    def test_nan_max_abs_rejected(self):
+        with pytest.raises(ValueError, match="max_abs"):
+            GroundField(coeffs=(0.5,) + (0.0,) * 9, max_abs=math.nan)
+
+    @pytest.mark.parametrize("xy_scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_xy_scale_rejected(self, xy_scale):
+        with pytest.raises(ValueError, match="xy_scale"):
+            GroundField(coeffs=(0.5,) + (0.0,) * 9, xy_scale=xy_scale)
+
+    def test_infinite_max_abs_means_unbounded(self):
+        field = GroundField(coeffs=(5.0,) + (0.0,) * 9, max_abs=math.inf)
+        assert field.evaluate(1.0, 2.0) == 5.0
 
     def test_evaluate_saturates_outside_roi(self):
         rng = np.random.default_rng(1)
@@ -311,6 +325,34 @@ def pin_scenes():
 
 
 class TestRenderCueGrid:
+    @pytest.mark.parametrize("channels", [1, 4, 64])
+    @pytest.mark.parametrize("index", range(8))
+    def test_cue_field_at_cells_equals_render_bytes(self, pin_scenes, index, channels):
+        scene = pin_scenes[index]
+        grid = render_cue_grid(scene, channels).values
+        rows = grid.reshape(-1, channels)
+        n = rows.shape[0]
+        field = CueField(scene, channels)
+        assert field.shape == grid.shape
+        picks = {
+            "empty": np.array([], dtype=np.intp),
+            "first": np.array([0]),
+            "last": np.array([n - 1]),
+            "random": np.sort(np.random.default_rng(index).choice(n, n // 7, replace=False)),
+            "all": np.arange(n),
+        }
+        for name, cells in picks.items():
+            got = field.at(cells)
+            assert got.shape == (cells.size, channels), name
+            assert got.tobytes() == rows[cells].tobytes(), name
+
+    def test_cue_field_rejects_cells_outside_the_grid(self, pin_scenes):
+        field = CueField(pin_scenes[0], 2)
+        n = field.shape[0] * field.shape[1]
+        for cells in ([n], [-1]):
+            with pytest.raises(ValueError, match="out of range"):
+                field.at(cells)
+
     @pytest.mark.parametrize("channels", [1, 4, 64])
     @pytest.mark.parametrize("index", range(8))
     def test_all_channels_equal_reference_bytes(self, pin_scenes, index, channels):
