@@ -6,6 +6,7 @@ from .camera_geometry import (
     CameraRig,
     GeometryError,
     GroundPlane,
+    LabelFrame,
     RigidTransform,
     corners_of,
     depth_to_ground,

@@ -323,21 +323,84 @@ class Box3D:
 
     def __post_init__(self):
         if not all(
-            math.isfinite(v) for v in (self.x, self.y, self.z, self.l, self.w, self.h)
+            math.isfinite(v)
+            for v in (self.x, self.y, self.z, self.l, self.w, self.h, self.theta)
         ):
             raise ValueError("box fields must be finite")
         if not (self.l > 0 and self.w > 0 and self.h > 0):
             raise ValueError("box dimensions must be positive")
-        th = math.remainder(self.theta, math.tau)
-        if th <= -math.pi:
-            th += math.tau
-        object.__setattr__(self, "theta", th)
+        object.__setattr__(self, "theta", wrap_angle(self.theta))
         if self.score is not None and not (0.0 <= self.score <= 1.0):
             raise ValueError("score must lie in [0, 1]")
 
     @property
     def bottom_center(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
+
+
+def wrap_angle(theta: float) -> float:
+    """``theta`` in (-pi, pi]: the IEEE remainder by 2*pi (the identity
+    for |theta| < pi), with -pi moved to pi."""
+    th = math.remainder(theta, math.tau)
+    if th <= -math.pi:
+        th += math.tau
+    return th
+
+
+@dataclass(frozen=True, eq=False)
+class LabelFrame:
+    """The boxes of one label file, as arrays.
+
+    ``params`` is a read-only (n, 7) array of x, y, z, l, w, h and theta
+    per box, ``categories`` their categories and ``scores`` a read-only
+    (n,) array, NaN where a box has no score.  The frame is a sequence:
+    ``frame[i]`` is box ``i`` as a ``Box3D``.  ``formats.parse_labels``
+    builds frames from text, ``LabelFrame.of`` from boxes; the values
+    are not checked again here.  (``eq=False``: an array field makes
+    dataclass equality raise.)
+    """
+
+    params: np.ndarray
+    categories: tuple[str, ...]
+    scores: np.ndarray
+
+    def __post_init__(self):
+        params = _readonly(self.params).reshape(-1, 7)
+        scores = _readonly(self.scores).reshape(-1)
+        if not len(params) == len(self.categories) == len(scores):
+            raise ValueError("params, categories and scores must have one entry per box")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "categories", tuple(self.categories))
+        object.__setattr__(self, "scores", scores)
+
+    @classmethod
+    def of(cls, boxes) -> LabelFrame:
+        """The frame of a sequence of ``Box3D``; a frame is returned as it is."""
+        if isinstance(boxes, LabelFrame):
+            return boxes
+        boxes = tuple(boxes)
+        return cls(
+            [(b.x, b.y, b.z, b.l, b.w, b.h, b.theta) for b in boxes],
+            tuple(b.category for b in boxes),
+            [math.nan if b.score is None else b.score for b in boxes],
+        )
+
+    def take(self, index) -> LabelFrame:
+        """The frame of the boxes at the positions in ``index``, in order."""
+        rows = np.asarray(index, dtype=np.intp)
+        categories = [self.categories[i] for i in index]
+        return LabelFrame(self.params[rows], categories, self.scores[rows])
+
+    def __len__(self) -> int:
+        return len(self.categories)
+
+    def __getitem__(self, i: int) -> Box3D:
+        score = float(self.scores[i])
+        return Box3D(*self.params[i].tolist(), category=self.categories[i],
+                     score=None if math.isnan(score) else score)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def rot_z(angle: float) -> np.ndarray:

@@ -170,9 +170,9 @@ def cmd_evaluate(args) -> int:
         )
     gts = [parse_labels(f.read_text()) for f in gt_files]
     preds = [parse_labels(f.read_text()) for f in pred_files]
-    classes = sorted({b.category for frame in gts for b in frame})
+    classes = sorted({c for frame in gts for c in frame.categories})
     # One overlap matrix per frame; the "all" row matches on it whole
-    # (across categories), each class row on its class's columns.
+    # (across categories), each class row on its class's rows and columns.
     overlaps = [overlap_matrix(g, p, args.kind) for g, p in zip(gts, preds)]
     matches = [
         match(g, p, args.iou, args.kind, overlaps=m) for g, p, m in zip(gts, preds, overlaps)
@@ -185,10 +185,10 @@ def cmd_evaluate(args) -> int:
     for cls in classes:
         stats = []
         for g, p, m in zip(gts, preds, overlaps):
-            cols = [i for i, b in enumerate(p) if b.category == cls]
+            keep = [i for i, c in enumerate(g.categories) if c == cls]
+            cols = [i for i, c in enumerate(p.categories) if c == cls]
             stats.append(frame_detection_stats(
-                g, [p[i] for i in cols], args.iou, args.kind,
-                gt_filter=lambda b, c=cls: b.category == c, overlaps=m[:, cols],
+                g.take(keep), p.take(cols), args.iou, args.kind, overlaps=m[keep][:, cols],
             ))
         curve = pr_curve_from_stats(stats)
         rows.append(f"{metric},{cls},{_fmt(args.iou)},{_fmt(curve.ap)}")

@@ -8,6 +8,10 @@ with the highest IoU at or above the threshold (ties break toward the
 lower GT index).  Each frame's overlaps are one ``overlap_matrix``,
 which every metric of that frame can share; per-frame statistics are
 merged before the precision/recall sweep.
+
+The frame-level functions take each side's boxes as a ``LabelFrame``
+(what ``formats.parse_labels`` returns) or a sequence of ``Box3D``,
+turned into a frame once on entry.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera_geometry import Box3D
+from .camera_geometry import Box3D, LabelFrame
 
 DEFAULT_DISTANCE_BINS = ((0.0, 50.0), (50.0, 100.0), (100.0, 150.0), (150.0, 200.0))
 
@@ -132,11 +136,14 @@ class MatchPair:
 
 @dataclass(frozen=True)
 class MatchResult:
+    """One matched frame: the pairs and unmatched indices refer to the
+    boxes of the ``gts`` and ``preds`` frames."""
+
     pairs: tuple[MatchPair, ...]
     unmatched_gt: tuple[int, ...]
     unmatched_pred: tuple[int, ...]
-    gts: tuple[Box3D, ...]
-    preds: tuple[Box3D, ...]
+    gts: LabelFrame
+    preds: LabelFrame
     iou_threshold: float
 
 
@@ -145,6 +152,16 @@ _IOU_KINDS = ("bev", "3d", "pixel")
 # Relative and absolute slack on the prefilter's reach, so rounding in
 # the centre distance can never drop a pair whose footprints touch.
 _REACH_SLACK = 1e-9
+
+
+class _BoxRow:
+    """The fields of one box that ``bev_iou`` and ``iou3d`` read, for
+    scoring a frame's pairs: far cheaper to build than a ``Box3D``."""
+
+    __slots__ = ("x", "y", "z", "l", "w", "h", "theta")
+
+    def __init__(self, x, y, z, l, w, h, theta):
+        self.x, self.y, self.z, self.l, self.w, self.h, self.theta = x, y, z, l, w, h, theta
 
 
 def _check_kind(iou_kind: str) -> None:
@@ -159,14 +176,14 @@ def overlap_matrix(gts, preds, iou_kind: str, gt_boxes_2d=None, pred_boxes_2d=No
     centre distance is within the sum of the two footprints' half
     diagonals (and, for "3d", whose [z, z+h] extents overlap, the test
     ``iou3d`` makes first); only those are scored by ``bev_iou`` /
-    ``iou3d``.  The pairs dropped are disjoint, which the scalar
+    ``iou3d``, on one light row per box of each frame (not a
+    ``Box3D``).  The pairs dropped are disjoint, which the scalar
     functions score exactly 0, so every entry equals the scalar IoU.
     "pixel" scores every pair with ``box2d_iou`` on the supplied image
     rectangles.
     """
     _check_kind(iou_kind)
-    gts = tuple(gts)
-    preds = tuple(preds)
+    gts, preds = LabelFrame.of(gts), LabelFrame.of(preds)
     out = np.zeros((len(gts), len(preds)))
     if iou_kind == "pixel":
         if gt_boxes_2d is None or pred_boxes_2d is None:
@@ -179,20 +196,23 @@ def overlap_matrix(gts, preds, iou_kind: str, gt_boxes_2d=None, pred_boxes_2d=No
         return out
     if not gts or not preds:
         return out
-    g = np.array([(b.x, b.y, b.l, b.w, b.z, b.h) for b in gts]).T
-    p = np.array([(b.x, b.y, b.l, b.w, b.z, b.h) for b in preds]).T
-    reach = np.hypot(g[2], g[3])[:, None] / 2.0 + np.hypot(p[2], p[3])[None, :] / 2.0
-    dist = np.hypot(g[0][:, None] - p[0][None, :], g[1][:, None] - p[1][None, :])
+    gx, gy, gz, gl, gw, gh, _ = gts.params.T
+    px, py, pz, pl, pw, ph, _ = preds.params.T
+    reach = np.hypot(gl, gw)[:, None] / 2.0 + np.hypot(pl, pw)[None, :] / 2.0
+    dist = np.hypot(gx[:, None] - px[None, :], gy[:, None] - py[None, :])
     near = dist <= reach * (1.0 + _REACH_SLACK) + _REACH_SLACK
     if iou_kind == "3d":
-        top = np.minimum((g[4] + g[5])[:, None], (p[4] + p[5])[None, :])
-        near &= top - np.maximum(g[4][:, None], p[4][None, :]) > 0.0
+        top = np.minimum((gz + gh)[:, None], (pz + ph)[None, :])
+        near &= top - np.maximum(gz[:, None], pz[None, :]) > 0.0
         measure = iou3d
     else:
         measure = bev_iou
     gis, pis = np.nonzero(near)
-    for gi, pi in zip(gis.tolist(), pis.tolist()):
-        out[gi, pi] = measure(gts[gi], preds[pi])
+    if gis.size:
+        g_rows = [_BoxRow(*row) for row in gts.params.tolist()]
+        p_rows = [_BoxRow(*row) for row in preds.params.tolist()]
+        for gi, pi in zip(gis.tolist(), pis.tolist()):
+            out[gi, pi] = measure(g_rows[gi], p_rows[pi])
     return out
 
 
@@ -212,16 +232,17 @@ def match(
     which must then be supplied for both sides (mirroring benchmarks
     that associate boxes in the image plane before measuring 3D error).
     ``overlaps`` is a precomputed ``overlap_matrix`` of these boxes;
-    without it the matrix is computed here.
+    without it the matrix is computed here.  Predictions are taken in
+    descending score order, ties in index order; ``gts`` and ``preds``
+    are frames or sequences of ``Box3D`` (see the module docstring).
 
     Categories are not compared: a car prediction may claim a truck
     ground truth.  Per-class scores come from passing one class on each
     side; the KITTI devkit instead always matches within each class.
     """
     _check_kind(iou_kind)
-    gts = tuple(gts)
-    preds = tuple(preds)
-    if any(p.score is None for p in preds):
+    gts, preds = LabelFrame.of(gts), LabelFrame.of(preds)
+    if np.isnan(preds.scores).any():
         raise ValueError("all predictions must carry a score")
     if overlaps is None:
         overlaps = overlap_matrix(gts, preds, iou_kind, gt_boxes_2d, pred_boxes_2d)
@@ -232,16 +253,18 @@ def match(
     # One row per prediction; a taken ground truth's column becomes -1,
     # so argmax (first maximum, i.e. lowest GT index) only sees free ones.
     free = np.array(overlaps, dtype=float).T
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
     pairs = []
     if gts:
-        for pi in order:
+        g_xy = gts.params[:, :2].tolist()
+        p_xy = preds.params[:, :2].tolist()
+        for pi in np.argsort(-preds.scores, kind="stable").tolist():
             row = free[pi]
             gi = int(row.argmax())
             iou = float(row[gi])
             if iou >= iou_threshold and iou > 0.0:
                 free[:, gi] = -1.0
-                pairs.append(MatchPair(gi, pi, iou, bev_center_distance(gts[gi], preds[pi])))
+                (gx, gy), (px, py) = g_xy[gi], p_xy[pi]
+                pairs.append(MatchPair(gi, pi, iou, math.hypot(gx - px, gy - py)))
     matched_gt = {p.gt_index for p in pairs}
     matched_pred = {p.pred_index for p in pairs}
     return MatchResult(
@@ -299,10 +322,10 @@ def frame_detection_stats(
     predicates, not built in).  ``overlaps`` is the ``overlap_matrix``
     of the unfiltered ground truth against ``preds``; ``gt_filter``
     selects its rows too."""
-    gts = tuple(gts)
+    gts = LabelFrame.of(gts)
     if gt_filter is not None:
         keep = [i for i, g in enumerate(gts) if gt_filter(g)]
-        gts = tuple(gts[i] for i in keep)
+        gts = gts.take(keep)
         if gt_boxes_2d is not None:
             gt_boxes_2d = [gt_boxes_2d[i] for i in keep]
         if overlaps is not None:
@@ -314,10 +337,11 @@ def frame_detection_stats(
 
 def stats_from_match(result: MatchResult) -> FrameStats:
     """The score/TP rows of one matched frame."""
-    is_tp = np.zeros(len(result.preds), dtype=bool)
+    preds = LabelFrame.of(result.preds)
+    is_tp = np.zeros(len(preds), dtype=bool)
     is_tp[[p.pred_index for p in result.pairs]] = True
     return FrameStats(
-        scores=np.array([p.score for p in result.preds], dtype=float),
+        scores=np.array(preds.scores),
         is_tp=is_tp,
         n_gt=len(result.gts),
     )
@@ -402,11 +426,12 @@ def distance_error(
     skipped = 0
     fx, fy = camera_foot
     for result in matches:
+        g_xy = LabelFrame.of(result.gts).params[:, :2].tolist()
+        p_xy = LabelFrame.of(result.preds).params[:, :2].tolist()
         for pair in result.pairs:
-            gt = result.gts[pair.gt_index]
-            pred = result.preds[pair.pred_index]
-            d_g = math.hypot(gt.x - fx, gt.y - fy)
-            d_p = math.hypot(pred.x - fx, pred.y - fy)
+            (gx, gy), (px, py) = g_xy[pair.gt_index], p_xy[pair.pred_index]
+            d_g = math.hypot(gx - fx, gy - fy)
+            d_p = math.hypot(px - fx, py - fy)
             if d_g <= 0.0:
                 skipped += 1
                 continue
@@ -433,13 +458,13 @@ def detection_ratio_curve(gts_per_frame, preds_per_frame, thresholds) -> list[fl
         raise ValueError("frame lists must have equal length")
     nearest = []
     for gts, preds in zip(gts_per_frame, preds_per_frame):
+        gts, preds = LabelFrame.of(gts), LabelFrame.of(preds)
         if not gts:
             continue
         if not preds:
             nearest.append(np.full(len(gts), math.inf))
             continue
-        g = np.array([(b.x, b.y) for b in gts])
-        p = np.array([(b.x, b.y) for b in preds])
+        g, p = gts.params, preds.params
         dist = np.hypot(g[:, 0, None] - p[None, :, 0], g[:, 1, None] - p[None, :, 1])
         nearest.append(dist.min(axis=1))
     if not nearest:

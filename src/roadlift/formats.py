@@ -29,7 +29,8 @@ from dataclasses import dataclass, is_dataclass, replace
 
 import numpy as np
 
-from .camera_geometry import Box3D, CameraRig, RigidTransform
+from .camera_geometry import Box3D, CameraRig, LabelFrame, RigidTransform, wrap_angle
+from .scene_cue_bank import MAX_IMAGE_SIDE
 
 PARSE_ROTATION_TOL = 1e-6
 
@@ -119,6 +120,11 @@ def parse_calibration_doc(text: str) -> CalibrationDoc:
                          ("image.width", width), ("image.height", height)):
         if value <= 0:
             raise FormatError(f"field {field} must be positive, got {value!r}")
+    for field, value in (("image.width", width), ("image.height", height)):
+        if value > MAX_IMAGE_SIDE:
+            raise FormatError(
+                f"field {field} must be at most {MAX_IMAGE_SIDE} px, got {int(value)}"
+            )
     matrix = check_json(_require(data, "extrinsic", ""), ((0.0,) * 4,) * 4, "extrinsic")
     arr = np.array(matrix, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -167,41 +173,68 @@ def serialize_calibration(rig: CameraRig, scene_id: str = "scene-0") -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_labels(text: str) -> list[Box3D]:
-    """Parse a label file into boxes; errors carry the line number."""
-    boxes = []
+def parse_labels(text: str) -> LabelFrame:
+    """Parse a label file into one ``LabelFrame``; errors carry the line
+    number.  Every line's numbers are read with ``float``, then checked
+    as one array; only a failed check goes back to the lines, to name
+    the first bad one, so the first error is the one a line-by-line
+    reader would raise."""
+    categories, values, unscored, linenos = [], [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         if len(fields) not in (8, 9):
-            raise FormatError(
-                f"line {lineno}: expected 8 or 9 fields, got {len(fields)}"
-            )
+            _label_table(values, unscored, linenos)  # an earlier line's error comes first
+            raise FormatError(f"line {lineno}: expected 8 or 9 fields, got {len(fields)}")
         try:
-            numbers = [float(f) for f in fields[1:]]
+            values.extend(map(float, fields[1:]))
         except ValueError as exc:
+            del values[8 * len(linenos):]  # this line's numbers before the bad one
+            _label_table(values, unscored, linenos)
             raise FormatError(f"line {lineno}: non-numeric field ({exc})") from exc
-        if not all(math.isfinite(n) for n in numbers):
-            raise FormatError(f"line {lineno}: non-finite value")
-        try:
-            boxes.append(
-                Box3D(
-                    x=numbers[0],
-                    y=numbers[1],
-                    z=numbers[2],
-                    l=numbers[3],
-                    w=numbers[4],
-                    h=numbers[5],
-                    theta=numbers[6],
-                    category=fields[0],
-                    score=numbers[7] if len(numbers) == 8 else None,
-                )
-            )
-        except ValueError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-    return boxes
+        if len(fields) == 8:
+            unscored.append(len(linenos))
+            values.append(math.nan)
+        categories.append(fields[0])
+        linenos.append(lineno)
+    table = _label_table(values, unscored, linenos)
+    theta = table[:, 6]
+    # Box3D's wrap leaves |theta| < pi untouched; the rest, -pi included,
+    # take its scalar formula.
+    for i in np.flatnonzero(~(np.abs(theta) < math.pi)).tolist():
+        theta[i] = wrap_angle(theta[i])
+    return LabelFrame(table[:, :7], categories, table[:, 7])
+
+
+# Open bounds on each label column (x, y, z, l, w, h, theta, score):
+# every number finite, l/w/h positive, and the score in [0, 1], whose
+# open bounds are the doubles next to 0 and 1.
+_LABEL_LO = np.array([-math.inf] * 3 + [0.0] * 3 + [-math.inf, math.nextafter(0.0, -1.0)])
+_LABEL_HI = np.array([math.inf] * 7 + [math.nextafter(1.0, 2.0)])
+
+
+def _label_table(values, unscored, linenos) -> np.ndarray:
+    """The label numbers ``values``, eight per line read (x, y, z, l, w,
+    h, theta, score; a NaN score in the rows at ``unscored``), as an
+    (n, 8) array.  FormatError, naming the line from ``linenos``, for
+    the first row with a non-finite value, a non-positive l/w/h or a
+    score outside [0, 1]."""
+    table = np.array(values, dtype=float).reshape(-1, 8)
+    inside = (table > _LABEL_LO) & (table < _LABEL_HI)
+    # NaN fails both comparisons, so a good file fails at its NaN scores only.
+    if np.count_nonzero(inside) != inside.size - len(unscored):
+        # Find the line with the checks of a line-by-line reader.
+        unscored = set(unscored)
+        for i, lineno in enumerate(linenos):
+            numbers = values[8 * i: 8 * i + (7 if i in unscored else 8)]
+            if not all(map(math.isfinite, numbers)):
+                raise FormatError(f"line {lineno}: non-finite value")
+            try:
+                Box3D(*numbers[:7], score=numbers[7] if len(numbers) == 8 else None)
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from exc
+    return table
 
 
 def serialize_labels(boxes) -> str:

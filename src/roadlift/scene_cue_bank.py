@@ -24,6 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 STRIDE = 8
+# Largest accepted image side in pixels, checked before any grid is
+# allocated.  The Rope3D and DAIR-V2X-I frames are 1920x1080.
+MAX_IMAGE_SIDE = 16_384
 
 _MAGIC = b"RLSB"
 _VERSION = 1
@@ -118,6 +121,11 @@ class CueMask:
 
 
 def grid_dims_for_image(image_height: int, image_width: int) -> tuple[int, int]:
+    if image_height > MAX_IMAGE_SIDE or image_width > MAX_IMAGE_SIDE:
+        raise ValueError(
+            f"image sides must be at most {MAX_IMAGE_SIDE} px, "
+            f"got {image_height}x{image_width}"
+        )
     if image_height % STRIDE or image_width % STRIDE:
         raise ValueError(
             f"image dimensions must be divisible by {STRIDE}, "

@@ -9,6 +9,7 @@ from roadlift.camera_geometry import (
     Box3D,
     CameraRig,
     GeometryError,
+    LabelFrame,
     RigidTransform,
     corners_of,
     depth_to_ground,
@@ -324,6 +325,47 @@ class TestCorners:
     def test_theta_normalized(self):
         assert Box3D(0, 0, 0, 1, 1, 1, 3 * math.pi).theta == pytest.approx(math.pi)
         assert Box3D(0, 0, 0, 1, 1, 1, -math.pi).theta == pytest.approx(math.pi)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="box fields must be finite"):
+            Box3D(0, 0, 0, 1, 1, 1, theta)
+
+
+class TestLabelFrame:
+    BOXES = [
+        Box3D(1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.7, category="car", score=0.9),
+        Box3D(-3.0, 8.0, 0.0, 0.6, 0.6, 1.7, -math.pi, category="ped"),
+        Box3D(30.0, 0.0, 0.1, 10.0, 2.5, 3.2, 2.0, category="truck", score=0.0),
+    ]
+
+    def test_of_boxes_is_a_sequence_of_the_same_boxes(self):
+        frame = LabelFrame.of(self.BOXES)
+        assert len(frame) == 3 and bool(frame)
+        assert list(frame) == self.BOXES
+        assert frame[1] == self.BOXES[1] and frame[-1] == self.BOXES[2]
+        assert frame.categories == ("car", "ped", "truck")
+        np.testing.assert_array_equal(frame.params[0], [1.0, 2.0, 0.5, 4.0, 2.0, 1.5, 0.7])
+        assert frame.params[1, 6] == math.pi
+        np.testing.assert_array_equal(frame.scores, [0.9, math.nan, 0.0])
+        assert LabelFrame.of(frame) is frame
+
+    def test_arrays_are_read_only(self):
+        frame = LabelFrame.of(self.BOXES)
+        for array in (frame.params, frame.scores):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_take_and_empty(self):
+        frame = LabelFrame.of(self.BOXES)
+        assert list(frame.take([2, 0])) == [self.BOXES[2], self.BOXES[0]]
+        empty = frame.take([])
+        assert len(empty) == 0 and not empty and list(empty) == []
+        assert empty.params.shape == (0, 7) and LabelFrame.of([]).params.shape == (0, 7)
+
+    def test_fields_must_agree_in_length(self):
+        with pytest.raises(ValueError, match="one entry per box"):
+            LabelFrame(np.zeros((2, 7)), ("car",), np.zeros(2))
 
 
 @st.composite

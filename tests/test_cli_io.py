@@ -112,11 +112,11 @@ class TestCalibrationFormat:
 
 class TestLabelFormat:
     def test_empty_file(self):
-        assert parse_labels("") == []
-        assert parse_labels("# only a comment\n") == []
+        assert list(parse_labels("")) == []
+        assert list(parse_labels("# only a comment\n")) == []
 
     def test_single_line(self):
-        boxes = parse_labels("car 1.0 2.0 0.3 4.0 2.0 1.5 0.4\n")
+        boxes = list(parse_labels("car 1.0 2.0 0.3 4.0 2.0 1.5 0.4\n"))
         assert boxes == [Box3D(1.0, 2.0, 0.3, 4.0, 2.0, 1.5, 0.4, category="car")]
 
     def test_score_column(self):
@@ -152,7 +152,7 @@ class TestLabelFormat:
             )
             for _ in range(1000)
         ]
-        assert parse_labels(serialize_labels(boxes)) == boxes
+        assert list(parse_labels(serialize_labels(boxes))) == boxes
 
     def test_whitespace_category_rejected(self):
         with pytest.raises(FormatError, match="whitespace"):
@@ -246,7 +246,7 @@ class TestReaderFuzz:
             boxes = parse_labels(text)
         except FormatError:
             return
-        assert parse_labels(serialize_labels(boxes)) == boxes
+        assert list(parse_labels(serialize_labels(boxes))) == list(boxes)
 
     @settings(max_examples=60, deadline=None)
     @given(text=calibration_texts())
@@ -276,6 +276,118 @@ class TestReaderFuzz:
         for gt, pred in ((fuzzed, good), (good, fuzzed)):
             argv = ["evaluate", "--gt", str(gt), "--pred", str(pred), "--kind", "3d"]
             assert_success_or_one_error_line(argv, capsys)
+
+
+def _reference_parse_labels(text: str) -> list[Box3D]:
+    """The line-by-line reader ``parse_labels`` was before it read files
+    into one array frame, kept verbatim as the behaviour to preserve."""
+    boxes = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) not in (8, 9):
+            raise FormatError(
+                f"line {lineno}: expected 8 or 9 fields, got {len(fields)}"
+            )
+        try:
+            numbers = [float(f) for f in fields[1:]]
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: non-numeric field ({exc})") from exc
+        if not all(math.isfinite(n) for n in numbers):
+            raise FormatError(f"line {lineno}: non-finite value")
+        try:
+            boxes.append(
+                Box3D(
+                    x=numbers[0],
+                    y=numbers[1],
+                    z=numbers[2],
+                    l=numbers[3],
+                    w=numbers[4],
+                    h=numbers[5],
+                    theta=numbers[6],
+                    category=fields[0],
+                    score=numbers[7] if len(numbers) == 8 else None,
+                )
+            )
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
+    return boxes
+
+
+_WIDE_THETAS = [math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 1e300, -1e300]
+_NEAR_PI = [math.nextafter(math.pi, 0.0), -math.nextafter(math.pi, 0.0),
+            math.nextafter(math.pi, 4.0), math.tau, -0.0]
+_THETA_LABEL_LINE = st.builds(
+    lambda yaw, score: " ".join(
+        "car 1 2 0.3 4 2 1.5".split() + [repr(yaw)] + ([] if score is None else [repr(score)])
+    ),
+    st.sampled_from(_WIDE_THETAS),
+    st.none() | st.floats(0.0, 1.0),
+)
+_ODD_LABEL_LINES = st.sampled_from([
+    "", "# comment", "  # indented comment", "\t# tab comment", "#",
+    "car 1_0 2 0.3 4 2 1.5 0.4", "car ٣ 2 0.3 4 2 1.5 0.4 0.5", "car 1 2 0.3 4 2 1.5 0.4 1_0",
+    "car 1 2 0.3 4 2 1.5 0.4 1.5", "car 1 2 0.3 4 0 1.5 0.4", "car 1 2 0.3 4 2 1.5 nan",
+    "car 1 2 0.3 4 2 1.5 0.4 -0.0", "car 1 2 0.3 4 2 1.5 0.4 1.0000000000000002",
+    "car 1 2 0.3 4 2 1.5 0.4 -5e-324", "car 1 2 0.3 5e-324 2 1.5 0.4 1",
+    "car 1 2 0.3 4 -0.0 1.5 0.4", "car 1 2 0.3 4 2 inf 0.4", "car 1 2 0.3 4 2 1.5 0.4 nan",
+])
+
+
+@st.composite
+def pinned_label_texts(draw):
+    """``label_texts``, or lines that mix 8 and 9 fields, wide thetas,
+    comments and odd numbers, with tabs, doubled spaces, leading
+    whitespace and LF or CRLF line ends."""
+    if draw(st.booleans()):
+        return draw(label_texts)
+    lines = draw(st.lists(
+        _VALID_LABEL_LINE | _THETA_LABEL_LINE | _ODD_LABEL_LINES
+        | st.lists(_LABEL_TOKENS, max_size=10).map(" ".join),
+        max_size=6,
+    ))
+    out = []
+    for line in lines:
+        gap = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        out.append(lead + line.replace(" ", gap) + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(out)
+
+
+class TestLabelReaderPinned:
+    """The array reader against the line-by-line reader it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=pinned_label_texts())
+    @example(text="car 1 2 0.3 4 2 1.5 0.4\ntruck 1 2 0.3 8 2 3 -3.14 0.5\r\n")
+    @example(text="car 1 2 0.3 4 2 1.5 0.4 0.5\ncar 1 2\ncar 1 2 0.3 -4 2 1.5 0.4\n")
+    @example(text="car 1 2 0.3 4 2 1.5 0.4\ncar 1 2 0.3 -4 2 1.5 0.4\ncar 1 2\n")
+    def test_same_boxes_or_same_error(self, text):
+        try:
+            want = _reference_parse_labels(text)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                parse_labels(text)
+            assert str(got.value) == str(exc)
+            return
+        assert list(parse_labels(text)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(thetas=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from(_WIDE_THETAS + _NEAR_PI),
+        min_size=1, max_size=20,
+    ))
+    def test_theta_wrap_equals_math_remainder(self, thetas):
+        text = "".join(f"car 0 0 0 1 1 1 {t!r}\n" for t in thetas)
+        got = parse_labels(text).params[:, 6].tolist()
+        for theta, value in zip(thetas, got):
+            want = math.remainder(theta, math.tau)
+            if want <= -math.pi:
+                want += math.tau
+            assert value == want, theta
 
 
 @pytest.fixture()
@@ -606,6 +718,40 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "bank-sim", "embed"])
+    @pytest.mark.parametrize("side", ["width", "height"])
+    def test_image_side_over_the_cap_fails_before_any_grid(
+        self, tmp_path, capsys, monkeypatch, command, side
+    ):
+        # 16,392 px is divisible by the stride 8 and one cell over 16,384.
+        from roadlift import position_embedding, scene_cue_bank, synthetic_world
+
+        grids = []
+        real_cell_centers = scene_cue_bank.cell_centers
+        for module in (scene_cue_bank, synthetic_world, position_embedding, cli):
+            monkeypatch.setattr(module, "cell_centers",
+                                lambda *a: grids.append(a) or real_cell_centers(*a))
+        if command == "embed":
+            doc = json.loads(nadir_calibration_text())
+            doc["image"][side] = 16_392
+            source = tmp_path / "calib.json"
+            source.write_text(json.dumps(doc))
+            argv, message = ["embed", "--calib", str(source)], (
+                f"error: field image.{side} must be at most 16384 px, got 16392\n")
+        else:
+            source = tmp_path / "config.json"
+            source.write_text(json.dumps({"scene": {f"image_{side}": 16_392}, "frames": 1}))
+            argv = [command, "--config", str(source)]
+            dims = "16392x1536" if side == "height" else "1024x16392"
+            message = f"error: image sides must be at most 16384 px, got {dims}\n"
+        out = tmp_path / "out"
+        assert run_command(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
+        assert not out.exists()
+        assert grids == []
+
     def test_deeply_nested_config_is_one_error_line(self, tmp_path, capsys):
         config = tmp_path / "deep.json"
         config.write_text("[" * 100_000 + "]" * 100_000)
@@ -675,6 +821,87 @@ class TestCli:
     def test_simulate_requires_out(self, sim_config_file, capsys):
         assert run_command(["simulate", "--config", str(sim_config_file)]) == 1
         assert "requires --out" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def three_class_set(tmp_path_factory):
+    """Four simulated frames of ten objects in three classes."""
+    root = tmp_path_factory.mktemp("three_class")
+    config = root / "sim.json"
+    config.write_text(json.dumps({
+        "scene": {"n_objects": 10, "pitch_band_deg": [8, 12], "categories": [
+            ["car", [[3.8, 5.2], [1.6, 2.0], [1.3, 1.8]]],
+            ["truck", [[7.0, 12.0], [2.3, 2.6], [2.8, 3.8]]],
+            ["ped", [[0.4, 0.9], [0.4, 0.9], [1.5, 1.9]]],
+        ]},
+        "noise": {"sigma_hr": 0.25, "drop_rate": 0.05, "false_positive_rate": 0.1},
+        "frames": 4,
+    }))
+    assert run_command(["simulate", "--config", str(config), "--seed", "3",
+                        "--out", str(root / "sim")]) == 0
+    return root / "sim"
+
+
+def _evaluate_3d(gt, pred, out):
+    """``evaluate --kind 3d`` with every output; the two CSVs' bytes."""
+    out.mkdir(exist_ok=True)
+    code = run_command(["evaluate", "--gt", str(gt), "--pred", str(pred), "--kind", "3d",
+                        "--ratio-thresholds", "0.5,1,2,5",
+                        "--distance-csv", str(out / "distance.csv"),
+                        "--out", str(out / "evaluate.csv")])
+    assert code == 0
+    return (out / "evaluate.csv").read_bytes(), (out / "distance.csv").read_bytes()
+
+
+class TestEvaluateOnFrames:
+    """evaluate reads each label file into one LabelFrame and scores it
+    without building a Box3D per line."""
+
+    def test_builds_no_box(self, three_class_set, tmp_path, capsys, monkeypatch):
+        built = []
+        real_post_init = Box3D.__post_init__
+        monkeypatch.setattr(Box3D, "__post_init__",
+                            lambda box: built.append(box) or real_post_init(box))
+        evaluate_csv, _ = _evaluate_3d(three_class_set / "gt", three_class_set / "pred", tmp_path)
+        assert built == []
+        assert evaluate_csv.count(b"\n") == 9  # header, all, 3 classes, 4 ratios
+
+    def test_scores_as_many_pairs_as_before(self, three_class_set, tmp_path, monkeypatch):
+        from roadlift import evaluation
+
+        scored = []
+        real_iou3d = evaluation.iou3d
+        monkeypatch.setattr(evaluation, "iou3d", lambda a, b: scored.append(1) or real_iou3d(a, b))
+        _evaluate_3d(three_class_set / "gt", three_class_set / "pred", tmp_path)
+        # The count the prefiltered overlap matrix gave when every label
+        # line was read into a Box3D.
+        assert len(scored) == 24
+
+    def test_reformatted_labels_give_the_same_csvs(self, three_class_set, tmp_path):
+        want = _evaluate_3d(three_class_set / "gt", three_class_set / "pred", tmp_path / "a")
+        for side in ("gt", "pred"):
+            (tmp_path / side).mkdir()
+            for path in (three_class_set / side).glob("*.txt"):
+                lines = path.read_text().splitlines()
+                text = "\r\n".join(
+                    "  # an added comment\r\n\t" + line.replace(" ", " \t  ") + "   "
+                    for line in lines
+                )
+                (tmp_path / side / path.name).write_bytes(text.encode())
+        assert _evaluate_3d(tmp_path / "gt", tmp_path / "pred", tmp_path / "b") == want
+
+    def test_prediction_without_score_is_one_error_line(self, three_class_set, tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        lines = (three_class_set / "pred" / "frame_0000.txt").read_text().splitlines()
+        lines[3] = " ".join(lines[3].split()[:8])
+        pred.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "evaluate.csv"
+        code = run_command(["evaluate", "--gt", str(three_class_set / "gt" / "frame_0000.txt"),
+                            "--pred", str(pred), "--kind", "3d", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: all predictions must carry a score\n"
+        assert not out.exists()
 
 
 def _observe_on_mask(truth: FeatureGrid, mask: CueMask, sigma: float, rng) -> FeatureGrid:

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from roadlift.scene_cue_bank import (
+    MAX_IMAGE_SIDE,
     CueMask,
     FeatureGrid,
     SceneBank,
@@ -13,6 +14,7 @@ from roadlift.scene_cue_bank import (
     cell_centers,
     extract_cues,
     fuse_for_decoder,
+    grid_dims_for_image,
     load_bank,
     make_mask,
     save_bank,
@@ -438,6 +440,12 @@ class TestCellCenters:
     def test_indivisible_dims_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             cell_centers(1020, 1536)
+
+    def test_image_side_capped(self):
+        assert grid_dims_for_image(MAX_IMAGE_SIDE, MAX_IMAGE_SIDE) == (2048, 2048)
+        for dims in ((MAX_IMAGE_SIDE + 8, 1536), (1024, MAX_IMAGE_SIDE + 8)):
+            with pytest.raises(ValueError, match="at most 16384 px"):
+                grid_dims_for_image(*dims)
 
 
 class TestSerialization:
