@@ -53,6 +53,7 @@ from .scene_cue_bank import (
     FeatureGrid,
     SceneBank,
     _scattered_grid,
+    bank_memory_elements,
     cell_centers,
     extract_cues,
     grid_dims_for_image,
@@ -274,6 +275,7 @@ def cmd_bank_sim(args) -> int:
         raise ValueError(f"momentum must lie in [0, 1], got {momentum}")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"cue_noise_sigma must be a finite number >= 0, got {sigma}")
+    bank_memory_elements(scene_cfg.image_height, scene_cfg.image_width, channels)
     scene = generate_scene(scene_cfg, args.seed)
     sid = scene.scene_id
     scheduler = SceneScheduler(config["scheduler"])
@@ -310,10 +312,6 @@ def cmd_bank_sim(args) -> int:
         )
         return frame_scene, mask_plain, observed_plain
 
-    # The inference stream's noise is drawn on the worker thread, queued
-    # one frame ahead, while the training half runs here; numpy releases
-    # the GIL while it fills.  Each stream has its own generator, and
-    # every bank update and CSV row stays on this thread in frame order.
     with ThreadPoolExecutor(max_workers=1) as worker:
         pending = _submit_plain(worker, 0)
         for t in range(n_frames):

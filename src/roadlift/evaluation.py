@@ -313,26 +313,21 @@ def frame_detection_stats(
     iou_threshold: float,
     iou_kind: str = "bev",
     gt_filter=None,
-    gt_boxes_2d=None,
-    pred_boxes_2d=None,
     overlaps=None,
 ) -> FrameStats:
     """Match one frame and reduce it to score/TP rows.  ``gt_filter``
     restricts the ground truth (difficulty tiers are caller-supplied
     predicates, not built in).  ``overlaps`` is the ``overlap_matrix``
     of the unfiltered ground truth against ``preds``; ``gt_filter``
-    selects its rows too."""
+    selects its rows too.  "pixel" stats need it: the image rectangles
+    go to ``overlap_matrix``."""
     gts = LabelFrame.of(gts)
     if gt_filter is not None:
         keep = [i for i, g in enumerate(gts) if gt_filter(g)]
         gts = gts.take(keep)
-        if gt_boxes_2d is not None:
-            gt_boxes_2d = [gt_boxes_2d[i] for i in keep]
         if overlaps is not None:
             overlaps = np.asarray(overlaps)[keep]
-    return stats_from_match(
-        match(gts, preds, iou_threshold, iou_kind, gt_boxes_2d, pred_boxes_2d, overlaps)
-    )
+    return stats_from_match(match(gts, preds, iou_threshold, iou_kind, overlaps=overlaps))
 
 
 def stats_from_match(result: MatchResult) -> FrameStats:
@@ -355,8 +350,8 @@ def pr_curve_from_stats(stats_list) -> PRCurve:
     n_gt = sum(s.n_gt for s in stats_list)
     if n_gt == 0:
         return PRCurve(np.zeros(N_RECALL_POINTS), 0.0, zero_gt_warning=True)
-    scores = np.concatenate([s.scores for s in stats_list]) if stats_list else np.zeros(0)
-    is_tp = np.concatenate([s.is_tp for s in stats_list]) if stats_list else np.zeros(0, bool)
+    scores = np.concatenate([s.scores for s in stats_list])
+    is_tp = np.concatenate([s.is_tp for s in stats_list])
     if scores.size == 0:
         return PRCurve(np.zeros(N_RECALL_POINTS), 0.0)
     order = np.argsort(-scores, kind="stable")

@@ -68,7 +68,9 @@ def check_json(value, like, name: str):
     naming the field ``name``.  An int takes an integer, a float any
     number, a str a string, a tuple an equally long list matched item by
     item (a one-item tuple: any length), and a dict or dataclass an
-    object with known keys, which replace those of ``like``."""
+    object with known keys, which replace those of ``like``.  A number
+    must fit a finite float: JSON ``Infinity`` and ``1e999`` are
+    rejected, while NaN is left to each field's own check."""
     if isinstance(like, dict) or is_dataclass(like):
         keys = like if isinstance(like, dict) else vars(like)
         where = f"{name} config" if name else "config"
@@ -86,9 +88,10 @@ def check_json(value, like, name: str):
                 check_json(v, like[min(i, len(like) - 1)], f"{name}[{i}]")
                 for i, v in enumerate(value)
             )
-    elif type(value) is type(like) or (
-        type(like) is float and type(value) is int and abs(value) <= sys.float_info.max
-    ):
+    elif type(like) is float:
+        if type(value) in (int, float) and not abs(value) > sys.float_info.max:
+            return value
+    elif type(value) is type(like):
         return value
     raise FormatError(f"field {name} must be like {json.dumps(like)}, got {json.dumps(value)}")
 

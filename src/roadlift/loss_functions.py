@@ -161,11 +161,25 @@ def total_loss(
 
 VECTOR_PARAM_NAMES = ("x", "y", "z", "l", "w", "h", "sin_yaw", "cos_yaw", "h_r")
 
+# Central differences step each parameter by FD_STEP either way, and
+# random_smooth_case (in at most SMOOTH_CASE_TRIES draws) keeps every L1
+# kink more than KINK_MARGIN away: the margin must exceed the step, so
+# that no difference straddles a kink.
+FD_STEP = 1e-5
+KINK_MARGIN = 1e-4
+SMOOTH_CASE_TRIES = 200
 
-def _vector_of(pred: Box3DParams, pred_hr: float) -> np.ndarray:
-    return np.array(
+
+def _vector_and_gt_hr(
+    pred: Box3DParams, gt: Box3D, pred_hr: float | None, gt_hr: float | None
+) -> tuple[np.ndarray, float]:
+    """The 9-vector and the GT h_r, with the defaults ``loss_gradient`` documents."""
+    if pred_hr is None:
+        pred_hr = float(pred.location[2])
+    vec = np.array(
         [*pred.location, *pred.dims, pred.yaw_sin, pred.yaw_cos, pred_hr], dtype=float
     )
+    return vec, gt.z if gt_hr is None else gt_hr
 
 
 def loss_of_vector(
@@ -194,11 +208,7 @@ def loss_gradient(
     to the ground-truth one (relative height equals bottom z in the
     ground frame).
     """
-    if pred_hr is None:
-        pred_hr = float(pred.location[2])
-    if gt_hr is None:
-        gt_hr = gt.z
-    vec = _vector_of(pred, pred_hr)
+    vec, gt_hr = _vector_and_gt_hr(pred, gt, pred_hr, gt_hr)
     return _gradient_of_vector(vec, gt, lambda1, lambda2, gt_hr)
 
 
@@ -248,39 +258,33 @@ def finite_difference_gradient(
     lambda2: float = 1.0,
     pred_hr: float | None = None,
     gt_hr: float | None = None,
-    step: float = 1e-5,
 ) -> np.ndarray:
-    """Central finite differences of the total loss over the 9-vector."""
-    if pred_hr is None:
-        pred_hr = float(pred.location[2])
-    if gt_hr is None:
-        gt_hr = gt.z
-    vec = _vector_of(pred, pred_hr)
+    """Central finite differences of the total loss over the 9-vector,
+    at ``FD_STEP``."""
+    vec, gt_hr = _vector_and_gt_hr(pred, gt, pred_hr, gt_hr)
     grad = np.zeros(9)
     for i in range(9):
         hi, lo = vec.copy(), vec.copy()
-        hi[i] += step
-        lo[i] -= step
+        hi[i] += FD_STEP
+        lo[i] -= FD_STEP
         grad[i] = (
             loss_of_vector(hi, gt, lambda1, lambda2, gt_hr)
             - loss_of_vector(lo, gt, lambda1, lambda2, gt_hr)
-        ) / (2.0 * step)
+        ) / (2.0 * FD_STEP)
     return grad
 
 
-def random_smooth_case(
-    rng: np.random.Generator, kink_margin: float = 1e-4, max_tries: int = 200
-) -> tuple[Box3DParams, Box3D, float]:
+def random_smooth_case(rng: np.random.Generator) -> tuple[Box3DParams, Box3D, float]:
     """Draw a (prediction, ground truth, predicted h_r) triple away from
     every L1 kink: each corner-coordinate difference that varies with
-    some parameter exceeds ``kink_margin`` in magnitude, so finite
-    differences at a smaller step never cross a non-smooth point.
+    some parameter exceeds ``KINK_MARGIN`` in magnitude, so finite
+    differences at ``FD_STEP`` never cross a non-smooth point.
 
     Corner z differences are structurally constant in the dims part
     (bottom corners) and the yaw part (rotation is about z), so those
     entries are exempt; they contribute a constant, not a kink.
     """
-    for _ in range(max_tries):
+    for _ in range(SMOOTH_CASE_TRIES):
         gt = Box3D(
             x=rng.uniform(-30, 30),
             y=rng.uniform(-30, 30),
@@ -309,11 +313,11 @@ def random_smooth_case(
             corners_from_parts(gt.x, gt.y, gt.z, gt.l, gt.w, gt.h, theta_p) - gt_corners
         )[:, :2]
         if (
-            np.abs(loc_diff).min() > kink_margin
-            and np.abs(dims_xy).min() > kink_margin
-            and abs(pred.dims[2] - gt.h) > kink_margin
-            and np.abs(yaw_xy).min() > kink_margin
-            and abs(pred_hr - gt.z) > kink_margin
+            np.abs(loc_diff).min() > KINK_MARGIN
+            and np.abs(dims_xy).min() > KINK_MARGIN
+            and abs(pred.dims[2] - gt.h) > KINK_MARGIN
+            and np.abs(yaw_xy).min() > KINK_MARGIN
+            and abs(pred_hr - gt.z) > KINK_MARGIN
         ):
             return pred, gt, pred_hr
     raise RuntimeError("could not sample a smooth configuration")
@@ -337,8 +341,7 @@ def gradient_descent_fit(
     """
     if steps <= 0:
         raise ValueError("steps must be positive")
-    gt_hr = gt.z
-    vec = _vector_of(init, float(init.location[2]))
+    vec, gt_hr = _vector_and_gt_hr(init, gt, None, None)
     best_vec = vec.copy()
     best_loss = loss_of_vector(vec, gt, lambda1, lambda2, gt_hr)
     for _ in range(steps):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .camera_geometry import CameraRig, GroundPlane, ray_ground
-from .scene_cue_bank import cell_centers
+from .scene_cue_bank import bank_memory_elements, cell_centers
 
 DEFAULT_TEMPERATURE = 10000.0
 
@@ -44,8 +44,10 @@ def embed_depth_map(
 
     Returns an (H/8, W/8, d_e) array; cells above the horizon (ray
     parallel to the plane or intersecting behind the camera) are all
-    zeros.
+    zeros.  A grid over ``scene_cue_bank.MAX_GRID_VALUES`` raises
+    ValueError before anything is allocated.
     """
+    bank_memory_elements(rig.image_height, rig.image_width, d_e)
     depth, _ = ray_ground(rig, plane, *cell_centers(rig.image_height, rig.image_width))
     out = sine_encode(depth, d_e, temperature)
     out[np.isnan(depth)] = 0.0

@@ -27,6 +27,10 @@ STRIDE = 8
 # Largest accepted image side in pixels, checked before any grid is
 # allocated.  The Rope3D and DAIR-V2X-I frames are 1920x1080.
 MAX_IMAGE_SIDE = 16_384
+# Largest accepted cells x channels of one grid, checked by
+# bank_memory_elements before the grid is allocated: 128 MiB of float64,
+# 10.7x the 128x192x64 grid of a 1536x1024 image with 64 channels.
+MAX_GRID_VALUES = 2**24
 
 _MAGIC = b"RLSB"
 _VERSION = 1
@@ -141,8 +145,14 @@ def cell_centers(image_height: int, image_width: int) -> tuple[np.ndarray, np.nd
 
 
 def bank_memory_elements(image_height: int, image_width: int, channels: int) -> int:
-    """Element count of one scene's buffer: (H/8) * (W/8) * channels."""
+    """Element count of one scene's buffer, cue grid or depth embedding:
+    (H/8) * (W/8) * channels.  Raises ValueError above ``MAX_GRID_VALUES``."""
     h, w = grid_dims_for_image(image_height, image_width)
+    if h * w * channels > MAX_GRID_VALUES:
+        raise ValueError(
+            f"a {h}x{w}-cell grid with {channels} channels exceeds "
+            f"{MAX_GRID_VALUES} values"
+        )
     return h * w * channels
 
 
@@ -167,15 +177,18 @@ def make_mask(points, grid_dims: tuple[int, int]) -> CueMask:
     return CueMask(cells, skipped=skipped)
 
 
+def _check_mask_shape(mask: CueMask, grid: FeatureGrid) -> None:
+    if mask.cells.shape != grid.values.shape[:2]:
+        raise ValueError(
+            f"mask shape {mask.cells.shape} does not match grid {grid.values.shape[:2]}"
+        )
+
+
 def extract_cues(features: FeatureGrid, mask: CueMask) -> FeatureGrid:
     """The features at masked cells; off-mask cells are +0.0.  The
     result is read-only.  Only the masked cells are read: they are
     gathered by flat index and scattered into a fresh zero grid."""
-    if mask.cells.shape != features.values.shape[:2]:
-        raise ValueError(
-            f"mask shape {mask.cells.shape} does not match grid "
-            f"{features.values.shape[:2]}"
-        )
+    _check_mask_shape(mask, features)
     shape = features.values.shape
     cells = np.flatnonzero(mask.cells)
     return _scattered_grid(features.values.reshape(-1, shape[2])[cells], cells, shape)
@@ -260,8 +273,8 @@ class SceneBank:
         """
         if not 0.0 <= momentum <= 1.0:
             raise ValueError(f"momentum must lie in [0, 1], got {momentum}")
-        if mask is not None and mask.cells.shape != cues.values.shape[:2]:
-            raise ValueError("mask shape does not match cue grid")
+        if mask is not None:
+            _check_mask_shape(mask, cues)
         slot = self._slot_for_update(scene_id, cues)
         if slot is None:
             self.reset_scene(scene_id, cues)
@@ -285,8 +298,7 @@ class SceneBank:
         ((N-1)/N)*memory + cue/N.  Off-mask cells and counters are
         untouched.  Unknown scenes start from zero memory and counters.
         """
-        if mask.cells.shape != cues.values.shape[:2]:
-            raise ValueError("mask shape does not match cue grid")
+        _check_mask_shape(mask, cues)
         slot = self._slot_for_update(scene_id, cues)
         if slot is None:
             slot = _SceneSlot(

@@ -32,11 +32,14 @@ from .camera_geometry import (
     ray_ground,
     rig_from_pose,
 )
-from .formats import check_json
-from .scene_cue_bank import FeatureGrid, cell_centers, grid_dims_for_image
+from .scene_cue_bank import FeatureGrid, bank_memory_elements, cell_centers, grid_dims_for_image
 
 # Salt values keeping the generation / simulation / cue-noise streams apart.
 _SALT_SCENE, _SALT_SIM, _SALT_CUE, _SALT_OBJECTS = 1, 2, 3, 4
+
+# Objects' bottom centers and false-positive pixels are placed at least
+# this far inside the image border.
+EDGE_MARGIN_PX = 8.0
 
 _POLY_POWERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
 
@@ -149,7 +152,6 @@ class SceneConfig:
     categories: tuple[tuple[str, tuple[tuple[float, float], ...]], ...] = (
         ("car", ((3.8, 5.2), (1.6, 2.0), (1.3, 1.8))),
     )
-    edge_margin_px: float = 8.0
     max_attempts: int = 1000
 
     def __post_init__(self):
@@ -166,11 +168,6 @@ class SceneConfig:
             raise ValueError("field amplitude must lie in (0, 2]")
         if not self.categories:
             raise ValueError("at least one category is required")
-
-    @classmethod
-    def from_mapping(cls, data: dict) -> "SceneConfig":
-        """The defaults overridden by a parsed JSON object; see ``check_json``."""
-        return check_json(data, cls(), "scene")
 
 
 @dataclass(frozen=True)
@@ -191,10 +188,6 @@ class NoiseModel:
             raise ValueError("noise sigmas must be non-negative")
         if not (0 <= self.drop_rate <= 1 and 0 <= self.false_positive_rate <= 1):
             raise ValueError("rates must lie in [0, 1]")
-
-    @classmethod
-    def from_mapping(cls, data: dict) -> "NoiseModel":
-        return check_json(data, cls(), "noise")
 
 
 @dataclass(frozen=True)
@@ -249,7 +242,6 @@ def _sample_object(
     forward = rig.extrinsic.rotation.T @ np.array([0.0, 0.0, 1.0])
     az0 = math.atan2(forward[1], forward[0])
     az_half = math.atan((rig.image_width / 2.0) / rig.f_x) * 0.9
-    margin = config.edge_margin_px
     for _ in range(config.max_attempts):
         r = rng.uniform(*config.range_band)
         az = az0 + rng.uniform(-az_half, az_half)
@@ -263,7 +255,8 @@ def _sample_object(
             u, v = project_to_image(rig, box.bottom_center)
         except GeometryError:
             continue
-        if margin <= u < rig.image_width - margin and margin <= v < rig.image_height - margin:
+        if (EDGE_MARGIN_PX <= u < rig.image_width - EDGE_MARGIN_PX
+                and EDGE_MARGIN_PX <= v < rig.image_height - EDGE_MARGIN_PX):
             return box
     raise ValueError(
         "infeasible scene config: no in-image placement found in "
@@ -373,11 +366,10 @@ def simulate_predictions(scene: SyntheticScene, noise: NoiseModel, seed: int) ->
         dets.append(Detection2D((x1 + du, y1 + dv, x2 + du, y2 + dv), score, (u_n, v_n)))
 
     n_fp = int(rng.binomial(len(scene.objects), noise.false_positive_rate)) if scene.objects else 0
-    margin = 8.0
     for _ in range(n_fp):
         for _ in range(50):
-            u = rng.uniform(margin, rig.image_width - margin)
-            v = rng.uniform(margin, rig.image_height - margin)
+            u = rng.uniform(EDGE_MARGIN_PX, rig.image_width - EDGE_MARGIN_PX)
+            v = rng.uniform(EDGE_MARGIN_PX, rig.image_height - EDGE_MARGIN_PX)
             try:
                 flat = lift_to_ground(rig, plane, u, v, 0.0)
                 z = scene.field.evaluate(flat[0], flat[1])
@@ -442,6 +434,7 @@ class CueField:
         if channels < 1:
             raise ValueError("at least one channel is required")
         rig = scene.rig
+        bank_memory_elements(rig.image_height, rig.image_width, channels)
         _, ground = ray_ground(rig, scene.plane, *cell_centers(rig.image_height, rig.image_width))
         self.shape = (*ground.shape[:2], channels)
         height = scene.field.evaluate(ground[..., 0], ground[..., 1])

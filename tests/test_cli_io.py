@@ -13,6 +13,7 @@ from roadlift.camera_geometry import Box3D, RigidTransform, CameraRig, rig_from_
 from roadlift.cli import _NOISE_CHUNK, _observed_grid, run_command
 from roadlift.formats import (
     FormatError,
+    check_json,
     parse_calibration_doc,
     parse_labels,
     serialize_calibration,
@@ -580,6 +581,28 @@ class TestCli:
         for line in lines[1:]:
             assert float(line.split(",")[3]) < 1e-4
 
+    # sha256 of `gradcheck --seed <s>` output, recorded before
+    # finite_difference_gradient's step and random_smooth_case's margin
+    # and tries became module constants.
+    GRADCHECK_SHA256 = (
+        "200446010b4dc1fa166a9cd432c05c17863746fda80487bf99a5351e0c1c2ca8",
+        "4a6770efb7a7bae9a93aaa0d461f2472805c678c49ee5c8d7098184434b3d9f0",
+        "d19882a4835e78c06b717c8263cf7d2e07d3c92eabf80ce179a75a1a737514cf",
+        "57346f35bad3edcd47ade71f893130dcdac0f4462dbd73abf081c0d889dad1f6",
+        "15f2f52a0fd2de2f951d6401efd461fdefe6803406e551ccf488fcfef1ebad00",
+        "97f34b7ef808549606d02e518e43e9497b2dc5037d5de993e6a9f09c5cb20d02",
+        "506a61ae32c4b2568a49df498032b060e1e904e33b36acf2ae38f4784f5ee41b",
+        "0936fb91b152cfd35d1129719514d5dd7536c405e4bd4695a04f377536905e57",
+        "23613d20e25432411aff4d3356a29e8fed52b4cacb0f2913e5567fe52ce1dcd9",
+        "460d34c8f801901bf01bc4074cd1afa2dbb30e1d1d06dbc7d1d868e5372095d1",
+    )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gradcheck_matches_recorded_bytes(self, tmp_path, seed):
+        out = tmp_path / "grad.csv"
+        assert run_command(["gradcheck", "--seed", str(seed), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GRADCHECK_SHA256[seed]
+
     def test_bank_sim_emits_convergence_csv(self, tmp_path, capsys):
         # Small grid + many objects so cells are revisited across frames and
         # the running mean visibly converges.
@@ -654,13 +677,21 @@ class TestCli:
             ({"momentum": 2.0}, "error: momentum must lie in [0, 1], got 2.0"),
             ({"momentum": math.nan}, "error: momentum must lie in [0, 1], got nan"),
             ({"channels": 0}, "error: channels must be at least 1, got 0"),
+            ({"scheduler": {"sigma_roll_deg": math.inf}},
+             "error: field scheduler.sigma_roll_deg must be like 2.0, got Infinity"),
+            ({"momentum": -math.inf}, "error: field momentum must be like 0.1, got -Infinity"),
+            ({"scene": {"range_band": [5, math.inf]}},
+             "error: field scene.range_band[1] must be like 250.0, got Infinity"),
+            ({"channels": 683},
+             "error: a 128x192-cell grid with 683 channels exceeds 16777216 values"),
         ],
         ids=["zero-frames", "negative-frames", "negative-sigma", "nan-sigma", "list-document",
              "null-frames", "list-frames", "float-frames", "string-objects", "number-band",
              "null-momentum", "huge-sigma", "list-scene", "list-scheduler", "float-tau",
              "misspelt-key", "top-level-tau", "noise-block", "nan-sigma-scale",
              "nan-sigma-roll", "nan-sigma-pitch", "momentum-above-one", "nan-momentum",
-             "zero-channels"],
+             "zero-channels", "infinite-sigma-roll", "minus-infinite-momentum",
+             "infinite-band", "channels-over-grid-cap"],
     )
     def test_bank_sim_rejects_bad_config(self, tmp_path, capsys, monkeypatch, override, message):
         # Configs are checked before any work: no scene is generated.
@@ -700,10 +731,19 @@ class TestCli:
             ({"noise": []}, "error: noise config must be a JSON object"),
             ({"frmes": 2}, "error: unknown config keys: ['frmes']"),
             ({"noise": {"sigma": 0.1}}, "error: unknown noise config keys: ['sigma']"),
+            ({"noise": {"sigma_hr": math.inf}},
+             "error: field noise.sigma_hr must be like 0.0, got Infinity"),
+            ({"noise": {"sigma_hr": -math.inf}},
+             "error: field noise.sigma_hr must be like 0.0, got -Infinity"),
+            ({"scene": {"range_band": [5, math.inf]}},
+             "error: field scene.range_band[1] must be like 250.0, got Infinity"),
+            ({"scene": {"edge_margin_px": 8}},
+             "error: unknown scene config keys: ['edge_margin_px']"),
         ],
         ids=["zero-frames", "list-document", "null-frames", "list-frames", "float-frames",
              "string-objects", "number-band", "string-sigma", "nan-sigma", "list-scene",
-             "list-noise", "misspelt-key", "unknown-noise-key"],
+             "list-noise", "misspelt-key", "unknown-noise-key", "infinite-sigma",
+             "minus-infinite-sigma", "infinite-band", "edge-margin-key"],
     )
     def test_simulate_rejects_bad_config(self, tmp_path, capsys, override, message):
         config = tmp_path / "sim.json"
@@ -717,6 +757,44 @@ class TestCli:
         assert captured.err.startswith(message)
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,text,message", [
+        ("simulate", '{"noise": {"sigma_hr": 1e999}}', "noise.sigma_hr must be like 0.0"),
+        ("simulate", '{"scene": {"range_band": [5, -1e999]}}', "scene.range_band[1] must be"),
+        ("bank-sim", '{"scheduler": {"sigma_roll_deg": 1e999}}', "scheduler.sigma_roll_deg"),
+    ], ids=["simulate-sigma", "simulate-band", "bank-sim-sigma-roll"])
+    def test_overflowing_literal_reads_as_infinity(self, tmp_path, capsys, command, text,
+                                                   message):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert run_command([command, "--config", str(config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: field {message}")
+        assert captured.err.endswith("Infinity\n") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_embedding_over_the_grid_cap_fails_before_any_grid(
+        self, nadir_calib_file, tmp_path, capsys, monkeypatch
+    ):
+        # 128 x 192 cells x 684 values is the least even --de over 2**24
+        # (bank-sim's channels: the channels-over-grid-cap config case).
+        from roadlift import position_embedding
+
+        grids = []
+        for module in (position_embedding, cli):
+            monkeypatch.setattr(module, "cell_centers", lambda *a: grids.append(a))
+        out = tmp_path / "out"
+        argv = ["embed", "--calib", str(nadir_calib_file), "--de", "684", "--out", str(out)]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: a 128x192-cell grid with 684 channels exceeds 16777216 values\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+        assert grids == []
 
     @pytest.mark.parametrize("command", ["simulate", "bank-sim", "embed"])
     @pytest.mark.parametrize("side", ["width", "height"])
@@ -1018,7 +1096,7 @@ class TestBankSimNoise:
         code = run_command(["bank-sim", "--config", str(config), "--seed", "4",
                             "--out", str(out), "--bank-out", str(bank_path)])
         assert code == 0
-        base = generate_scene(SceneConfig.from_mapping(scene), 4)
+        base = generate_scene(check_json(scene, SceneConfig(), "scene"), 4)
         steps = SceneScheduler(SchedulerConfig(seed=4, **scheduler))
         sizes = []
         for _ in range(12):

@@ -20,6 +20,7 @@ from roadlift.evaluation import (
     match,
     overlap_matrix,
     pr_curve_from_stats,
+    stats_from_match,
 )
 
 
@@ -381,6 +382,27 @@ class TestOverlapMatrix:
         m = overlap_matrix(gts, preds, "pixel", gt2d, pred2d)
         want = np.array([[box2d_iou(g, p) for p in pred2d] for g in gt2d])
         assert np.array_equal(m, want)
+
+    def test_pixel_kind_stats_take_the_box2d_matrix(self):
+        rng = np.random.default_rng(10)
+        gt2d = []
+        for _ in range(6):
+            x1, y1 = rng.uniform(0, 100, 2)
+            gt2d.append((x1, y1, x1 + rng.uniform(5, 40), y1 + rng.uniform(5, 40)))
+        pred2d = [(x1 + rng.normal(0, 4), y1 + rng.normal(0, 4), x2, y2)
+                  for x1, y1, x2, y2 in gt2d[:5]]
+        gts = [box(x=100.0 * i) for i in range(6)]
+        preds = [box(score=round(rng.uniform(0.1, 0.99), 3)) for _ in range(5)]
+        got = frame_detection_stats(
+            gts, preds, 0.7, "pixel", overlaps=overlap_matrix(gts, preds, "pixel", gt2d, pred2d)
+        )
+        want = stats_from_match(
+            match(gts, preds, 0.7, "pixel", gt_boxes_2d=gt2d, pred_boxes_2d=pred2d)
+        )
+        assert 0 < got.is_tp.sum() < len(preds)
+        assert np.array_equal(got.scores, want.scores)
+        assert np.array_equal(got.is_tp, want.is_tp)
+        assert got.n_gt == want.n_gt == 6
 
     def test_pixel_kind_requires_aligned_boxes(self):
         with pytest.raises(ValueError, match="align"):

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from roadlift.scene_cue_bank import (
+    MAX_GRID_VALUES,
     MAX_IMAGE_SIDE,
     CueMask,
     FeatureGrid,
@@ -245,6 +246,22 @@ class TestMomentumUpdate:
                 assert got.tobytes() == want.tobytes()
         assert masked.frames_seen("s") == full.frames_seen("s")
 
+    def test_every_mask_caller_gives_the_same_shape_error(self):
+        grid, mask = FeatureGrid.zeros(4, 5, 2), full_mask(5, 4)
+        bank = SceneBank()
+        bank.reset_scene("s", grid)
+        calls = (
+            lambda: extract_cues(grid, mask),
+            lambda: bank.update_momentum("s", grid, 0.5, mask),
+            lambda: bank.update_running_average("s", grid, mask),
+        )
+        messages = []
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.append(str(info.value))
+        assert messages == ["mask shape (5, 4) does not match grid (4, 5)"] * 3
+
     def test_masked_blend_checks_the_mask_shape(self):
         bank = SceneBank()
         bank.reset_scene("s", FeatureGrid.zeros(4, 5, 2))
@@ -429,6 +446,15 @@ class TestBankMemoryElements:
     def test_indivisible_dims_rejected(self):
         with pytest.raises(ValueError):
             bank_memory_elements(1020, 1536, 256)
+
+    def test_grid_values_capped(self):
+        # 128 x 192 cells: 682 channels fit under 2**24 values, 683 do not.
+        assert bank_memory_elements(1024, 1536, 682) == 128 * 192 * 682 <= MAX_GRID_VALUES
+        with pytest.raises(ValueError, match="exceeds 16777216 values"):
+            bank_memory_elements(1024, 1536, 683)
+        assert bank_memory_elements(8, 8, MAX_GRID_VALUES) == MAX_GRID_VALUES
+        with pytest.raises(ValueError, match="1x1-cell grid with 16777217 channels"):
+            bank_memory_elements(8, 8, MAX_GRID_VALUES + 1)
 
 
 class TestCellCenters:

@@ -13,6 +13,7 @@ from roadlift.camera_geometry import (
     ray_ground,
     rig_from_pose,
 )
+from roadlift.formats import check_json
 from roadlift.synthetic_world import (
     _SALT_CUE,
     Box3D,
@@ -353,6 +354,17 @@ class TestRenderCueGrid:
             with pytest.raises(ValueError, match="out of range"):
                 field.at(cells)
 
+    def test_grid_over_the_cap_fails_before_any_grid(self, pin_scenes, monkeypatch):
+        from roadlift import synthetic_world
+
+        grids = []
+        monkeypatch.setattr(synthetic_world, "cell_centers", lambda *a: grids.append(a))
+        # 128 x 192 cells x 683 channels is just over 2**24 values.
+        for build in (CueField, render_cue_grid):
+            with pytest.raises(ValueError, match="128x192-cell grid with 683 channels exceeds"):
+                build(pin_scenes[0], 683)
+        assert grids == []
+
     @pytest.mark.parametrize("channels", [1, 4, 64])
     @pytest.mark.parametrize("index", range(8))
     def test_all_channels_equal_reference_bytes(self, pin_scenes, index, channels):
@@ -433,15 +445,16 @@ class TestBox2D:
 class TestConfigParsing:
     def test_unknown_scene_key_rejected(self):
         with pytest.raises(ValueError, match="unknown scene config"):
-            SceneConfig.from_mapping({"n_object": 3})
+            check_json({"n_object": 3}, SceneConfig(), "scene")
 
     def test_unknown_noise_key_rejected(self):
         with pytest.raises(ValueError, match="unknown noise config"):
-            NoiseModel.from_mapping({"sigma": 0.1})
+            check_json({"sigma": 0.1}, NoiseModel(), "noise")
 
     def test_mapping_round_trip(self):
-        cfg = SceneConfig.from_mapping(
-            {"n_objects": 4, "range_band": [10, 100], "pitch_band_deg": [8, 20]}
+        cfg = check_json(
+            {"n_objects": 4, "range_band": [10, 100], "pitch_band_deg": [8, 20]},
+            SceneConfig(), "scene",
         )
         assert cfg.n_objects == 4
         assert cfg.range_band == (10, 100)
