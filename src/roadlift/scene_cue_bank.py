@@ -24,6 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 STRIDE = 8
+# Cells per block wherever a per-cell pass over a grid is cut into
+# blocks (CueField.at, cli._observe): a temporary then holds one block's
+# cells x channels, not the whole grid's.
+CELL_BLOCK = 1024
 # Largest accepted image side in pixels, checked before any grid is
 # allocated.  The Rope3D and DAIR-V2X-I frames are 1920x1080.
 MAX_IMAGE_SIDE = 16_384
@@ -31,6 +35,11 @@ MAX_IMAGE_SIDE = 16_384
 # bank_memory_elements before the grid is allocated: 128 MiB of float64,
 # 10.7x the 128x192x64 grid of a 1536x1024 image with 64 channels.
 MAX_GRID_VALUES = 2**24
+# Largest accepted channel count of a cue grid, checked by
+# check_channels before any work: a CueField draws a wave table per
+# channel (about 54 us each), and MAX_GRID_VALUES alone admits 2^24
+# channels on a one-cell grid.  64x the 64 channels of a bank-stream run.
+MAX_CHANNELS = 4096
 
 _MAGIC = b"RLSB"
 _VERSION = 1
@@ -154,6 +163,15 @@ def bank_memory_elements(image_height: int, image_width: int, channels: int) -> 
             f"{MAX_GRID_VALUES} values"
         )
     return h * w * channels
+
+
+def check_channels(channels: int) -> None:
+    """Raise ValueError unless a cue grid's ``channels`` lies in
+    [1, ``MAX_CHANNELS``]."""
+    if channels < 1:
+        raise ValueError(f"channels must be at least 1, got {channels}")
+    if channels > MAX_CHANNELS:
+        raise ValueError(f"channels must be at most {MAX_CHANNELS}, got {channels}")
 
 
 def make_mask(points, grid_dims: tuple[int, int]) -> CueMask:
@@ -281,13 +299,11 @@ class SceneBank:
             self._scenes[scene_id].frames_seen = 1
             return
         # In place, same operations as (1-m)*memory + m*cues; every slot
-        # owns its array (reset_scene and load_bank copy).
+        # owns its array (reset_scene and load_bank copy).  Without a mask
+        # the selection is every cell.
+        sel = ... if mask is None else np.nonzero(mask.cells)
         slot.memorized *= 1.0 - momentum
-        if mask is None:
-            slot.memorized += momentum * cues.values
-        else:
-            sel = np.nonzero(mask.cells)
-            slot.memorized[sel] += momentum * cues.values[sel]
+        slot.memorized[sel] += momentum * cues.values[sel]
         slot.frames_seen += 1
 
     def update_running_average(

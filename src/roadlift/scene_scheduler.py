@@ -76,19 +76,30 @@ def sample_augmentation(rng: np.random.Generator, config: SchedulerConfig) -> Au
     return AugmentationParams(scale, roll, pitch)
 
 
+def scaled_image_size(image_height: int, image_width: int, scale: float) -> tuple[int, int]:
+    """(height, width) of an image resized by ``scale``, each rounded to
+    a multiple of the cue-grid stride.  Neither side shrinks as the scale
+    grows.  Raises ValueError below one grid cell or past float range."""
+    w_cells, h_cells = image_width * scale / STRIDE, image_height * scale / STRIDE
+    if not math.isfinite(w_cells + h_cells):
+        raise ValueError(f"intrinsic scale {scale} takes the image size past float range")
+    new_w = int(round(w_cells)) * STRIDE
+    new_h = int(round(h_cells)) * STRIDE
+    if new_w < STRIDE or new_h < STRIDE:
+        raise ValueError("intrinsic scale shrinks the image below one grid cell")
+    return new_h, new_w
+
+
 def apply_augmentation(rig: CameraRig, params: AugmentationParams) -> CameraRig:
     """Apply an augmentation to a rig.
 
     Intrinsics and image dimensions scale together (resize semantics),
-    with dimensions rounded to multiples of the cue-grid stride so the
-    grid stays exact.  The extrinsic is pre-rotated by roll, then pitch,
-    about the camera's own axes; the camera center stays put.
+    with dimensions sized by ``scaled_image_size`` so the grid stays
+    exact.  The extrinsic is pre-rotated by roll, then pitch, about the
+    camera's own axes; the camera center stays put.
     """
     s = params.intrinsic_scale
-    new_w = int(round(rig.image_width * s / STRIDE)) * STRIDE
-    new_h = int(round(rig.image_height * s / STRIDE)) * STRIDE
-    if new_w < STRIDE or new_h < STRIDE:
-        raise ValueError("intrinsic scale shrinks the image below one grid cell")
+    new_h, new_w = scaled_image_size(rig.image_height, rig.image_width, s)
     noise = _rot_x(math.radians(params.pitch_noise)) @ rot_z(math.radians(params.roll_noise))
     ext = rig.extrinsic
     return CameraRig(

@@ -32,7 +32,14 @@ from .camera_geometry import (
     ray_ground,
     rig_from_pose,
 )
-from .scene_cue_bank import FeatureGrid, bank_memory_elements, cell_centers, grid_dims_for_image
+from .scene_cue_bank import (
+    CELL_BLOCK,
+    FeatureGrid,
+    bank_memory_elements,
+    cell_centers,
+    check_channels,
+    grid_dims_for_image,
+)
 
 # Salt values keeping the generation / simulation / cue-noise streams apart.
 _SALT_SCENE, _SALT_SIM, _SALT_CUE, _SALT_OBJECTS = 1, 2, 3, 4
@@ -411,11 +418,6 @@ def simulate_predictions(scene: SyntheticScene, noise: NoiseModel, seed: int) ->
     )
 
 
-# Cells per block when CueField evaluates the wave channels: the
-# temporaries hold one block's cells x channels, not the whole grid's.
-_CUE_BLOCK = 1024
-
-
 class CueField:
     """Scene-cue values of one scene at 1/8 resolution, evaluated at any
     set of cells.
@@ -431,8 +433,7 @@ class CueField:
     """
 
     def __init__(self, scene: SyntheticScene, channels: int):
-        if channels < 1:
-            raise ValueError("at least one channel is required")
+        check_channels(channels)
         rig = scene.rig
         bank_memory_elements(rig.image_height, rig.image_width, channels)
         _, ground = ray_ground(rig, scene.plane, *cell_centers(rig.image_height, rig.image_width))
@@ -460,10 +461,8 @@ class CueField:
             raise ValueError(f"cell index out of range for a {h_cells}x{w_cells} grid")
         out = np.empty((cells.size, channels))
         out[:, 0] = self._height[cells]
-        if channels == 1:
-            return out
-        for lo in range(0, cells.size, _CUE_BLOCK):
-            block = cells[lo : lo + _CUE_BLOCK]
+        for lo in range(0, cells.size, CELL_BLOCK):
+            block = cells[lo : lo + CELL_BLOCK]
             col = (block % w_cells / w_cells)[:, None]
             row = (block // w_cells / h_cells)[:, None]
             layer = out[lo : lo + block.size, 1:]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from roadlift import cli
 from roadlift.camera_geometry import Box3D, RigidTransform, CameraRig, rig_from_pose
-from roadlift.cli import _NOISE_CHUNK, _observed_grid, run_command
+from roadlift.cli import _observed_grid, run_command
 from roadlift.formats import (
     FormatError,
     check_json,
@@ -20,6 +20,7 @@ from roadlift.formats import (
     serialize_labels,
 )
 from roadlift.scene_cue_bank import CueMask, FeatureGrid, make_mask
+from roadlift.scene_cue_bank import CELL_BLOCK as _NOISE_CHUNK
 from roadlift.scene_scheduler import SceneScheduler, SchedulerConfig, apply_augmentation
 from roadlift.synthetic_world import SceneConfig, generate_scene
 
@@ -684,6 +685,17 @@ class TestCli:
              "error: field scene.range_band[1] must be like 250.0, got Infinity"),
             ({"channels": 683},
              "error: a 128x192-cell grid with 683 channels exceeds 16777216 values"),
+            ({"scheduler": {"seed": 7}}, "error: unknown scheduler config keys: ['seed']"),
+            ({"channels": 400, "frames": 2, "scheduler": {"clamp_lo": 1.5, "clamp_hi": 1.5}},
+             "error: a 192x288-cell grid with 400 channels exceeds 16777216 values"),
+            ({"scheduler": {"clamp_lo": 0.001, "clamp_hi": 0.001}},
+             "error: intrinsic scale shrinks the image below one grid cell"),
+            ({"scheduler": {"clamp_hi": 20}},
+             "error: image sides must be at most 16384 px, got 20480x30720"),
+            ({"scheduler": {"clamp_hi": 1e308}},
+             "error: intrinsic scale 1e+308 takes the image size past float range"),
+            ({"scene": {"n_objects": 0, "image_width": 8, "image_height": 8}, "channels": 4097},
+             "error: channels must be at most 4096, got 4097"),
         ],
         ids=["zero-frames", "negative-frames", "negative-sigma", "nan-sigma", "list-document",
              "null-frames", "list-frames", "float-frames", "string-objects", "number-band",
@@ -691,7 +703,9 @@ class TestCli:
              "misspelt-key", "top-level-tau", "noise-block", "nan-sigma-scale",
              "nan-sigma-roll", "nan-sigma-pitch", "momentum-above-one", "nan-momentum",
              "zero-channels", "infinite-sigma-roll", "minus-infinite-momentum",
-             "infinite-band", "channels-over-grid-cap"],
+             "infinite-band", "channels-over-grid-cap", "scheduler-seed",
+             "augmented-grid-over-cap", "scale-below-one-cell", "augmented-side-over-cap",
+             "scale-past-float-range", "channels-over-cap"],
     )
     def test_bank_sim_rejects_bad_config(self, tmp_path, capsys, monkeypatch, override, message):
         # Configs are checked before any work: no scene is generated.

@@ -20,6 +20,7 @@ from roadlift.scene_cue_bank import (
     make_mask,
     save_bank,
 )
+from roadlift.scene_cue_bank import MAX_CHANNELS, check_channels
 
 
 def grid_from(values):
@@ -455,6 +456,15 @@ class TestBankMemoryElements:
         assert bank_memory_elements(8, 8, MAX_GRID_VALUES) == MAX_GRID_VALUES
         with pytest.raises(ValueError, match="1x1-cell grid with 16777217 channels"):
             bank_memory_elements(8, 8, MAX_GRID_VALUES + 1)
+
+
+class TestCheckChannels:
+    def test_bounds_are_inclusive(self):
+        for channels in (1, MAX_CHANNELS):
+            check_channels(channels)
+        for channels in (0, MAX_CHANNELS + 1):
+            with pytest.raises(ValueError, match="^channels must be at"):
+                check_channels(channels)
 
 
 class TestCellCenters:

@@ -13,6 +13,7 @@ from roadlift.scene_scheduler import (
     apply_augmentation,
     sample_augmentation,
 )
+from roadlift.scene_scheduler import scaled_image_size
 
 
 def quaternion_oracle_rotation(roll_deg, pitch_deg):
@@ -103,6 +104,19 @@ class TestApplyAugmentation:
         for scale in (0.8, 0.83, 0.9, 1.07):
             out = apply_augmentation(rig, AugmentationParams(scale, 0.0, 0.0))
             assert out.image_width % 8 == 0 and out.image_height % 8 == 0
+
+    def test_scaled_image_size_is_the_augmented_size(self):
+        # bank-sim sizes every augmented grid from clamp_lo and clamp_hi
+        # alone, so the size must equal apply_augmentation's and never
+        # shrink as the scale grows.
+        rig = rig_from_pose(7.0, 20.0)
+        sizes = []
+        for scale in np.linspace(0.005, 4.0, 800):
+            out = apply_augmentation(rig, AugmentationParams(float(scale), 0.0, 0.0))
+            size = scaled_image_size(rig.image_height, rig.image_width, float(scale))
+            assert size == (out.image_height, out.image_width)
+            sizes.append(size)
+        assert all(h2 >= h1 and w2 >= w1 for (h1, w1), (h2, w2) in zip(sizes, sizes[1:]))
 
     def test_camera_center_fixed(self):
         rig = rig_from_pose(9.0, 30.0, yaw_deg=100.0, ground_xy=(3.0, -4.0))

@@ -29,6 +29,7 @@ from roadlift.synthetic_world import (
     simulate_predictions,
 )
 from roadlift.scene_cue_bank import STRIDE, FeatureGrid, cell_centers, grid_dims_for_image
+from roadlift.scene_cue_bank import MAX_CHANNELS
 
 CFG = SceneConfig(
     n_objects=6,
@@ -363,6 +364,19 @@ class TestRenderCueGrid:
         for build in (CueField, render_cue_grid):
             with pytest.raises(ValueError, match="128x192-cell grid with 683 channels exceeds"):
                 build(pin_scenes[0], 683)
+        assert grids == []
+
+    def test_channel_rule_fails_before_any_grid(self, pin_scenes, monkeypatch):
+        from roadlift import synthetic_world
+
+        grids = []
+        monkeypatch.setattr(synthetic_world, "cell_centers", lambda *a: grids.append(a))
+        cases = [(0, "channels must be at least 1, got 0"),
+                 (MAX_CHANNELS + 1, f"channels must be at most {MAX_CHANNELS}, got 4097")]
+        for channels, message in cases:
+            with pytest.raises(ValueError) as info:
+                CueField(pin_scenes[0], channels)
+            assert str(info.value) == message
         assert grids == []
 
     @pytest.mark.parametrize("channels", [1, 4, 64])
