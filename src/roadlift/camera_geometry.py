@@ -39,7 +39,7 @@ All angles are radians unless the name carries a _deg suffix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,25 +55,39 @@ class GeometryError(ValueError):
     """A geometric operation is undefined for the given inputs."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _readonly(a, dtype=float) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b, equal_nan=True)
+    return a == b
+
+
+class _ArrayRecord:
+    """Base of the package's frozen dataclasses (``eq=False``) that hold
+    numpy arrays.  The record rule: every array field is set in
+    ``__post_init__`` through ``_readonly``, so a record holds read-only
+    copies; two records are equal when they have the same type and equal
+    fields, arrays compared by value with NaN equal to NaN (a
+    ``LabelFrame`` stores a missing score as NaN); records are
+    unhashable, since defining ``__eq__`` sets ``__hash__`` to None."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
-class RigidTransform:
+class RigidTransform(_ArrayRecord):
     """Rotation + translation: apply(p) = rotation @ p + translation."""
 
     rotation: np.ndarray
     translation: np.ndarray
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RigidTransform)
-            and np.array_equal(self.rotation, other.rotation)
-            and np.array_equal(self.translation, other.translation)
-        )
 
     def __post_init__(self):
         rot = _readonly(self.rotation)
@@ -115,7 +129,7 @@ class CameraRig:
     image_height: int
 
     def __post_init__(self):
-        if not (self.f_x > 0 and self.f_y > 0):
+        if not (0 < self.f_x < math.inf and 0 < self.f_y < math.inf):
             raise ValueError("focal lengths must be positive")
         if not (math.isfinite(self.a_x) and math.isfinite(self.a_y)):
             raise ValueError("principal point must be finite")
@@ -129,7 +143,7 @@ class CameraRig:
 
 
 @dataclass(frozen=True, eq=False)
-class GroundPlane:
+class GroundPlane(_ArrayRecord):
     """Virtual ground plane in camera coordinates plus lifting transforms.
 
     (a, b, c) is the unit down normal and d the plane offset (see the
@@ -146,28 +160,21 @@ class GroundPlane:
     cam_to_virtual: np.ndarray
     virtual_to_ground: RigidTransform
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroundPlane)
-            and (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-            and np.array_equal(self.cam_to_virtual, other.cam_to_virtual)
-            and self.virtual_to_ground == other.virtual_to_ground
-        )
-
     def __post_init__(self):
+        # Each check is written so that NaN fails it.
         n = np.array([self.a, self.b, self.c])
-        if abs(np.linalg.norm(n) - 1.0) > ALGEBRAIC_TOL:
+        if not abs(np.linalg.norm(n) - 1.0) <= ALGEBRAIC_TOL:
             raise ValueError("plane normal is not unit length")
-        if self.d >= 0:
+        if not self.d < 0:
             raise ValueError("camera height must be positive")
         m = _readonly(self.cam_to_virtual)
-        if np.max(np.abs(m.T @ m - np.eye(3))) > ALGEBRAIC_TOL:
+        if not np.max(np.abs(m.T @ m - np.eye(3))) <= ALGEBRAIC_TOL:
             raise ValueError("cam_to_virtual is not orthonormal")
-        if np.max(np.abs(m @ n - np.array([0.0, 1.0, 0.0]))) > ALGEBRAIC_TOL:
+        if not np.max(np.abs(m @ n - np.array([0.0, 1.0, 0.0]))) <= ALGEBRAIC_TOL:
             raise ValueError("cam_to_virtual must map the down normal to +y")
         # x_v and z_v axes must be horizontal in the ground frame.
         rot = self.virtual_to_ground.rotation
-        if max(abs(rot[2, 0]), abs(rot[2, 2])) > ALGEBRAIC_TOL:
+        if not max(abs(rot[2, 0]), abs(rot[2, 2])) <= ALGEBRAIC_TOL:
             raise ValueError("virtual x/z plane is not parallel to the ground")
         object.__setattr__(self, "cam_to_virtual", m)
 
@@ -348,7 +355,7 @@ def wrap_angle(theta: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class LabelFrame:
+class LabelFrame(_ArrayRecord):
     """The boxes of one label file, as arrays.
 
     ``params`` is a read-only (n, 7) array of x, y, z, l, w, h and theta
@@ -356,8 +363,7 @@ class LabelFrame:
     (n,) array, NaN where a box has no score.  The frame is a sequence:
     ``frame[i]`` is box ``i`` as a ``Box3D``.  ``formats.parse_labels``
     builds frames from text, ``LabelFrame.of`` from boxes; the values
-    are not checked again here.  (``eq=False``: an array field makes
-    dataclass equality raise.)
+    are not checked again here.
     """
 
     params: np.ndarray

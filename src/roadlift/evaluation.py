@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera_geometry import Box3D, LabelFrame
+from .camera_geometry import Box3D, LabelFrame, _ArrayRecord, _readonly
 
 DEFAULT_DISTANCE_BINS = ((0.0, 50.0), (50.0, 100.0), (100.0, 150.0), (150.0, 200.0))
 
@@ -144,7 +144,6 @@ class MatchResult:
     unmatched_pred: tuple[int, ...]
     gts: LabelFrame
     preds: LabelFrame
-    iou_threshold: float
 
 
 _IOU_KINDS = ("bev", "3d", "pixel")
@@ -273,12 +272,11 @@ def match(
         unmatched_pred=tuple(i for i in range(len(preds)) if i not in matched_pred),
         gts=gts,
         preds=preds,
-        iou_threshold=iou_threshold,
     )
 
 
-@dataclass(frozen=True)
-class PRCurve:
+@dataclass(frozen=True, eq=False)
+class PRCurve(_ArrayRecord):
     """Precision at the 40 evenly spaced recall sample points i/40,
     i = 1..40, and the resulting average precision in percent."""
 
@@ -287,24 +285,28 @@ class PRCurve:
     zero_gt_warning: bool = False
 
     def __post_init__(self):
-        prec = np.asarray(self.precisions, dtype=float)
+        prec = _readonly(self.precisions)
         if prec.shape != (N_RECALL_POINTS,):
             raise ValueError(f"curves must have {N_RECALL_POINTS} samples")
-        if np.any((prec < 0) | (prec > 1)):
+        if not np.all((prec >= 0) & (prec <= 1)):  # NaN fails too
             raise ValueError("precision must lie in [0, 1]")
         if not 0.0 <= self.ap <= 100.0:
             raise ValueError("AP must lie in [0, 100]")
         object.__setattr__(self, "precisions", prec)
 
 
-@dataclass(frozen=True)
-class FrameStats:
+@dataclass(frozen=True, eq=False)
+class FrameStats(_ArrayRecord):
     """Mergeable per-frame detection outcome: one (score, is_tp) row per
     prediction plus the ground-truth count."""
 
     scores: np.ndarray
     is_tp: np.ndarray
     n_gt: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "scores", _readonly(self.scores))
+        object.__setattr__(self, "is_tp", _readonly(self.is_tp, bool))
 
 
 def frame_detection_stats(
@@ -332,11 +334,10 @@ def frame_detection_stats(
 
 def stats_from_match(result: MatchResult) -> FrameStats:
     """The score/TP rows of one matched frame."""
-    preds = LabelFrame.of(result.preds)
-    is_tp = np.zeros(len(preds), dtype=bool)
+    is_tp = np.zeros(len(result.preds), dtype=bool)
     is_tp[[p.pred_index for p in result.pairs]] = True
     return FrameStats(
-        scores=np.array(preds.scores),
+        scores=result.preds.scores,
         is_tp=is_tp,
         n_gt=len(result.gts),
     )
@@ -421,8 +422,8 @@ def distance_error(
     skipped = 0
     fx, fy = camera_foot
     for result in matches:
-        g_xy = LabelFrame.of(result.gts).params[:, :2].tolist()
-        p_xy = LabelFrame.of(result.preds).params[:, :2].tolist()
+        g_xy = result.gts.params[:, :2].tolist()
+        p_xy = result.preds.params[:, :2].tolist()
         for pair in result.pairs:
             (gx, gy), (px, py) = g_xy[pair.gt_index], p_xy[pair.pred_index]
             d_g = math.hypot(gx - fx, gy - fy)

@@ -19,11 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera_geometry import CORNER_SIGNS, Box3D, corners_from_parts, corners_of, rot_z
+from .camera_geometry import (
+    CORNER_SIGNS,
+    Box3D,
+    _ArrayRecord,
+    _readonly,
+    corners_from_parts,
+    corners_of,
+    rot_z,
+)
 
 
 @dataclass(frozen=True, eq=False)
-class Box3DParams:
+class Box3DParams(_ArrayRecord):
     """Regression-head output: location, dimensions, and encoded yaw."""
 
     location: np.ndarray
@@ -31,27 +39,17 @@ class Box3DParams:
     yaw_sin: float
     yaw_cos: float
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Box3DParams)
-            and np.array_equal(self.location, other.location)
-            and np.array_equal(self.dims, other.dims)
-            and (self.yaw_sin, self.yaw_cos) == (other.yaw_sin, other.yaw_cos)
-        )
-
     def __post_init__(self):
-        loc = np.array(self.location, dtype=float)
-        dims = np.array(self.dims, dtype=float)
+        loc = _readonly(self.location)
+        dims = _readonly(self.dims)
         if loc.shape != (3,) or dims.shape != (3,):
             raise ValueError("location and dims must be 3-vectors")
         if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(dims))):
             raise ValueError("parameters must be finite")
         if np.any(dims <= 0):
             raise ValueError("dimensions must be positive")
-        if abs(self.yaw_sin**2 + self.yaw_cos**2 - 1.0) > 1e-6:
+        if not abs(self.yaw_sin**2 + self.yaw_cos**2 - 1.0) <= 1e-6:  # NaN fails too
             raise ValueError("yaw encoding must be approximately unit length")
-        loc.setflags(write=False)
-        dims.setflags(write=False)
         object.__setattr__(self, "location", loc)
         object.__setattr__(self, "dims", dims)
 

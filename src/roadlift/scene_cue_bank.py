@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .camera_geometry import _ArrayRecord, _readonly
+
 STRIDE = 8
 # Cells per block wherever a per-cell pass over a grid is cut into
 # blocks (CueField.at, cli._observe): a temporary then holds one block's
@@ -46,21 +48,17 @@ _VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureGrid:
+class FeatureGrid(_ArrayRecord):
     """Dense (height_cells, width_cells, channels) float grid."""
 
     values: np.ndarray
 
-    def __eq__(self, other):
-        return isinstance(other, FeatureGrid) and np.array_equal(self.values, other.values)
-
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+        vals = _readonly(self.values)
         if vals.ndim != 3:
             raise ValueError(f"feature grid must be 3-dimensional, got {vals.ndim}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("feature grid contains non-finite values")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -105,27 +103,19 @@ def _scattered_grid(values: np.ndarray, cells: np.ndarray, shape) -> FeatureGrid
 
 
 @dataclass(frozen=True, eq=False)
-class CueMask:
+class CueMask(_ArrayRecord):
     """0-1 grid marking cells near reference points.  ``skipped`` counts
     points that fell outside the image and were ignored."""
 
     cells: np.ndarray
     skipped: int = 0
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CueMask)
-            and self.skipped == other.skipped
-            and np.array_equal(self.cells, other.cells)
-        )
-
     def __post_init__(self):
-        cells = np.array(self.cells, dtype=np.uint8)
+        cells = _readonly(self.cells, np.uint8)
         if cells.ndim != 2:
             raise ValueError("mask must be 2-dimensional")
         if not np.all((cells == 0) | (cells == 1)):
             raise ValueError("mask entries must be 0 or 1")
-        cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 
     @property

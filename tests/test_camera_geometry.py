@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -412,3 +413,71 @@ class TestProperties:
             assume(False)
         cam_z = rig.extrinsic.apply(point)[2]
         assert cam_z == pytest.approx(depth, rel=1e-9)
+
+
+def _tilted_plane():
+    return ground_plane_from_extrinsics(rig_from_pose(10.0, 30.0))
+
+
+def _rig(**change):
+    return dataclasses.replace(nadir_rig(), **change)
+
+
+def _plane(**change):
+    return dataclasses.replace(_tilted_plane(), **change)
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: RigidTransform(np.eye(2), np.zeros(3)), ValueError, "rotation must be 3x3"),
+        (lambda: RigidTransform(np.eye(3), np.zeros(2)), ValueError,
+         "translation must be a 3-vector"),
+        (lambda: RigidTransform(np.eye(3), [0.0, math.nan, 0.0]), ValueError,
+         "transform contains non-finite values"),
+        (lambda: RigidTransform(2.0 * np.eye(3), np.zeros(3)), ValueError,
+         "rotation is not orthonormal"),
+        (lambda: RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3)), ValueError,
+         r"rotation determinant is not \+1"),
+        (lambda: _rig(f_y=0.0), ValueError, "focal lengths must be positive"),
+        (lambda: _rig(f_x=math.inf), ValueError, "focal lengths must be positive"),
+        (lambda: _rig(a_x=math.nan), ValueError, "principal point must be finite"),
+        (lambda: _rig(image_height=0), ValueError, "image dimensions must be positive"),
+        (lambda: _plane(a=0.5), ValueError, "plane normal is not unit length"),
+        (lambda: _plane(d=0.0), ValueError, "camera height must be positive"),
+        (lambda: _plane(cam_to_virtual=2.0 * _tilted_plane().cam_to_virtual), ValueError,
+         "cam_to_virtual is not orthonormal"),
+        (lambda: _plane(cam_to_virtual=np.eye(3)), ValueError,
+         r"cam_to_virtual must map the down normal to \+y"),
+        (lambda: _plane(virtual_to_ground=RigidTransform(np.eye(3), np.zeros(3))), ValueError,
+         "virtual x/z plane is not parallel to the ground"),
+        (lambda: _plane(a=math.nan, b=math.nan, c=math.nan, d=math.nan), ValueError,
+         "plane normal is not unit length"),
+        (lambda: ground_plane_from_extrinsics(rig_from_pose(-5.0, 30.0)), GeometryError,
+         "camera below ground plane"),
+    ],
+    ids=["rotation-shape", "translation-shape", "non-finite", "not-orthonormal",
+         "reflection", "zero-focal", "infinite-focal", "nan-principal-point", "zero-height-px",
+         "normal-not-unit", "zero-offset", "cam-to-virtual-scaled",
+         "cam-to-virtual-misses-normal", "virtual-plane-tilted", "nan-plane",
+         "camera-below-ground"],
+)
+def test_constructors_reject_bad_values(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "roll_deg,v_offset,cam_to_virtual",
+    [(0.0, 200.0, np.eye(3)), (180.0, -200.0, np.diag([-1.0, -1.0, 1.0]))],
+    ids=["level-normal-along-y", "upside-down-normal-against-y"],
+)
+def test_minimal_rotation_branches_lift_and_project_back(roll_deg, v_offset, cam_to_virtual):
+    rig = rig_from_pose(8.0, 0.0, roll_deg=roll_deg)
+    plane = ground_plane_from_extrinsics(rig)
+    assert np.allclose(plane.cam_to_virtual, cam_to_virtual, atol=1e-12)
+    assert plane.camera_height == pytest.approx(8.0)
+    u, v = rig.a_x + 50.0, rig.a_y + v_offset
+    point = lift_to_ground(rig, plane, u, v, 0.0)
+    assert point[2] == pytest.approx(0.0, abs=1e-9)
+    assert project_to_image(rig, point) == pytest.approx((u, v), abs=1e-6)

@@ -1156,3 +1156,59 @@ class TestBankSimNoise:
         assert code == 0
         assert len(renders) == 1
         assert reads and not any(reads)
+
+
+def _calibration_with(change):
+    data = json.loads(nadir_calibration_text())
+    change(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda d: d.update(image=[1536, 1024]), "field image must be an object"),
+        (lambda d: d["image"].update(width=1536.5), "image dimensions must be integers"),
+        (lambda d: d["extrinsic"][0].__setitem__(3, math.nan),
+         "field extrinsic must be a finite 4x4 matrix"),
+        (lambda d: d.update(extrinsic=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 10], [0, 0, 0, 1]]),
+         r"extrinsic rotation must have determinant \+1"),
+        (lambda d: d.update(scene_id=7), "field scene_id must be a string"),
+    ],
+    ids=["image-not-object", "fractional-width", "nan-extrinsic", "reflection", "numeric-id"],
+)
+def test_calibration_rejects_bad_documents(change, message):
+    with pytest.raises(FormatError, match=message):
+        parse_calibration_doc(_calibration_with(change))
+
+
+def _two_prediction_files(tmp_path):
+    (tmp_path / "pred").mkdir()
+    for name in ("frame_0000.txt", "frame_0001.txt"):
+        (tmp_path / "pred" / name).write_text(serialize_labels([]))
+    gt = tmp_path / "gt.txt"
+    gt.write_text(serialize_labels([]))
+    return [str(gt), str(tmp_path / "pred")]
+
+
+def _empty_label_directories(tmp_path):
+    (tmp_path / "gt").mkdir()
+    (tmp_path / "pred").mkdir()
+    return [str(tmp_path / "gt"), str(tmp_path / "pred")]
+
+
+@pytest.mark.parametrize(
+    "paths,message",
+    [
+        (_empty_label_directories, "error: no .txt label files under "),
+        (_two_prediction_files, "error: frame count mismatch: 1 GT vs 2 prediction files"),
+    ],
+    ids=["empty-directory", "file-against-two-files"],
+)
+def test_evaluate_rejects_unpairable_inputs(tmp_path, capsys, paths, message):
+    gt, pred = paths(tmp_path)
+    assert run_command(["evaluate", "--gt", gt, "--pred", pred]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith(message)
+    assert captured.out == ""

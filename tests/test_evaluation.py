@@ -22,6 +22,7 @@ from roadlift.evaluation import (
     pr_curve_from_stats,
     stats_from_match,
 )
+from roadlift.evaluation import PRCurve
 
 
 def box(x=0.0, y=0.0, z=0.0, l=1.0, w=1.0, h=1.0, theta=0.0, score=None):
@@ -619,3 +620,26 @@ class TestStructuralInvariants:
         preds = [box(x=0.3, y=0.4, l=4, w=2, score=0.9)]
         result = match(gts, preds, 0.1)
         assert result.pairs[0].center_distance == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: PRCurve(np.zeros(39), 0.0), "curves must have 40 samples"),
+        (lambda: PRCurve(np.full(40, 1.5), 0.0), r"precision must lie in \[0, 1\]"),
+        (lambda: PRCurve(np.full(40, math.nan), 0.0), r"precision must lie in \[0, 1\]"),
+        (lambda: PRCurve(np.zeros(40), 100.5), r"AP must lie in \[0, 100\]"),
+        (lambda: average_precision_r40([[]], [], 0.5), "frame lists must have equal length"),
+        (lambda: detection_ratio_curve([], [[]], [1.0]), "frame lists must have equal length"),
+    ],
+    ids=["sample-count", "precision-above-one", "nan-precision", "ap-above-100",
+         "ap-unequal-frames", "ratio-unequal-frames"],
+)
+def test_rejects_bad_values(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_detection_ratio_without_ground_truth_is_zero():
+    preds = [box(score=0.9)]
+    assert detection_ratio_curve([[], []], [preds, []], [1.0, 5.0]) == [0.0, 0.0]

@@ -248,3 +248,21 @@ class TestBox3DParams:
         box = Box3D(1, 2, 0.3, 4, 2, 1.5, -2.1, category="car", score=0.5)
         again = Box3DParams.from_box(box).to_box(category="car", score=0.5)
         assert again == box
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (([1.0, 2.0], [4.0, 2.0, 1.5], 0.0, 1.0), "location and dims must be 3-vectors"),
+        (([1.0, 2.0, math.inf], [4.0, 2.0, 1.5], 0.0, 1.0), "parameters must be finite"),
+        (([1.0, 2.0, 3.0], [4.0, 0.0, 1.5], 0.0, 1.0), "dimensions must be positive"),
+        (([1.0, 2.0, 3.0], [4.0, 2.0, 1.5], 0.5, 0.5),
+         "yaw encoding must be approximately unit length"),
+        (([1.0, 2.0, 3.0], [4.0, 2.0, 1.5], math.nan, math.nan),
+         "yaw encoding must be approximately unit length"),
+    ],
+    ids=["location-shape", "non-finite", "zero-dimension", "yaw-not-unit", "nan-yaw"],
+)
+def test_box_params_reject_bad_values(args, message):
+    with pytest.raises(ValueError, match=message):
+        Box3DParams(*args)

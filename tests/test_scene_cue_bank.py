@@ -642,3 +642,29 @@ class TestFeatureGrid:
         bank.reset_scene("s", FeatureGrid.zeros(4, 5, 2))
         with pytest.raises(ValueError):
             bank.update_momentum("s", FeatureGrid.zeros(4, 4, 2), momentum=0.5)
+
+
+def _bank_file_with_version(path, version):
+    bank = SceneBank()
+    bank.reset_scene("s", FeatureGrid.zeros(2, 2, 1))
+    save_bank(bank, path)
+    data = bytearray(path.read_bytes())
+    data[4:8] = struct.pack("<I", version)
+    path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda tmp: FeatureGrid(np.zeros((2, 2))), "feature grid must be 3-dimensional, got 2"),
+        (lambda tmp: CueMask(np.zeros((2, 2, 1))), "mask must be 2-dimensional"),
+        (lambda tmp: CueMask([[0, 2]]), "mask entries must be 0 or 1"),
+        (lambda tmp: load_bank(_bank_file_with_version(tmp / "bank.bin", 2)),
+         "unsupported bank version 2"),
+    ],
+    ids=["grid-ndim", "mask-ndim", "mask-entry", "bank-version"],
+)
+def test_rejects_bad_values(tmp_path, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(tmp_path)

@@ -221,3 +221,12 @@ class TestConfigValidation:
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             AugmentationParams(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "args", [(math.nan, 0.0, 0.0), (1.0, math.inf, 0.0), (1.0, 0.0, -math.inf)],
+    ids=["nan-scale", "inf-roll", "inf-pitch"],
+)
+def test_augmentation_rejects_non_finite_values(args):
+    with pytest.raises(ValueError, match="augmentation parameters must be finite"):
+        AugmentationParams(*args)

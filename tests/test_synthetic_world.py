@@ -478,3 +478,24 @@ class TestConfigParsing:
             NoiseModel(drop_rate=1.5)
         with pytest.raises(ValueError):
             NoiseModel(sigma_hr=-0.1)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: GroundField(coeffs=(0.0,) * 3), "expected 10 polynomial coefficients"),
+        (lambda: GroundField(coeffs=(math.nan,) + (0.0,) * 9), "coefficients must be finite"),
+        (lambda: GroundField.random(np.random.default_rng(0), amplitude=3.0),
+         r"amplitude must lie in \(0, 2\]"),
+        (lambda: SceneConfig(n_objects=-1), "n_objects must be non-negative"),
+        (lambda: SceneConfig(height_band=(12.0, 4.0)), r"height_band must be ordered"),
+        (lambda: SceneConfig(range_band=(0.0, 100.0)), "range band must start above zero"),
+        (lambda: SceneConfig(field_amplitude=3.0), r"field amplitude must lie in \(0, 2\]"),
+        (lambda: SceneConfig(categories=()), "at least one category is required"),
+    ],
+    ids=["coefficient-count", "nan-coefficient", "random-amplitude", "negative-objects",
+         "unordered-band", "range-from-zero", "field-amplitude", "no-categories"],
+)
+def test_rejects_bad_values(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
