@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,28 +123,32 @@ def box2d_iou(a: tuple[float, float, float, float], b: tuple[float, float, float
     return inter / union
 
 
-def bev_center_distance(a: Box3D, b: Box3D) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
-@dataclass(frozen=True)
-class MatchPair:
+class MatchPair(NamedTuple):
     gt_index: int
     pred_index: int
     iou: float
-    center_distance: float
 
 
 @dataclass(frozen=True)
 class MatchResult:
-    """One matched frame: the pairs and unmatched indices refer to the
-    boxes of the ``gts`` and ``preds`` frames."""
+    """One matched frame: the pairs refer to the boxes of the ``gts``
+    and ``preds`` frames; the unmatched indices follow from the pairs."""
 
     pairs: tuple[MatchPair, ...]
-    unmatched_gt: tuple[int, ...]
-    unmatched_pred: tuple[int, ...]
     gts: LabelFrame
     preds: LabelFrame
+
+    @property
+    def unmatched_gt(self) -> tuple[int, ...]:
+        return _unmatched(len(self.gts), {p.gt_index for p in self.pairs})
+
+    @property
+    def unmatched_pred(self) -> tuple[int, ...]:
+        return _unmatched(len(self.preds), {p.pred_index for p in self.pairs})
+
+
+def _unmatched(n: int, matched: set[int]) -> tuple[int, ...]:
+    return tuple(i for i in range(n) if i not in matched)
 
 
 _IOU_KINDS = ("bev", "3d", "pixel")
@@ -215,25 +220,18 @@ def overlap_matrix(gts, preds, iou_kind: str, gt_boxes_2d=None, pred_boxes_2d=No
     return out
 
 
-def match(
-    gts,
-    preds,
-    iou_threshold: float,
-    iou_kind: str = "bev",
-    gt_boxes_2d=None,
-    pred_boxes_2d=None,
-    overlaps=None,
-) -> MatchResult:
+def match(gts, preds, iou_threshold: float, iou_kind: str = "bev", overlaps=None) -> MatchResult:
     """Greedy score-descending matching of predictions to ground truths.
 
-    ``iou_kind`` selects the overlap measure: "bev" and "3d" work on the
-    boxes themselves; "pixel" matches on axis-aligned image rectangles,
-    which must then be supplied for both sides (mirroring benchmarks
-    that associate boxes in the image plane before measuring 3D error).
-    ``overlaps`` is a precomputed ``overlap_matrix`` of these boxes;
-    without it the matrix is computed here.  Predictions are taken in
-    descending score order, ties in index order; ``gts`` and ``preds``
-    are frames or sequences of ``Box3D`` (see the module docstring).
+    ``overlaps`` is the ``overlap_matrix`` of these boxes; without it
+    the matrix is computed here with ``iou_kind``'s measure.  "bev" and
+    "3d" work on the boxes themselves; "pixel" matching needs the image
+    rectangles of both sides, so it takes
+    ``overlaps=overlap_matrix(gts, preds, "pixel", gt_boxes_2d, pred_boxes_2d)``
+    (mirroring benchmarks that associate boxes in the image plane before
+    measuring 3D error).  Predictions are taken in descending score
+    order, ties in index order; ``gts`` and ``preds`` are frames or
+    sequences of ``Box3D`` (see the module docstring).
 
     Categories are not compared: a car prediction may claim a truck
     ground truth.  Per-class scores come from passing one class on each
@@ -244,7 +242,7 @@ def match(
     if np.isnan(preds.scores).any():
         raise ValueError("all predictions must carry a score")
     if overlaps is None:
-        overlaps = overlap_matrix(gts, preds, iou_kind, gt_boxes_2d, pred_boxes_2d)
+        overlaps = overlap_matrix(gts, preds, iou_kind)
     elif np.shape(overlaps) != (len(gts), len(preds)):
         raise ValueError(
             f"overlaps must have shape {(len(gts), len(preds))}, got {np.shape(overlaps)}"
@@ -254,25 +252,14 @@ def match(
     free = np.array(overlaps, dtype=float).T
     pairs = []
     if gts:
-        g_xy = gts.params[:, :2].tolist()
-        p_xy = preds.params[:, :2].tolist()
         for pi in np.argsort(-preds.scores, kind="stable").tolist():
             row = free[pi]
             gi = int(row.argmax())
             iou = float(row[gi])
             if iou >= iou_threshold and iou > 0.0:
                 free[:, gi] = -1.0
-                (gx, gy), (px, py) = g_xy[gi], p_xy[pi]
-                pairs.append(MatchPair(gi, pi, iou, math.hypot(gx - px, gy - py)))
-    matched_gt = {p.gt_index for p in pairs}
-    matched_pred = {p.pred_index for p in pairs}
-    return MatchResult(
-        pairs=tuple(pairs),
-        unmatched_gt=tuple(i for i in range(len(gts)) if i not in matched_gt),
-        unmatched_pred=tuple(i for i in range(len(preds)) if i not in matched_pred),
-        gts=gts,
-        preds=preds,
-    )
+                pairs.append(MatchPair(gi, pi, iou))
+    return MatchResult(tuple(pairs), gts, preds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,8 +292,13 @@ class FrameStats(_ArrayRecord):
     n_gt: int
 
     def __post_init__(self):
-        object.__setattr__(self, "scores", _readonly(self.scores))
-        object.__setattr__(self, "is_tp", _readonly(self.is_tp, bool))
+        scores, is_tp = _readonly(self.scores), _readonly(self.is_tp, bool)
+        if len(scores) != len(is_tp):
+            raise ValueError(
+                f"scores and is_tp need one row per prediction, got {len(scores)} and {len(is_tp)}"
+            )
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "is_tp", is_tp)
 
 
 def frame_detection_stats(
@@ -369,6 +361,14 @@ def pr_curve_from_stats(stats_list) -> PRCurve:
     return PRCurve(precisions, ap)
 
 
+def _paired_frames(gts_per_frame, preds_per_frame):
+    """The (gts, preds) pairs of two parallel frame lists."""
+    gts_per_frame, preds_per_frame = list(gts_per_frame), list(preds_per_frame)
+    if len(gts_per_frame) != len(preds_per_frame):
+        raise ValueError("frame lists must have equal length")
+    return zip(gts_per_frame, preds_per_frame)
+
+
 def average_precision_r40(
     gts_per_frame,
     preds_per_frame,
@@ -378,13 +378,9 @@ def average_precision_r40(
 ) -> PRCurve:
     """AP|R40 over a list of frames (parallel lists of GT and prediction
     box lists)."""
-    gts_per_frame = list(gts_per_frame)
-    preds_per_frame = list(preds_per_frame)
-    if len(gts_per_frame) != len(preds_per_frame):
-        raise ValueError("frame lists must have equal length")
     stats = [
         frame_detection_stats(g, p, iou_threshold, iou_kind, gt_filter)
-        for g, p in zip(gts_per_frame, preds_per_frame)
+        for g, p in _paired_frames(gts_per_frame, preds_per_frame)
     ]
     return pr_curve_from_stats(stats)
 
@@ -411,12 +407,12 @@ def distance_error(
     """Mean relative range error |d_p - d_g| / d_g * 100% of matched
     pairs, binned by the ground-truth range d_g.
 
-    Ranges are BEV distances from the camera's ground foot point.  Pass
-    one MatchResult or a sequence of them (frames); empty bins report
-    ``None``.  Pairs with non-positive d_g are skipped and counted.
+    Ranges are BEV distances from the camera's ground foot point, taken
+    from the boxes of each result's frames.  ``matches`` is a sequence
+    of MatchResults, one per frame; empty bins report ``None``.  A pair
+    whose ground truth stands at the foot point (d_g = 0) has no
+    relative error: it is skipped and counted.
     """
-    if isinstance(matches, MatchResult):
-        matches = [matches]
     sums = [0.0] * len(bins)
     counts = [0] * len(bins)
     skipped = 0
@@ -448,12 +444,8 @@ def detection_ratio_curve(gts_per_frame, preds_per_frame, thresholds) -> list[fl
     """Fraction of ground truths whose nearest prediction (BEV center
     distance, within the same frame) lies within each threshold.
     Non-decreasing in the threshold by construction."""
-    gts_per_frame = list(gts_per_frame)
-    preds_per_frame = list(preds_per_frame)
-    if len(gts_per_frame) != len(preds_per_frame):
-        raise ValueError("frame lists must have equal length")
     nearest = []
-    for gts, preds in zip(gts_per_frame, preds_per_frame):
+    for gts, preds in _paired_frames(gts_per_frame, preds_per_frame):
         gts, preds = LabelFrame.of(gts), LabelFrame.of(preds)
         if not gts:
             continue

@@ -48,7 +48,10 @@ class Box3DParams(_ArrayRecord):
             raise ValueError("parameters must be finite")
         if np.any(dims <= 0):
             raise ValueError("dimensions must be positive")
-        if not abs(self.yaw_sin**2 + self.yaw_cos**2 - 1.0) <= 1e-6:  # NaN fails too
+        # Products, not ``**``: a huge float squares to inf instead of
+        # raising OverflowError.  Inf and NaN fail the bound.
+        norm_sq = self.yaw_sin * self.yaw_sin + self.yaw_cos * self.yaw_cos
+        if not abs(norm_sq - 1.0) <= 1e-6:
             raise ValueError("yaw encoding must be approximately unit length")
         object.__setattr__(self, "location", loc)
         object.__setattr__(self, "dims", dims)

@@ -77,12 +77,6 @@ class FeatureGrid(_ArrayRecord):
     def zeros(cls, height_cells: int, width_cells: int, channels: int) -> "FeatureGrid":
         return cls(np.zeros((height_cells, width_cells, channels)))
 
-    @classmethod
-    def for_image(cls, image_height: int, image_width: int, channels: int) -> "FeatureGrid":
-        """Zero grid at 1/8 of the image resolution; dims must divide by 8."""
-        h, w = grid_dims_for_image(image_height, image_width)
-        return cls.zeros(h, w, channels)
-
 
 def _frozen_grid(values: np.ndarray) -> FeatureGrid:
     """Wrap a float grid built inside the package from validated grids:

@@ -26,6 +26,7 @@ from roadlift.evaluation import (
     distance_error,
     footprint_polygon,
     match,
+    overlap_matrix,
 )
 from roadlift.loss_functions import (
     Box3DParams,
@@ -422,8 +423,13 @@ def test_criterion_8_end_to_end_pipeline():
                     r.pred_boxes,
                     0.5,
                     "pixel",
-                    gt_boxes_2d=r.gt_boxes_2d,
-                    pred_boxes_2d=[d.box2d for d in r.detections_2d],
+                    overlaps=overlap_matrix(
+                        r.gt_boxes,
+                        r.pred_boxes,
+                        "pixel",
+                        r.gt_boxes_2d,
+                        [d.box2d for d in r.detections_2d],
+                    ),
                 )
                 for r in records[sigma]
             ]

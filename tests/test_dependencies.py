@@ -19,3 +19,19 @@ def test_numpy_is_the_only_runtime_dependency(path):
             modules.append(node.module)
     allowed = {*sys.stdlib_module_names, "numpy"}
     assert [m for m in modules if m.split(".")[0] not in allowed] == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_imported_name_is_used(path):
+    # __init__.py is left out: it imports names only to re-export them.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -14,8 +14,8 @@ from roadlift.evaluation import (
     distance_error,
     footprint_polygon,
     frame_detection_stats,
+    FrameStats,
     MatchPair,
-    bev_center_distance,
     iou3d,
     match,
     overlap_matrix,
@@ -216,7 +216,8 @@ class TestMatch:
         preds = [box(x=0.0, l=4, w=2, score=0.9)]
         gt2d = [(10.0, 10.0, 50.0, 40.0)]
         pred2d = [(12.0, 11.0, 52.0, 41.0)]
-        result = match(gts, preds, 0.5, "pixel", gt_boxes_2d=gt2d, pred_boxes_2d=pred2d)
+        result = match(gts, preds, 0.5, "pixel",
+                       overlaps=overlap_matrix(gts, preds, "pixel", gt2d, pred2d))
         assert len(result.pairs) == 1
         assert result.pairs[0].iou == pytest.approx(box2d_iou(gt2d[0], pred2d[0]))
 
@@ -247,9 +248,7 @@ def _reference_match(gts, preds, iou_threshold, measure):
                 best_gi = gi
         if best_gi >= 0:
             taken[best_gi] = True
-            pairs.append(
-                MatchPair(best_gi, pi, best_iou, bev_center_distance(gts[best_gi], preds[pi]))
-            )
+            pairs.append(MatchPair(best_gi, pi, best_iou))
     matched_gt = {p.gt_index for p in pairs}
     matched_pred = {p.pred_index for p in pairs}
     return (
@@ -398,7 +397,8 @@ class TestOverlapMatrix:
             gts, preds, 0.7, "pixel", overlaps=overlap_matrix(gts, preds, "pixel", gt2d, pred2d)
         )
         want = stats_from_match(
-            match(gts, preds, 0.7, "pixel", gt_boxes_2d=gt2d, pred_boxes_2d=pred2d)
+            match(gts, preds, 0.7, "pixel",
+                  overlaps=overlap_matrix(gts, preds, "pixel", gt2d, pred2d))
         )
         assert 0 < got.is_tp.sum() < len(preds)
         assert np.array_equal(got.scores, want.scores)
@@ -497,13 +497,13 @@ class TestDistanceError:
         # Long boxes so the 10 m offset still clears the match threshold.
         gts = [box(x=100.0, l=30, w=2)]
         preds = [box(x=110.0, l=30, w=2, score=0.9)]
-        table = distance_error(match(gts, preds, 0.1), bins=((50.0, 150.0),))
+        table = distance_error([match(gts, preds, 0.1)], bins=((50.0, 150.0),))
         assert table.bins[0].mean_error_pct == pytest.approx(10.0)
 
     def test_exact_predictions_zero_error(self):
         gts = [box(x=40.0, l=4, w=2), box(x=120.0, l=4, w=2)]
         preds = [box(x=40.0, l=4, w=2, score=0.9), box(x=120.0, l=4, w=2, score=0.8)]
-        table = distance_error(match(gts, preds, 0.5))
+        table = distance_error([match(gts, preds, 0.5)])
         populated = [b for b in table.bins if b.count]
         assert len(populated) == 2
         assert all(b.mean_error_pct == pytest.approx(0.0) for b in populated)
@@ -511,9 +511,21 @@ class TestDistanceError:
     def test_empty_bin_marker(self):
         gts = [box(x=40.0, l=4, w=2)]
         preds = [box(x=40.0, l=4, w=2, score=0.9)]
-        table = distance_error(match(gts, preds, 0.5))
+        table = distance_error([match(gts, preds, 0.5)])
         assert table.bins[-1].mean_error_pct is None
         assert table.bins[-1].count == 0
+
+    def test_ground_truth_at_camera_foot_is_skipped(self):
+        # d_g = 0 leaves the relative error undefined: that pair is
+        # counted in ``skipped`` and in no bin; the other pair is binned.
+        gts = [box(l=4, w=2), box(x=60.0, l=4, w=2)]
+        preds = [box(x=0.5, l=4, w=2, score=0.9), box(x=63.0, l=4, w=2, score=0.8)]
+        result = match(gts, preds, 0.1)
+        assert len(result.pairs) == 2
+        table = distance_error([result])
+        assert table.skipped == 1
+        assert [b.count for b in table.bins] == [0, 1, 0, 0]
+        assert table.bins[1].mean_error_pct == pytest.approx(5.0)
 
     def test_matches_flat_recomputation(self):
         rng = np.random.default_rng(4)
@@ -591,7 +603,7 @@ class TestDetectionRatio:
             preds.append([box(x=rng.uniform(-50, 50), y=rng.uniform(-50, 50), score=0.5)
                           for _ in range(int(rng.integers(0, 6)))])
         nearest = [
-            min((bev_center_distance(g, p) for p in frame_preds), default=math.inf)
+            min((math.hypot(g.x - p.x, g.y - p.y) for p in frame_preds), default=math.inf)
             for frame_gts, frame_preds in zip(gts, preds)
             for g in frame_gts
         ]
@@ -615,12 +627,6 @@ class TestStructuralInvariants:
             assert len(pred_idx) == len(set(pred_idx))
             assert all(p.iou >= 0.05 for p in result.pairs)
 
-    def test_center_distance_recorded(self):
-        gts = [box(l=4, w=2)]
-        preds = [box(x=0.3, y=0.4, l=4, w=2, score=0.9)]
-        result = match(gts, preds, 0.1)
-        assert result.pairs[0].center_distance == pytest.approx(0.5)
-
 
 @pytest.mark.parametrize(
     "build,message",
@@ -631,9 +637,11 @@ class TestStructuralInvariants:
         (lambda: PRCurve(np.zeros(40), 100.5), r"AP must lie in \[0, 100\]"),
         (lambda: average_precision_r40([[]], [], 0.5), "frame lists must have equal length"),
         (lambda: detection_ratio_curve([], [[]], [1.0]), "frame lists must have equal length"),
+        (lambda: FrameStats([0.9], [True, True, True], 2), "got 1 and 3"),
+        (lambda: FrameStats([0.9, 0.8, 0.7], [True], 2), "got 3 and 1"),
     ],
     ids=["sample-count", "precision-above-one", "nan-precision", "ap-above-100",
-         "ap-unequal-frames", "ratio-unequal-frames"],
+         "ap-unequal-frames", "ratio-unequal-frames", "stats-short-scores", "stats-short-tp"],
 )
 def test_rejects_bad_values(build, message):
     with pytest.raises(ValueError, match=message):

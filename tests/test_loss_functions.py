@@ -260,8 +260,11 @@ class TestBox3DParams:
          "yaw encoding must be approximately unit length"),
         (([1.0, 2.0, 3.0], [4.0, 2.0, 1.5], math.nan, math.nan),
          "yaw encoding must be approximately unit length"),
+        (([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], 1e200, 0.0),
+         "yaw encoding must be approximately unit length"),
     ],
-    ids=["location-shape", "non-finite", "zero-dimension", "yaw-not-unit", "nan-yaw"],
+    ids=["location-shape", "non-finite", "zero-dimension", "yaw-not-unit", "nan-yaw",
+         "overflowing-yaw"],
 )
 def test_box_params_reject_bad_values(args, message):
     with pytest.raises(ValueError, match=message):

@@ -631,11 +631,9 @@ class TestFeatureGrid:
         with pytest.raises(ValueError):
             grid_from([[[np.nan]]])
 
-    def test_for_image_checks_divisibility(self):
-        grid = FeatureGrid.for_image(1024, 1536, 3)
+    def test_zeros_shape_properties(self):
+        grid = FeatureGrid.zeros(128, 192, 3)
         assert (grid.height_cells, grid.width_cells, grid.channels) == (128, 192, 3)
-        with pytest.raises(ValueError):
-            FeatureGrid.for_image(1020, 1536, 3)
 
     def test_shape_mismatch_on_update(self):
         bank = SceneBank()
