@@ -76,6 +76,10 @@ from .synthetic_world import (
 
 GRADCHECK_TOLERANCE = 1e-4
 
+# Frames per simulate / bank-sim run.  simulate writes two label files
+# per frame, so an unbounded count writes until the disk is full.
+MAX_FRAMES = 100_000
+
 
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
@@ -92,6 +96,20 @@ def _read_calibration(path: str):
     return parse_calibration_doc(Path(path).read_text()).rig
 
 
+def _finite(flag: str, value: float) -> float:
+    """``value``, or a ValueError naming ``flag`` if it is NaN or infinite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be a finite number, got {value}")
+    return value
+
+
+def _check_frames(n_frames: int) -> None:
+    if n_frames < 1:
+        raise ValueError(f"frames must be at least 1, got {n_frames}")
+    if n_frames > MAX_FRAMES:
+        raise ValueError(f"frames must be at most {MAX_FRAMES}, got {n_frames}")
+
+
 def cmd_plane(args) -> int:
     rig = _read_calibration(args.calib)
     plane = ground_plane_from_extrinsics(rig)
@@ -104,6 +122,8 @@ def cmd_plane(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    for name in ("u", "v", "hr"):
+        _finite(f"--{name}", getattr(args, name))
     rig = _read_calibration(args.calib)
     plane = ground_plane_from_extrinsics(rig)
     point = lift_to_ground(rig, plane, args.u, args.v, args.hr)
@@ -112,6 +132,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
+    for name in ("height", "range", "dh", "hr"):
+        _finite(f"--{name}", getattr(args, name))
     if args.sweep:
         lines = ["range_m,error_m"]
         r = 10.0
@@ -130,8 +152,7 @@ def cmd_simulate(args) -> int:
     like = {"scene": SceneConfig(), "noise": NoiseModel(), "frames": 1}
     config = check_json(json.loads(Path(args.config).read_text()), like, "")
     scene_cfg, noise, n_frames = config["scene"], config["noise"], config["frames"]
-    if n_frames < 1:
-        raise ValueError("frames must be at least 1")
+    _check_frames(n_frames)
     scene = generate_scene(scene_cfg, args.seed)
     out = Path(args.out)
     (out / "gt").mkdir(parents=True, exist_ok=True)
@@ -159,6 +180,11 @@ def _label_files(path: str) -> list[Path]:
 def cmd_evaluate(args) -> int:
     if not 0.0 <= args.iou <= 1.0:
         raise ValueError(f"--iou must be a number in [0, 1], got {args.iou}")
+    thresholds = []
+    if args.ratio_thresholds:
+        thresholds = [
+            _finite("--ratio-thresholds", float(t)) for t in args.ratio_thresholds.split(",")
+        ]
     foot = (0.0, 0.0)
     if args.calib:
         foot = tuple(_read_calibration(args.calib).camera_center_ground()[:2])
@@ -195,8 +221,7 @@ def cmd_evaluate(args) -> int:
             ))
         curve = pr_curve_from_stats(stats)
         rows.append(f"{metric},{cls},{_fmt(args.iou)},{_fmt(curve.ap)}")
-    if args.ratio_thresholds:
-        thresholds = [float(t) for t in args.ratio_thresholds.split(",")]
+    if thresholds:
         ratios = detection_ratio_curve(gts, preds, thresholds)
         for t, ratio in zip(thresholds, ratios):
             rows.append(f"detection_ratio,all,{_fmt(t)},{_fmt(ratio)}")
@@ -272,8 +297,7 @@ def cmd_bank_sim(args) -> int:
     config = check_json(json.loads(Path(args.config).read_text()), like, "")
     scheduler = SceneScheduler(SchedulerConfig(**config["scheduler"], seed=args.seed))
     scene_cfg, n_frames, channels = config["scene"], config["frames"], config["channels"]
-    if n_frames < 1:
-        raise ValueError("frames must be at least 1")
+    _check_frames(n_frames)
     check_channels(channels)
     momentum, sigma = config["momentum"], config["cue_noise_sigma"]
     if not 0.0 <= momentum <= 1.0:  # NaN fails too

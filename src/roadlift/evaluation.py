@@ -306,21 +306,13 @@ def frame_detection_stats(
     preds,
     iou_threshold: float,
     iou_kind: str = "bev",
-    gt_filter=None,
     overlaps=None,
 ) -> FrameStats:
-    """Match one frame and reduce it to score/TP rows.  ``gt_filter``
-    restricts the ground truth (difficulty tiers are caller-supplied
-    predicates, not built in).  ``overlaps`` is the ``overlap_matrix``
-    of the unfiltered ground truth against ``preds``; ``gt_filter``
-    selects its rows too.  "pixel" stats need it: the image rectangles
-    go to ``overlap_matrix``."""
-    gts = LabelFrame.of(gts)
-    if gt_filter is not None:
-        keep = [i for i, g in enumerate(gts) if gt_filter(g)]
-        gts = gts.take(keep)
-        if overlaps is not None:
-            overlaps = np.asarray(overlaps)[keep]
+    """Match one frame and reduce it to score/TP rows.  ``overlaps`` is
+    the ``overlap_matrix`` of ``gts`` against ``preds``; "pixel" stats
+    need it, since the image rectangles go to ``overlap_matrix``.  A
+    subset (a class, a difficulty tier) is scored by slicing the frames
+    first, with ``LabelFrame.take``."""
     return stats_from_match(match(gts, preds, iou_threshold, iou_kind, overlaps=overlaps))
 
 
@@ -374,12 +366,11 @@ def average_precision_r40(
     preds_per_frame,
     iou_threshold: float,
     iou_kind: str = "bev",
-    gt_filter=None,
 ) -> PRCurve:
     """AP|R40 over a list of frames (parallel lists of GT and prediction
     box lists)."""
     stats = [
-        frame_detection_stats(g, p, iou_threshold, iou_kind, gt_filter)
+        frame_detection_stats(g, p, iou_threshold, iou_kind)
         for g, p in _paired_frames(gts_per_frame, preds_per_frame)
     ]
     return pr_curve_from_stats(stats)

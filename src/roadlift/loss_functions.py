@@ -104,16 +104,17 @@ def corner_l1(pred: Box3D, gt: Box3D) -> float:
     return float(np.abs(corners_of(pred) - corners_of(gt)).sum())
 
 
-def _part_corner_sums(
-    loc: np.ndarray, dims: np.ndarray, theta: float, gt: Box3D, gt_corners: np.ndarray
-) -> tuple[float, float, float]:
-    c_loc = corners_from_parts(loc[0], loc[1], loc[2], gt.l, gt.w, gt.h, gt.theta)
-    c_dims = corners_from_parts(gt.x, gt.y, gt.z, dims[0], dims[1], dims[2], gt.theta)
-    c_yaw = corners_from_parts(gt.x, gt.y, gt.z, gt.l, gt.w, gt.h, theta)
+def _part_diffs(
+    loc: np.ndarray, dims: np.ndarray, theta: float, gt: Box3D
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three (8, 3) corner differences from ``gt``'s corners with, in
+    turn, only the location, only the dimensions and only the yaw taken
+    from the prediction (the other two parts pinned to ground truth)."""
+    gt_corners = corners_of(gt)
     return (
-        float(np.abs(c_loc - gt_corners).sum()),
-        float(np.abs(c_dims - gt_corners).sum()),
-        float(np.abs(c_yaw - gt_corners).sum()),
+        corners_from_parts(loc[0], loc[1], loc[2], gt.l, gt.w, gt.h, gt.theta) - gt_corners,
+        corners_from_parts(gt.x, gt.y, gt.z, dims[0], dims[1], dims[2], gt.theta) - gt_corners,
+        corners_from_parts(gt.x, gt.y, gt.z, gt.l, gt.w, gt.h, theta) - gt_corners,
     )
 
 
@@ -122,8 +123,8 @@ def disentangled_reg_loss(pred: Box3DParams, gt: Box3D) -> tuple[float, float, f
     dimensions, and only the yaw taken from the prediction (the other
     two parts pinned to ground truth).  Unscaled; the 1/3 averaging
     happens in total_loss."""
-    gt_corners = corners_of(gt)
-    return _part_corner_sums(pred.location, pred.dims, pred.theta, gt, gt_corners)
+    diffs = _part_diffs(pred.location, pred.dims, pred.theta, gt)
+    return tuple(float(np.abs(d).sum()) for d in diffs)
 
 
 def relative_height_loss(pred_hr, gt_hr):
@@ -147,8 +148,11 @@ def total_loss(
     lambda2: float = 1.0,
 ) -> LossBreakdown:
     """Weighted total: lambda1 * mean(reg parts) + lambda2 * l_hr + l_center."""
-    if lambda1 < 0 or lambda2 < 0:
-        raise ValueError("loss weights must be non-negative")
+    if not all(math.isfinite(w) and w >= 0 for w in (lambda1, lambda2)):
+        raise ValueError(
+            f"loss weights must be finite and non-negative, got lambda1={lambda1}, "
+            f"lambda2={lambda2}"
+        )
     reg_location, reg_dims, reg_yaw = (float(v) for v in reg_parts)
     total = (
         lambda1 * (reg_location + reg_dims + reg_yaw) / 3.0
@@ -188,10 +192,9 @@ def loss_of_vector(
 ) -> float:
     """Total loss as a plain function of the 9-vector (bottom-center term
     excluded: it depends on a separate pixel head, not these parameters)."""
-    loc, dims = vec[0:3], vec[3:6]
-    theta = math.atan2(vec[6], vec[7])
-    parts = _part_corner_sums(loc, dims, theta, gt, corners_of(gt))
-    return lambda1 * sum(parts) / 3.0 + lambda2 * abs(vec[8] - gt_hr)
+    diffs = _part_diffs(vec[0:3], vec[3:6], math.atan2(vec[6], vec[7]), gt)
+    parts = tuple(float(np.abs(d).sum()) for d in diffs)
+    return total_loss(parts, abs(vec[8] - gt_hr), 0.0, lambda1, lambda2).total
 
 
 def loss_gradient(
@@ -216,21 +219,18 @@ def loss_gradient(
 def _gradient_of_vector(
     vec: np.ndarray, gt: Box3D, lambda1: float, lambda2: float, gt_hr: float
 ) -> np.ndarray:
-    loc, dims = vec[0:3], vec[3:6]
     s, c = vec[6], vec[7]
     theta = math.atan2(s, c)
-    gt_corners = corners_of(gt)
+    loc_diff, dims_diff, yaw_diff = _part_diffs(vec[0:3], vec[3:6], theta, gt)
     scale = lambda1 / 3.0
     grad = np.zeros(9)
 
     # Location part: corner offsets are the same translation at all 8 corners.
-    c_loc = corners_from_parts(loc[0], loc[1], loc[2], gt.l, gt.w, gt.h, gt.theta)
-    grad[0:3] = scale * np.sign(c_loc - gt_corners).sum(axis=0)
+    grad[0:3] = scale * np.sign(loc_diff).sum(axis=0)
 
     # Dimension part: d corner / d(l, w, h) = sign/2 * rotated axis, plus the
     # +h/2 bottom-to-center shift for h.
-    c_dims = corners_from_parts(gt.x, gt.y, gt.z, dims[0], dims[1], dims[2], gt.theta)
-    signs = np.sign(c_dims - gt_corners)
+    signs = np.sign(dims_diff)
     rot = rot_z(gt.theta)
     for k in range(3):
         jac = CORNER_SIGNS[:, k : k + 1] / 2.0 * rot[:, k]
@@ -239,11 +239,10 @@ def _gradient_of_vector(
         grad[3 + k] = scale * float((signs * jac).sum())
 
     # Yaw part through theta = atan2(sin, cos).
-    c_yaw = corners_from_parts(gt.x, gt.y, gt.z, gt.l, gt.w, gt.h, theta)
     half = CORNER_SIGNS * np.array([gt.l / 2.0, gt.w / 2.0, gt.h / 2.0])
     ct, st = math.cos(theta), math.sin(theta)
     drot = np.array([[-st, -ct, 0.0], [ct, -st, 0.0], [0.0, 0.0, 0.0]])
-    g_theta = float((np.sign(c_yaw - gt_corners) * (half @ drot.T)).sum())
+    g_theta = float((np.sign(yaw_diff) * (half @ drot.T)).sum())
     norm_sq = s * s + c * c
     grad[6] = scale * g_theta * c / norm_sq
     grad[7] = scale * g_theta * (-s) / norm_sq
@@ -305,19 +304,13 @@ def random_smooth_case(rng: np.random.Generator) -> tuple[Box3DParams, Box3D, fl
             yaw_cos=math.cos(theta_p),
         )
         pred_hr = gt.z + 0.3 * rng.standard_normal()
-        gt_corners = corners_of(gt)
         loc_diff = pred.location - np.array([gt.x, gt.y, gt.z])
-        dims_xy = (
-            corners_from_parts(gt.x, gt.y, gt.z, *pred.dims, gt.theta) - gt_corners
-        )[:, :2]
-        yaw_xy = (
-            corners_from_parts(gt.x, gt.y, gt.z, gt.l, gt.w, gt.h, theta_p) - gt_corners
-        )[:, :2]
+        _, dims_diff, yaw_diff = _part_diffs(pred.location, pred.dims, theta_p, gt)
         if (
             np.abs(loc_diff).min() > KINK_MARGIN
-            and np.abs(dims_xy).min() > KINK_MARGIN
+            and np.abs(dims_diff[:, :2]).min() > KINK_MARGIN
             and abs(pred.dims[2] - gt.h) > KINK_MARGIN
-            and np.abs(yaw_xy).min() > KINK_MARGIN
+            and np.abs(yaw_diff[:, :2]).min() > KINK_MARGIN
             and abs(pred_hr - gt.z) > KINK_MARGIN
         ):
             return pred, gt, pred_hr

@@ -48,6 +48,13 @@ _SALT_SCENE, _SALT_SIM, _SALT_CUE, _SALT_OBJECTS = 1, 2, 3, 4
 # this far inside the image border.
 EDGE_MARGIN_PX = 8.0
 
+# Draws per object before a scene config is declared infeasible.
+MAX_PLACEMENT_ATTEMPTS = 1000
+
+# Objects per frame.  Each object costs up to MAX_PLACEMENT_ATTEMPTS
+# placement draws, and matching a frame is quadratic in its objects.
+MAX_OBJECTS = 1_000
+
 _POLY_POWERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
 
 
@@ -159,11 +166,12 @@ class SceneConfig:
     categories: tuple[tuple[str, tuple[tuple[float, float], ...]], ...] = (
         ("car", ((3.8, 5.2), (1.6, 2.0), (1.3, 1.8))),
     )
-    max_attempts: int = 1000
 
     def __post_init__(self):
         if self.n_objects < 0:
             raise ValueError("n_objects must be non-negative")
+        if self.n_objects > MAX_OBJECTS:
+            raise ValueError(f"n_objects must be at most {MAX_OBJECTS}, got {self.n_objects}")
         for name in ("range_band", "height_band", "pitch_band_deg", "roll_band_deg", "focal_band"):
             lo, hi = getattr(self, name)
             if not lo <= hi:
@@ -208,23 +216,16 @@ class SyntheticScene:
 
 
 @dataclass(frozen=True)
-class Detection2D:
-    box2d: tuple[float, float, float, float]
-    score: float
-    bottom_center: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class FrameRecord:
     """One frame flowing through the pipeline: ground truth plus the
-    simulated detector output."""
+    simulated detector output.  ``pred_boxes_2d`` holds one image
+    rectangle (x1, y1, x2, y2) per entry of ``pred_boxes``."""
 
-    scene_id: str
     gt_boxes: tuple[Box3D, ...]
     gt_boxes_2d: tuple[tuple[float, float, float, float], ...]
     gt_bottom_centers: tuple[tuple[float, float], ...]
     pred_boxes: tuple[Box3D, ...]
-    detections_2d: tuple[Detection2D, ...]
+    pred_boxes_2d: tuple[tuple[float, float, float, float], ...]
     n_dropped: int = 0
     n_lift_failed: int = 0
 
@@ -249,7 +250,7 @@ def _sample_object(
     forward = rig.extrinsic.rotation.T @ np.array([0.0, 0.0, 1.0])
     az0 = math.atan2(forward[1], forward[0])
     az_half = math.atan((rig.image_width / 2.0) / rig.f_x) * 0.9
-    for _ in range(config.max_attempts):
+    for _ in range(MAX_PLACEMENT_ATTEMPTS):
         r = rng.uniform(*config.range_band)
         az = az0 + rng.uniform(-az_half, az_half)
         x = foot[0] + r * math.cos(az)
@@ -267,7 +268,7 @@ def _sample_object(
             return box
     raise ValueError(
         "infeasible scene config: no in-image placement found in "
-        f"{config.max_attempts} attempts"
+        f"{MAX_PLACEMENT_ATTEMPTS} attempts"
     )
 
 
@@ -322,7 +323,7 @@ def simulate_predictions(scene: SyntheticScene, noise: NoiseModel, seed: int) ->
     gt_bc = tuple(project_to_image(rig, b.bottom_center) for b in scene.objects)
 
     preds: list[Box3D] = []
-    dets: list[Detection2D] = []
+    preds_2d: list[tuple[float, float, float, float]] = []
     n_dropped = 0
     n_lift_failed = 0
     for i, box in enumerate(scene.objects):
@@ -370,7 +371,7 @@ def simulate_predictions(scene: SyntheticScene, noise: NoiseModel, seed: int) ->
         )
         du, dv = u_n - gt_bc[i][0], v_n - gt_bc[i][1]
         x1, y1, x2, y2 = gt2d[i]
-        dets.append(Detection2D((x1 + du, y1 + dv, x2 + du, y2 + dv), score, (u_n, v_n)))
+        preds_2d.append((x1 + du, y1 + dv, x2 + du, y2 + dv))
 
     n_fp = int(rng.binomial(len(scene.objects), noise.false_positive_rate)) if scene.objects else 0
     for _ in range(n_fp):
@@ -399,20 +400,18 @@ def simulate_predictions(scene: SyntheticScene, noise: NoiseModel, seed: int) ->
             )
             try:
                 fp2d = box2d_of(rig, fp_box)
-                bc = project_to_image(rig, fp_box.bottom_center)
             except GeometryError:
                 continue
             preds.append(fp_box)
-            dets.append(Detection2D(fp2d, score, bc))
+            preds_2d.append(fp2d)
             break
 
     return FrameRecord(
-        scene_id=scene.scene_id,
         gt_boxes=scene.objects,
         gt_boxes_2d=gt2d,
         gt_bottom_centers=gt_bc,
         pred_boxes=tuple(preds),
-        detections_2d=tuple(dets),
+        pred_boxes_2d=tuple(preds_2d),
         n_dropped=n_dropped,
         n_lift_failed=n_lift_failed,
     )

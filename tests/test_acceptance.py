@@ -428,7 +428,7 @@ def test_criterion_8_end_to_end_pipeline():
                         r.pred_boxes,
                         "pixel",
                         r.gt_boxes_2d,
-                        [d.box2d for d in r.detections_2d],
+                        r.pred_boxes_2d,
                     ),
                 )
                 for r in records[sigma]

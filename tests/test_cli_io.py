@@ -554,6 +554,31 @@ class TestCli:
         assert captured.err.startswith("error: --iou must be a number in [0, 1]")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["lift", "--calib", "{calib}", "--u", "nan", "--v", "800", "--hr", "0"], "--u"),
+        (["lift", "--calib", "{calib}", "--u", "768", "--v", "inf", "--hr", "0"], "--v"),
+        (["lift", "--calib", "{calib}", "--u", "768", "--v", "800", "--hr", "nan"], "--hr"),
+        (["sensitivity", "--height", "nan", "--range", "200", "--dh", "0.5"], "--height"),
+        (["sensitivity", "--height", "7", "--range", "inf", "--dh", "0.5"], "--range"),
+        (["sensitivity", "--height", "7", "--range", "inf", "--dh", "0.5", "--sweep"],
+         "--range"),
+        (["sensitivity", "--height", "7", "--range", "200", "--dh=-inf"], "--dh"),
+        (["sensitivity", "--height", "7", "--range", "200", "--dh", "0.5", "--hr", "nan"],
+         "--hr"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--ratio-thresholds", "1,nan"],
+         "--ratio-thresholds"),
+    ], ids=["lift-u", "lift-v", "lift-hr", "sensitivity-height", "sensitivity-range",
+            "sweep-range", "sensitivity-dh", "sensitivity-hr", "ratio-threshold"])
+    def test_non_finite_numbers_rejected(self, nadir_calib_file, tmp_path, capsys, argv, flag):
+        labels = tmp_path / "labels.txt"
+        labels.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
+        argv = [a.format(calib=nadir_calib_file, labels=labels) for a in argv]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: {flag} must be a finite number, got ")
+        assert captured.out == ""
+
     def test_evaluate_all_row_matches_across_categories(self, tmp_path, capsys):
         # A car prediction on a truck: the "all" row counts it, the truck
         # row (which only sees truck predictions) does not.
@@ -696,6 +721,8 @@ class TestCli:
              "error: intrinsic scale 1e+308 takes the image size past float range"),
             ({"scene": {"n_objects": 0, "image_width": 8, "image_height": 8}, "channels": 4097},
              "error: channels must be at most 4096, got 4097"),
+            ({"frames": 100_001}, "error: frames must be at most 100000, got 100001"),
+            ({"scene": {"n_objects": 1001}}, "error: n_objects must be at most 1000, got 1001"),
         ],
         ids=["zero-frames", "negative-frames", "negative-sigma", "nan-sigma", "list-document",
              "null-frames", "list-frames", "float-frames", "string-objects", "number-band",
@@ -705,7 +732,8 @@ class TestCli:
              "zero-channels", "infinite-sigma-roll", "minus-infinite-momentum",
              "infinite-band", "channels-over-grid-cap", "scheduler-seed",
              "augmented-grid-over-cap", "scale-below-one-cell", "augmented-side-over-cap",
-             "scale-past-float-range", "channels-over-cap"],
+             "scale-past-float-range", "channels-over-cap", "frames-over-cap",
+             "objects-over-cap"],
     )
     def test_bank_sim_rejects_bad_config(self, tmp_path, capsys, monkeypatch, override, message):
         # Configs are checked before any work: no scene is generated.
@@ -753,11 +781,14 @@ class TestCli:
              "error: field scene.range_band[1] must be like 250.0, got Infinity"),
             ({"scene": {"edge_margin_px": 8}},
              "error: unknown scene config keys: ['edge_margin_px']"),
+            ({"frames": 100_001}, "error: frames must be at most 100000, got 100001"),
+            ({"scene": {"n_objects": 1001}}, "error: n_objects must be at most 1000, got 1001"),
         ],
         ids=["zero-frames", "list-document", "null-frames", "list-frames", "float-frames",
              "string-objects", "number-band", "string-sigma", "nan-sigma", "list-scene",
              "list-noise", "misspelt-key", "unknown-noise-key", "infinite-sigma",
-             "minus-infinite-sigma", "infinite-band", "edge-margin-key"],
+             "minus-infinite-sigma", "infinite-band", "edge-margin-key", "frames-over-cap",
+             "objects-over-cap"],
     )
     def test_simulate_rejects_bad_config(self, tmp_path, capsys, override, message):
         config = tmp_path / "sim.json"

@@ -35,3 +35,30 @@ def test_every_imported_name_is_used(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Every name a module reads, reads as an attribute or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_private_definition_is_referenced(path):
+    # A module-level private function or class that no module of the
+    # package names is dead code.
+    referenced = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in SOURCES))
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    assert sorted(set(private) - referenced) == []

@@ -420,12 +420,12 @@ class TestOverlapMatrix:
             gts, preds = _random_frame(rng, sparse=False)
             m = overlap_matrix(gts, preds, kind)
             for cls in _CATEGORY_DIMS:
+                rows = [i for i, b in enumerate(gts) if b.category == cls]
                 cols = [i for i, b in enumerate(preds) if b.category == cls]
-                class_preds = [preds[i] for i in cols]
-                keep = lambda b: b.category == cls  # noqa: E731
-                got = frame_detection_stats(gts, class_preds, 0.3, kind, keep,
-                                            overlaps=m[:, cols])
-                want = frame_detection_stats(gts, class_preds, 0.3, kind, keep)
+                class_gts, class_preds = [gts[i] for i in rows], [preds[i] for i in cols]
+                got = frame_detection_stats(class_gts, class_preds, 0.3, kind,
+                                            overlaps=m[rows][:, cols])
+                want = frame_detection_stats(class_gts, class_preds, 0.3, kind)
                 assert np.array_equal(got.scores, want.scores)
                 assert np.array_equal(got.is_tp, want.is_tp)
                 assert got.n_gt == want.n_gt
@@ -469,12 +469,6 @@ class TestAveragePrecision:
         base = average_precision_r40(gts, preds_base, 0.5).ap
         preds_more = [preds_base[0] + [box(x=500, l=4, w=2, score=0.01)]]
         assert average_precision_r40(gts, preds_more, 0.5).ap <= base
-
-    def test_gt_filter_applies(self):
-        gts = [[box(x=0, l=4, w=2), box(x=300, l=4, w=2)]]
-        preds = [[box(x=0, l=4, w=2, score=0.9)]]
-        near_only = average_precision_r40(gts, preds, 0.5, gt_filter=lambda b: b.x < 100)
-        assert near_only.ap == 100.0
 
     def test_merge_equals_single_pass(self):
         rng = np.random.default_rng(3)

@@ -3,16 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from roadlift.camera_geometry import Box3D
+from roadlift.camera_geometry import CORNER_SIGNS, Box3D, corners_from_parts, corners_of, rot_z
 from roadlift.loss_functions import (
+    KINK_MARGIN,
+    SMOOTH_CASE_TRIES,
     Box3DParams,
     LossBreakdown,
+    _gradient_of_vector,
+    _vector_and_gt_hr,
     bottom_center_loss,
     corner_l1,
     disentangled_reg_loss,
     finite_difference_gradient,
     gradient_descent_fit,
     loss_gradient,
+    loss_of_vector,
     random_smooth_case,
     relative_height_loss,
     total_loss,
@@ -164,6 +169,14 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             total_loss((1, 1, 1), 0, 0, lambda1=-1.0)
 
+    @pytest.mark.parametrize("weights", [
+        {"lambda1": math.nan}, {"lambda1": math.inf}, {"lambda2": math.nan},
+        {"lambda2": -math.inf},
+    ], ids=["nan-lambda1", "inf-lambda1", "nan-lambda2", "minus-inf-lambda2"])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="loss weights must be finite and non-negative"):
+            total_loss((1, 1, 1), 0, 0, **weights)
+
     def test_breakdown_validation(self):
         with pytest.raises(ValueError):
             LossBreakdown(-1, 0, 0, 0, 0, 0)
@@ -210,6 +223,119 @@ class TestLossGradient:
             )
             worst = max(worst, float(rel.max()))
         assert worst < 1e-4
+
+
+# Verbatim copies of ``_gradient_of_vector`` and ``random_smooth_case``
+# as they were before the three part-corner sets got one builder
+# (``_part_diffs``): the rewrite must give the same values bit for bit.
+def _reference_gradient_of_vector(
+    vec: np.ndarray, gt: Box3D, lambda1: float, lambda2: float, gt_hr: float
+) -> np.ndarray:
+    loc, dims = vec[0:3], vec[3:6]
+    s, c = vec[6], vec[7]
+    theta = math.atan2(s, c)
+    gt_corners = corners_of(gt)
+    scale = lambda1 / 3.0
+    grad = np.zeros(9)
+
+    # Location part: corner offsets are the same translation at all 8 corners.
+    c_loc = corners_from_parts(loc[0], loc[1], loc[2], gt.l, gt.w, gt.h, gt.theta)
+    grad[0:3] = scale * np.sign(c_loc - gt_corners).sum(axis=0)
+
+    # Dimension part: d corner / d(l, w, h) = sign/2 * rotated axis, plus the
+    # +h/2 bottom-to-center shift for h.
+    c_dims = corners_from_parts(gt.x, gt.y, gt.z, dims[0], dims[1], dims[2], gt.theta)
+    signs = np.sign(c_dims - gt_corners)
+    rot = rot_z(gt.theta)
+    for k in range(3):
+        jac = CORNER_SIGNS[:, k : k + 1] / 2.0 * rot[:, k]
+        if k == 2:
+            jac = jac + np.array([0.0, 0.0, 0.5])
+        grad[3 + k] = scale * float((signs * jac).sum())
+
+    # Yaw part through theta = atan2(sin, cos).
+    c_yaw = corners_from_parts(gt.x, gt.y, gt.z, gt.l, gt.w, gt.h, theta)
+    half = CORNER_SIGNS * np.array([gt.l / 2.0, gt.w / 2.0, gt.h / 2.0])
+    ct, st = math.cos(theta), math.sin(theta)
+    drot = np.array([[-st, -ct, 0.0], [ct, -st, 0.0], [0.0, 0.0, 0.0]])
+    g_theta = float((np.sign(c_yaw - gt_corners) * (half @ drot.T)).sum())
+    norm_sq = s * s + c * c
+    grad[6] = scale * g_theta * c / norm_sq
+    grad[7] = scale * g_theta * (-s) / norm_sq
+
+    grad[8] = lambda2 * np.sign(vec[8] - gt_hr)
+    return grad
+
+
+def _reference_random_smooth_case(rng: np.random.Generator) -> tuple[Box3DParams, Box3D, float]:
+    for _ in range(SMOOTH_CASE_TRIES):
+        gt = Box3D(
+            x=rng.uniform(-30, 30),
+            y=rng.uniform(-30, 30),
+            z=rng.uniform(-1, 1),
+            l=rng.uniform(3.0, 5.5),
+            w=rng.uniform(1.5, 2.2),
+            h=rng.uniform(1.2, 2.0),
+            theta=rng.uniform(-math.pi, math.pi),
+        )
+        theta_p = gt.theta + 0.2 * rng.standard_normal()
+        pred = Box3DParams(
+            location=np.array([gt.x, gt.y, gt.z]) + 0.3 * rng.standard_normal(3),
+            dims=np.maximum(
+                np.array([gt.l, gt.w, gt.h]) * (1.0 + 0.1 * rng.standard_normal(3)), 0.3
+            ),
+            yaw_sin=math.sin(theta_p),
+            yaw_cos=math.cos(theta_p),
+        )
+        pred_hr = gt.z + 0.3 * rng.standard_normal()
+        gt_corners = corners_of(gt)
+        loc_diff = pred.location - np.array([gt.x, gt.y, gt.z])
+        dims_xy = (
+            corners_from_parts(gt.x, gt.y, gt.z, *pred.dims, gt.theta) - gt_corners
+        )[:, :2]
+        yaw_xy = (
+            corners_from_parts(gt.x, gt.y, gt.z, gt.l, gt.w, gt.h, theta_p) - gt_corners
+        )[:, :2]
+        if (
+            np.abs(loc_diff).min() > KINK_MARGIN
+            and np.abs(dims_xy).min() > KINK_MARGIN
+            and abs(pred.dims[2] - gt.h) > KINK_MARGIN
+            and np.abs(yaw_xy).min() > KINK_MARGIN
+            and abs(pred_hr - gt.z) > KINK_MARGIN
+        ):
+            return pred, gt, pred_hr
+    raise RuntimeError("could not sample a smooth configuration")
+
+
+class TestPinnedToReference:
+    SEEDS = range(500)
+    WEIGHTS = ((1.0, 1.0), (2.0, 0.5))
+
+    def test_smooth_cases_equal_the_reference(self):
+        for seed in self.SEEDS:
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert random_smooth_case(rng) == _reference_random_smooth_case(ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("lambda1,lambda2", WEIGHTS)
+    def test_gradients_equal_the_reference(self, lambda1, lambda2):
+        for seed in self.SEEDS:
+            pred, gt, pred_hr = random_smooth_case(np.random.default_rng(seed))
+            vec, gt_hr = _vector_and_gt_hr(pred, gt, pred_hr, None)
+            assert np.array_equal(
+                _gradient_of_vector(vec, gt, lambda1, lambda2, gt_hr),
+                _reference_gradient_of_vector(vec, gt, lambda1, lambda2, gt_hr),
+            )
+
+    @pytest.mark.parametrize("lambda1,lambda2", WEIGHTS)
+    def test_loss_of_vector_is_the_total_loss(self, lambda1, lambda2):
+        for seed in self.SEEDS:
+            pred, gt, pred_hr = random_smooth_case(np.random.default_rng(seed))
+            vec, gt_hr = _vector_and_gt_hr(pred, gt, pred_hr, None)
+            want = total_loss(
+                disentangled_reg_loss(pred, gt), abs(pred_hr - gt_hr), 0.0, lambda1, lambda2
+            ).total
+            assert loss_of_vector(vec, gt, lambda1, lambda2, gt_hr) == want
 
 
 class TestGradientDescentFit:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -157,7 +158,6 @@ class TestGenerateScene:
             range_band=(240.0, 250.0),
             pitch_band_deg=(60.0, 60.0),
             height_band=(4.0, 4.0),
-            max_attempts=50,
         )
         with pytest.raises(ValueError, match="infeasible"):
             generate_scene(cfg, 0)
@@ -208,7 +208,7 @@ class TestSimulatePredictions:
         scene = generate_scene(CFG, 27)
         record = simulate_predictions(scene, NoiseModel(false_positive_rate=1.0), seed=3)
         assert len(record.pred_boxes) > len(scene.objects)
-        assert len(record.detections_2d) == len(record.pred_boxes)
+        assert len(record.pred_boxes_2d) == len(record.pred_boxes)
 
     def test_scores_decrease_with_perturbation(self):
         scene = single_object_scene()
@@ -221,6 +221,25 @@ class TestSimulatePredictions:
         record = simulate_predictions(scene, NoiseModel(), seed=0)
         for (x1, y1, x2, y2), (u, v) in zip(record.gt_boxes_2d, record.gt_bottom_centers):
             assert x1 <= u <= x2 and y1 <= v <= y2
+
+    # sha256 of the repr of the list of prediction rectangles, recorded
+    # while each rectangle still sat in a per-detection record beside a
+    # score and a bottom-center pixel: dropping those two fields moves no
+    # rectangle.
+    PRED_BOXES_2D_SHA256 = (
+        "fceb1ec7e2f35133b229d601704a87d02af0c1d5c8ebb1f0b08fec2719484dc5",
+        "df1dc45ee84b46cfdfea4576908661f32bc5d49da3e7cead698847bcc0db941e",
+        "d6217630d5598e63f319074a7c4c362eb1fd6feb86edf382ec3b11f27b570df7",
+    )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pred_boxes_2d_match_recorded_bytes(self, seed):
+        noise = NoiseModel(sigma_hr=0.1, sigma_dims=0.05, sigma_yaw=0.05, sigma_center_px=1.0,
+                           drop_rate=0.1, false_positive_rate=1.0)
+        record = simulate_predictions(generate_scene(SceneConfig(n_objects=6), seed), noise, seed)
+        assert len(record.pred_boxes) > len(record.gt_boxes) - record.n_dropped
+        digest = hashlib.sha256(repr(list(record.pred_boxes_2d)).encode()).hexdigest()
+        assert digest == self.PRED_BOXES_2D_SHA256[seed]
 
 
 def _reference_render_channel0(scene):
