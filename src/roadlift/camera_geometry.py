@@ -61,6 +61,17 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _flags(a, dtype, name: str) -> np.ndarray:
+    """``_readonly(a, dtype)`` for 0/1 flags: ValueError naming ``name``
+    unless every value given is 0 or 1.  The values are checked before
+    the cast, which would turn 0.5, 256 and NaN into 0 (and 2 into
+    True); a bool array needs no check."""
+    given = np.asarray(a)
+    if given.dtype != bool and not np.all((given == 0) | (given == 1)):  # NaN fails too
+        raise ValueError(f"{name} must be 0 or 1")
+    return _readonly(given, dtype)
+
+
 def _same(a, b) -> bool:
     if isinstance(a, np.ndarray):
         return np.array_equal(a, b, equal_nan=True)
@@ -70,11 +81,12 @@ def _same(a, b) -> bool:
 class _ArrayRecord:
     """Base of the package's frozen dataclasses (``eq=False``) that hold
     numpy arrays.  The record rule: every array field is set in
-    ``__post_init__`` through ``_readonly``, so a record holds read-only
-    copies; two records are equal when they have the same type and equal
-    fields, arrays compared by value with NaN equal to NaN (a
-    ``LabelFrame`` stores a missing score as NaN); records are
-    unhashable, since defining ``__eq__`` sets ``__hash__`` to None."""
+    ``__post_init__`` through ``_readonly`` (0/1 flags through
+    ``_flags``), so a record holds read-only copies; two records are
+    equal when they have the same type and equal fields, arrays compared
+    by value with NaN equal to NaN (a ``LabelFrame`` stores a missing
+    score as NaN); records are unhashable, since defining ``__eq__``
+    sets ``__hash__`` to None."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -316,7 +328,9 @@ def height_sensitivity(
 
 @dataclass(frozen=True)
 class Box3D:
-    """Oriented 3D box, ground frame, (x, y, z) at the bottom-face center."""
+    """Oriented 3D box, ground frame, (x, y, z) at the bottom-face center.
+    ``category`` is a label line's first token: a non-empty string with
+    no whitespace that does not start with '#'."""
 
     x: float
     y: float
@@ -337,6 +351,14 @@ class Box3D:
         if not (self.l > 0 and self.w > 0 and self.h > 0):
             raise ValueError("box dimensions must be positive")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
+        cat = self.category
+        # split() drops every whitespace character, so one token equal to
+        # the whole string means non-empty and whitespace-free.
+        if not (isinstance(cat, str) and cat.split() == [cat] and cat[0] != "#"):
+            raise ValueError(
+                "category must be a non-empty string without whitespace, not starting "
+                f"with '#', got {cat!r}"
+            )
         if self.score is not None and not (0.0 <= self.score <= 1.0):
             raise ValueError("score must lie in [0, 1]")
 

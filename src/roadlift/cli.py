@@ -80,6 +80,10 @@ GRADCHECK_TOLERANCE = 1e-4
 # per frame, so an unbounded count writes until the disk is full.
 MAX_FRAMES = 100_000
 
+# Rows of one `sensitivity --sweep` (10 m steps, so 1,000 km of range):
+# the rows are built in memory before any is written.
+MAX_SWEEP_ROWS = 100_000
+
 
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
@@ -135,11 +139,17 @@ def cmd_sensitivity(args) -> int:
     for name in ("height", "range", "dh", "hr"):
         _finite(f"--{name}", getattr(args, name))
     if args.sweep:
+        # Rows at 10, 20, ... m up to the range, with 1e-9 m of slack.
+        n_rows = math.floor((args.range + 1e-9) / 10.0)
+        if n_rows > MAX_SWEEP_ROWS:
+            raise ValueError(
+                f"--sweep writes one row per 10 m and at most {MAX_SWEEP_ROWS} rows, "
+                f"got --range {args.range}"
+            )
         lines = ["range_m,error_m"]
-        r = 10.0
-        while r <= args.range + 1e-9:
+        for k in range(1, n_rows + 1):
+            r = 10.0 * k
             lines.append(f"{_fmt(r)},{_fmt(height_sensitivity(args.height, args.hr, r, args.dh))}")
-            r += 10.0
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(_fmt(height_sensitivity(args.height, args.hr, args.range, args.dh)) + "\n", args.out)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .camera_geometry import Box3D, LabelFrame, _ArrayRecord, _readonly
+from .camera_geometry import Box3D, LabelFrame, _ArrayRecord, _flags, _readonly
 
 DEFAULT_DISTANCE_BINS = ((0.0, 50.0), (50.0, 100.0), (100.0, 150.0), (150.0, 200.0))
 
@@ -292,7 +292,7 @@ class FrameStats(_ArrayRecord):
     n_gt: int
 
     def __post_init__(self):
-        scores, is_tp = _readonly(self.scores), _readonly(self.is_tp, bool)
+        scores, is_tp = _readonly(self.scores), _flags(self.is_tp, bool, "is_tp entries")
         if len(scores) != len(is_tp):
             raise ValueError(
                 f"scores and is_tp need one row per prediction, got {len(scores)} and {len(is_tp)}"

@@ -181,8 +181,11 @@ def parse_labels(text: str) -> LabelFrame:
     number.  Every line's numbers are read with ``float``, then checked
     as one array; only a failed check goes back to the lines, to name
     the first bad one, so the first error is the one a line-by-line
-    reader would raise."""
+    reader would raise.  A number is ASCII without '_': ``float`` alone
+    would also read ``1_0`` as 10 and the Arabic-Indic ``٣`` as 3."""
     categories, values, unscored, linenos = [], [], [], []
+    # Only such a file can hold a number float reads beyond that syntax.
+    odd_syntax = "_" in text or not text.isascii()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields or fields[0].startswith("#"):
@@ -190,6 +193,9 @@ def parse_labels(text: str) -> LabelFrame:
         if len(fields) not in (8, 9):
             _label_table(values, unscored, linenos)  # an earlier line's error comes first
             raise FormatError(f"line {lineno}: expected 8 or 9 fields, got {len(fields)}")
+        if odd_syntax and not all(f.isascii() and "_" not in f for f in fields[1:]):
+            _label_table(values, unscored, linenos)
+            raise FormatError(f"line {lineno}: numbers must be ASCII without '_'")
         try:
             values.extend(map(float, fields[1:]))
         except ValueError as exc:
@@ -243,9 +249,7 @@ def _label_table(values, unscored, linenos) -> np.ndarray:
 def serialize_labels(boxes) -> str:
     """Write boxes in the label-line format; scores are emitted when set."""
     lines = [LABEL_HEADER.rstrip("\n")]
-    for i, box in enumerate(boxes):
-        if any(ch.isspace() for ch in box.category):
-            raise FormatError(f"box {i}: category must not contain whitespace")
+    for box in boxes:
         fields = [box.category] + [
             repr(float(v)) for v in (box.x, box.y, box.z, box.l, box.w, box.h, box.theta)
         ]

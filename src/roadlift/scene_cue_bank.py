@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera_geometry import _ArrayRecord, _readonly
+from .camera_geometry import _ArrayRecord, _flags, _readonly
 
 STRIDE = 8
 # Cells per block wherever a per-cell pass over a grid is cut into
@@ -105,11 +105,9 @@ class CueMask(_ArrayRecord):
     skipped: int = 0
 
     def __post_init__(self):
-        cells = _readonly(self.cells, np.uint8)
+        cells = _flags(self.cells, np.uint8, "mask entries")
         if cells.ndim != 2:
             raise ValueError("mask must be 2-dimensional")
-        if not np.all((cells == 0) | (cells == 1)):
-            raise ValueError("mask entries must be 0 or 1")
         object.__setattr__(self, "cells", cells)
 
     @property

@@ -15,6 +15,7 @@ footprint.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, replace
 
@@ -55,59 +56,73 @@ MAX_PLACEMENT_ATTEMPTS = 1000
 # placement draws, and matching a frame is quadratic in its objects.
 MAX_OBJECTS = 1_000
 
+# Bound on |surface height| over a field's region of interest; evaluation
+# saturates at it outside the ROI.
+MAX_SURFACE_HEIGHT = 2.0
+
 _POLY_POWERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
+
+
+def _roi_scale(roi) -> float:
+    """Largest |coordinate| of the ROI, the unit of the polynomial's x
+    and y; ValueError unless each band is finite with lo < hi."""
+    for lo, hi in roi:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):  # NaN fails too
+            raise ValueError(f"roi bands must be finite with lo < hi, got {roi}")
+    return max(abs(v) for band in roi for v in band)
+
+
+def _surface(coeffs, bumps, xy_scale, x, y):
+    """Unclipped surface height at (x, y): the cubic in (x, y) / xy_scale
+    plus the Gaussian bumps."""
+    xn = np.asarray(x, dtype=float) / xy_scale
+    yn = np.asarray(y, dtype=float) / xy_scale
+    out = np.zeros(np.broadcast(xn, yn).shape)
+    for coef, (px, py) in zip(coeffs, _POLY_POWERS):
+        if coef:
+            out += coef * xn**px * yn**py
+    for amp, cx, cy, sigma in bumps:
+        dx = np.asarray(x, dtype=float) - cx
+        dy = np.asarray(y, dtype=float) - cy
+        out += amp * np.exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma))
+    return out
+
+
+def _roi_peak(coeffs, bumps, roi) -> float:
+    """Largest unclipped |height| on a 41 x 41 grid over the ROI."""
+    xs, ys = (np.linspace(lo, hi, 41) for lo, hi in roi)
+    return float(np.abs(_surface(coeffs, bumps, _roi_scale(roi), *np.meshgrid(xs, ys))).max())
 
 
 @dataclass(frozen=True)
 class GroundField:
     """Smooth road-surface height over the virtual ground plane: a cubic
-    bivariate polynomial plus optional Gaussian bumps, bounded by
-    ``max_abs`` over the region of interest (checked on a sample grid;
-    evaluation saturates at the bound outside it)."""
+    bivariate polynomial in (x, y) scaled by the ROI's largest
+    |coordinate|, plus optional Gaussian bumps, bounded by
+    ``MAX_SURFACE_HEIGHT`` over the region of interest (checked on a
+    sample grid; evaluation saturates at the bound outside it)."""
 
     coeffs: tuple[float, ...]
-    xy_scale: float = 100.0
     bumps: tuple[tuple[float, float, float, float], ...] = ()
     roi: tuple[tuple[float, float], tuple[float, float]] = ((-300.0, 300.0), (-300.0, 300.0))
-    max_abs: float = 2.0
+    xy_scale: float = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.coeffs) != len(_POLY_POWERS):
             raise ValueError(f"expected {len(_POLY_POWERS)} polynomial coefficients")
         if not all(math.isfinite(c) for c in self.coeffs):
             raise ValueError("coefficients must be finite")
-        if not (math.isfinite(self.xy_scale) and self.xy_scale > 0):
-            raise ValueError(f"xy_scale must be a finite number > 0, got {self.xy_scale}")
-        if not self.max_abs > 0:  # NaN fails too; inf means unbounded
-            raise ValueError(f"max_abs must be a number > 0, got {self.max_abs}")
-        # An infinite bound cannot be exceeded, so its scan is skipped.
-        if math.isfinite(self.max_abs) and (peak := self._roi_peak()) > self.max_abs + 1e-9:
+        object.__setattr__(self, "xy_scale", _roi_scale(self.roi))
+        if (peak := _roi_peak(self.coeffs, self.bumps, self.roi)) > MAX_SURFACE_HEIGHT + 1e-9:
             raise ValueError(
-                f"surface height reaches {peak:.3f} m, beyond the {self.max_abs} m bound"
+                f"surface height reaches {peak:.3f} m, beyond the {MAX_SURFACE_HEIGHT:g} m bound"
             )
-
-    def _roi_peak(self) -> float:
-        """Largest unclipped |height| on a 41 x 41 grid over the ROI."""
-        xs, ys = (np.linspace(lo, hi, 41) for lo, hi in self.roi)
-        return float(np.abs(self._raw(*np.meshgrid(xs, ys))).max())
-
-    def _raw(self, x, y):
-        xn = np.asarray(x, dtype=float) / self.xy_scale
-        yn = np.asarray(y, dtype=float) / self.xy_scale
-        out = np.zeros(np.broadcast(xn, yn).shape)
-        for coef, (px, py) in zip(self.coeffs, _POLY_POWERS):
-            if coef:
-                out += coef * xn**px * yn**py
-        for amp, cx, cy, sigma in self.bumps:
-            dx = np.asarray(x, dtype=float) - cx
-            dy = np.asarray(y, dtype=float) - cy
-            out += amp * np.exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma))
-        return out
 
     def evaluate(self, x, y):
         """Surface height h_r at ground coordinates (x, y); scalar in,
         scalar out, arrays broadcast."""
-        out = np.clip(self._raw(x, y), -self.max_abs, self.max_abs)
+        raw = _surface(self.coeffs, self.bumps, self.xy_scale, x, y)
+        out = np.clip(raw, -MAX_SURFACE_HEIGHT, MAX_SURFACE_HEIGHT)
         return float(out) if out.ndim == 0 else out
 
     @classmethod
@@ -125,9 +140,9 @@ class GroundField:
     ) -> "GroundField":
         """Draw a random surface whose peak |h_r| over the ROI equals
         ``amplitude`` (coefficients are rescaled to hit it exactly)."""
-        if not 0 < amplitude <= 2.0:
-            raise ValueError("amplitude must lie in (0, 2]")
-        scale = max(abs(v) for band in roi for v in band)
+        if not 0 < amplitude <= MAX_SURFACE_HEIGHT:
+            raise ValueError(f"amplitude must lie in (0, {MAX_SURFACE_HEIGHT:g}]")
+        scale = _roi_scale(roi)
         coeffs = rng.standard_normal(len(_POLY_POWERS))
         bumps = [
             (
@@ -138,15 +153,10 @@ class GroundField:
             )
             for _ in range(n_bumps)
         ]
-        # Probe unbounded (its constructor skips the scan), then rescale to fit.
-        probe = cls(
-            coeffs=tuple(coeffs), xy_scale=scale, bumps=tuple(bumps), roi=roi, max_abs=math.inf
-        )
-        peak = probe._roi_peak()
+        peak = _roi_peak(coeffs, bumps, roi)
         factor = amplitude / peak if peak > 0 else 0.0
         return cls(
             coeffs=tuple(factor * c for c in coeffs),
-            xy_scale=scale,
             bumps=tuple((factor * a, cx, cy, s) for a, cx, cy, s in bumps),
             roi=roi,
         )
@@ -176,11 +186,18 @@ class SceneConfig:
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ValueError(f"{name} must be ordered (lo <= hi)")
+        for i, (_, dims) in enumerate(self.categories):
+            for lo, hi in dims:
+                if not 0 < lo <= hi:  # NaN fails too
+                    raise ValueError(
+                        f"categories[{i}] dimension bands must satisfy 0 < lo <= hi, "
+                        f"got {[lo, hi]}"
+                    )
         if self.range_band[0] <= 0:
             raise ValueError("range band must start above zero")
         grid_dims_for_image(self.image_height, self.image_width)
-        if not 0 < self.field_amplitude <= 2.0:
-            raise ValueError("field amplitude must lie in (0, 2]")
+        if not 0 < self.field_amplitude <= MAX_SURFACE_HEIGHT:
+            raise ValueError(f"field amplitude must lie in (0, {MAX_SURFACE_HEIGHT:g}]")
         if not self.categories:
             raise ValueError("at least one category is required")
 

@@ -332,6 +332,19 @@ class TestCorners:
         with pytest.raises(ValueError, match="box fields must be finite"):
             Box3D(0, 0, 0, 1, 1, 1, theta)
 
+    @pytest.mark.parametrize(
+        "category", ["", "#car", "my car", " car", "car\n", "\x85", "a\u3000b", None, 3],
+        ids=["empty", "comment", "inner-space", "leading-space", "newline", "nel",
+             "ideographic-space", "none", "int"],
+    )
+    def test_category_must_be_one_label_token(self, category):
+        with pytest.raises(ValueError, match="category must be a non-empty string"):
+            Box3D(0, 0, 0, 1, 1, 1, 0, category=category)
+
+    def test_category_grammar_allows_non_ascii_and_inner_hash(self):
+        for category in ("traffic_cone", "über", "a#b", "٣"):
+            assert Box3D(0, 0, 0, 1, 1, 1, 0, category=category).category == category
+
 
 class TestLabelFrame:
     BOXES = [

@@ -134,6 +134,17 @@ class TestLabelFormat:
         with pytest.raises(FormatError, match="line 1"):
             parse_labels("car one 2 0.3 4 2 1.5 0.4\n")
 
+    @pytest.mark.parametrize("number", ["1_0", "٣", "１", "1e1_0"],
+                             ids=["underscore", "arabic-indic", "fullwidth", "exponent"])
+    def test_numbers_must_be_ascii_without_underscore(self, number):
+        text = f"traffic_cone 1 2 0.3 4 2 1.5 0.4\ncar {number} 2 0.3 4 2 1.5 0.4\n"
+        with pytest.raises(FormatError, match=r"^line 2: numbers must be ASCII without '_'$"):
+            parse_labels(text)
+
+    def test_underscore_and_non_ascii_categories_read(self):
+        frame = parse_labels("traffic_cone 1 2 0.3 4 2 1.5 0.4\nüber 1 2 0.3 4 2 1.5 0.4 0.5\n")
+        assert frame.categories == ("traffic_cone", "über")
+
     def test_invalid_box_error(self):
         with pytest.raises(FormatError, match="line 1"):
             parse_labels("car 1 2 0.3 -4 2 1.5 0.4\n")
@@ -156,8 +167,26 @@ class TestLabelFormat:
         ]
         assert list(parse_labels(serialize_labels(boxes))) == boxes
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        numbers=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=7,
+                         max_size=7),
+        category=st.sampled_from(["", "#x", "a b", "\x85", "x\u2028y", "über", "车", "٣", "a#"])
+        | st.text(max_size=6),
+        score=st.none() | st.floats(0.0, 1.0),
+    )
+    def test_every_accepted_box_round_trips(self, numbers, category, score):
+        # Dimensions take |value|, so only a zero one is refused.
+        x, y, z, l, w, h, theta = numbers
+        try:
+            box = Box3D(x, y, z, abs(l), abs(w), abs(h), theta, category=category, score=score)
+        except ValueError:
+            return
+        assert list(parse_labels(serialize_labels([box]))) == [box]
+
     def test_whitespace_category_rejected(self):
-        with pytest.raises(FormatError, match="whitespace"):
+        # Box3D itself refuses a category the reader could not read back.
+        with pytest.raises(ValueError, match="whitespace"):
             serialize_labels([Box3D(0, 0, 0, 1, 1, 1, 0, category="big vehicle")])
 
 
@@ -282,7 +311,8 @@ class TestReaderFuzz:
 
 def _reference_parse_labels(text: str) -> list[Box3D]:
     """The line-by-line reader ``parse_labels`` was before it read files
-    into one array frame, kept verbatim as the behaviour to preserve."""
+    into one array frame, kept verbatim as the behaviour to preserve,
+    except for one added rule: numbers are ASCII without '_'."""
     boxes = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -293,6 +323,8 @@ def _reference_parse_labels(text: str) -> list[Box3D]:
             raise FormatError(
                 f"line {lineno}: expected 8 or 9 fields, got {len(fields)}"
             )
+        if not all(f.isascii() and "_" not in f for f in fields[1:]):
+            raise FormatError(f"line {lineno}: numbers must be ASCII without '_'")
         try:
             numbers = [float(f) for f in fields[1:]]
         except ValueError as exc:
@@ -448,6 +480,24 @@ class TestCli:
         assert len(lines) == 6  # 10..50 m in 10 m steps
         last = lines[-1].split(",")
         assert float(last[0]) == 50.0
+
+    def test_sweep_over_the_row_cap_fails_before_any_row(self, capsys):
+        argv = ["sensitivity", "--height", "7", "--range", "1e12", "--dh", "0.5", "--sweep"]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --sweep writes one row per 10 m and at most 100000 rows, "
+            "got --range 1000000000000.0\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("range_m,code", [(50, 0), (59.9, 0), (60, 1)])
+    def test_sweep_cap_counts_rows(self, monkeypatch, capsys, range_m, code):
+        monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 5)
+        argv = ["sensitivity", "--height", "7", "--range", str(range_m), "--dh", "0.5", "--sweep"]
+        assert run_command(argv) == code
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == (6 if code == 0 else 0)
 
     def test_simulate_writes_parseable_files(self, sim_config_file, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -783,12 +833,25 @@ class TestCli:
              "error: unknown scene config keys: ['edge_margin_px']"),
             ({"frames": 100_001}, "error: frames must be at most 100000, got 100001"),
             ({"scene": {"n_objects": 1001}}, "error: n_objects must be at most 1000, got 1001"),
+            ({"scene": {"categories": [["car", [[5, 3], [1.6, 2], [1.3, 1.8]]]]}},
+             "error: categories[0] dimension bands must satisfy 0 < lo <= hi, got [5, 3]"),
+            ({"scene": {"categories": [["car", [[4, 5], [1.6, 2], [1.3, 1.8]]],
+                                       ["cone", [[0.3, 0.4], [-1, -0.5], [0.5, 0.7]]]]}},
+             "error: categories[1] dimension bands must satisfy 0 < lo <= hi, got [-1, -0.5]"),
+            ({"scene": {"categories": [["#car", [[4, 5], [1.6, 2], [1.3, 1.8]]]]}},
+             "error: category must be a non-empty string without whitespace, not starting "
+             "with '#', got '#car'"),
+            ({"scene": {"categories": [["", [[4, 5], [1.6, 2], [1.3, 1.8]]]]}},
+             "error: category must be a non-empty string"),
+            ({"scene": {"categories": [["my car", [[4, 5], [1.6, 2], [1.3, 1.8]]]]}},
+             "error: category must be a non-empty string"),
         ],
         ids=["zero-frames", "list-document", "null-frames", "list-frames", "float-frames",
              "string-objects", "number-band", "string-sigma", "nan-sigma", "list-scene",
              "list-noise", "misspelt-key", "unknown-noise-key", "infinite-sigma",
              "minus-infinite-sigma", "infinite-band", "edge-margin-key", "frames-over-cap",
-             "objects-over-cap"],
+             "objects-over-cap", "reversed-category-band", "negative-category-band",
+             "comment-category", "empty-category", "spaced-category"],
     )
     def test_simulate_rejects_bad_config(self, tmp_path, capsys, override, message):
         config = tmp_path / "sim.json"

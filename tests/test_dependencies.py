@@ -41,7 +41,7 @@ def _referenced_names(tree: ast.AST) -> set[str]:
     """Every name a module reads, reads as an attribute or imports."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -62,3 +62,24 @@ def test_every_private_definition_is_referenced(path):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
     ]
     assert sorted(set(private) - referenced) == []
+
+
+def _constants(tree: ast.Module) -> list[str]:
+    """The module-level UPPER_CASE names a module assigns."""
+    targets = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets.append(node.target)
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.lstrip("_").isupper()]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_constant_is_referenced(path):
+    # A module-level constant that no module of the package reads or
+    # imports is a bound or setting left orphaned.
+    referenced = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in SOURCES))
+    constants = _constants(ast.parse(path.read_text(), filename=str(path)))
+    assert sorted(set(constants) - referenced) == []

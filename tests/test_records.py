@@ -2,6 +2,7 @@
 equality by value (NaN equal to NaN), read-only array copies, no hash."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -99,3 +100,24 @@ def test_array_dtypes():
     assert stats.scores.dtype == float and stats.is_tp.dtype == bool
     assert PRCurve([0] * 40, 0.0).precisions.dtype == float
     assert CueMask([[1.0, 0.0]]).cells.dtype == np.uint8
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: CueMask(np.array([[0.5, 1.9]])), "mask entries must be 0 or 1"),
+        (lambda: CueMask([[256]]), "mask entries must be 0 or 1"),
+        (lambda: CueMask(np.array([[256]])), "mask entries must be 0 or 1"),
+        (lambda: CueMask([[math.nan]]), "mask entries must be 0 or 1"),
+        (lambda: CueMask(np.array([[2]], dtype=np.uint8)), "mask entries must be 0 or 1"),
+        (lambda: FrameStats([0.9, 0.8], [0.5, 2], 2), "is_tp entries must be 0 or 1"),
+        (lambda: FrameStats([0.9], [math.nan], 1), "is_tp entries must be 0 or 1"),
+        (lambda: FrameStats([0.9], [-1], 1), "is_tp entries must be 0 or 1"),
+    ],
+    ids=["mask-fractions", "mask-256-list", "mask-256-array", "mask-nan", "mask-uint8-two",
+         "tp-fraction-and-two", "tp-nan", "tp-minus-one"],
+)
+def test_flags_are_checked_before_the_cast(build, message):
+    # The cast alone would store 0.5 and 256 as 0 and 2 as True.
+    with pytest.raises(ValueError, match=message):
+        build()

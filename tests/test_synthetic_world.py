@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from roadlift import synthetic_world
 from roadlift.camera_geometry import (
     CameraRig,
     RigidTransform,
@@ -48,6 +49,23 @@ def single_object_scene(r=200.0, field=None, h=7.0, pitch=10.0, f=1400.0):
     return SyntheticScene(rig, plane, field, (box,), "single", seed=0)
 
 
+# GroundField.random's (amplitude, roi, n_bumps) cases.
+_RANDOM_CASES = {
+    "default": (1.0, ((-300.0, 300.0), (-300.0, 300.0)), 2),
+    "small-roi": (0.3, ((-50.0, 80.0), (-20.0, 10.0)), 0),
+    "many-bumps": (2.0, ((-270.0, 270.0), (-270.0, 270.0)), 5),
+}
+
+
+def _pinned_fields(case):
+    """The fields GroundField.random draws for seeds 0-9 in one
+    ``_RANDOM_CASES`` case, or ``constant(0.3)`` for "constant"."""
+    if case == "constant":
+        return [GroundField.constant(0.3)]
+    return [GroundField.random(np.random.default_rng(seed), *_RANDOM_CASES[case])
+            for seed in range(10)]
+
+
 class TestGroundField:
     def test_constant_field(self):
         field = GroundField.constant(0.3)
@@ -67,18 +85,15 @@ class TestGroundField:
         with pytest.raises(ValueError, match="bound"):
             GroundField(coeffs=coeffs)
 
-    def test_nan_max_abs_rejected(self):
-        with pytest.raises(ValueError, match="max_abs"):
-            GroundField(coeffs=(0.5,) + (0.0,) * 9, max_abs=math.nan)
-
-    @pytest.mark.parametrize("xy_scale", [math.nan, math.inf, 0.0, -1.0])
-    def test_bad_xy_scale_rejected(self, xy_scale):
-        with pytest.raises(ValueError, match="xy_scale"):
-            GroundField(coeffs=(0.5,) + (0.0,) * 9, xy_scale=xy_scale)
-
-    def test_infinite_max_abs_means_unbounded(self):
-        field = GroundField(coeffs=(5.0,) + (0.0,) * 9, max_abs=math.inf)
-        assert field.evaluate(1.0, 2.0) == 5.0
+    @pytest.mark.parametrize(
+        "band", [(math.nan, math.nan), (0.0, math.inf), (1.0, -1.0), (5.0, 5.0)],
+        ids=["nan", "inf", "reversed", "zero-width"],
+    )
+    def test_bad_roi_rejected(self, band):
+        with pytest.raises(ValueError, match="roi bands must be finite with lo < hi"):
+            GroundField(coeffs=(0.5,) + (0.0,) * 9, roi=(band, (0.0, 1.0)))
+        with pytest.raises(ValueError, match="roi bands must be finite with lo < hi"):
+            GroundField.random(np.random.default_rng(0), roi=((0.0, 1.0), band))
 
     def test_evaluate_saturates_outside_roi(self):
         rng = np.random.default_rng(1)
@@ -92,27 +107,58 @@ class TestGroundField:
         assert f1.evaluate(30.0, 40.0) != f2.evaluate(30.0, 40.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
-    @pytest.mark.parametrize(
-        "amplitude,roi,n_bumps",
-        [(1.0, ((-300.0, 300.0), (-300.0, 300.0)), 2), (0.3, ((-50.0, 80.0), (-20.0, 10.0)), 0),
-         (2.0, ((-270.0, 270.0), (-270.0, 270.0)), 5)],
-        ids=["default", "small-roi", "many-bumps"],
-    )
+    @pytest.mark.parametrize("amplitude,roi,n_bumps", _RANDOM_CASES.values(), ids=_RANDOM_CASES)
     def test_random_equals_reference(self, seed, amplitude, roi, n_bumps):
         got = GroundField.random(np.random.default_rng(seed), amplitude, roi, n_bumps)
         want = _reference_ground_field_random(np.random.default_rng(seed), amplitude, roi, n_bumps)
         assert got == want
 
+    # sha256 of the coefficients and bumps of _pinned_fields(case), and of
+    # their heights on a 41 x 41 grid reaching past every ROI and at 20
+    # scalar points, recorded while random's probe was a GroundField with
+    # an unbounded max_abs and xy_scale was a constructor argument.
+    DRAWS_SHA256 = {
+        "default": "1684b19c3d729e7645ad8dfd969d5a2edcc293c1b9f1666b4db783f49189671f",
+        "small-roi": "94f0bef5d005232cc69842a15ea2fd5988510c9f8b2a3150d1d2fb294f2dee38",
+        "many-bumps": "75741a47fcdadc3ac5c8aaa697b31d98637ad9019ee29e16810c7a8944243c2f",
+    }
+    HEIGHTS_SHA256 = {
+        "default": "cb4429f9b62ed0d26f4fddb1eec50471796f738897a8a07cc1136a1c61967614",
+        "small-roi": "f2040fb4470f6b149bc8b3ca215ebb4fd12b76b79e8fe28a1ee3c73f9439c04c",
+        "many-bumps": "4770403ac5b249fa2e48d31034ab46ad8976764e2349f1bdeea14e4de9bc7d77",
+        "constant": "2ffb2e369550d9b12219887328861b329a9258a455308cc907a332b85336ec39",
+    }
+
+    @pytest.mark.parametrize("case", list(_RANDOM_CASES))
+    def test_random_draws_match_recorded_bytes(self, case):
+        digest = hashlib.sha256()
+        for field in _pinned_fields(case):
+            digest.update(np.array(field.coeffs, dtype=float).tobytes())
+            digest.update(np.array(field.bumps, dtype=float).tobytes())
+        assert digest.hexdigest() == self.DRAWS_SHA256[case]
+
+    @pytest.mark.parametrize("case", [*_RANDOM_CASES, "constant"])
+    def test_heights_match_recorded_bytes(self, case):
+        xs = np.linspace(-400.0, 400.0, 41)
+        points = np.random.default_rng(2024).uniform(-400.0, 400.0, size=(20, 2)).tolist()
+        digest = hashlib.sha256()
+        for field in _pinned_fields(case):
+            digest.update(field.evaluate(*np.meshgrid(xs, xs)).tobytes())
+            heights = [field.evaluate(x, y) for x, y in points]
+            assert all(type(h) is float for h in heights)
+            digest.update(np.array(heights).tobytes())
+        assert digest.hexdigest() == self.HEIGHTS_SHA256[case]
+
     @pytest.mark.parametrize("seed", [0, 3])
     def test_generate_scene_scans_roi_twice(self, seed, monkeypatch):
         calls = []
-        scan = GroundField._roi_peak
+        scan = synthetic_world._roi_peak
 
-        def counting(self):
-            calls.append(self.max_abs)
-            return scan(self)
+        def counting(coeffs, bumps, roi):
+            calls.append(roi)
+            return scan(coeffs, bumps, roi)
 
-        monkeypatch.setattr(GroundField, "_roi_peak", counting)
+        monkeypatch.setattr(synthetic_world, "_roi_peak", counting)
         generate_scene(CFG, seed)
         assert len(calls) == 2
 
@@ -264,8 +310,9 @@ def _reference_render_channel0(scene):
 
 def _reference_ground_field_random(rng, amplitude=1.0, roi=((-300.0, 300.0), (-300.0, 300.0)),
                                    n_bumps=2):
-    """GroundField.random as it was while its probe scanned the ROI in
-    its own constructor; kept verbatim as the oracle."""
+    """GroundField.random as it was while its probe was a GroundField
+    with an unbounded max_abs; the probe's scan is kept verbatim as the
+    oracle."""
     if not 0 < amplitude <= 2.0:
         raise ValueError("amplitude must lie in (0, 2]")
     scale = max(abs(v) for band in roi for v in band)
@@ -279,14 +326,30 @@ def _reference_ground_field_random(rng, amplitude=1.0, roi=((-300.0, 300.0), (-3
         )
         for _ in range(n_bumps)
     ]
-    # Probe with an effectively unbounded max_abs, then rescale to fit.
-    probe = GroundField(coeffs=tuple(coeffs), xy_scale=scale, bumps=tuple(bumps), roi=roi,
-                        max_abs=1e9)
-    peak = probe._roi_peak()
+
+    # The probe's _raw and _roi_peak, with self.coeffs, self.xy_scale,
+    # self.bumps and self.roi as tuple(coeffs), scale, tuple(bumps), roi.
+    _POLY_POWERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2),
+                    (0, 3))
+
+    def _raw(x, y):
+        xn = np.asarray(x, dtype=float) / scale
+        yn = np.asarray(y, dtype=float) / scale
+        out = np.zeros(np.broadcast(xn, yn).shape)
+        for coef, (px, py) in zip(tuple(coeffs), _POLY_POWERS):
+            if coef:
+                out += coef * xn**px * yn**py
+        for amp, cx, cy, sigma in tuple(bumps):
+            dx = np.asarray(x, dtype=float) - cx
+            dy = np.asarray(y, dtype=float) - cy
+            out += amp * np.exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma))
+        return out
+
+    xs, ys = (np.linspace(lo, hi, 41) for lo, hi in roi)
+    peak = float(np.abs(_raw(*np.meshgrid(xs, ys))).max())
     factor = amplitude / peak if peak > 0 else 0.0
     return GroundField(
         coeffs=tuple(factor * c for c in coeffs),
-        xy_scale=scale,
         bumps=tuple((factor * a, cx, cy, s) for a, cx, cy, s in bumps),
         roi=roi,
     )
