@@ -29,22 +29,17 @@ from .evaluation import (
 from .loss_functions import (
     Box3DParams,
     LossBreakdown,
-    bottom_center_loss,
-    corner_l1,
-    disentangled_reg_loss,
     gradient_descent_fit,
     loss_gradient,
-    relative_height_loss,
     total_loss,
 )
-from .position_embedding import embed_depth_map, embed_query, sine_encode
+from .position_embedding import embed_depth_map, sine_encode
 from .scene_cue_bank import (
     CueMask,
     FeatureGrid,
     SceneBank,
     bank_memory_elements,
     extract_cues,
-    fuse_for_decoder,
     make_mask,
 )
 from .scene_scheduler import (

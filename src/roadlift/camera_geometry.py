@@ -191,10 +191,6 @@ class GroundPlane(_ArrayRecord):
         object.__setattr__(self, "cam_to_virtual", m)
 
     @property
-    def normal(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c])
-
-    @property
     def camera_height(self) -> float:
         """Height of the camera center above the plane, -d."""
         return -self.d
@@ -326,11 +322,22 @@ def height_sensitivity(
     return horizontal_range * delta_h / (camera_height - h_r)
 
 
+def check_category(name) -> None:
+    """ValueError unless ``name`` is a label line's first token: a
+    non-empty string with no whitespace that does not start with '#'."""
+    # split() drops every whitespace character, so one token equal to
+    # the whole string means non-empty and whitespace-free.
+    if not (isinstance(name, str) and name.split() == [name] and name[0] != "#"):
+        raise ValueError(
+            "category must be a non-empty string without whitespace, not starting "
+            f"with '#', got {name!r}"
+        )
+
+
 @dataclass(frozen=True)
 class Box3D:
     """Oriented 3D box, ground frame, (x, y, z) at the bottom-face center.
-    ``category`` is a label line's first token: a non-empty string with
-    no whitespace that does not start with '#'."""
+    ``category`` is a label category (see ``check_category``)."""
 
     x: float
     y: float
@@ -351,14 +358,7 @@ class Box3D:
         if not (self.l > 0 and self.w > 0 and self.h > 0):
             raise ValueError("box dimensions must be positive")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
-        cat = self.category
-        # split() drops every whitespace character, so one token equal to
-        # the whole string means non-empty and whitespace-free.
-        if not (isinstance(cat, str) and cat.split() == [cat] and cat[0] != "#"):
-            raise ValueError(
-                "category must be a non-empty string without whitespace, not starting "
-                f"with '#', got {cat!r}"
-            )
+        check_category(self.category)
         if self.score is not None and not (0.0 <= self.score <= 1.0):
             raise ValueError("score must lie in [0, 1]")
 

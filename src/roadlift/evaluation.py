@@ -132,23 +132,11 @@ class MatchPair(NamedTuple):
 @dataclass(frozen=True)
 class MatchResult:
     """One matched frame: the pairs refer to the boxes of the ``gts``
-    and ``preds`` frames; the unmatched indices follow from the pairs."""
+    and ``preds`` frames; a box in no pair is unmatched."""
 
     pairs: tuple[MatchPair, ...]
     gts: LabelFrame
     preds: LabelFrame
-
-    @property
-    def unmatched_gt(self) -> tuple[int, ...]:
-        return _unmatched(len(self.gts), {p.gt_index for p in self.pairs})
-
-    @property
-    def unmatched_pred(self) -> tuple[int, ...]:
-        return _unmatched(len(self.preds), {p.pred_index for p in self.pairs})
-
-
-def _unmatched(n: int, matched: set[int]) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if i not in matched)
 
 
 _IOU_KINDS = ("bev", "3d", "pixel")

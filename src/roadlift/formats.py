@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, is_dataclass, replace
 
 import numpy as np
@@ -33,6 +32,12 @@ from .camera_geometry import Box3D, CameraRig, LabelFrame, RigidTransform, wrap_
 from .scene_cue_bank import MAX_IMAGE_SIDE
 
 PARSE_ROTATION_TOL = 1e-6
+
+# Largest magnitude ``check_json`` accepts for a float field.  Every
+# simulate / bank-sim config number and calibration extrinsic entry
+# passes through it; a finite 1e308 would overflow inside the scene
+# draws, while 1e12 m (or px, or degrees) is far past any real rig.
+MAX_JSON_NUMBER = 1e12
 
 LABEL_HEADER = (
     "# category x y z l w h yaw [score]\n"
@@ -68,9 +73,10 @@ def check_json(value, like, name: str):
     naming the field ``name``.  An int takes an integer, a float any
     number, a str a string, a tuple an equally long list matched item by
     item (a one-item tuple: any length), and a dict or dataclass an
-    object with known keys, which replace those of ``like``.  A number
-    must fit a finite float: JSON ``Infinity`` and ``1e999`` are
-    rejected, while NaN is left to each field's own check."""
+    object with known keys, which replace those of ``like``.  A float
+    field's number must lie within +-``MAX_JSON_NUMBER``: ``1e308``,
+    JSON ``Infinity`` and ``1e999`` are rejected, while NaN is left to
+    each field's own check."""
     if isinstance(like, dict) or is_dataclass(like):
         keys = like if isinstance(like, dict) else vars(like)
         where = f"{name} config" if name else "config"
@@ -89,7 +95,7 @@ def check_json(value, like, name: str):
                 for i, v in enumerate(value)
             )
     elif type(like) is float:
-        if type(value) in (int, float) and not abs(value) > sys.float_info.max:
+        if type(value) in (int, float) and not abs(value) > MAX_JSON_NUMBER:
             return value
     elif type(value) is type(like):
         return value

@@ -4,8 +4,8 @@ subgradients.
 The regression loss is the L1 distance between the eight predicted and
 ground-truth box corners, evaluated three times with two of
 {location, dimensions, yaw} pinned to ground truth so each part is
-optimized in isolation.  A separate L1 term supervises the relative
-height h_r and another the bottom-center pixel.
+optimized in isolation.  ``total_loss`` adds the L1 terms on the
+relative height h_r and on the bottom-center pixel, taken as numbers.
 
 Gradients are taken over the 9-vector
 (x, y, z, l, w, h, sin_yaw, cos_yaw, h_r); yaw decodes as
@@ -69,19 +69,6 @@ class Box3DParams(_ArrayRecord):
             yaw_cos=math.cos(box.theta),
         )
 
-    def to_box(self, category: str = "car", score: float | None = None) -> Box3D:
-        return Box3D(
-            x=float(self.location[0]),
-            y=float(self.location[1]),
-            z=float(self.location[2]),
-            l=float(self.dims[0]),
-            w=float(self.dims[1]),
-            h=float(self.dims[2]),
-            theta=self.theta,
-            category=category,
-            score=score,
-        )
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -99,11 +86,6 @@ class LossBreakdown:
                 raise ValueError(f"{name} must be finite and non-negative, got {v}")
 
 
-def corner_l1(pred: Box3D, gt: Box3D) -> float:
-    """Sum of absolute differences over the 8 paired corners (24 scalars)."""
-    return float(np.abs(corners_of(pred) - corners_of(gt)).sum())
-
-
 def _part_diffs(
     loc: np.ndarray, dims: np.ndarray, theta: float, gt: Box3D
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,28 +98,6 @@ def _part_diffs(
         corners_from_parts(gt.x, gt.y, gt.z, dims[0], dims[1], dims[2], gt.theta) - gt_corners,
         corners_from_parts(gt.x, gt.y, gt.z, gt.l, gt.w, gt.h, theta) - gt_corners,
     )
-
-
-def disentangled_reg_loss(pred: Box3DParams, gt: Box3D) -> tuple[float, float, float]:
-    """Three corner-L1 values with, in turn, only the location, only the
-    dimensions, and only the yaw taken from the prediction (the other
-    two parts pinned to ground truth).  Unscaled; the 1/3 averaging
-    happens in total_loss."""
-    diffs = _part_diffs(pred.location, pred.dims, pred.theta, gt)
-    return tuple(float(np.abs(d).sum()) for d in diffs)
-
-
-def relative_height_loss(pred_hr, gt_hr):
-    """L1 on the relative height; accepts scalars or arrays elementwise."""
-    out = np.abs(np.asarray(pred_hr, dtype=float) - np.asarray(gt_hr, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def bottom_center_loss(pred_uv, gt_uv) -> float:
-    """L1 on the bottom-center pixel, summed over u and v."""
-    p = np.asarray(pred_uv, dtype=float)
-    g = np.asarray(gt_uv, dtype=float)
-    return float(np.abs(p - g).sum())
 
 
 def total_loss(

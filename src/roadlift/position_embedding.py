@@ -1,4 +1,4 @@
-"""Sine position encodings for per-pixel ground depth and object queries.
+"""Sine position encodings for per-pixel ground depth.
 
 Depth is encoded raw in meters (no normalization); the temperature
 follows the usual transformer convention of 10000.  Cells whose ray
@@ -52,26 +52,3 @@ def embed_depth_map(
     out = sine_encode(depth, d_e, temperature)
     out[np.isnan(depth)] = 0.0
     return out
-
-
-def embed_query(
-    box2d: tuple[float, float, float, float],
-    bottom_center: tuple[float, float],
-    d_e: int = 64,
-    temperature: float = DEFAULT_TEMPERATURE,
-) -> np.ndarray:
-    """Concatenated sine encodings of the six normalized query scalars
-    (x1, y1, x2, y2, u_c, v_c); output length is 6 * d_e.
-
-    Coordinates must already be normalized by the image dimensions; a
-    small overshoot band [-0.1, 1.1] is tolerated for boxes touching the
-    border.
-    """
-    coords = [*box2d, *bottom_center]
-    for value in coords:
-        if not -0.1 <= value <= 1.1:
-            raise ValueError(
-                f"query coordinate {value} is outside [-0.1, 1.1]; "
-                "normalize by the image dimensions first"
-            )
-    return sine_encode(coords, d_e, temperature).reshape(-1)

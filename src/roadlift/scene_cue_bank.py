@@ -61,22 +61,6 @@ class FeatureGrid(_ArrayRecord):
             raise ValueError("feature grid contains non-finite values")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def height_cells(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width_cells(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[2]
-
-    @classmethod
-    def zeros(cls, height_cells: int, width_cells: int, channels: int) -> "FeatureGrid":
-        return cls(np.zeros((height_cells, width_cells, channels)))
-
 
 def _frozen_grid(values: np.ndarray) -> FeatureGrid:
     """Wrap a float grid built inside the package from validated grids:
@@ -109,10 +93,6 @@ class CueMask(_ArrayRecord):
         if cells.ndim != 2:
             raise ValueError("mask must be 2-dimensional")
         object.__setattr__(self, "cells", cells)
-
-    @property
-    def ones(self) -> int:
-        return int(self.cells.sum())
 
 
 def grid_dims_for_image(image_height: int, image_width: int) -> tuple[int, int]:
@@ -192,13 +172,6 @@ def extract_cues(features: FeatureGrid, mask: CueMask) -> FeatureGrid:
     shape = features.values.shape
     cells = np.flatnonzero(mask.cells)
     return _scattered_grid(features.values.reshape(-1, shape[2])[cells], cells, shape)
-
-
-def fuse_for_decoder(current: FeatureGrid, memorized: FeatureGrid) -> FeatureGrid:
-    """Channel-wise concatenation, current frame first."""
-    if current.values.shape[:2] != memorized.values.shape[:2]:
-        raise ValueError("spatial dimensions do not match")
-    return FeatureGrid(np.concatenate([current.values, memorized.values], axis=2))
 
 
 @dataclass

@@ -26,6 +26,7 @@ from .camera_geometry import (
     CameraRig,
     GeometryError,
     GroundPlane,
+    check_category,
     corners_of,
     ground_plane_from_extrinsics,
     lift_to_ground,
@@ -98,7 +99,8 @@ def _roi_peak(coeffs, bumps, roi) -> float:
 class GroundField:
     """Smooth road-surface height over the virtual ground plane: a cubic
     bivariate polynomial in (x, y) scaled by the ROI's largest
-    |coordinate|, plus optional Gaussian bumps, bounded by
+    |coordinate|, plus optional Gaussian bumps (amplitude, x, y, sigma;
+    all finite, sigma > 0), bounded by
     ``MAX_SURFACE_HEIGHT`` over the region of interest (checked on a
     sample grid; evaluation saturates at the bound outside it)."""
 
@@ -112,6 +114,12 @@ class GroundField:
             raise ValueError(f"expected {len(_POLY_POWERS)} polynomial coefficients")
         if not all(math.isfinite(c) for c in self.coeffs):
             raise ValueError("coefficients must be finite")
+        for amp, cx, cy, sigma in self.bumps:
+            if not (all(map(math.isfinite, (amp, cx, cy))) and 0 < sigma < math.inf):
+                raise ValueError(
+                    "bumps need a finite amplitude and centre and a finite sigma > 0, "
+                    f"got {(amp, cx, cy, sigma)}"
+                )
         object.__setattr__(self, "xy_scale", _roi_scale(self.roi))
         if (peak := _roi_peak(self.coeffs, self.bumps, self.roi)) > MAX_SURFACE_HEIGHT + 1e-9:
             raise ValueError(
@@ -186,7 +194,8 @@ class SceneConfig:
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ValueError(f"{name} must be ordered (lo <= hi)")
-        for i, (_, dims) in enumerate(self.categories):
+        for i, (name, dims) in enumerate(self.categories):
+            check_category(name)
             for lo, hi in dims:
                 if not 0 < lo <= hi:  # NaN fails too
                     raise ValueError(

@@ -92,7 +92,7 @@ class TestDepthToGround:
             u = rng.uniform(0, rig.image_width)
             v = rng.uniform(rig.a_y + 30, rig.image_height)  # safely below horizon
             direction = np.array([(u - rig.a_x) / rig.f_x, (v - rig.a_y) / rig.f_y, 1.0])
-            n = plane.normal
+            n = np.array([plane.a, plane.b, plane.c])
             t = -plane.d / float(n @ direction)
             expected = t * direction[2]
             got = depth_to_ground(rig, plane, u, v)

@@ -713,7 +713,7 @@ class TestCli:
 
         loaded = load_bank(bank_path)
         assert len(loaded.scene_ids()) == 1
-        assert loaded.memorized(loaded.scene_ids()[0]).channels == 2
+        assert loaded.memorized(loaded.scene_ids()[0]).values.shape[2] == 2
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "phase,frame,did_reset,cells,mean_abs_err,mean_sq_err"
         phases = {line.split(",")[0] for line in lines[1:]}
@@ -768,7 +768,9 @@ class TestCli:
             ({"scheduler": {"clamp_hi": 20}},
              "error: image sides must be at most 16384 px, got 20480x30720"),
             ({"scheduler": {"clamp_hi": 1e308}},
-             "error: intrinsic scale 1e+308 takes the image size past float range"),
+             "error: field scheduler.clamp_hi must be like 0.9, got 1e+308"),
+            ({"cue_noise_sigma": 1e308},
+             "error: field cue_noise_sigma must be like 0.05, got 1e+308"),
             ({"scene": {"n_objects": 0, "image_width": 8, "image_height": 8}, "channels": 4097},
              "error: channels must be at most 4096, got 4097"),
             ({"frames": 100_001}, "error: frames must be at most 100000, got 100001"),
@@ -782,8 +784,8 @@ class TestCli:
              "zero-channels", "infinite-sigma-roll", "minus-infinite-momentum",
              "infinite-band", "channels-over-grid-cap", "scheduler-seed",
              "augmented-grid-over-cap", "scale-below-one-cell", "augmented-side-over-cap",
-             "scale-past-float-range", "channels-over-cap", "frames-over-cap",
-             "objects-over-cap"],
+             "scale-past-float-range", "huge-cue-noise-sigma", "channels-over-cap",
+             "frames-over-cap", "objects-over-cap"],
     )
     def test_bank_sim_rejects_bad_config(self, tmp_path, capsys, monkeypatch, override, message):
         # Configs are checked before any work: no scene is generated.
@@ -845,13 +847,27 @@ class TestCli:
              "error: category must be a non-empty string"),
             ({"scene": {"categories": [["my car", [[4, 5], [1.6, 2], [1.3, 1.8]]]]}},
              "error: category must be a non-empty string"),
+            ({"scene": {"n_objects": 0, "categories": [["#car", [[4, 5], [1.6, 2], [1.3, 1.8]]]]}},
+             "error: category must be a non-empty string"),
+            ({"scene": {"range_band": [1e308, 1e308]}},
+             "error: field scene.range_band[0] must be like 5.0, got 1e+308"),
+            ({"scene": {"height_band": [4, 1e308]}},
+             "error: field scene.height_band[1] must be like 12.0, got 1e+308"),
+            ({"scene": {"focal_band": [1e308, 1e308]}},
+             "error: field scene.focal_band[0] must be like 1000.0, got 1e+308"),
+            ({"noise": {"sigma_hr": 1e308}},
+             "error: field noise.sigma_hr must be like 0.0, got 1e+308"),
+            ({"noise": {"sigma_dims": 1e308}},
+             "error: field noise.sigma_dims must be like 0.0, got 1e+308"),
         ],
         ids=["zero-frames", "list-document", "null-frames", "list-frames", "float-frames",
              "string-objects", "number-band", "string-sigma", "nan-sigma", "list-scene",
              "list-noise", "misspelt-key", "unknown-noise-key", "infinite-sigma",
              "minus-infinite-sigma", "infinite-band", "edge-margin-key", "frames-over-cap",
              "objects-over-cap", "reversed-category-band", "negative-category-band",
-             "comment-category", "empty-category", "spaced-category"],
+             "comment-category", "empty-category", "spaced-category",
+             "comment-category-without-objects", "huge-range-band", "huge-height-band",
+             "huge-focal-band", "huge-sigma-hr", "huge-sigma-dims"],
     )
     def test_simulate_rejects_bad_config(self, tmp_path, capsys, override, message):
         config = tmp_path / "sim.json"

@@ -4,15 +4,28 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "roadlift").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "roadlift").glob("*.py"))
+# Every file is parsed once and the trees are shared by the checks below.
+TREES = {p: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+
+# The readers of the public API: the program (the package, whose
+# __init__.py only re-exports, and the benchmark, without its selftest)
+# and the acceptance tests.
+READERS = [
+    *MODULES,
+    *(p for p in sorted((ROOT / "bench").glob("*.py")) if p.name != "selftest.py"),
+    ROOT / "tests" / "test_acceptance.py",
+]
+READER_TREES = [TREES.get(p) or ast.parse(p.read_text(), filename=str(p)) for p in READERS]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_numpy_is_the_only_runtime_dependency(path):
     # Relative imports (level > 0) stay inside the package.
-    tree = ast.parse(path.read_text(), filename=str(path))
     modules = []
-    for node in ast.walk(tree):
+    for node in ast.walk(TREES[path]):
         if isinstance(node, ast.Import):
             modules += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -21,12 +34,10 @@ def test_numpy_is_the_only_runtime_dependency(path):
     assert [m for m in modules if m.split(".")[0] not in allowed] == []
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     # __init__.py is left out: it imports names only to re-export them.
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = TREES[path]
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -50,18 +61,19 @@ def _referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
+REFERENCED = set().union(*map(_referenced_names, TREES.values()))
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_private_definition_is_referenced(path):
     # A module-level private function or class that no module of the
     # package names is dead code.
-    referenced = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in SOURCES))
-    tree = ast.parse(path.read_text(), filename=str(path))
     private = [
         node.name
-        for node in tree.body
+        for node in TREES[path].body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
     ]
-    assert sorted(set(private) - referenced) == []
+    assert sorted(set(private) - REFERENCED) == []
 
 
 def _constants(tree: ast.Module) -> list[str]:
@@ -80,6 +92,43 @@ def _constants(tree: ast.Module) -> list[str]:
 def test_every_constant_is_referenced(path):
     # A module-level constant that no module of the package reads or
     # imports is a bound or setting left orphaned.
-    referenced = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in SOURCES))
-    constants = _constants(ast.parse(path.read_text(), filename=str(path)))
-    assert sorted(set(constants) - referenced) == []
+    assert sorted(set(_constants(TREES[path])) - REFERENCED) == []
+
+
+def _public_definitions(tree: ast.Module) -> tuple[list[str], list[tuple[str, str]]]:
+    """A module's public functions and classes, and the (class, name) of
+    the public methods and properties of its classes."""
+    top, members = [], []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            top.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            members += [
+                (node.name, m.name)
+                for m in node.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+            ]
+    return top, members
+
+
+READ_NAMES = set().union(*map(_referenced_names, READER_TREES))
+READ_ATTRIBUTES = {
+    node.attr for tree in READER_TREES for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_name_has_a_reader(path):
+    # A public function or class must be read by the program or the
+    # acceptance tests: loaded as a name, read as an attribute or
+    # imported.  A method or property counts as read only as an
+    # attribute, so a local or parameter of the same name (a method's
+    # own argument, say) cannot hide it.  Names are matched bare, so
+    # this check cannot see a member named like another attribute that
+    # is read: FeatureGrid.zeros, CueMask.ones and FeatureGrid.channels
+    # (read as np.zeros, np.ones and the benchmark's self.channels) were
+    # deleted by hand.
+    top, members = _public_definitions(TREES[path])
+    unread = [n for n in top if n not in READ_NAMES]
+    unread += [f"{cls}.{n}" for cls, n in members if n not in READ_ATTRIBUTES]
+    assert unread == []

@@ -29,6 +29,16 @@ def box(x=0.0, y=0.0, z=0.0, l=1.0, w=1.0, h=1.0, theta=0.0, score=None):
     return Box3D(x, y, z, l, w, h, theta, score=score)
 
 
+def unmatched(result) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The GT and the prediction indices that no pair of ``result`` holds."""
+    gts = {p.gt_index for p in result.pairs}
+    preds = {p.pred_index for p in result.pairs}
+    return (
+        tuple(i for i in range(len(result.gts)) if i not in gts),
+        tuple(i for i in range(len(result.preds)) if i not in preds),
+    )
+
+
 def monte_carlo_bev_iou(a: Box3D, b: Box3D, n: int, seed: int) -> float:
     """Area-sampling oracle: throw points over the union bounding box and
     test membership in each rotated footprint analytically."""
@@ -169,13 +179,13 @@ class TestMatch:
         preds = [box(x=10 * i, l=4, w=2, score=0.9 - 0.1 * i) for i in range(3)]
         result = match(gts, preds, 0.5)
         assert len(result.pairs) == 3
-        assert result.unmatched_gt == () and result.unmatched_pred == ()
+        assert unmatched(result) == ((), ())
 
     def test_no_predictions(self):
         gts = [box(), box(x=5)]
         result = match(gts, [], 0.5)
         assert result.pairs == ()
-        assert result.unmatched_gt == (0, 1)
+        assert unmatched(result) == ((0, 1), ())
 
     def test_higher_score_wins_contested_gt(self):
         gts = [box(l=4, w=2)]
@@ -186,7 +196,7 @@ class TestMatch:
         result = match(gts, preds, 0.3)
         assert len(result.pairs) == 1
         assert result.pairs[0].pred_index == 1
-        assert result.unmatched_pred == (0,)
+        assert unmatched(result) == ((), (0,))
 
     def test_missing_scores_rejected(self):
         with pytest.raises(ValueError, match="score"):
@@ -317,12 +327,8 @@ class TestMatchPinnedToReference:
             gts, preds = _random_frame(rng, sparse)
             for threshold in (0.0, 0.1, 0.5):
                 got = match(gts, preds, threshold, kind)
-                pairs, unmatched_gt, unmatched_pred = _reference_match(
-                    gts, preds, threshold, measure
-                )
-                assert got.pairs == pairs
-                assert got.unmatched_gt == unmatched_gt
-                assert got.unmatched_pred == unmatched_pred
+                want = _reference_match(gts, preds, threshold, measure)
+                assert (got.pairs, *unmatched(got)) == want
 
 
 class TestOverlapMatrix:
@@ -365,9 +371,9 @@ class TestOverlapMatrix:
         extra = {"gt_boxes_2d": [(0, 0, 1, 1)] * 2, "pred_boxes_2d": []} if kind == "pixel" else {}
         assert overlap_matrix(boxes, [], kind, **extra).shape == (2, 0)
         empty_gt = match([], preds, 0.5, "bev", overlaps=np.zeros((0, 1)))
-        assert empty_gt.pairs == () and empty_gt.unmatched_pred == (0,)
+        assert empty_gt.pairs == () and unmatched(empty_gt) == ((), (0,))
         empty_pred = match(boxes, [], 0.5, "bev", overlaps=np.zeros((2, 0)))
-        assert empty_pred.pairs == () and empty_pred.unmatched_gt == (0, 1)
+        assert empty_pred.pairs == () and unmatched(empty_pred) == ((0, 1), ())
 
     def test_pixel_kind_is_the_box2d_matrix(self):
         rng = np.random.default_rng(9)

@@ -11,15 +11,11 @@ from roadlift.loss_functions import (
     LossBreakdown,
     _gradient_of_vector,
     _vector_and_gt_hr,
-    bottom_center_loss,
-    corner_l1,
-    disentangled_reg_loss,
     finite_difference_gradient,
     gradient_descent_fit,
     loss_gradient,
     loss_of_vector,
     random_smooth_case,
-    relative_height_loss,
     total_loss,
 )
 
@@ -43,59 +39,38 @@ def reference_corner_l1(a: Box3D, b: Box3D) -> float:
     return float(np.abs(ca - cb).sum())
 
 
-class TestCornerL1:
-    def test_identical_boxes(self):
-        box = Box3D(1, 2, 0.3, 4, 2, 1.5, 0.4)
-        assert corner_l1(box, box) == 0.0
+def substituted_boxes(pred: Box3DParams, gt: Box3D) -> list[Box3D]:
+    """``gt`` with, in turn, only the location, only the dimensions and
+    only the yaw taken from ``pred``."""
+    (x, y, z), (l, w, h) = pred.location, pred.dims
+    return [
+        Box3D(x, y, z, gt.l, gt.w, gt.h, gt.theta),
+        Box3D(gt.x, gt.y, gt.z, l, w, h, gt.theta),
+        Box3D(gt.x, gt.y, gt.z, gt.l, gt.w, gt.h, pred.theta),
+    ]
 
-    def test_pure_translation(self):
-        gt = Box3D(0, 0, 0, 4, 2, 1.5, 0.3)
-        pred = Box3D(1, 0, 0, 4, 2, 1.5, 0.3)
-        assert corner_l1(pred, gt) == pytest.approx(8.0)
 
-    def test_yaw_perturbation_matches_enumeration_oracle(self):
-        gt = Box3D(2, -1, 0.2, 4, 2, 1, 0.5)
-        pred = Box3D(2, -1, 0.2, 4, 2, 1, 0.6)
-        assert corner_l1(pred, gt) == pytest.approx(reference_corner_l1(pred, gt), abs=1e-9)
-
-    def test_random_boxes_match_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            a = Box3D(*rng.uniform(-10, 10, 3), *rng.uniform(0.5, 5, 3), rng.uniform(-3, 3))
-            b = Box3D(*rng.uniform(-10, 10, 3), *rng.uniform(0.5, 5, 3), rng.uniform(-3, 3))
-            assert corner_l1(a, b) == pytest.approx(reference_corner_l1(a, b), abs=1e-9)
-
-    def test_positive_unless_corners_coincide(self):
-        # A pi yaw flip keeps the footprint but permutes the corner order,
-        # so the paired loss stays strictly positive.
-        base = Box3D(0, 0, 0, 4, 2, 1.5, 0.3)
-        flipped = Box3D(0, 0, 0, 4, 2, 1.5, 0.3 + math.pi)
-        assert corner_l1(flipped, base) > 1.0
-        nudged = Box3D(1e-7, 0, 0, 4, 2, 1.5, 0.3)
-        assert 0.0 < corner_l1(nudged, base) < 1e-5
-
-    def test_common_shift_invariance(self):
-        rng = np.random.default_rng(1)
-        a = Box3D(1, 2, 0.1, 4, 2, 1.5, 0.7)
-        b = Box3D(0.5, 2.5, 0.4, 3.5, 1.8, 1.2, 0.9)
-        shift = rng.uniform(-20, 20, 3)
-        a2 = Box3D(a.x + shift[0], a.y + shift[1], a.z + shift[2], a.l, a.w, a.h, a.theta)
-        b2 = Box3D(b.x + shift[0], b.y + shift[1], b.z + shift[2], b.l, b.w, b.h, b.theta)
-        assert corner_l1(a, b) == pytest.approx(corner_l1(a2, b2), abs=1e-9)
+def reg_sum(pred: Box3DParams, gt: Box3D) -> float:
+    """The corner terms of ``loss_of_vector`` alone: lambda1 = 3 undoes
+    their mean and lambda2 = 0 drops the h_r term."""
+    vec, gt_hr = _vector_and_gt_hr(pred, gt, None, None)
+    return loss_of_vector(vec, gt, 3.0, 0.0, gt_hr)
 
 
 class TestDisentangledRegLoss:
     def test_exact_prediction_is_zero(self):
         gt = Box3D(1, 2, 0.3, 4, 2, 1.5, 0.4)
-        assert disentangled_reg_loss(Box3DParams.from_box(gt), gt) == (0.0, 0.0, 0.0)
+        vec, gt_hr = _vector_and_gt_hr(Box3DParams.from_box(gt), gt, None, None)
+        assert loss_of_vector(vec, gt, 1.0, 1.0, gt_hr) == 0.0
 
     def test_location_only_isolated(self):
         gt = Box3D(1, 2, 0.3, 4, 2, 1.5, 0.4)
         pred = Box3DParams.from_box(Box3D(1, 3, 0.3, 4, 2, 1.5, 0.4))
-        parts = disentangled_reg_loss(pred, gt)
-        assert parts == pytest.approx((8.0, 0.0, 0.0))
+        assert reg_sum(pred, gt) == pytest.approx(8.0)
 
     def test_each_part_matches_substituted_corner_l1(self):
+        # Each part pins the other two to ground truth, so the sum is
+        # the corner L1 of the three substituted boxes, not of ``pred``.
         rng = np.random.default_rng(2)
         for _ in range(25):
             gt = Box3D(*rng.uniform(-10, 10, 3), *rng.uniform(0.5, 5, 3), rng.uniform(-3, 3))
@@ -109,40 +84,17 @@ class TestDisentangledRegLoss:
                 gt.theta + rng.normal(0, 0.3),
             )
             pred = Box3DParams.from_box(pred_box)
-            loc, dims, yaw = disentangled_reg_loss(pred, gt)
-            assert loc == pytest.approx(
-                corner_l1(Box3D(pred_box.x, pred_box.y, pred_box.z, gt.l, gt.w, gt.h, gt.theta), gt)
-            )
-            assert dims == pytest.approx(
-                corner_l1(Box3D(gt.x, gt.y, gt.z, pred_box.l, pred_box.w, pred_box.h, gt.theta), gt)
-            )
-            assert yaw == pytest.approx(
-                corner_l1(Box3D(gt.x, gt.y, gt.z, gt.l, gt.w, gt.h, pred_box.theta), gt)
-            )
+            boxes = substituted_boxes(pred, gt)
+            parts = [reference_corner_l1(b, gt) for b in boxes]
+            for part, box in zip(parts, boxes):
+                assert reg_sum(Box3DParams.from_box(box), gt) == pytest.approx(part)
+            assert reg_sum(pred, gt) == pytest.approx(sum(parts))
 
     def test_dims_only_perturbation_isolated(self):
         gt = Box3D(1, 2, 0.3, 4, 2, 1.5, 0.4)
-        pred = Box3DParams.from_box(Box3D(1, 2, 0.3, 4.4, 2, 1.5, 0.4))
-        loc, dims, yaw = disentangled_reg_loss(pred, gt)
-        assert loc == 0.0 and yaw == 0.0 and dims > 0
-
-
-class TestScalarLosses:
-    def test_relative_height(self):
-        assert relative_height_loss(0.5, 0.5) == 0.0
-        assert relative_height_loss(0.7, 0.2) == pytest.approx(0.5)
-
-    def test_relative_height_batch_mean(self):
-        rng = np.random.default_rng(3)
-        pred = rng.normal(0, 1, 100)
-        gt = rng.normal(0, 1, 100)
-        batch = relative_height_loss(pred, gt)
-        scalar_mean = np.mean([relative_height_loss(p, g) for p, g in zip(pred, gt)])
-        assert np.mean(batch) == pytest.approx(scalar_mean)
-
-    def test_bottom_center(self):
-        assert bottom_center_loss((10, 10), (10, 10)) == 0.0
-        assert bottom_center_loss((10, 10), (13, 14)) == pytest.approx(7.0)
+        pred_box = Box3D(1, 2, 0.3, 4.4, 2, 1.5, 0.4)
+        loss = reg_sum(Box3DParams.from_box(pred_box), gt)
+        assert loss > 0 and loss == pytest.approx(reference_corner_l1(pred_box, gt))
 
 
 class TestTotalLoss:
@@ -332,10 +284,11 @@ class TestPinnedToReference:
         for seed in self.SEEDS:
             pred, gt, pred_hr = random_smooth_case(np.random.default_rng(seed))
             vec, gt_hr = _vector_and_gt_hr(pred, gt, pred_hr, None)
-            want = total_loss(
-                disentangled_reg_loss(pred, gt), abs(pred_hr - gt_hr), 0.0, lambda1, lambda2
-            ).total
-            assert loss_of_vector(vec, gt, lambda1, lambda2, gt_hr) == want
+            parts = [reference_corner_l1(b, gt) for b in substituted_boxes(pred, gt)]
+            want = total_loss(parts, abs(pred_hr - gt_hr), 0.0, lambda1, lambda2).total
+            assert loss_of_vector(vec, gt, lambda1, lambda2, gt_hr) == pytest.approx(
+                want, rel=1e-12, abs=1e-12
+            )
 
 
 class TestGradientDescentFit:
@@ -369,11 +322,6 @@ class TestBox3DParams:
     def test_yaw_encoding_validated(self):
         with pytest.raises(ValueError):
             Box3DParams(np.zeros(3), np.ones(3), 0.9, 0.9)
-
-    def test_round_trip_through_box(self):
-        box = Box3D(1, 2, 0.3, 4, 2, 1.5, -2.1, category="car", score=0.5)
-        again = Box3DParams.from_box(box).to_box(category="car", score=0.5)
-        assert again == box
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from roadlift.camera_geometry import (
 from roadlift.position_embedding import (
     DEFAULT_TEMPERATURE,
     embed_depth_map,
-    embed_query,
     sine_encode,
 )
 from roadlift.scene_cue_bank import STRIDE, grid_dims_for_image
@@ -156,48 +155,3 @@ class TestEmbedDepthMap:
             depths.append(depth_to_ground(rig, plane, u, v))
         assert all(a > b for a, b in zip(depths, depths[1:]))
 
-
-def _reference_embed_query(box2d, bottom_center, d_e=64, temperature=DEFAULT_TEMPERATURE):
-    """embed_query as the concatenation of per-scalar encodings, verbatim."""
-    coords = [*box2d, *bottom_center]
-    for value in coords:
-        if not -0.1 <= value <= 1.1:
-            raise ValueError(
-                f"query coordinate {value} is outside [-0.1, 1.1]; "
-                "normalize by the image dimensions first"
-            )
-    return np.concatenate([sine_encode(v, d_e, temperature) for v in coords])
-
-
-class TestEmbedQuery:
-    @pytest.mark.parametrize("d_e,temperature", [(2, 10000.0), (8, 10000.0), (64, 10000.0),
-                                                 (256, 10000.0), (64, 20.0), (6, 1.5)])
-    def test_equals_reference_concatenation(self, d_e, temperature):
-        rng = np.random.default_rng(d_e)
-        queries = [((0, 0, 0, 0), (0, 0)), ((-0.1, -0.1, 1.1, 1.1), (1.1, -0.1))] + [
-            (tuple(c[:4]), tuple(c[4:])) for c in rng.uniform(-0.1, 1.1, (8, 6))
-        ]
-        for box2d, bottom_center in queries:
-            got = embed_query(box2d, bottom_center, d_e, temperature)
-            assert np.array_equal(
-                got, _reference_embed_query(box2d, bottom_center, d_e, temperature)
-            )
-
-    def test_zero_coordinates(self):
-        out = embed_query((0, 0, 0, 0), (0, 0), d_e=4)
-        np.testing.assert_array_equal(out, [0, 1, 0, 1] * 6)
-
-    def test_output_length(self):
-        out = embed_query((0.1, 0.2, 0.4, 0.6), (0.25, 0.5), d_e=64)
-        assert out.shape == (384,)
-
-    def test_matches_per_scalar_composition(self):
-        rng = np.random.default_rng(3)
-        coords = rng.uniform(0, 1, 6)
-        out = embed_query(tuple(coords[:4]), tuple(coords[4:]), d_e=8)
-        expected = np.concatenate([sine_encode(c, 8) for c in coords])
-        np.testing.assert_array_equal(out, expected)
-
-    def test_unnormalized_input_rejected(self):
-        with pytest.raises(ValueError, match="normalize"):
-            embed_query((0.0, 0.0, 120.0, 90.0), (60.0, 45.0), d_e=4)

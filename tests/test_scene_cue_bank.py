@@ -14,7 +14,6 @@ from roadlift.scene_cue_bank import (
     bank_memory_elements,
     cell_centers,
     extract_cues,
-    fuse_for_decoder,
     grid_dims_for_image,
     load_bank,
     make_mask,
@@ -67,23 +66,23 @@ def pin_masks(rng, h, w):
 class TestMakeMask:
     def test_interior_point_gives_nine_cells(self):
         mask = make_mask([(84.0, 84.0)], (20, 20))  # cell (10, 10)
-        assert mask.ones == 9
+        assert mask.cells.sum() == 9
         assert mask.cells[9:12, 9:12].sum() == 9
 
     def test_corner_point_clipped_to_four(self):
         mask = make_mask([(0.0, 0.0)], (20, 20))
-        assert mask.ones == 4
+        assert mask.cells.sum() == 4
         assert mask.cells[0:2, 0:2].sum() == 4
 
     def test_two_overlapping_blocks_union(self):
         # Cells (10, 10) and (10, 12): 3x3 blocks share one column of 3 cells.
         mask = make_mask([(84.0, 84.0), (100.0, 84.0)], (20, 20))
-        assert mask.ones == 15
+        assert mask.cells.sum() == 15
 
     def test_out_of_image_points_skipped(self):
         mask = make_mask([(84.0, 84.0), (-1.0, 5.0), (160.0, 5.0)], (20, 20))
         assert mask.skipped == 2
-        assert mask.ones == 9
+        assert mask.cells.sum() == 9
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -93,11 +92,11 @@ class TestMakeMask:
     )
     def test_count_bounded_by_nine_per_point(self, points):
         mask = make_mask(points, (20, 20))
-        assert mask.ones <= 9 * len(points)
+        assert mask.cells.sum() <= 9 * len(points)
 
     def test_interior_spread_points_hit_the_bound(self):
         points = [(40.0, 40.0), (80.0, 80.0), (120.0, 40.0)]
-        assert make_mask(points, (20, 20)).ones == 27
+        assert make_mask(points, (20, 20)).cells.sum() == 27
 
 
 class TestExtractCues:
@@ -133,7 +132,7 @@ class TestExtractCues:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            extract_cues(FeatureGrid.zeros(4, 5, 2), CueMask(np.zeros((5, 5), np.uint8)))
+            extract_cues(FeatureGrid(np.zeros((4, 5, 2))), CueMask(np.zeros((5, 5), np.uint8)))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 7, 2), (9, 6, 4), (16, 24, 8)])
@@ -164,7 +163,7 @@ class TestMomentumUpdate:
     def test_momentum_one_replaces(self):
         rng = np.random.default_rng(3)
         bank = SceneBank()
-        bank.reset_scene("s", FeatureGrid.zeros(4, 5, 2))
+        bank.reset_scene("s", FeatureGrid(np.zeros((4, 5, 2))))
         cues = random_grid(rng)
         bank.update_momentum("s", cues, momentum=1.0)
         np.testing.assert_array_equal(bank.memorized("s").values, cues.values)
@@ -181,7 +180,7 @@ class TestMomentumUpdate:
         rng = np.random.default_rng(5)
         g1, g2 = random_grid(rng), random_grid(rng)
         bank = SceneBank()
-        bank.reset_scene("s", FeatureGrid.zeros(4, 5, 2))
+        bank.reset_scene("s", FeatureGrid(np.zeros((4, 5, 2))))
         bank.update_momentum("s", g1, momentum=0.5)
         bank.update_momentum("s", g2, momentum=0.5)
         np.testing.assert_allclose(
@@ -199,7 +198,7 @@ class TestMomentumUpdate:
     def test_invalid_momentum(self):
         bank = SceneBank()
         with pytest.raises(ValueError):
-            bank.update_momentum("s", FeatureGrid.zeros(2, 2, 1), momentum=1.5)
+            bank.update_momentum("s", FeatureGrid(np.zeros((2, 2, 1))), momentum=1.5)
 
     @settings(max_examples=50, deadline=None)
     @given(lam=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
@@ -248,7 +247,7 @@ class TestMomentumUpdate:
         assert masked.frames_seen("s") == full.frames_seen("s")
 
     def test_every_mask_caller_gives_the_same_shape_error(self):
-        grid, mask = FeatureGrid.zeros(4, 5, 2), full_mask(5, 4)
+        grid, mask = FeatureGrid(np.zeros((4, 5, 2))), full_mask(5, 4)
         bank = SceneBank()
         bank.reset_scene("s", grid)
         calls = (
@@ -265,9 +264,9 @@ class TestMomentumUpdate:
 
     def test_masked_blend_checks_the_mask_shape(self):
         bank = SceneBank()
-        bank.reset_scene("s", FeatureGrid.zeros(4, 5, 2))
+        bank.reset_scene("s", FeatureGrid(np.zeros((4, 5, 2))))
         with pytest.raises(ValueError, match="mask shape"):
-            bank.update_momentum("s", FeatureGrid.zeros(4, 5, 2), 0.5, full_mask(5, 4))
+            bank.update_momentum("s", FeatureGrid(np.zeros((4, 5, 2))), 0.5, full_mask(5, 4))
 
     def test_memorized_at_cells_copies_those_rows(self):
         rng = np.random.default_rng(20)
@@ -382,7 +381,7 @@ class TestResetScene:
 
     def test_reset_with_zero_grid_zeroes_counters(self):
         bank = SceneBank()
-        bank.reset_scene("s", FeatureGrid.zeros(4, 5, 2))
+        bank.reset_scene("s", FeatureGrid(np.zeros((4, 5, 2))))
         assert not bank.counter("s").any()
 
     def test_reset_midstream_equals_fresh(self):
@@ -391,7 +390,7 @@ class TestResetScene:
         dirty = SceneBank()
         for _ in range(4):
             dirty.update_running_average("s", random_grid(rng), full_mask())
-        dirty.reset_scene("s", FeatureGrid.zeros(4, 5, 2))
+        dirty.reset_scene("s", FeatureGrid(np.zeros((4, 5, 2))))
         dirty.update_running_average("s", *update)
         fresh = SceneBank()
         fresh.update_running_average("s", *update)
@@ -408,29 +407,6 @@ class TestResetScene:
         expected = np.zeros((2, 3), dtype=np.int64)
         expected[0, 1] = 1
         np.testing.assert_array_equal(bank.counter("s"), expected)
-
-
-class TestFuseForDecoder:
-    def test_single_channel_concat(self):
-        out = fuse_for_decoder(grid_from([[[1.0]]]), grid_from([[[2.0]]]))
-        np.testing.assert_array_equal(out.values, [[[1.0, 2.0]]])
-
-    def test_zero_memory_preserves_current(self):
-        rng = np.random.default_rng(14)
-        current = random_grid(rng)
-        fused = fuse_for_decoder(current, FeatureGrid.zeros(4, 5, 2))
-        np.testing.assert_array_equal(fused.values[:, :, :2], current.values)
-        assert not fused.values[:, :, 2:].any()
-
-    def test_output_channel_count(self):
-        rng = np.random.default_rng(15)
-        for d in (1, 3, 8):
-            fused = fuse_for_decoder(random_grid(rng, d=d), random_grid(rng, d=d))
-            assert fused.channels == 2 * d
-
-    def test_spatial_mismatch(self):
-        with pytest.raises(ValueError):
-            fuse_for_decoder(FeatureGrid.zeros(4, 5, 2), FeatureGrid.zeros(5, 5, 2))
 
 
 class TestBankMemoryElements:
@@ -608,8 +584,8 @@ class TestSerialization:
 
     def test_mixed_shapes_rejected(self, tmp_path):
         bank = SceneBank()
-        bank.reset_scene("a", FeatureGrid.zeros(4, 5, 2))
-        bank.reset_scene("b", FeatureGrid.zeros(2, 5, 2))
+        bank.reset_scene("a", FeatureGrid(np.zeros((4, 5, 2))))
+        bank.reset_scene("b", FeatureGrid(np.zeros((2, 5, 2))))
         with pytest.raises(ValueError, match="mixed"):
             save_bank(bank, tmp_path / "bank.bin")
 
@@ -617,7 +593,7 @@ class TestSerialization:
 class TestFeatureGrid:
     def test_memorized_is_read_only(self):
         bank = SceneBank()
-        bank.reset_scene("s", FeatureGrid.zeros(2, 2, 1))
+        bank.reset_scene("s", FeatureGrid(np.zeros((2, 2, 1))))
         with pytest.raises(ValueError):
             bank.memorized("s").values[0, 0, 0] = 1.0
 
@@ -632,19 +608,19 @@ class TestFeatureGrid:
             grid_from([[[np.nan]]])
 
     def test_zeros_shape_properties(self):
-        grid = FeatureGrid.zeros(128, 192, 3)
-        assert (grid.height_cells, grid.width_cells, grid.channels) == (128, 192, 3)
+        grid = FeatureGrid(np.zeros((128, 192, 3)))
+        assert grid.values.shape == (128, 192, 3) and not grid.values.any()
 
     def test_shape_mismatch_on_update(self):
         bank = SceneBank()
-        bank.reset_scene("s", FeatureGrid.zeros(4, 5, 2))
+        bank.reset_scene("s", FeatureGrid(np.zeros((4, 5, 2))))
         with pytest.raises(ValueError):
-            bank.update_momentum("s", FeatureGrid.zeros(4, 4, 2), momentum=0.5)
+            bank.update_momentum("s", FeatureGrid(np.zeros((4, 4, 2))), momentum=0.5)
 
 
 def _bank_file_with_version(path, version):
     bank = SceneBank()
-    bank.reset_scene("s", FeatureGrid.zeros(2, 2, 1))
+    bank.reset_scene("s", FeatureGrid(np.zeros((2, 2, 1))))
     save_bank(bank, path)
     data = bytearray(path.read_bytes())
     data[4:8] = struct.pack("<I", version)

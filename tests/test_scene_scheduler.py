@@ -118,6 +118,11 @@ class TestApplyAugmentation:
             sizes.append(size)
         assert all(h2 >= h1 and w2 >= w1 for (h1, w1), (h2, w2) in zip(sizes, sizes[1:]))
 
+    def test_scale_past_float_range_rejected(self):
+        # bank-sim's config bound keeps such a scale out of the CLI.
+        with pytest.raises(ValueError, match="intrinsic scale 1e\\+308 takes the image size past"):
+            scaled_image_size(1024, 1536, 1e308)
+
     def test_camera_center_fixed(self):
         rig = rig_from_pose(9.0, 30.0, yaw_deg=100.0, ground_xy=(3.0, -4.0))
         out = apply_augmentation(rig, AugmentationParams(0.85, 2.0, -1.0))
@@ -136,7 +141,11 @@ class TestApplyAugmentation:
         # The recomputed plane normal tilts exactly as the composed rotation says.
         plane = ground_plane_from_extrinsics(rig)
         plane_aug = ground_plane_from_extrinsics(out)
-        np.testing.assert_allclose(plane_aug.normal, oracle @ plane.normal, atol=1e-12)
+        np.testing.assert_allclose(
+            [plane_aug.a, plane_aug.b, plane_aug.c],
+            oracle @ [plane.a, plane.b, plane.c],
+            atol=1e-12,
+        )
 
 
 class TestSchedulerStep:

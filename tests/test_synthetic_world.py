@@ -505,8 +505,8 @@ class TestRenderCueGrid:
         grid = render_cue_grid(scene, 1)
         rig, plane = scene.rig, scene.plane
         for _ in range(50):
-            r = int(rng.integers(0, grid.height_cells))
-            c = int(rng.integers(0, grid.width_cells))
+            r = int(rng.integers(0, grid.values.shape[0]))
+            c = int(rng.integers(0, grid.values.shape[1]))
             u, v = (c + 0.5) * 8, (r + 0.5) * 8
             try:
                 ground = lift_to_ground(rig, plane, u, v, 0.0)
@@ -567,6 +567,16 @@ class TestConfigParsing:
     [
         (lambda: GroundField(coeffs=(0.0,) * 3), "expected 10 polynomial coefficients"),
         (lambda: GroundField(coeffs=(math.nan,) + (0.0,) * 9), "coefficients must be finite"),
+        (lambda: GroundField(coeffs=(0.0,) * 10, bumps=((math.nan, 0.0, 0.0, 10.0),)),
+         "bumps need a finite amplitude and centre and a finite sigma > 0"),
+        (lambda: GroundField(coeffs=(0.0,) * 10, bumps=((0.1, math.inf, 0.0, 10.0),)),
+         "bumps need a finite amplitude and centre"),
+        (lambda: GroundField(coeffs=(0.0,) * 10, bumps=((0.1, 0.0, 0.0, -10.0),)),
+         "bumps need a finite amplitude and centre"),
+        (lambda: GroundField(coeffs=(0.0,) * 10, bumps=((0.1, 0.0, 0.0, 0.0),)),
+         "bumps need a finite amplitude and centre"),
+        (lambda: GroundField(coeffs=(0.0,) * 10, bumps=((0.1, 0.0, 0.0, math.inf),)),
+         "bumps need a finite amplitude and centre"),
         (lambda: GroundField.random(np.random.default_rng(0), amplitude=3.0),
          r"amplitude must lie in \(0, 2\]"),
         (lambda: SceneConfig(n_objects=-1), "n_objects must be non-negative"),
@@ -574,9 +584,13 @@ class TestConfigParsing:
         (lambda: SceneConfig(range_band=(0.0, 100.0)), "range band must start above zero"),
         (lambda: SceneConfig(field_amplitude=3.0), r"field amplitude must lie in \(0, 2\]"),
         (lambda: SceneConfig(categories=()), "at least one category is required"),
+        (lambda: SceneConfig(categories=(("#car", ((4.0, 5.0), (1.6, 2.0), (1.3, 1.8))),)),
+         "category must be a non-empty string without whitespace"),
     ],
-    ids=["coefficient-count", "nan-coefficient", "random-amplitude", "negative-objects",
-         "unordered-band", "range-from-zero", "field-amplitude", "no-categories"],
+    ids=["coefficient-count", "nan-coefficient", "nan-bump-amplitude", "infinite-bump-centre",
+         "negative-bump-sigma", "zero-bump-sigma", "infinite-bump-sigma", "random-amplitude",
+         "negative-objects", "unordered-band", "range-from-zero",
+         "field-amplitude", "no-categories", "comment-category"],
 )
 def test_rejects_bad_values(build, message):
     with pytest.raises(ValueError, match=message):
