@@ -49,6 +49,11 @@ ALGEBRAIC_TOL = 1e-9
 RAY_PARALLEL_TOL = 1e-9
 # Cameras closer than this to the ground plane are degenerate.
 MIN_CAMERA_HEIGHT = 1e-6
+# Shortest accepted focal length in pixels.  Below it one pixel next to
+# the principal point spans more than 45 degrees, which no road camera
+# does, and the ray directions (u - a_x) / f_x grow without bound: a
+# subnormal focal length overflows them to inf.
+MIN_FOCAL_PX = 1.0
 
 
 class GeometryError(ValueError):
@@ -127,9 +132,9 @@ class RigidTransform(_ArrayRecord):
 class CameraRig:
     """Calibration for one roadside camera.
 
-    f_x, f_y are focal lengths in pixels, (a_x, a_y) the principal
-    point; ``extrinsic`` maps ground-frame points to camera-frame
-    points.
+    f_x, f_y are focal lengths in pixels, finite and at least
+    ``MIN_FOCAL_PX``; (a_x, a_y) is the principal point; ``extrinsic``
+    maps ground-frame points to camera-frame points.
     """
 
     f_x: float
@@ -141,8 +146,11 @@ class CameraRig:
     image_height: int
 
     def __post_init__(self):
-        if not (0 < self.f_x < math.inf and 0 < self.f_y < math.inf):
-            raise ValueError("focal lengths must be positive")
+        if not (MIN_FOCAL_PX <= self.f_x < math.inf and MIN_FOCAL_PX <= self.f_y < math.inf):
+            raise ValueError(
+                f"focal lengths must be positive, finite and at least {MIN_FOCAL_PX:g} px, "
+                f"got {self.f_x} and {self.f_y}"
+            )
         if not (math.isfinite(self.a_x) and math.isfinite(self.a_y)):
             raise ValueError("principal point must be finite")
         if not (self.image_width > 0 and self.image_height > 0):

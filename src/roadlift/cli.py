@@ -51,7 +51,6 @@ from .loss_functions import (
 from .position_embedding import embed_depth_map
 from .scene_cue_bank import (
     CELL_BLOCK,
-    FeatureGrid,
     SceneBank,
     _scattered_grid,
     bank_memory_elements,
@@ -247,20 +246,17 @@ def cmd_evaluate(args) -> int:
 
 
 def _observe(truth: np.ndarray, cells: np.ndarray, sigma: float, rng) -> np.ndarray:
-    """``truth`` plus ``sigma`` Gaussian noise, as a new array.  ``truth``
-    holds one row of channels per flat cell in ``cells`` (ascending
-    row-major indices into the grid).  Noise is drawn in row-major cell
-    order up to the last of ``cells``, ``CELL_BLOCK`` cells per fill of
-    one reused buffer, and each fill's rows at ``cells`` are used as they
-    are drawn.  The Generator fills arrays in C order and each fill
-    continues the stream, so every value equals the one a single
-    full-grid draw gives.
-
-    It stays apart from ``_observed_grid`` for memory: inlining it there,
-    same operations in the same order, raised bank-stream's peak RSS in
-    5 of 5 alternating 10 s pairs (median 142.2 -> 147.2 MB, 2 vCPUs),
-    and writing each fill straight into the zero grid raised the median
-    to 153.3 MB."""
+    """``truth`` plus ``sigma`` Gaussian noise, as a new array of the same
+    (len(cells), channels) shape: one observation's rows, not a grid.
+    ``truth`` holds one row of channels per flat cell in ``cells``
+    (ascending row-major indices into the grid).  Noise is drawn in
+    row-major cell order up to the last of ``cells``, ``CELL_BLOCK``
+    cells per fill of one reused buffer, and each fill's rows at
+    ``cells`` are used as they are drawn.  The Generator fills arrays in
+    C order and each fill continues the stream, so every value equals the
+    one a single full-grid draw gives.  Besides the result it allocates
+    only the buffer, ``CELL_BLOCK`` x channels, so a caller that scatters
+    the rows into a grid decides when that grid exists."""
     channels = truth.shape[1]
     values = np.empty_like(truth)
     if cells.size:
@@ -272,12 +268,6 @@ def _observe(truth: np.ndarray, cells: np.ndarray, sigma: float, rng) -> np.ndar
             lo, hi = np.searchsorted(cells, (start, start + n))
             values[lo:hi] = truth[lo:hi] + sigma * buf[cells[lo:hi] - start]
     return values
-
-
-def _observed_grid(truth: np.ndarray, cells: np.ndarray, shape, sigma: float, rng) -> FeatureGrid:
-    """``_observe`` at ``cells``, scattered into a read-only zero grid of
-    ``shape``: the observation the bank calls take."""
-    return _scattered_grid(_observe(truth, cells, sigma, rng), cells, shape)
 
 
 def _error_row(phase: str, t: int, did_reset: bool, err: np.ndarray) -> str:
@@ -296,10 +286,16 @@ def cmd_bank_sim(args) -> int:
     Frame ``t`` observes the training cues with the noise stream
     ``[seed, 5, t]`` and the inference cues with ``[seed, 6, t]``.  The
     plain camera's cues are rendered once; each augmented camera's are
-    evaluated only at the cells each frame's mask reads.  The inference
-    observation runs on one worker thread, queued one frame ahead, while
-    the training half runs on this one; banks and rows are updated only
-    here, in frame order, so the outputs do not depend on thread timing."""
+    evaluated only at the cells each frame's mask reads.  Both streams
+    take one path: ``_observe`` gives the noisy rows at the masked cells,
+    ``_scattered_grid`` puts them in a zero grid and ``extract_cues``
+    reads the mask from it.  The inference ``_observe`` runs on one
+    worker thread, queued one frame ahead, and returns only those rows;
+    the scattering, the bank updates and the CSV rows happen here, in
+    frame order, so the outputs do not depend on thread timing.  Each
+    stream's grids are built just before its bank update and dropped
+    right after it, so the two streams' observation grids are never
+    alive together and the worker holds none."""
     # --seed is the one scheduler seed: the scheduler block has no seed key.
     scheduler_like = {k: v for k, v in vars(SchedulerConfig(tau=20)).items() if k != "seed"}
     like = {"scene": SceneConfig(), "frames": 60, "momentum": 0.1, "channels": 4,
@@ -346,20 +342,20 @@ def cmd_bank_sim(args) -> int:
 
     def _submit_plain(worker, t: int):
         """Frame ``t``'s objects and plain mask, with its inference
-        observation queued on ``worker``."""
+        observation rows queued on ``worker``."""
         frame_scene = scene if t == 0 else resample_objects(scene, scene_cfg, t)
         mask_plain = _mask_for(scene, frame_scene)
         cells_plain = np.flatnonzero(mask_plain.cells)
         observed_plain = worker.submit(
-            _observed_grid, plain_rows[cells_plain], cells_plain, true_plain.values.shape,
-            sigma, np.random.default_rng([args.seed, 6, t]),
+            _observe, plain_rows[cells_plain], cells_plain, sigma,
+            np.random.default_rng([args.seed, 6, t]),
         )
-        return frame_scene, mask_plain, observed_plain
+        return frame_scene, mask_plain, cells_plain, observed_plain
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         pending = _submit_plain(worker, 0)
         for t in range(n_frames):
-            frame_scene, mask_plain, observed_plain = pending
+            frame_scene, mask_plain, cells_plain, observed_plain = pending
             if t + 1 < n_frames:
                 pending = _submit_plain(worker, t + 1)
             params, did_reset = scheduler.step(sid)
@@ -372,23 +368,29 @@ def cmd_bank_sim(args) -> int:
             cells = np.flatnonzero(mask.cells)
             truth = aug_cues.at(cells)
             rng = np.random.default_rng([args.seed, 5, t])
-            cues = extract_cues(_observed_grid(truth, cells, aug_cues.shape, sigma, rng), mask)
+            cues = extract_cues(
+                _scattered_grid(_observe(truth, cells, sigma, rng), cells, aug_cues.shape), mask
+            )
             if did_reset:
                 bank_train.reset_scene(sid, cues)
             else:
                 bank_train.update_momentum(sid, cues, momentum, mask)
+            # Each stream's grids go as soon as its bank has read them:
+            # the peak RSS is set by how many grids are alive at once.
+            del cues
             if cells.size:
-                err = bank_train.memorized(sid, cells)[:, 0] - truth[:, 0]
+                err = bank_train.memorized(sid, cells, 0) - truth[:, 0]
                 rows.append(_error_row("train", t, did_reset, err))
-            cues_plain = extract_cues(observed_plain.result(), mask_plain)
+            cues_plain = extract_cues(
+                _scattered_grid(observed_plain.result(), cells_plain, true_plain.values.shape),
+                mask_plain,
+            )
             bank_infer.update_running_average(sid, cues_plain, mask_plain)
+            del cues_plain
             seen = np.flatnonzero(bank_infer.counter(sid) > 0)
             if seen.size:
-                err = bank_infer.memorized(sid, seen)[:, 0] - plain_rows[seen, 0]
+                err = bank_infer.memorized(sid, seen, 0) - plain_rows[seen, 0]
                 rows.append(_error_row("infer", t, False, err))
-            # Drop this frame's grids (and the future holding one) before
-            # the next frame's are built: it keeps the peak RSS down.
-            del cues, cues_plain, observed_plain
     _emit("\n".join(rows) + "\n", args.out)
     if args.bank_out:
         save_bank(bank_infer, args.bank_out)

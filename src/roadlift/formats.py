@@ -28,7 +28,14 @@ from dataclasses import dataclass, is_dataclass, replace
 
 import numpy as np
 
-from .camera_geometry import Box3D, CameraRig, LabelFrame, RigidTransform, wrap_angle
+from .camera_geometry import (
+    MIN_FOCAL_PX,
+    Box3D,
+    CameraRig,
+    LabelFrame,
+    RigidTransform,
+    wrap_angle,
+)
 from .scene_cue_bank import MAX_IMAGE_SIDE
 
 PARSE_ROTATION_TOL = 1e-6
@@ -125,8 +132,10 @@ def parse_calibration_doc(text: str) -> CalibrationDoc:
     height = _number(image, "height", "image.")
     if width != int(width) or height != int(height):
         raise FormatError("image dimensions must be integers")
-    for field, value in (("intrinsics.fx", fx), ("intrinsics.fy", fy),
-                         ("image.width", width), ("image.height", height)):
+    for field, value in (("intrinsics.fx", fx), ("intrinsics.fy", fy)):
+        if value < MIN_FOCAL_PX:
+            raise FormatError(f"field {field} must be at least {MIN_FOCAL_PX:g} px, got {value!r}")
+    for field, value in (("image.width", width), ("image.height", height)):
         if value <= 0:
             raise FormatError(f"field {field} must be positive, got {value!r}")
     for field, value in (("image.width", width), ("image.height", height)):

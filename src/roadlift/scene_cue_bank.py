@@ -195,17 +195,22 @@ class SceneBank:
     def scene_ids(self) -> list[str]:
         return list(self._scenes)
 
-    def memorized(self, scene_id: str, cells=None) -> FeatureGrid | np.ndarray:
+    def memorized(
+        self, scene_id: str, cells=None, channel: int | slice = slice(None)
+    ) -> FeatureGrid | np.ndarray:
         """A read-only copy of the scene's memory as a ``FeatureGrid``.  With
         ``cells`` (flat row-major indices into the height x width grid),
         only those cells are copied: a (len(cells), channels) array, one
-        row per cell in the given order.  Neither is re-validated: the
-        memory only holds blends of validated grids or values that
-        ``load_bank`` checked."""
+        row per cell in the given order, or with an integer ``channel``
+        that channel's (len(cells),) values alone.  Neither is
+        re-validated: the memory only holds blends of validated grids or
+        values that ``load_bank`` checked."""
         memory = self._scenes[scene_id].memorized
         if cells is None:
+            if channel != slice(None):
+                raise ValueError("memorized selects a channel only together with cells")
             return _frozen_grid(memory.copy())
-        return memory.reshape(-1, memory.shape[2])[cells]
+        return memory.reshape(-1, memory.shape[2])[cells, channel]
 
     def counter(self, scene_id: str) -> np.ndarray:
         return self._scenes[scene_id].counter.copy()

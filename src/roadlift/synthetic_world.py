@@ -266,36 +266,45 @@ def box2d_of(rig: CameraRig, box: Box3D) -> tuple[float, float, float, float]:
     return (min(us), min(vs), max(us), max(vs))
 
 
-def _sample_object(
+def _sample_objects(
     rng: np.random.Generator,
     rig: CameraRig,
     field: GroundField,
     config: SceneConfig,
-) -> Box3D:
+) -> tuple[Box3D, ...]:
+    """``config.n_objects`` boxes resting on ``field``, each drawn within
+    90% of the rig's half field of view around its forward azimuth and
+    redrawn until its bottom center images inside the margin.  The rig's
+    foot point, azimuth and field of view are computed once per call."""
     foot = rig.camera_center_ground()[:2]
     forward = rig.extrinsic.rotation.T @ np.array([0.0, 0.0, 1.0])
     az0 = math.atan2(forward[1], forward[0])
     az_half = math.atan((rig.image_width / 2.0) / rig.f_x) * 0.9
-    for _ in range(MAX_PLACEMENT_ATTEMPTS):
-        r = rng.uniform(*config.range_band)
-        az = az0 + rng.uniform(-az_half, az_half)
-        x = foot[0] + r * math.cos(az)
-        y = foot[1] + r * math.sin(az)
-        z = field.evaluate(x, y)
-        name, bands = config.categories[rng.integers(len(config.categories))]
-        l, w, h = (rng.uniform(lo, hi) for lo, hi in bands)
-        box = Box3D(x, y, z, l, w, h, theta=rng.uniform(-math.pi, math.pi), category=name)
-        try:
-            u, v = project_to_image(rig, box.bottom_center)
-        except GeometryError:
-            continue
-        if (EDGE_MARGIN_PX <= u < rig.image_width - EDGE_MARGIN_PX
-                and EDGE_MARGIN_PX <= v < rig.image_height - EDGE_MARGIN_PX):
-            return box
-    raise ValueError(
-        "infeasible scene config: no in-image placement found in "
-        f"{MAX_PLACEMENT_ATTEMPTS} attempts"
-    )
+    objects = []
+    for _ in range(config.n_objects):
+        for _ in range(MAX_PLACEMENT_ATTEMPTS):
+            r = rng.uniform(*config.range_band)
+            az = az0 + rng.uniform(-az_half, az_half)
+            x = foot[0] + r * math.cos(az)
+            y = foot[1] + r * math.sin(az)
+            z = field.evaluate(x, y)
+            name, bands = config.categories[rng.integers(len(config.categories))]
+            l, w, h = (rng.uniform(lo, hi) for lo, hi in bands)
+            box = Box3D(x, y, z, l, w, h, theta=rng.uniform(-math.pi, math.pi), category=name)
+            try:
+                u, v = project_to_image(rig, box.bottom_center)
+            except GeometryError:
+                continue
+            if (EDGE_MARGIN_PX <= u < rig.image_width - EDGE_MARGIN_PX
+                    and EDGE_MARGIN_PX <= v < rig.image_height - EDGE_MARGIN_PX):
+                objects.append(box)
+                break
+        else:
+            raise ValueError(
+                "infeasible scene config: no in-image placement found in "
+                f"{MAX_PLACEMENT_ATTEMPTS} attempts"
+            )
+    return tuple(objects)
 
 
 def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
@@ -317,7 +326,7 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
     field = GroundField.random(
         rng, amplitude=config.field_amplitude, roi=((-reach, reach), (-reach, reach))
     )
-    objects = tuple(_sample_object(rng, rig, field, config) for _ in range(config.n_objects))
+    objects = _sample_objects(rng, rig, field, config)
     return SyntheticScene(
         rig=rig, plane=plane, field=field, objects=objects, scene_id=f"scene-{seed:08x}", seed=seed
     )
@@ -327,10 +336,7 @@ def resample_objects(scene: SyntheticScene, config: SceneConfig, seed: int) -> S
     """New object draw on the same rig and surface: another frame of the
     same scene."""
     rng = np.random.default_rng([_SALT_OBJECTS, scene.seed, seed])
-    objects = tuple(
-        _sample_object(rng, scene.rig, scene.field, config) for _ in range(config.n_objects)
-    )
-    return replace(scene, objects=objects)
+    return replace(scene, objects=_sample_objects(rng, scene.rig, scene.field, config))
 
 
 # Reference scales turning perturbations into the score penalty exponent.

@@ -7,6 +7,7 @@ from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
 from roadlift.camera_geometry import (
+    MIN_FOCAL_PX,
     Box3D,
     CameraRig,
     GeometryError,
@@ -478,6 +479,29 @@ def _plane(**change):
 def test_constructors_reject_bad_values(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+@pytest.mark.parametrize("focal", [5e-324, 1e-300, math.nextafter(MIN_FOCAL_PX, 0.0)])
+@pytest.mark.parametrize("axis", ["f_x", "f_y"])
+def test_focal_length_below_the_floor_rejected(axis, focal):
+    with pytest.raises(ValueError, match="focal lengths must be .* at least 1 px"):
+        _rig(**{axis: focal})
+
+
+def test_shortest_focal_length_lifts_the_corner_pixels_without_overflow():
+    # At MIN_FOCAL_PX the ray directions of the largest image's corner
+    # pixels stay finite; the suite turns numpy overflow warnings into
+    # errors.
+    side = 16_384
+    rig = rig_from_pose(7.0, 60.0, f_x=MIN_FOCAL_PX, f_y=MIN_FOCAL_PX,
+                        image_width=side, image_height=side)
+    plane = ground_plane_from_extrinsics(rig)
+    us, vs = np.meshgrid([0.5, side / 2.0, side - 0.5], [0.5, side / 2.0, side - 0.5])
+    depth, ground = ray_ground(rig, plane, us, vs)
+    hit = ~np.isnan(depth)
+    assert hit.any()
+    assert np.isfinite(ground[hit]).all()
+    assert np.isfinite(lift_to_ground(rig, plane, us[hit][0], vs[hit][0], 0.0)).all()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
+import concurrent.futures
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from roadlift import cli
 from roadlift.camera_geometry import Box3D, RigidTransform, CameraRig, rig_from_pose
-from roadlift.cli import _observed_grid, run_command
+from roadlift.cli import _observe, run_command
 from roadlift.formats import (
     FormatError,
     check_json,
@@ -19,7 +21,7 @@ from roadlift.formats import (
     serialize_calibration,
     serialize_labels,
 )
-from roadlift.scene_cue_bank import CueMask, FeatureGrid, make_mask
+from roadlift.scene_cue_bank import CueMask, FeatureGrid, _scattered_grid, make_mask
 from roadlift.scene_cue_bank import CELL_BLOCK as _NOISE_CHUNK
 from roadlift.scene_scheduler import SceneScheduler, SchedulerConfig, apply_augmentation
 from roadlift.synthetic_world import SceneConfig, generate_scene
@@ -90,6 +92,7 @@ class TestCalibrationFormat:
             ("intrinsics", "fx", -1000.0, "intrinsics.fx"),
             ("intrinsics", "fy", 0, "intrinsics.fy"),
             ("intrinsics", "fx", 10**400, "intrinsics.fx"),
+            ("intrinsics", "fy", 5e-324, r"intrinsics.fy must be at least 1 px"),
             ("image", "width", 0, "image.width"),
             ("image", "height", -8, "image.height"),
             ("extrinsic", 1, [0, -1, 0], r"extrinsic\[1\]"),
@@ -97,8 +100,8 @@ class TestCalibrationFormat:
             ("extrinsic", 2, [0, 0, {}, 10], r"extrinsic\[2\]\[2\]"),
             ("extrinsic", 3, [0, 0, 0, True], r"extrinsic\[3\]\[3\]"),
         ],
-        ids=["negative-fx", "zero-fy", "huge-fx", "zero-width", "negative-height",
-             "ragged-extrinsic", "string-entry", "object-entry", "bool-entry"],
+        ids=["negative-fx", "zero-fy", "huge-fx", "subnormal-fy", "zero-width",
+             "negative-height", "ragged-extrinsic", "string-entry", "object-entry", "bool-entry"],
     )
     def test_bad_value_raises_format_error_naming_field(self, section, key, value, field):
         data = json.loads(nadir_calibration_text())
@@ -1107,10 +1110,13 @@ class TestEvaluateOnFrames:
 
 
 def _observe_on_mask(truth: FeatureGrid, mask: CueMask, sigma: float, rng) -> FeatureGrid:
-    """``_observed_grid`` at the mask's cells of ``truth``."""
+    """``_observe`` at the mask's cells of ``truth``, scattered by
+    ``_scattered_grid`` as bank-sim does for both of its streams."""
     cells = np.flatnonzero(mask.cells)
     shape = truth.values.shape
-    return _observed_grid(truth.values.reshape(-1, shape[2])[cells], cells, shape, sigma, rng)
+    rows = _observe(truth.values.reshape(-1, shape[2])[cells], cells, sigma, rng)
+    assert rows.shape == (cells.size, shape[2])
+    return _scattered_grid(rows, cells, shape)
 
 
 class TestBankSimNoise:
@@ -1241,8 +1247,9 @@ class TestBankSimNoise:
 
     def test_bank_sim_renders_once_and_reads_memory_at_cells(self, tmp_path, monkeypatch):
         # The augmented cues are evaluated at each frame's masked cells, and
-        # the error rows read the banks at cells: one full render per run
-        # (the plain camera's) and no full-grid memory copy per frame.
+        # the error rows read the banks' channel 0 at cells: one full render
+        # per run (the plain camera's) and no full-grid or all-channel
+        # memory copy per frame.
         from roadlift.scene_cue_bank import SceneBank
 
         renders, reads = [], []
@@ -1250,9 +1257,9 @@ class TestBankSimNoise:
         monkeypatch.setattr(cli, "render_cue_grid",
                             lambda *a: renders.append(a) or real_render(*a))
 
-        def memorized(bank, scene_id, cells=None):
-            reads.append(cells is None)
-            return real_memorized(bank, scene_id, cells)
+        def memorized(bank, scene_id, cells=None, channel=slice(None)):
+            reads.append((cells is None, channel))
+            return real_memorized(bank, scene_id, cells, channel)
 
         monkeypatch.setattr(SceneBank, "memorized", memorized)
         config = tmp_path / "bank.json"
@@ -1265,7 +1272,128 @@ class TestBankSimNoise:
                             "--out", str(tmp_path / "bank.csv")])
         assert code == 0
         assert len(renders) == 1
-        assert reads and not any(reads)
+        assert reads and all(read == (False, 0) for read in reads)
+
+
+    def test_bank_sim_outputs_do_not_depend_on_the_worker_thread(self, tmp_path, monkeypatch):
+        # The inference noise draw runs on a worker thread; run inline on
+        # this thread, each submit completing at once, the CSV and the
+        # saved bank must be the same bytes.
+        config = tmp_path / "bank.json"
+        config.write_text(json.dumps({
+            "scene": {"n_objects": 12, "range_band": [10, 150], "pitch_band_deg": [8, 20],
+                      "height_band": [5, 10], "focal_band": [400, 700],
+                      "image_width": 512, "image_height": 384},
+            "frames": 10, "scheduler": {"tau": 4, "clamp_lo": 0.6, "clamp_hi": 1.0},
+            "channels": 6, "cue_noise_sigma": 0.05,
+        }))
+
+        def outputs(name):
+            out, bank_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.bin"
+            code = run_command(["bank-sim", "--config", str(config), "--seed", "3",
+                                "--out", str(out), "--bank-out", str(bank_path)])
+            assert code == 0
+            return out.read_bytes(), bank_path.read_bytes()
+
+        threaded = outputs("threaded")
+        submitted = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers=None):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                submitted.append(fn)
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+        assert outputs("inline") == threaded
+        assert submitted == [_observe] * 10
+
+
+class TestBankSimMemory:
+    # Traced peak of one bank-sim run, in plain cue grids: 768x512 px is a
+    # 64x96-cell grid, 64 channels of float64 (3 MiB).  Three grids live
+    # for the whole run (the plain cues and the two banks' memories); one
+    # stream's observation at a time adds a scattered grid and its cues.
+    # Seeds 0-2 measured 4.9-5.4 grids (5.4 as a process's first
+    # bank-sim), and 6.8-7.2 while the worker returned a scattered grid
+    # and the training cues outlived the inference grids (Python 3.11,
+    # numpy 2).
+    MAX_PEAK_GRIDS = 6.0
+
+    def test_traced_peak_is_about_five_grids(self, tmp_path):
+        # tau 2 over 3 frames: a first update, a reset and a momentum blend.
+        config = tmp_path / "bank.json"
+        config.write_text(json.dumps({
+            "scene": {"n_objects": 10, "image_width": 768, "image_height": 512},
+            "frames": 3, "scheduler": {"tau": 2}, "channels": 64,
+        }))
+        grid_bytes = 64 * 96 * 64 * 8
+        tracemalloc.start()
+        try:
+            code = run_command(["bank-sim", "--config", str(config), "--seed", "1",
+                                "--out", str(tmp_path / "bank.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak / grid_bytes < self.MAX_PEAK_GRIDS
+
+
+@pytest.mark.parametrize("command", ["simulate", "bank-sim"])
+@pytest.mark.parametrize("focal", [5e-324, 1e-300, 0.5])
+def test_focal_length_below_one_pixel_is_one_error_line(tmp_path, capsys, command, focal):
+    # A subnormal focal length overflowed the ray directions (a numpy
+    # RuntimeWarning traceback); CameraRig now refuses it up front.
+    scene = {"n_objects": 3, "image_width": 256, "image_height": 128,
+             "focal_band": [focal, focal]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scene": scene, "frames": 2}))
+    out = tmp_path / "out"
+    assert run_command([command, "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith(
+        "error: focal lengths must be positive, finite and at least 1 px"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_simulate_labels_match_recorded_bytes(tmp_path):
+    # Two categories, noise, drops and false positives over 5 frames, so
+    # both generate_scene and resample_objects place objects.  Recorded
+    # while each object recomputed the rig's foot point, azimuth and
+    # field of view.
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({
+        "scene": {"n_objects": 7, "range_band": [10, 200], "pitch_band_deg": [8, 25],
+                  "categories": [["car", [[3.8, 5.2], [1.6, 2.0], [1.3, 1.8]]],
+                                 ["cone", [[0.3, 0.4], [0.3, 0.4], [0.5, 0.7]]]]},
+        "noise": {"sigma_hr": 0.2, "sigma_center_px": 1.0, "drop_rate": 0.1,
+                  "false_positive_rate": 0.2},
+        "frames": 5,
+    }))
+    want = {0: "589c09bee03fa8ecf9e1c034d3da7cc1b28a8d1fd1ba70d1a764c633b513e16b",
+            9: "d717e3b5410212f727aec4ce60cd60492da3f91ddaee7004763065bccaa021ce"}
+    for seed, digest in want.items():
+        out = tmp_path / f"sim{seed}"
+        code = run_command(["simulate", "--config", str(config), "--seed", str(seed),
+                            "--out", str(out)])
+        assert code == 0
+        labels = hashlib.sha256()
+        for path in sorted(out.rglob("*.txt")):
+            labels.update(path.read_bytes())
+        assert labels.hexdigest() == digest
 
 
 def _calibration_with(change):

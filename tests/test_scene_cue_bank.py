@@ -279,6 +279,21 @@ class TestMomentumUpdate:
         assert not np.any(bank.memorized("s").values == 99.0)
         assert bank.memorized("s", np.array([], dtype=np.intp)).shape == (0, 2)
 
+    def test_memorized_channel_at_cells_copies_that_channel(self):
+        rng = np.random.default_rng(21)
+        bank = SceneBank()
+        bank.reset_scene("s", random_grid(rng))
+        cells = np.array([19, 0, 7, 3])
+        for channel in (0, 1):
+            got = bank.memorized("s", cells, channel)
+            assert got.shape == (4,)
+            assert got.tobytes() == bank.memorized("s", cells)[:, channel].tobytes()
+            got[:] = 99.0
+        assert not np.any(bank.memorized("s").values == 99.0)
+        assert bank.memorized("s", np.array([], dtype=np.intp), 0).shape == (0,)
+        with pytest.raises(ValueError, match="only together with cells"):
+            bank.memorized("s", channel=0)
+
     def test_memorized_grid_is_a_snapshot(self):
         rng = np.random.default_rng(12)
         bank = SceneBank()
