@@ -323,8 +323,11 @@ def height_sensitivity(
     an object at the given horizontal range from the camera foot point.
 
     Lifting scales horizontal range by (camera_height - h_r), so the
-    error is exactly range * delta_h / (camera_height - h_r).
+    error is exactly range * delta_h / (camera_height - h_r).  A
+    negative range raises ValueError.
     """
+    if not horizontal_range >= 0:  # NaN fails too
+        raise ValueError(f"horizontal range must be non-negative, got {horizontal_range}")
     if camera_height <= h_r + delta_h:
         raise GeometryError("relative height above camera")
     return horizontal_range * delta_h / (camera_height - h_r)
@@ -474,15 +477,13 @@ def rig_from_pose(
     roll_deg: float = 0.0,
     f_x: float = 1000.0,
     f_y: float = 1000.0,
-    a_x: float | None = None,
-    a_y: float | None = None,
     image_width: int = 1536,
     image_height: int = 1024,
-    ground_xy: tuple[float, float] = (0.0, 0.0),
 ) -> CameraRig:
-    """Build a rig from a pose description: camera at
-    (ground_xy, camera_height), optical axis yawed about ground +z,
-    pitched down by pitch_deg, then rolled about the optical axis."""
+    """Build a rig from a pose description: camera at (0, 0,
+    camera_height) over the ground origin, optical axis yawed about
+    ground +z, pitched down by pitch_deg, then rolled about the optical
+    axis; the principal point is the image centre."""
     yaw = math.radians(yaw_deg)
     pitch = math.radians(pitch_deg)
     roll = math.radians(roll_deg)
@@ -494,13 +495,13 @@ def rig_from_pose(
     right = math.cos(roll) * right0 + math.sin(roll) * down0
     down = math.cos(roll) * down0 - math.sin(roll) * right0
     rot = np.vstack([right, down, forward])
-    center = np.array([ground_xy[0], ground_xy[1], camera_height])
+    center = np.array([0.0, 0.0, camera_height])
     extrinsic = RigidTransform(rot, -rot @ center)
     return CameraRig(
         f_x=f_x,
         f_y=f_y,
-        a_x=image_width / 2.0 if a_x is None else a_x,
-        a_y=image_height / 2.0 if a_y is None else a_y,
+        a_x=image_width / 2.0,
+        a_y=image_height / 2.0,
         extrinsic=extrinsic,
         image_width=image_width,
         image_height=image_height,

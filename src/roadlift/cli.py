@@ -25,7 +25,6 @@ from .camera_geometry import (
     project_to_image,
 )
 from .evaluation import (
-    DEFAULT_DISTANCE_BINS,
     distance_error,
     detection_ratio_curve,
     frame_detection_stats,
@@ -137,6 +136,8 @@ def cmd_lift(args) -> int:
 def cmd_sensitivity(args) -> int:
     for name in ("height", "range", "dh", "hr"):
         _finite(f"--{name}", getattr(args, name))
+    # Checks every argument, the range included, before any row.
+    at_range = height_sensitivity(args.height, args.hr, args.range, args.dh)
     if args.sweep:
         # Rows at 10, 20, ... m up to the range, with 1e-9 m of slack.
         n_rows = math.floor((args.range + 1e-9) / 10.0)
@@ -151,7 +152,7 @@ def cmd_sensitivity(args) -> int:
             lines.append(f"{_fmt(r)},{_fmt(height_sensitivity(args.height, args.hr, r, args.dh))}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_fmt(height_sensitivity(args.height, args.hr, args.range, args.dh)) + "\n", args.out)
+        _emit(_fmt(at_range) + "\n", args.out)
     return 0
 
 
@@ -236,7 +237,7 @@ def cmd_evaluate(args) -> int:
             rows.append(f"detection_ratio,all,{_fmt(t)},{_fmt(ratio)}")
     _emit("\n".join(rows) + "\n", args.out)
     if args.distance_csv:
-        table = distance_error(matches, DEFAULT_DISTANCE_BINS, camera_foot=foot)
+        table = distance_error(matches, camera_foot=foot)
         lines = ["bin_lo_m,bin_hi_m,mean_error_pct,matched"]
         for b in table.bins:
             value = "-" if b.mean_error_pct is None else _fmt(b.mean_error_pct)

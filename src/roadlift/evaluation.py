@@ -24,7 +24,7 @@ import numpy as np
 
 from .camera_geometry import Box3D, LabelFrame, _ArrayRecord, _flags, _readonly
 
-DEFAULT_DISTANCE_BINS = ((0.0, 50.0), (50.0, 100.0), (100.0, 150.0), (150.0, 200.0))
+DISTANCE_BINS = ((0.0, 50.0), (50.0, 100.0), (100.0, 150.0), (150.0, 200.0))
 
 N_RECALL_POINTS = 40
 
@@ -378,13 +378,9 @@ class DistanceErrorTable:
     skipped: int
 
 
-def distance_error(
-    matches,
-    bins=DEFAULT_DISTANCE_BINS,
-    camera_foot: tuple[float, float] = (0.0, 0.0),
-) -> DistanceErrorTable:
+def distance_error(matches, camera_foot: tuple[float, float] = (0.0, 0.0)) -> DistanceErrorTable:
     """Mean relative range error |d_p - d_g| / d_g * 100% of matched
-    pairs, binned by the ground-truth range d_g.
+    pairs, binned by the ground-truth range d_g into ``DISTANCE_BINS``.
 
     Ranges are BEV distances from the camera's ground foot point, taken
     from the boxes of each result's frames.  ``matches`` is a sequence
@@ -392,8 +388,8 @@ def distance_error(
     whose ground truth stands at the foot point (d_g = 0) has no
     relative error: it is skipped and counted.
     """
-    sums = [0.0] * len(bins)
-    counts = [0] * len(bins)
+    sums = [0.0] * len(DISTANCE_BINS)
+    counts = [0] * len(DISTANCE_BINS)
     skipped = 0
     fx, fy = camera_foot
     for result in matches:
@@ -407,14 +403,14 @@ def distance_error(
                 skipped += 1
                 continue
             err = abs(d_p - d_g) / d_g * 100.0
-            for bi, (lo, hi) in enumerate(bins):
+            for bi, (lo, hi) in enumerate(DISTANCE_BINS):
                 if lo <= d_g < hi:
                     sums[bi] += err
                     counts[bi] += 1
                     break
     table = tuple(
         DistanceErrorBin(lo, hi, (sums[i] / counts[i]) if counts[i] else None, counts[i])
-        for i, (lo, hi) in enumerate(bins)
+        for i, (lo, hi) in enumerate(DISTANCE_BINS)
     )
     return DistanceErrorTable(table, skipped)
 

@@ -6,6 +6,7 @@ ground-truth box corners, evaluated three times with two of
 {location, dimensions, yaw} pinned to ground truth so each part is
 optimized in isolation.  ``total_loss`` adds the L1 terms on the
 relative height h_r and on the bottom-center pixel, taken as numbers.
+Every term has weight 1: the corner parts enter as their mean.
 
 Gradients are taken over the 9-vector
 (x, y, z, l, w, h, sin_yaw, cos_yaw, h_r); yaw decodes as
@@ -101,30 +102,20 @@ def _part_diffs(
 
 
 def total_loss(
-    reg_parts: tuple[float, float, float],
-    l_hr: float,
-    l_center_px: float,
-    lambda1: float = 1.0,
-    lambda2: float = 1.0,
+    reg_parts: tuple[float, float, float], l_hr: float, l_center_px: float
 ) -> LossBreakdown:
-    """Weighted total: lambda1 * mean(reg parts) + lambda2 * l_hr + l_center."""
-    if not all(math.isfinite(w) and w >= 0 for w in (lambda1, lambda2)):
-        raise ValueError(
-            f"loss weights must be finite and non-negative, got lambda1={lambda1}, "
-            f"lambda2={lambda2}"
-        )
+    """Total: mean(reg parts) + l_hr + l_center."""
     reg_location, reg_dims, reg_yaw = (float(v) for v in reg_parts)
-    total = (
-        lambda1 * (reg_location + reg_dims + reg_yaw) / 3.0
-        + lambda2 * float(l_hr)
-        + float(l_center_px)
-    )
+    total = (reg_location + reg_dims + reg_yaw) / 3.0 + float(l_hr) + float(l_center_px)
     return LossBreakdown(reg_location, reg_dims, reg_yaw, float(l_hr), float(l_center_px), total)
 
 
 # -- gradient machinery over the 9-parameter vector ----------------------
 
 VECTOR_PARAM_NAMES = ("x", "y", "z", "l", "w", "h", "sin_yaw", "cos_yaw", "h_r")
+
+# gradient_descent_fit takes this many steps.
+FIT_STEPS = 500
 
 # Central differences step each parameter by FD_STEP either way, and
 # random_smooth_case (in at most SMOOTH_CASE_TRIES draws) keeps every L1
@@ -135,54 +126,40 @@ KINK_MARGIN = 1e-4
 SMOOTH_CASE_TRIES = 200
 
 
-def _vector_and_gt_hr(
-    pred: Box3DParams, gt: Box3D, pred_hr: float | None, gt_hr: float | None
-) -> tuple[np.ndarray, float]:
-    """The 9-vector and the GT h_r, with the defaults ``loss_gradient`` documents."""
+def _vector(pred: Box3DParams, pred_hr: float | None) -> np.ndarray:
+    """The 9-vector, with the ``pred_hr`` default ``loss_gradient`` documents."""
     if pred_hr is None:
         pred_hr = float(pred.location[2])
-    vec = np.array(
+    return np.array(
         [*pred.location, *pred.dims, pred.yaw_sin, pred.yaw_cos, pred_hr], dtype=float
     )
-    return vec, gt.z if gt_hr is None else gt_hr
 
 
-def loss_of_vector(
-    vec: np.ndarray, gt: Box3D, lambda1: float, lambda2: float, gt_hr: float
-) -> float:
+def loss_of_vector(vec: np.ndarray, gt: Box3D) -> float:
     """Total loss as a plain function of the 9-vector (bottom-center term
-    excluded: it depends on a separate pixel head, not these parameters)."""
+    excluded: it depends on a separate pixel head, not these parameters).
+    The ground-truth h_r is ``gt.z``."""
     diffs = _part_diffs(vec[0:3], vec[3:6], math.atan2(vec[6], vec[7]), gt)
     parts = tuple(float(np.abs(d).sum()) for d in diffs)
-    return total_loss(parts, abs(vec[8] - gt_hr), 0.0, lambda1, lambda2).total
+    return total_loss(parts, abs(vec[8] - gt.z), 0.0).total
 
 
-def loss_gradient(
-    pred: Box3DParams,
-    gt: Box3D,
-    lambda1: float = 1.0,
-    lambda2: float = 1.0,
-    pred_hr: float | None = None,
-    gt_hr: float | None = None,
-) -> np.ndarray:
+def loss_gradient(pred: Box3DParams, gt: Box3D, pred_hr: float | None = None) -> np.ndarray:
     """Analytic subgradient of the total loss over
     (x, y, z, l, w, h, sin_yaw, cos_yaw, h_r).
 
-    ``pred_hr`` defaults to the predicted bottom-center z and ``gt_hr``
-    to the ground-truth one (relative height equals bottom z in the
-    ground frame).
+    ``pred_hr`` defaults to the predicted bottom-center z; the
+    ground-truth h_r is always ``gt.z`` (relative height equals bottom z
+    in the ground frame).
     """
-    vec, gt_hr = _vector_and_gt_hr(pred, gt, pred_hr, gt_hr)
-    return _gradient_of_vector(vec, gt, lambda1, lambda2, gt_hr)
+    return _gradient_of_vector(_vector(pred, pred_hr), gt)
 
 
-def _gradient_of_vector(
-    vec: np.ndarray, gt: Box3D, lambda1: float, lambda2: float, gt_hr: float
-) -> np.ndarray:
+def _gradient_of_vector(vec: np.ndarray, gt: Box3D) -> np.ndarray:
     s, c = vec[6], vec[7]
     theta = math.atan2(s, c)
     loc_diff, dims_diff, yaw_diff = _part_diffs(vec[0:3], vec[3:6], theta, gt)
-    scale = lambda1 / 3.0
+    scale = 1.0 / 3.0
     grad = np.zeros(9)
 
     # Location part: corner offsets are the same translation at all 8 corners.
@@ -207,30 +184,22 @@ def _gradient_of_vector(
     grad[6] = scale * g_theta * c / norm_sq
     grad[7] = scale * g_theta * (-s) / norm_sq
 
-    grad[8] = lambda2 * np.sign(vec[8] - gt_hr)
+    grad[8] = np.sign(vec[8] - gt.z)
     return grad
 
 
 def finite_difference_gradient(
-    pred: Box3DParams,
-    gt: Box3D,
-    lambda1: float = 1.0,
-    lambda2: float = 1.0,
-    pred_hr: float | None = None,
-    gt_hr: float | None = None,
+    pred: Box3DParams, gt: Box3D, pred_hr: float | None = None
 ) -> np.ndarray:
     """Central finite differences of the total loss over the 9-vector,
     at ``FD_STEP``."""
-    vec, gt_hr = _vector_and_gt_hr(pred, gt, pred_hr, gt_hr)
+    vec = _vector(pred, pred_hr)
     grad = np.zeros(9)
     for i in range(9):
         hi, lo = vec.copy(), vec.copy()
         hi[i] += FD_STEP
         lo[i] -= FD_STEP
-        grad[i] = (
-            loss_of_vector(hi, gt, lambda1, lambda2, gt_hr)
-            - loss_of_vector(lo, gt, lambda1, lambda2, gt_hr)
-        ) / (2.0 * FD_STEP)
+        grad[i] = (loss_of_vector(hi, gt) - loss_of_vector(lo, gt)) / (2.0 * FD_STEP)
     return grad
 
 
@@ -277,31 +246,22 @@ def random_smooth_case(rng: np.random.Generator) -> tuple[Box3DParams, Box3D, fl
     raise RuntimeError("could not sample a smooth configuration")
 
 
-def gradient_descent_fit(
-    init: Box3DParams,
-    gt: Box3D,
-    steps: int = 500,
-    lr: float = 1e-3,
-    lambda1: float = 1.0,
-    lambda2: float = 1.0,
-) -> Box3DParams:
-    """Fixed-step subgradient descent of the total loss from ``init``
-    toward ``gt``; returns the best iterate seen.
+def gradient_descent_fit(init: Box3DParams, gt: Box3D, lr: float = 1e-3) -> Box3DParams:
+    """``FIT_STEPS`` fixed-size subgradient descent steps of the total
+    loss from ``init`` toward ``gt``; returns the best iterate seen.
 
     The loss is piecewise linear, so iterates settle into a band of
     width ~ lr * |gradient| around the optimum; pick lr so that band is
     inside the required accuracy.  Dimensions are floored at 1 mm to
     stay valid.
     """
-    if steps <= 0:
-        raise ValueError("steps must be positive")
-    vec, gt_hr = _vector_and_gt_hr(init, gt, None, None)
+    vec = _vector(init, None)
     best_vec = vec.copy()
-    best_loss = loss_of_vector(vec, gt, lambda1, lambda2, gt_hr)
-    for _ in range(steps):
-        vec = vec - lr * _gradient_of_vector(vec, gt, lambda1, lambda2, gt_hr)
+    best_loss = loss_of_vector(vec, gt)
+    for _ in range(FIT_STEPS):
+        vec = vec - lr * _gradient_of_vector(vec, gt)
         vec[3:6] = np.maximum(vec[3:6], 1e-3)
-        loss = loss_of_vector(vec, gt, lambda1, lambda2, gt_hr)
+        loss = loss_of_vector(vec, gt)
         if loss < best_loss:
             best_loss = loss
             best_vec = vec.copy()

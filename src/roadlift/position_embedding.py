@@ -1,8 +1,8 @@
 """Sine position encodings for per-pixel ground depth.
 
-Depth is encoded raw in meters (no normalization); the temperature
-follows the usual transformer convention of 10000.  Cells whose ray
-never reaches the ground carry an all-zero sentinel embedding.
+Depth is encoded raw in meters (no normalization) at the fixed
+``TEMPERATURE`` of 10000, the usual transformer convention.  Cells whose
+ray never reaches the ground carry an all-zero sentinel embedding.
 """
 
 from __future__ import annotations
@@ -12,20 +12,18 @@ import numpy as np
 from .camera_geometry import CameraRig, GroundPlane, ray_ground
 from .scene_cue_bank import bank_memory_elements, cell_centers
 
-DEFAULT_TEMPERATURE = 10000.0
+TEMPERATURE = 10000.0
 
 
-def sine_encode(value, d_e: int, temperature: float = DEFAULT_TEMPERATURE) -> np.ndarray:
+def sine_encode(value, d_e: int) -> np.ndarray:
     """Interleaved sin/cos encoding: entry 2i is
-    sin(value / temperature^(2i/d_e)), entry 2i+1 the matching cos.
+    sin(value / TEMPERATURE^(2i/d_e)), entry 2i+1 the matching cos.
 
     Arrays are encoded elementwise: an input of shape S gives (*S, d_e).
     """
     if d_e <= 0 or d_e % 2:
         raise ValueError(f"embedding size must be a positive even integer, got {d_e}")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    freq = temperature ** (2.0 * np.arange(d_e // 2) / d_e)
+    freq = TEMPERATURE ** (2.0 * np.arange(d_e // 2) / d_e)
     ang = np.asarray(value, dtype=float)[..., None] / freq
     out = np.empty(ang.shape[:-1] + (d_e,))
     out[..., 0::2] = np.sin(ang)
@@ -33,12 +31,7 @@ def sine_encode(value, d_e: int, temperature: float = DEFAULT_TEMPERATURE) -> np
     return out
 
 
-def embed_depth_map(
-    rig: CameraRig,
-    plane: GroundPlane,
-    d_e: int,
-    temperature: float = DEFAULT_TEMPERATURE,
-) -> np.ndarray:
+def embed_depth_map(rig: CameraRig, plane: GroundPlane, d_e: int) -> np.ndarray:
     """Per-cell sine embedding of the ground depth d(u, v) at 1/8 image
     resolution, evaluated at cell-center pixels.
 
@@ -49,6 +42,6 @@ def embed_depth_map(
     """
     bank_memory_elements(rig.image_height, rig.image_width, d_e)
     depth, _ = ray_ground(rig, plane, *cell_centers(rig.image_height, rig.image_width))
-    out = sine_encode(depth, d_e, temperature)
+    out = sine_encode(depth, d_e)
     out[np.isnan(depth)] = 0.0
     return out

@@ -61,15 +61,29 @@ MAX_OBJECTS = 1_000
 # saturates at it outside the ROI.
 MAX_SURFACE_HEIGHT = 2.0
 
+# Gaussian bumps in a GroundField.random surface.
+RANDOM_BUMPS = 2
+
+# Largest magnitude of a GroundField's ROI bounds, coefficients and bump
+# amplitudes, centres and sigmas, and the inverse of its smallest sigma.
+# Within it no term of ``_surface`` overflows over the ROI: a squared
+# distance to a bump centre is at most 8e100, and 2 sigma^2 at least
+# 2e-100.
+MAX_FIELD_MAGNITUDE = 1e50
+
 _POLY_POWERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
 
 
 def _roi_scale(roi) -> float:
     """Largest |coordinate| of the ROI, the unit of the polynomial's x
-    and y; ValueError unless each band is finite with lo < hi."""
+    and y; ValueError unless each band has lo < hi, both within
+    ``MAX_FIELD_MAGNITUDE``."""
     for lo, hi in roi:
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):  # NaN fails too
-            raise ValueError(f"roi bands must be finite with lo < hi, got {roi}")
+        if not (-MAX_FIELD_MAGNITUDE <= lo < hi <= MAX_FIELD_MAGNITUDE):  # NaN fails too
+            raise ValueError(
+                f"roi bands must be finite with lo < hi, within +-{MAX_FIELD_MAGNITUDE:g}, "
+                f"got {roi}"
+            )
     return max(abs(v) for band in roi for v in band)
 
 
@@ -100,9 +114,12 @@ class GroundField:
     """Smooth road-surface height over the virtual ground plane: a cubic
     bivariate polynomial in (x, y) scaled by the ROI's largest
     |coordinate|, plus optional Gaussian bumps (amplitude, x, y, sigma;
-    all finite, sigma > 0), bounded by
+    sigma > 0), bounded by
     ``MAX_SURFACE_HEIGHT`` over the region of interest (checked on a
-    sample grid; evaluation saturates at the bound outside it)."""
+    sample grid; evaluation saturates at the bound outside it).  Every
+    number, the ROI's bounds included, is at most
+    ``MAX_FIELD_MAGNITUDE`` in magnitude, and a sigma at least its
+    inverse, so that the surface stays finite over the ROI."""
 
     coeffs: tuple[float, ...]
     bumps: tuple[tuple[float, float, float, float], ...] = ()
@@ -112,15 +129,21 @@ class GroundField:
     def __post_init__(self):
         if len(self.coeffs) != len(_POLY_POWERS):
             raise ValueError(f"expected {len(_POLY_POWERS)} polynomial coefficients")
-        if not all(math.isfinite(c) for c in self.coeffs):
-            raise ValueError("coefficients must be finite")
+        object.__setattr__(self, "xy_scale", _roi_scale(self.roi))
+        if not all(abs(c) <= MAX_FIELD_MAGNITUDE for c in self.coeffs):  # NaN fails too
+            raise ValueError(
+                f"coefficients must be finite, at most {MAX_FIELD_MAGNITUDE:g} in magnitude"
+            )
         for amp, cx, cy, sigma in self.bumps:
-            if not (all(map(math.isfinite, (amp, cx, cy))) and 0 < sigma < math.inf):
+            if not (
+                all(abs(v) <= MAX_FIELD_MAGNITUDE for v in (amp, cx, cy))
+                and 1.0 / MAX_FIELD_MAGNITUDE <= sigma <= MAX_FIELD_MAGNITUDE
+            ):
                 raise ValueError(
                     "bumps need a finite amplitude and centre and a finite sigma > 0, "
-                    f"got {(amp, cx, cy, sigma)}"
+                    f"at most {MAX_FIELD_MAGNITUDE:g} in magnitude with sigma at least "
+                    f"{1.0 / MAX_FIELD_MAGNITUDE:g}, got {(amp, cx, cy, sigma)}"
                 )
-        object.__setattr__(self, "xy_scale", _roi_scale(self.roi))
         if (peak := _roi_peak(self.coeffs, self.bumps, self.roi)) > MAX_SURFACE_HEIGHT + 1e-9:
             raise ValueError(
                 f"surface height reaches {peak:.3f} m, beyond the {MAX_SURFACE_HEIGHT:g} m bound"
@@ -128,7 +151,14 @@ class GroundField:
 
     def evaluate(self, x, y):
         """Surface height h_r at ground coordinates (x, y); scalar in,
-        scalar out, arrays broadcast."""
+        scalar out, arrays broadcast.
+
+        A point can read differently as a scalar and inside an array, by
+        one unit in the last place: after its first division a scalar is
+        an ``np.float64``, whose ``** 3`` calls libm ``pow``, while an
+        array's calls numpy's SIMD ``power``.  The two forms agree within
+        1e-12 m; a caller that batches scalar evaluations changes bytes.
+        """
         raw = _surface(self.coeffs, self.bumps, self.xy_scale, x, y)
         out = np.clip(raw, -MAX_SURFACE_HEIGHT, MAX_SURFACE_HEIGHT)
         return float(out) if out.ndim == 0 else out
@@ -144,10 +174,10 @@ class GroundField:
         rng: np.random.Generator,
         amplitude: float = 1.0,
         roi: tuple[tuple[float, float], tuple[float, float]] = ((-300.0, 300.0), (-300.0, 300.0)),
-        n_bumps: int = 2,
     ) -> "GroundField":
-        """Draw a random surface whose peak |h_r| over the ROI equals
-        ``amplitude`` (coefficients are rescaled to hit it exactly)."""
+        """Draw a random surface of ``RANDOM_BUMPS`` bumps whose peak |h_r|
+        over the ROI equals ``amplitude`` (coefficients are rescaled to
+        hit it exactly)."""
         if not 0 < amplitude <= MAX_SURFACE_HEIGHT:
             raise ValueError(f"amplitude must lie in (0, {MAX_SURFACE_HEIGHT:g}]")
         scale = _roi_scale(roi)
@@ -159,7 +189,7 @@ class GroundField:
                 rng.uniform(*roi[1]),
                 rng.uniform(scale / 10.0, scale / 2.0),
             )
-            for _ in range(n_bumps)
+            for _ in range(RANDOM_BUMPS)
         ]
         peak = _roi_peak(coeffs, bumps, roi)
         factor = amplitude / peak if peak > 0 else 0.0

@@ -135,8 +135,7 @@ def test_criterion_4_gradient_correctness():
     worst = 0.0
     for _ in range(1000):
         pred, gt, pred_hr = random_smooth_case(rng)
-        lambda1, lambda2 = 1.0, 1.0
-        analytic = loss_gradient(pred, gt, lambda1, lambda2, pred_hr=pred_hr)
+        analytic = loss_gradient(pred, gt, pred_hr=pred_hr)
         vec = np.array(
             [*pred.location, *pred.dims, pred.yaw_sin, pred.yaw_cos, pred_hr], dtype=float
         )
@@ -145,10 +144,7 @@ def test_criterion_4_gradient_correctness():
             hi, lo = vec.copy(), vec.copy()
             hi[i] += step
             lo[i] -= step
-            numeric[i] = (
-                loss_of_vector(hi, gt, lambda1, lambda2, gt.z)
-                - loss_of_vector(lo, gt, lambda1, lambda2, gt.z)
-            ) / (2 * step)
+            numeric[i] = (loss_of_vector(hi, gt) - loss_of_vector(lo, gt)) / (2 * step)
         rel = np.abs(analytic - numeric) / np.maximum(
             np.maximum(np.abs(analytic), np.abs(numeric)), 1.0
         )
@@ -166,13 +162,13 @@ def test_criterion_5_loss_descent():
     gt = Box3D(1.0, 2.0, 0.3, 4.0, 2.0, 1.5, 0.4)
 
     init_loc = Box3DParams.from_box(Box3D(1.5, 2.0, 0.3, 4.0, 2.0, 1.5, 0.4))
-    fit_loc = gradient_descent_fit(init_loc, gt, steps=500, lr=1e-3)
+    fit_loc = gradient_descent_fit(init_loc, gt, lr=1e-3)
     loc_err = float(np.abs(fit_loc.location - np.array([1.0, 2.0, 0.3])).max())
 
     init_yaw = Box3DParams(
         np.array([1.0, 2.0, 0.3]), np.array([4.0, 2.0, 1.5]), math.sin(0.7), math.cos(0.7)
     )
-    fit_yaw = gradient_descent_fit(init_yaw, gt, steps=500, lr=2e-4)
+    fit_yaw = gradient_descent_fit(init_yaw, gt, lr=2e-4)
     yaw_err = abs(fit_yaw.theta - 0.4)
     elapsed = time.perf_counter() - start
     report(

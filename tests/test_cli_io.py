@@ -11,7 +11,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from roadlift import cli
-from roadlift.camera_geometry import Box3D, RigidTransform, CameraRig, rig_from_pose
+from roadlift.camera_geometry import (
+    Box3D,
+    CameraRig,
+    RigidTransform,
+    ground_plane_from_extrinsics,
+    rig_from_pose,
+)
 from roadlift.cli import _observe, run_command
 from roadlift.formats import (
     FormatError,
@@ -21,6 +27,7 @@ from roadlift.formats import (
     serialize_calibration,
     serialize_labels,
 )
+from roadlift.position_embedding import embed_depth_map
 from roadlift.scene_cue_bank import CueMask, FeatureGrid, _scattered_grid, make_mask
 from roadlift.scene_cue_bank import CELL_BLOCK as _NOISE_CHUNK
 from roadlift.scene_scheduler import SceneScheduler, SchedulerConfig, apply_augmentation
@@ -630,6 +637,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith(f"error: {flag} must be a finite number, got ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep"]], ids=["scalar", "sweep"])
+    def test_negative_range_rejected(self, capsys, sweep):
+        argv = ["sensitivity", "--height", "7", "--range", "-10", "--dh", "0.1", *sweep]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: horizontal range must be non-negative, got -10.0\n"
         assert captured.out == ""
 
     def test_evaluate_all_row_matches_across_categories(self, tmp_path, capsys):
@@ -1450,3 +1465,60 @@ def test_evaluate_rejects_unpairable_inputs(tmp_path, capsys, paths, message):
     assert captured.err.splitlines() == [captured.err.strip()]
     assert captured.err.startswith(message)
     assert captured.out == ""
+
+
+@pytest.fixture(scope="module")
+def tilted_calib_file(tmp_path_factory):
+    # One seeded scene: pitched 8-25 deg down, rolled up to 3 deg, yawed
+    # anywhere, principal point at the image centre.
+    out = tmp_path_factory.mktemp("tilted")
+    config = out / "sim.json"
+    config.write_text(json.dumps({"scene": {"n_objects": 1, "pitch_band_deg": [8, 25]},
+                                  "frames": 1}))
+    argv = ["simulate", "--config", str(config), "--seed", "3", "--out", str(out / "sim")]
+    assert run_command(argv) == 0
+    return out / "sim" / "calib.json"
+
+
+class TestGeometryCommandsPinned:
+    # sha256 of each command's output on the tilted calibration, recorded
+    # while rig_from_pose took the principal point and the camera's
+    # ground position as arguments and the sine encoding its temperature.
+    SHA256 = {
+        "plane": "26324cdae6aaec035bd195923f6ba3b3ca4ca7b4f1fcaa23192b6b095dd5333a",
+        "lift": "4e1d514d74555f5cc625892996556d8f77ca8c38643dbe4eb932b1656439a859",
+        "sensitivity-sweep": "2d492b97382e53586fb5b60c7ae713b8f9046e75d645ce30e2ae1eead3593e24",
+        "embed-8": "4fb16e07d97e6a1ef1158f31c86719de58821e59fc821c05b71cd7e7cd316e78",
+        "embed-64": "4fb16e07d97e6a1ef1158f31c86719de58821e59fc821c05b71cd7e7cd316e78",
+    }
+
+    def _argv(self, name, calib, out):
+        if name == "plane":
+            return ["plane", "--calib", str(calib)]
+        if name == "lift":
+            return ["lift", "--calib", str(calib), "--u", "700.5", "--v", "800", "--hr", "0.25"]
+        if name == "sensitivity-sweep":
+            assert run_command(["plane", "--calib", str(calib), "--out", str(out)]) == 0
+            height = out.read_text().split()[-1]
+            return ["sensitivity", "--height", height, "--range", "250", "--dh", "0.3",
+                    "--hr", "0.1", "--sweep"]
+        return ["embed", "--calib", str(calib), "--de", name.split("-")[1]]
+
+    @pytest.mark.parametrize("name", list(SHA256))
+    def test_output_matches_recorded_bytes(self, tilted_calib_file, tmp_path, name):
+        out = tmp_path / "out.txt"
+        assert run_command(self._argv(name, tilted_calib_file, out) + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256[name]
+
+    # The CSV prints channels 0 and 1 only, whose frequency is 1 at any
+    # size, so both `embed` digests above are equal; these pin every channel.
+    GRID_SHA256 = {
+        8: "2efa560fb8f53aa9798860393b9abbb1c1a169d9cf112cd6a27493e007ebaae6",
+        64: "c9c98ca4502d6791cae1d4c020a33c641b89d34418ac27e87df73383b4734df8",
+    }
+
+    @pytest.mark.parametrize("d_e", list(GRID_SHA256))
+    def test_embedding_grid_matches_recorded_bytes(self, tilted_calib_file, d_e):
+        rig = parse_calibration_doc(tilted_calib_file.read_text()).rig
+        grid = embed_depth_map(rig, ground_plane_from_extrinsics(rig), d_e)
+        assert hashlib.sha256(grid.tobytes()).hexdigest() == self.GRID_SHA256[d_e]

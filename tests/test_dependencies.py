@@ -1,4 +1,5 @@
 import ast
+import math
 import sys
 from pathlib import Path
 
@@ -132,3 +133,82 @@ def test_every_public_name_has_a_reader(path):
     unread = [n for n in top if n not in READ_NAMES]
     unread += [f"{cls}.{n}" for cls, n in members if n not in READ_ATTRIBUTES]
     assert unread == []
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, str, int | None]]:
+    """(function or Class.method, bare name, parameter, position) of every
+    parameter with a default on a module's public functions and the
+    public methods of its public classes.  The position counts the
+    arguments a caller writes, so a method's first parameter (self or
+    cls; the package has no static method) is not one; it is None for a
+    keyword-only parameter."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            defs = [(node.name, node, 0)]
+        else:
+            defs = [
+                (f"{node.name}.{m.name}", m, 1)
+                for m in node.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+            ]
+        for qualname, fn, skipped in defs:
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            found += [
+                (qualname, fn.name, arg.arg, i - skipped)
+                for i, arg in enumerate(positional)
+                if i >= first
+            ]
+            found += [
+                (qualname, fn.name, arg.arg, None)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                if default is not None
+            ]
+    return found
+
+
+def _passed_arguments() -> dict[str, tuple[set[str], float]]:
+    """For each bare callee name in the readers: the keywords passed to
+    it and the most positional arguments any call gives it (infinite
+    after a ``*args``; a ``**kwargs`` passes every keyword)."""
+    passed = {}
+    for tree in READER_TREES:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = node.func.id
+            elif isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+            else:
+                continue
+            keywords, most = passed.get(name, (set(), 0))
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                most = math.inf
+            most = max(most, len(node.args))
+            keywords |= {k.arg for k in node.keywords}  # None stands for **kwargs
+            passed[name] = (keywords, most)
+    return passed
+
+
+PASSED = _passed_arguments()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_defaulted_parameter_is_passed(path):
+    # A parameter with a default that no caller in the program or the
+    # acceptance tests passes has one value in use: it belongs in the
+    # body as a constant.  Callees are matched by bare name, so a call
+    # to another function of the same name (rng.random for
+    # GroundField.random, say) can hide a parameter it passes by
+    # position or by a keyword of the same name.
+    unpassed = []
+    for qualname, name, param, position in _defaulted_parameters(TREES[path]):
+        keywords, most = PASSED.get(name, (set(), 0))
+        if not ({param, None} & keywords or (position is not None and most > position)):
+            unpassed.append(f"{qualname}({param})")
+    assert unpassed == []

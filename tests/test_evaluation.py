@@ -497,8 +497,9 @@ class TestDistanceError:
         # Long boxes so the 10 m offset still clears the match threshold.
         gts = [box(x=100.0, l=30, w=2)]
         preds = [box(x=110.0, l=30, w=2, score=0.9)]
-        table = distance_error([match(gts, preds, 0.1)], bins=((50.0, 150.0),))
-        assert table.bins[0].mean_error_pct == pytest.approx(10.0)
+        table = distance_error([match(gts, preds, 0.1)])
+        assert [b.count for b in table.bins] == [0, 0, 1, 0]
+        assert table.bins[2].mean_error_pct == pytest.approx(10.0)
 
     def test_exact_predictions_zero_error(self):
         gts = [box(x=40.0, l=4, w=2), box(x=120.0, l=4, w=2)]

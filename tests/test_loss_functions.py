@@ -10,7 +10,7 @@ from roadlift.loss_functions import (
     Box3DParams,
     LossBreakdown,
     _gradient_of_vector,
-    _vector_and_gt_hr,
+    _vector,
     finite_difference_gradient,
     gradient_descent_fit,
     loss_gradient,
@@ -51,17 +51,15 @@ def substituted_boxes(pred: Box3DParams, gt: Box3D) -> list[Box3D]:
 
 
 def reg_sum(pred: Box3DParams, gt: Box3D) -> float:
-    """The corner terms of ``loss_of_vector`` alone: lambda1 = 3 undoes
-    their mean and lambda2 = 0 drops the h_r term."""
-    vec, gt_hr = _vector_and_gt_hr(pred, gt, None, None)
-    return loss_of_vector(vec, gt, 3.0, 0.0, gt_hr)
+    """The corner terms of ``loss_of_vector`` alone: an h_r at ground
+    truth drops its term, and three times their mean is their sum."""
+    return 3.0 * loss_of_vector(_vector(pred, gt.z), gt)
 
 
 class TestDisentangledRegLoss:
     def test_exact_prediction_is_zero(self):
         gt = Box3D(1, 2, 0.3, 4, 2, 1.5, 0.4)
-        vec, gt_hr = _vector_and_gt_hr(Box3DParams.from_box(gt), gt, None, None)
-        assert loss_of_vector(vec, gt, 1.0, 1.0, gt_hr) == 0.0
+        assert loss_of_vector(_vector(Box3DParams.from_box(gt), None), gt) == 0.0
 
     def test_location_only_isolated(self):
         gt = Box3D(1, 2, 0.3, 4, 2, 1.5, 0.4)
@@ -102,32 +100,16 @@ class TestTotalLoss:
         assert total_loss((0, 0, 0), 0, 0).total == 0.0
 
     def test_mean_of_equal_parts(self):
-        out = total_loss((3, 3, 3), 0.0, 0.0, lambda1=1.0, lambda2=0.0)
+        out = total_loss((3, 3, 3), 0.0, 0.0)
         assert out.total == pytest.approx(3.0)
 
     def test_weighted_sum(self):
+        # Weights 1/3 on each corner part and 1 on the h_r and pixel terms.
         rng = np.random.default_rng(4)
         parts = tuple(rng.uniform(0, 5, 3))
         l_hr, center = rng.uniform(0, 2), rng.uniform(0, 10)
-        out = total_loss(parts, l_hr, center, lambda1=2.0, lambda2=0.5)
-        assert out.total == pytest.approx(2.0 * sum(parts) / 3 + 0.5 * l_hr + center)
-
-    def test_monotone_in_weights(self):
-        base = total_loss((1, 2, 3), 0.5, 1.0, lambda1=1.0, lambda2=1.0).total
-        assert total_loss((1, 2, 3), 0.5, 1.0, lambda1=2.0, lambda2=1.0).total > base
-        assert total_loss((1, 2, 3), 0.5, 1.0, lambda1=1.0, lambda2=3.0).total > base
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            total_loss((1, 1, 1), 0, 0, lambda1=-1.0)
-
-    @pytest.mark.parametrize("weights", [
-        {"lambda1": math.nan}, {"lambda1": math.inf}, {"lambda2": math.nan},
-        {"lambda2": -math.inf},
-    ], ids=["nan-lambda1", "inf-lambda1", "nan-lambda2", "minus-inf-lambda2"])
-    def test_non_finite_weights_rejected(self, weights):
-        with pytest.raises(ValueError, match="loss weights must be finite and non-negative"):
-            total_loss((1, 1, 1), 0, 0, **weights)
+        out = total_loss(parts, l_hr, center)
+        assert out.total == pytest.approx(sum(parts) / 3 + l_hr + center)
 
     def test_breakdown_validation(self):
         with pytest.raises(ValueError):
@@ -138,9 +120,8 @@ class TestLossGradient:
     def test_pure_x_offset_gradient(self):
         gt = Box3D(0, 0, 0, 4, 2, 1.5, 0.3)
         pred = Box3DParams.from_box(Box3D(1, 0, 0, 4, 2, 1.5, 0.3))
-        lambda1 = 1.7
-        grad = loss_gradient(pred, gt, lambda1=lambda1)
-        assert grad[0] == pytest.approx(8.0 * lambda1 / 3.0)
+        grad = loss_gradient(pred, gt)
+        assert grad[0] == pytest.approx(8.0 / 3.0)
         assert grad[1] == 0.0 and grad[2] == 0.0
 
     def test_dims_part_insensitive_to_z(self):
@@ -151,25 +132,23 @@ class TestLossGradient:
         pred = Box3DParams(
             np.array([0.0, 0.0, 0.2]), np.array([4.5, 2.2, 1.9]), math.sin(0.3), math.cos(0.3)
         )
-        grad = loss_gradient(pred, gt, lambda1=3.0)
-        assert grad[2] == pytest.approx(3.0 / 3.0 * 8.0)  # location part only
+        grad = loss_gradient(pred, gt)
+        assert grad[2] == pytest.approx(8.0 / 3.0)  # location part only
 
     def test_hr_subgradient(self):
         gt = Box3D(0, 0, 0.4, 4, 2, 1.5, 0.3)
         pred = Box3DParams.from_box(gt)
-        assert loss_gradient(pred, gt, lambda2=2.5, pred_hr=0.9)[8] == pytest.approx(2.5)
-        assert loss_gradient(pred, gt, lambda2=2.5, pred_hr=0.1)[8] == pytest.approx(-2.5)
-        assert loss_gradient(pred, gt, lambda2=2.5, pred_hr=0.4)[8] == 0.0
+        assert loss_gradient(pred, gt, pred_hr=0.9)[8] == 1.0
+        assert loss_gradient(pred, gt, pred_hr=0.1)[8] == -1.0
+        assert loss_gradient(pred, gt, pred_hr=0.4)[8] == 0.0
 
     def test_matches_finite_differences_on_random_smooth_points(self):
         rng = np.random.default_rng(5)
         worst = 0.0
         for _ in range(100):
             pred, gt, pred_hr = random_smooth_case(rng)
-            analytic = loss_gradient(pred, gt, lambda1=1.3, lambda2=0.7, pred_hr=pred_hr)
-            numeric = finite_difference_gradient(
-                pred, gt, lambda1=1.3, lambda2=0.7, pred_hr=pred_hr
-            )
+            analytic = loss_gradient(pred, gt, pred_hr=pred_hr)
+            numeric = finite_difference_gradient(pred, gt, pred_hr=pred_hr)
             rel = np.abs(analytic - numeric) / np.maximum(
                 np.maximum(np.abs(analytic), np.abs(numeric)), 1.0
             )
@@ -179,7 +158,9 @@ class TestLossGradient:
 
 # Verbatim copies of ``_gradient_of_vector`` and ``random_smooth_case``
 # as they were before the three part-corner sets got one builder
-# (``_part_diffs``): the rewrite must give the same values bit for bit.
+# (``_part_diffs``) and while the loss weights and the GT h_r were
+# arguments: the program, whose weights are both 1 and whose GT h_r is
+# gt.z, must give the same values bit for bit.
 def _reference_gradient_of_vector(
     vec: np.ndarray, gt: Box3D, lambda1: float, lambda2: float, gt_hr: float
 ) -> np.ndarray:
@@ -261,7 +242,8 @@ def _reference_random_smooth_case(rng: np.random.Generator) -> tuple[Box3DParams
 
 class TestPinnedToReference:
     SEEDS = range(500)
-    WEIGHTS = ((1.0, 1.0), (2.0, 0.5))
+    # The program's loss weights, passed to the references.
+    WEIGHTS = ((1.0, 1.0),)
 
     def test_smooth_cases_equal_the_reference(self):
         for seed in self.SEEDS:
@@ -273,20 +255,19 @@ class TestPinnedToReference:
     def test_gradients_equal_the_reference(self, lambda1, lambda2):
         for seed in self.SEEDS:
             pred, gt, pred_hr = random_smooth_case(np.random.default_rng(seed))
-            vec, gt_hr = _vector_and_gt_hr(pred, gt, pred_hr, None)
+            vec = _vector(pred, pred_hr)
             assert np.array_equal(
-                _gradient_of_vector(vec, gt, lambda1, lambda2, gt_hr),
-                _reference_gradient_of_vector(vec, gt, lambda1, lambda2, gt_hr),
+                _gradient_of_vector(vec, gt),
+                _reference_gradient_of_vector(vec, gt, lambda1, lambda2, gt.z),
             )
 
     @pytest.mark.parametrize("lambda1,lambda2", WEIGHTS)
     def test_loss_of_vector_is_the_total_loss(self, lambda1, lambda2):
         for seed in self.SEEDS:
             pred, gt, pred_hr = random_smooth_case(np.random.default_rng(seed))
-            vec, gt_hr = _vector_and_gt_hr(pred, gt, pred_hr, None)
             parts = [reference_corner_l1(b, gt) for b in substituted_boxes(pred, gt)]
-            want = total_loss(parts, abs(pred_hr - gt_hr), 0.0, lambda1, lambda2).total
-            assert loss_of_vector(vec, gt, lambda1, lambda2, gt_hr) == pytest.approx(
+            want = lambda1 * sum(parts) / 3.0 + lambda2 * abs(pred_hr - gt.z)
+            assert loss_of_vector(_vector(pred, pred_hr), gt) == pytest.approx(
                 want, rel=1e-12, abs=1e-12
             )
 
@@ -294,14 +275,14 @@ class TestPinnedToReference:
 class TestGradientDescentFit:
     def test_already_at_gt(self):
         gt = Box3D(1, 2, 0.3, 4, 2, 1.5, 0.4)
-        fit = gradient_descent_fit(Box3DParams.from_box(gt), gt, steps=10, lr=1e-3)
+        fit = gradient_descent_fit(Box3DParams.from_box(gt), gt, lr=1e-3)
         np.testing.assert_allclose(fit.location, [1, 2, 0.3], atol=1e-12)
         assert fit.theta == pytest.approx(0.4)
 
     def test_location_offset_recovered(self):
         gt = Box3D(1, 2, 0.3, 4, 2, 1.5, 0.4)
         init = Box3DParams.from_box(Box3D(1.5, 2, 0.3, 4, 2, 1.5, 0.4))
-        fit = gradient_descent_fit(init, gt, steps=500, lr=1e-3)
+        fit = gradient_descent_fit(init, gt, lr=1e-3)
         assert np.abs(fit.location - np.array([1, 2, 0.3])).max() < 0.01
 
     def test_yaw_offset_recovered(self):
@@ -309,13 +290,8 @@ class TestGradientDescentFit:
         init = Box3DParams(
             np.array([1.0, 2.0, 0.3]), np.array([4.0, 2.0, 1.5]), math.sin(0.7), math.cos(0.7)
         )
-        fit = gradient_descent_fit(init, gt, steps=500, lr=2e-4)
+        fit = gradient_descent_fit(init, gt, lr=2e-4)
         assert abs(fit.theta - 0.4) < 0.01
-
-    def test_invalid_steps(self):
-        gt = Box3D(0, 0, 0, 1, 1, 1, 0)
-        with pytest.raises(ValueError):
-            gradient_descent_fit(Box3DParams.from_box(gt), gt, steps=0)
 
 
 class TestBox3DParams:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,11 +13,7 @@ from roadlift.camera_geometry import (
     ground_plane_from_extrinsics,
     rig_from_pose,
 )
-from roadlift.position_embedding import (
-    DEFAULT_TEMPERATURE,
-    embed_depth_map,
-    sine_encode,
-)
+from roadlift.position_embedding import TEMPERATURE, embed_depth_map, sine_encode
 from roadlift.scene_cue_bank import STRIDE, grid_dims_for_image
 
 
@@ -31,7 +28,8 @@ class TestSineEncode:
         np.testing.assert_array_equal(out, [0, 1, 0, 1, 0, 1, 0, 1])
 
     def test_matches_direct_trig(self):
-        out = sine_encode(1.0, 4, temperature=10000.0)
+        assert TEMPERATURE == 10000.0
+        out = sine_encode(1.0, 4)
         expected = [math.sin(1.0), math.cos(1.0), math.sin(0.01), math.cos(0.01)]
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
@@ -49,18 +47,14 @@ class TestSineEncode:
 
     def test_arrays_encoded_elementwise(self):
         values = np.array([[0.0, 1.0, -2.5], [3.7, 120.0, 1e4]])
-        out = sine_encode(values, 6, temperature=50.0)
+        out = sine_encode(values, 6)
         assert out.shape == (2, 3, 6)
         for idx, value in np.ndenumerate(values):
-            assert np.array_equal(out[idx], sine_encode(float(value), 6, temperature=50.0))
+            assert np.array_equal(out[idx], sine_encode(float(value), 6))
 
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
             sine_encode(1.0, 5)
-
-    def test_bad_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            sine_encode(1.0, 4, temperature=0.0)
 
     def test_distinct_depths_get_distinct_codes(self):
         rng = np.random.default_rng(1)
@@ -72,9 +66,10 @@ class TestSineEncode:
         assert diffs.min() > 1e-6
 
 
-def _reference_embed_depth_map(rig, plane, d_e, temperature=DEFAULT_TEMPERATURE):
+def _reference_embed_depth_map(rig, plane, d_e, temperature):
     """embed_depth_map as its inline depth and encoding computed it before
-    the shared ray-ground kernel; kept verbatim as the oracle."""
+    the shared ray-ground kernel and while the temperature was an
+    argument; kept verbatim as the oracle."""
     if d_e <= 0 or d_e % 2:
         raise ValueError(f"embedding size must be a positive even integer, got {d_e}")
     h_cells, w_cells = grid_dims_for_image(rig.image_height, rig.image_width)
@@ -98,19 +93,22 @@ PIN_RIGS = {
     "nadir": nadir_rig(),
     "rolled": rig_from_pose(6.0, 30.0, yaw_deg=-40.0, roll_deg=25.0),
     "horizon": rig_from_pose(7.0, 8.0, yaw_deg=120.0, f_x=1400.0, f_y=1400.0),
-    "augmented": rig_from_pose(8.0, 12.0, roll_deg=2.0, f_x=1190.0, f_y=1190.0, a_x=652.3,
-                               a_y=431.9, image_width=1304, image_height=872),
+    "augmented": dataclasses.replace(
+        rig_from_pose(8.0, 12.0, roll_deg=2.0, f_x=1190.0, f_y=1190.0, image_width=1304,
+                      image_height=872),
+        a_x=652.3, a_y=431.9,
+    ),
 }
 
 
 class TestEmbedDepthMap:
     @pytest.mark.parametrize("name", sorted(PIN_RIGS))
-    @pytest.mark.parametrize("d_e,temperature", [(2, 10000.0), (6, 10000.0), (64, 10000.0),
-                                                 (8, 20.0)])
+    # The reference runs at the program's temperature, 10000.
+    @pytest.mark.parametrize("d_e,temperature", [(2, 10000.0), (6, 10000.0), (64, 10000.0)])
     def test_equals_reference_inline_encoding(self, name, d_e, temperature):
         rig = PIN_RIGS[name]
         plane = ground_plane_from_extrinsics(rig)
-        grid = embed_depth_map(rig, plane, d_e, temperature)
+        grid = embed_depth_map(rig, plane, d_e)
         assert np.array_equal(grid, _reference_embed_depth_map(rig, plane, d_e, temperature))
 
     def test_nadir_constant(self):

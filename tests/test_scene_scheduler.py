@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadlift.camera_geometry import ground_plane_from_extrinsics, rig_from_pose
+from roadlift.camera_geometry import RigidTransform, ground_plane_from_extrinsics, rig_from_pose
 from roadlift.scene_scheduler import (
     AugmentationParams,
     SceneScheduler,
@@ -124,7 +125,12 @@ class TestApplyAugmentation:
             scaled_image_size(1024, 1536, 1e308)
 
     def test_camera_center_fixed(self):
-        rig = rig_from_pose(9.0, 30.0, yaw_deg=100.0, ground_xy=(3.0, -4.0))
+        # A camera over (3, -4), not over the ground origin.
+        pose = rig_from_pose(9.0, 30.0, yaw_deg=100.0)
+        rot = pose.extrinsic.rotation
+        rig = dataclasses.replace(
+            pose, extrinsic=RigidTransform(rot, -rot @ np.array([3.0, -4.0, 9.0]))
+        )
         out = apply_augmentation(rig, AugmentationParams(0.85, 2.0, -1.0))
         np.testing.assert_allclose(
             out.camera_center_ground(), rig.camera_center_ground(), atol=1e-12

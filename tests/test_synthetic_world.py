@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
 import math
+import unittest.mock
+import warnings
 
 import numpy as np
 import pytest
@@ -49,7 +52,9 @@ def single_object_scene(r=200.0, field=None, h=7.0, pitch=10.0, f=1400.0):
     return SyntheticScene(rig, plane, field, (box,), "single", seed=0)
 
 
-# GroundField.random's (amplitude, roi, n_bumps) cases.
+# GroundField.random's (amplitude, roi, n_bumps) cases.  The program draws
+# RANDOM_BUMPS = 2 bumps; the other counts are set on the module constant
+# (``_random_field``) to cover a surface without bumps and one with more.
 _RANDOM_CASES = {
     "default": (1.0, ((-300.0, 300.0), (-300.0, 300.0)), 2),
     "small-roi": (0.3, ((-50.0, 80.0), (-20.0, 10.0)), 0),
@@ -57,13 +62,17 @@ _RANDOM_CASES = {
 }
 
 
+def _random_field(seed, amplitude, roi, n_bumps):
+    with unittest.mock.patch.object(synthetic_world, "RANDOM_BUMPS", n_bumps):
+        return GroundField.random(np.random.default_rng(seed), amplitude, roi)
+
+
 def _pinned_fields(case):
     """The fields GroundField.random draws for seeds 0-9 in one
     ``_RANDOM_CASES`` case, or ``constant(0.3)`` for "constant"."""
     if case == "constant":
         return [GroundField.constant(0.3)]
-    return [GroundField.random(np.random.default_rng(seed), *_RANDOM_CASES[case])
-            for seed in range(10)]
+    return [_random_field(seed, *_RANDOM_CASES[case]) for seed in range(10)]
 
 
 class TestGroundField:
@@ -109,14 +118,15 @@ class TestGroundField:
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
     @pytest.mark.parametrize("amplitude,roi,n_bumps", _RANDOM_CASES.values(), ids=_RANDOM_CASES)
     def test_random_equals_reference(self, seed, amplitude, roi, n_bumps):
-        got = GroundField.random(np.random.default_rng(seed), amplitude, roi, n_bumps)
+        got = _random_field(seed, amplitude, roi, n_bumps)
         want = _reference_ground_field_random(np.random.default_rng(seed), amplitude, roi, n_bumps)
         assert got == want
 
     # sha256 of the coefficients and bumps of _pinned_fields(case), and of
     # their heights on a 41 x 41 grid reaching past every ROI and at 20
     # scalar points, recorded while random's probe was a GroundField with
-    # an unbounded max_abs and xy_scale was a constructor argument.
+    # an unbounded max_abs, xy_scale was a constructor argument and the
+    # bump count an argument of random.
     DRAWS_SHA256 = {
         "default": "1684b19c3d729e7645ad8dfd969d5a2edcc293c1b9f1666b4db783f49189671f",
         "small-roi": "94f0bef5d005232cc69842a15ea2fd5988510c9f8b2a3150d1d2fb294f2dee38",
@@ -148,6 +158,21 @@ class TestGroundField:
             assert all(type(h) is float for h in heights)
             digest.update(np.array(heights).tobytes())
         assert digest.hexdigest() == self.HEIGHTS_SHA256[case]
+
+    def test_scalar_and_array_evaluation_agree(self):
+        # Not bit for bit (see GroundField.evaluate): with the benchmark's
+        # scene config, 170 of these 19,200 points differ, by at most
+        # 2.2e-16 m (numpy 2.4, x86-64).
+        cfg = SceneConfig(n_objects=0, pitch_band_deg=(8.0, 12.0))
+        worst = 0.0
+        for seed in range(64):
+            field = generate_scene(cfg, seed).field
+            (x0, x1), (y0, y1) = field.roi
+            rng = np.random.default_rng(seed)
+            xs, ys = rng.uniform(x0, x1, 300), rng.uniform(y0, y1, 300)
+            scalars = [field.evaluate(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+            worst = max(worst, float(np.abs(field.evaluate(xs, ys) - scalars).max()))
+        assert worst <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_generate_scene_scans_roi_twice(self, seed, monkeypatch):
@@ -393,8 +418,11 @@ def _pin_scenes():
         nadir,
         rig_from_pose(6.0, 30.0, yaw_deg=-40.0, roll_deg=25.0),
         rig_from_pose(7.0, 8.0, yaw_deg=120.0, f_x=1400.0, f_y=1400.0),
-        rig_from_pose(8.0, 12.0, roll_deg=2.0, f_x=1190.0, f_y=1190.0, a_x=652.3,
-                      a_y=431.9, image_width=1304, image_height=872),
+        dataclasses.replace(
+            rig_from_pose(8.0, 12.0, roll_deg=2.0, f_x=1190.0, f_y=1190.0, image_width=1304,
+                          image_height=872),
+            a_x=652.3, a_y=431.9,
+        ),
     ]
     scenes = [generate_scene(CFG, seed) for seed in (0, 1, 2, 31)]
     for i, rig in enumerate(rigs):
@@ -595,3 +623,28 @@ class TestConfigParsing:
 def test_rejects_bad_values(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+_FLAT = (0.0,) * 10
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"coeffs": _FLAT, "bumps": ((1.0, 1e200, 0.0, 10.0),)}, "bumps need"),
+        ({"coeffs": _FLAT, "bumps": ((1.0, 0.0, 0.0, 1e-200),)}, "bumps need"),
+        ({"coeffs": (1e308,) * 10}, "coefficients must be finite, at most 1e\\+50"),
+        ({"coeffs": _FLAT, "bumps": ((1e308, 0.0, 0.0, 10.0),) * 2}, "bumps need"),
+        ({"coeffs": _FLAT, "bumps": ((1.0, 1e300, 0.0, 1e299),),
+          "roi": ((0.0, 1e300), (0.0, 1e300))}, "roi bands must be finite with lo < hi"),
+    ],
+    ids=["far-bump-centre", "tiny-bump-sigma", "huge-coefficients", "huge-bump-amplitudes",
+         "huge-roi"],
+)
+def test_extreme_finite_fields_rejected_without_warning(kwargs, message):
+    # Each overflowed (or divided by zero) in _surface with a
+    # RuntimeWarning while the field's peak was scanned.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            GroundField(**kwargs)
