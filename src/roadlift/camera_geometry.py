@@ -54,6 +54,8 @@ MIN_CAMERA_HEIGHT = 1e-6
 # does, and the ray directions (u - a_x) / f_x grow without bound: a
 # subnormal focal length overflows them to inf.
 MIN_FOCAL_PX = 1.0
+# Points at a camera-frame depth of at most this do not project.
+MIN_DEPTH = 1e-6
 
 
 class GeometryError(ValueError):
@@ -309,11 +311,26 @@ def ray_ground(rig: CameraRig, plane: GroundPlane, u, v) -> tuple[np.ndarray, np
 def project_to_image(rig: CameraRig, p_g) -> tuple[float, float]:
     """Pinhole projection of a ground-frame point to pixel coordinates."""
     pc = rig.extrinsic.apply(np.asarray(p_g, dtype=float))
-    if pc[2] <= 1e-6:
+    if pc[2] <= MIN_DEPTH:
         raise GeometryError("point behind camera")
     u = rig.f_x * pc[0] / pc[2] + rig.a_x
     v = rig.f_y * pc[1] / pc[2] + rig.a_y
     return float(u), float(v)
+
+
+def _project_rows(rig: CameraRig, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``project_to_image`` of every point of an (..., 3) array, as u and
+    v arrays equal to the scalar form bit for bit; GeometryError if any
+    point is behind the camera.  Each point is rotated as a 1 x 3 row
+    times R^T, the product the scalar form takes: ``points @ R.T`` sums
+    in another order and moves last bits."""
+    ext = rig.extrinsic
+    pc = np.matmul(points[..., None, :], ext.rotation.T)[..., 0, :] + ext.translation
+    if (pc[..., 2] <= MIN_DEPTH).any():
+        raise GeometryError("point behind camera")
+    u = rig.f_x * pc[..., 0] / pc[..., 2] + rig.a_x
+    v = rig.f_y * pc[..., 1] / pc[..., 2] + rig.a_y
+    return u, v
 
 
 def height_sensitivity(

@@ -163,8 +163,17 @@ def cmd_simulate(args) -> int:
     config = check_json(json.loads(Path(args.config).read_text()), like, "")
     scene_cfg, noise, n_frames = config["scene"], config["noise"], config["frames"]
     _check_frames(n_frames)
-    scene = generate_scene(scene_cfg, args.seed)
     out = Path(args.out)
+    # A second run would overwrite some frames and leave the rest beside
+    # another scene's calibration.
+    if (out / "calib.json").exists() or any(
+        any((out / side).glob("*.txt")) for side in ("gt", "pred")
+    ):
+        raise ValueError(
+            f"--out {out} already holds a simulate run (calib.json or gt/, pred/ label files); "
+            "give an empty or new directory"
+        )
+    scene = generate_scene(scene_cfg, args.seed)
     (out / "gt").mkdir(parents=True, exist_ok=True)
     (out / "pred").mkdir(parents=True, exist_ok=True)
     (out / "calib.json").write_text(serialize_calibration(scene.rig, scene.scene_id))

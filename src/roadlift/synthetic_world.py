@@ -26,6 +26,7 @@ from .camera_geometry import (
     CameraRig,
     GeometryError,
     GroundPlane,
+    _project_rows,
     check_category,
     corners_of,
     ground_plane_from_extrinsics,
@@ -89,17 +90,20 @@ def _roi_scale(roi) -> float:
 
 def _surface(coeffs, bumps, xy_scale, x, y):
     """Unclipped surface height at (x, y): the cubic in (x, y) / xy_scale
-    plus the Gaussian bumps."""
-    xn = np.asarray(x, dtype=float) / xy_scale
-    yn = np.asarray(y, dtype=float) / xy_scale
-    out = np.zeros(np.broadcast(xn, yn).shape)
+    plus the Gaussian bumps.  One body serves scalars and arrays, with no
+    conversion: a scalar stays a scalar and arrays broadcast."""
+    xn = x / xy_scale
+    yn = y / xy_scale
+    # xn**0 * yn**0 is 1 at every point, NaN and inf included, so the sum
+    # starts from 0.0 in the broadcast shape of x and y.
+    out = 0.0 * (xn**0 * yn**0)
     for coef, (px, py) in zip(coeffs, _POLY_POWERS):
         if coef:
-            out += coef * xn**px * yn**py
+            out = out + coef * xn**px * yn**py
     for amp, cx, cy, sigma in bumps:
-        dx = np.asarray(x, dtype=float) - cx
-        dy = np.asarray(y, dtype=float) - cy
-        out += amp * np.exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma))
+        dx = x - cx
+        dy = y - cy
+        out = out + amp * np.exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma))
     return out
 
 
@@ -151,17 +155,19 @@ class GroundField:
 
     def evaluate(self, x, y):
         """Surface height h_r at ground coordinates (x, y); scalar in,
-        scalar out, arrays broadcast.
+        scalar out, numpy arrays broadcast.
 
         A point can read differently as a scalar and inside an array, by
         one unit in the last place: after its first division a scalar is
-        an ``np.float64``, whose ``** 3`` calls libm ``pow``, while an
-        array's calls numpy's SIMD ``power``.  The two forms agree within
-        1e-12 m; a caller that batches scalar evaluations changes bytes.
+        a ``float`` or an ``np.float64``, whose ``** 3`` calls libm
+        ``pow``, while an array's calls numpy's SIMD ``power``.  The two
+        forms agree within 1e-12 m; a caller that batches scalar
+        evaluations changes bytes.
         """
         raw = _surface(self.coeffs, self.bumps, self.xy_scale, x, y)
-        out = np.clip(raw, -MAX_SURFACE_HEIGHT, MAX_SURFACE_HEIGHT)
-        return float(out) if out.ndim == 0 else out
+        if isinstance(raw, np.ndarray):
+            return np.clip(raw, -MAX_SURFACE_HEIGHT, MAX_SURFACE_HEIGHT)
+        return float(min(max(raw, -MAX_SURFACE_HEIGHT), MAX_SURFACE_HEIGHT))
 
     @classmethod
     def constant(cls, value: float) -> "GroundField":
@@ -286,14 +292,17 @@ class FrameRecord:
     n_lift_failed: int = 0
 
 
-def box2d_of(rig: CameraRig, box: Box3D) -> tuple[float, float, float, float]:
-    """Pixel-space bounding rectangle of the box's eight projected corners."""
-    us, vs = [], []
-    for corner in corners_of(box):
-        u, v = project_to_image(rig, corner)
-        us.append(u)
-        vs.append(v)
-    return (min(us), min(vs), max(us), max(vs))
+def box2d_of(rig: CameraRig, boxes) -> tuple[tuple[float, float, float, float], ...]:
+    """Pixel-space bounding rectangle (x1, y1, x2, y2) of each box's eight
+    projected corners, one per box of the sequence (``()`` for none),
+    equal bit for bit to the min and max of per-corner
+    ``project_to_image`` calls.  GeometryError if any corner of any box
+    is behind the camera."""
+    if not boxes:
+        return ()
+    us, vs = _project_rows(rig, np.stack([corners_of(b) for b in boxes]))
+    x1, y1, x2, y2 = (a.tolist() for a in (us.min(1), vs.min(1), us.max(1), vs.max(1)))
+    return tuple(zip(x1, y1, x2, y2))
 
 
 def _sample_objects(
@@ -305,22 +314,38 @@ def _sample_objects(
     """``config.n_objects`` boxes resting on ``field``, each drawn within
     90% of the rig's half field of view around its forward azimuth and
     redrawn until its bottom center images inside the margin.  The rig's
-    foot point, azimuth and field of view are computed once per call."""
+    foot point, azimuth and field of view are computed once per call.
+
+    Each attempt draws range and azimuth offset in one ``rng.random(2)``
+    call, the category, then length, width, height and yaw in one
+    ``rng.random(4)`` call.  numpy's ``uniform(lo, hi)`` is
+    ``lo + (hi - lo) * random()`` (and hi - lo is exactly 2a for the band
+    (-a, a)), so these are the doubles, in the order, that one
+    ``rng.uniform`` call per value gave."""
     foot = rig.camera_center_ground()[:2]
     forward = rig.extrinsic.rotation.T @ np.array([0.0, 0.0, 1.0])
     az0 = math.atan2(forward[1], forward[0])
     az_half = math.atan((rig.image_width / 2.0) / rig.f_x) * 0.9
+    r_lo, r_hi = config.range_band
+    place_lo = np.array([r_lo, -az_half])
+    place_span = np.array([r_hi - r_lo, 2.0 * az_half])
+    # (lo, span) of each category's length, width, height and yaw.
+    shape_draws = [
+        (name, np.array([lo for lo, _ in bands] + [-math.pi]),
+         np.array([hi - lo for lo, hi in bands] + [math.tau]))
+        for name, bands in config.categories
+    ]
     objects = []
     for _ in range(config.n_objects):
         for _ in range(MAX_PLACEMENT_ATTEMPTS):
-            r = rng.uniform(*config.range_band)
-            az = az0 + rng.uniform(-az_half, az_half)
+            r, d_az = (place_lo + place_span * rng.random(2)).tolist()
+            az = az0 + d_az
             x = foot[0] + r * math.cos(az)
             y = foot[1] + r * math.sin(az)
             z = field.evaluate(x, y)
-            name, bands = config.categories[rng.integers(len(config.categories))]
-            l, w, h = (rng.uniform(lo, hi) for lo, hi in bands)
-            box = Box3D(x, y, z, l, w, h, theta=rng.uniform(-math.pi, math.pi), category=name)
+            name, lo, span = shape_draws[rng.integers(len(shape_draws))]
+            l, w, h, theta = (lo + span * rng.random(4)).tolist()
+            box = Box3D(x, y, z, l, w, h, theta=theta, category=name)
             try:
                 u, v = project_to_image(rig, box.bottom_center)
             except GeometryError:
@@ -378,61 +403,73 @@ def simulate_predictions(scene: SyntheticScene, noise: NoiseModel, seed: int) ->
     rebuild its 3D location from the noisy (u_c, v_c, h_r) through the
     same lifting path the detector uses.  Scores decay exponentially
     with the total applied perturbation, so exact predictions score 1.
+
+    A frame's perturbations and scores are computed as arrays, element
+    by element in the order of one object's scalar arithmetic (its
+    three dimension terms summed left to right, as numpy sums three
+    values), so each prediction is the same to the bit; each object is
+    still lifted by its own ``lift_to_ground`` call.
     """
     rng = np.random.default_rng([_SALT_SIM, scene.seed, seed])
-    rig, plane = scene.rig, scene.plane
-    gt2d = tuple(box2d_of(rig, b) for b in scene.objects)
-    gt_bc = tuple(project_to_image(rig, b.bottom_center) for b in scene.objects)
+    rig, plane, objects = scene.rig, scene.plane, scene.objects
+    gt2d = box2d_of(rig, objects)
+    centers = np.array([(b.x, b.y, b.z) for b in objects]).reshape(-1, 3)
+    bc = np.stack(_project_rows(rig, centers), axis=-1)
+    gt_bc = tuple(map(tuple, bc.tolist()))
+
+    # Draw every noise component unconditionally so the stream stays
+    # aligned across noise configurations sharing a seed: per object, the
+    # drop draw, then normals for h_r, the three dimensions, yaw and the
+    # two pixel offsets, in that order.
+    u_drop = np.empty(len(objects))
+    eps = np.empty((len(objects), 7))
+    for i in range(len(objects)):
+        u_drop[i] = rng.random()
+        rng.standard_normal(out=eps[i])
+    parts = np.array([(b.z, b.l, b.w, b.h, b.theta) for b in objects]).reshape(-1, 5)
+    hr_n = parts[:, 0] + noise.sigma_hr * eps[:, 0]
+    dims_n = np.maximum(parts[:, 1:4] * (1.0 + noise.sigma_dims * eps[:, 1:4]), 0.1)
+    yaw_n = parts[:, 4] + noise.sigma_yaw * eps[:, 4]
+    uv_n = bc + noise.sigma_center_px * eps[:, 5:]
+    dims_err = np.abs(noise.sigma_dims * eps[:, 1:4])
+    uv_err = np.abs(eps[:, 5:])
+    penalty = (
+        np.abs(noise.sigma_hr * eps[:, 0]) / _SCORE_SCALES["hr"]
+        + (dims_err[:, 0] + dims_err[:, 1] + dims_err[:, 2]) / _SCORE_SCALES["dims"]
+        + np.abs(noise.sigma_yaw * eps[:, 4]) / _SCORE_SCALES["yaw"]
+        + abs(noise.sigma_center_px) * (uv_err[:, 0] + uv_err[:, 1]) / _SCORE_SCALES["center"]
+    )
 
     preds: list[Box3D] = []
     preds_2d: list[tuple[float, float, float, float]] = []
     n_dropped = 0
     n_lift_failed = 0
-    for i, box in enumerate(scene.objects):
-        # Draw every noise component unconditionally so the stream stays
-        # aligned across noise configurations sharing a seed.
-        u_drop = rng.random()
-        eps_hr = rng.standard_normal()
-        eps_dims = rng.standard_normal(3)
-        eps_yaw = rng.standard_normal()
-        eps_uv = rng.standard_normal(2)
-        if u_drop < noise.drop_rate:
+    # uv_n - bc stays an array, so that its rows give np.float64 offsets
+    # and the prediction rectangles keep their type.
+    rows = zip(objects, gt2d, u_drop.tolist(), hr_n.tolist(), dims_n.tolist(), yaw_n.tolist(),
+               uv_n.tolist(), uv_n - bc, penalty.tolist())
+    for box, (x1, y1, x2, y2), drop, hr, (l, w, h), yaw, (u, v), (du, dv), pen in rows:
+        if drop < noise.drop_rate:
             n_dropped += 1
             continue
-        hr_n = box.z + noise.sigma_hr * eps_hr
-        dims_n = np.maximum(
-            np.array([box.l, box.w, box.h]) * (1.0 + noise.sigma_dims * eps_dims), 0.1
-        )
-        yaw_n = box.theta + noise.sigma_yaw * eps_yaw
-        u_n = gt_bc[i][0] + noise.sigma_center_px * eps_uv[0]
-        v_n = gt_bc[i][1] + noise.sigma_center_px * eps_uv[1]
         try:
-            loc = lift_to_ground(rig, plane, u_n, v_n, hr_n)
+            loc = lift_to_ground(rig, plane, u, v, hr)
         except GeometryError:
             n_lift_failed += 1
             continue
-        penalty = (
-            abs(noise.sigma_hr * eps_hr) / _SCORE_SCALES["hr"]
-            + float(np.abs(noise.sigma_dims * eps_dims).sum()) / _SCORE_SCALES["dims"]
-            + abs(noise.sigma_yaw * eps_yaw) / _SCORE_SCALES["yaw"]
-            + abs(noise.sigma_center_px) * float(np.abs(eps_uv).sum()) / _SCORE_SCALES["center"]
-        )
-        score = float(math.exp(-penalty))
         preds.append(
             Box3D(
                 x=float(loc[0]),
                 y=float(loc[1]),
                 z=float(loc[2]),
-                l=float(dims_n[0]),
-                w=float(dims_n[1]),
-                h=float(dims_n[2]),
-                theta=yaw_n,
+                l=l,
+                w=w,
+                h=h,
+                theta=yaw,
                 category=box.category,
-                score=score,
+                score=math.exp(-pen),
             )
         )
-        du, dv = u_n - gt_bc[i][0], v_n - gt_bc[i][1]
-        x1, y1, x2, y2 = gt2d[i]
         preds_2d.append((x1 + du, y1 + dv, x2 + du, y2 + dv))
 
     n_fp = int(rng.binomial(len(scene.objects), noise.false_positive_rate)) if scene.objects else 0
@@ -461,7 +498,7 @@ def simulate_predictions(scene: SyntheticScene, noise: NoiseModel, seed: int) ->
                 score=score,
             )
             try:
-                fp2d = box2d_of(rig, fp_box)
+                (fp2d,) = box2d_of(rig, [fp_box])
             except GeometryError:
                 continue
             preds.append(fp_box)

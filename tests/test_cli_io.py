@@ -1411,6 +1411,97 @@ def test_simulate_labels_match_recorded_bytes(tmp_path):
         assert labels.hexdigest() == digest
 
 
+def _snapshot(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_simulate_refuses_an_out_holding_a_run(tmp_path, capsys):
+    # A second run into the same directory used to exit 0 and leave a mix:
+    # the first run's frames 2-4 beside the second run's calibration.
+    configs = {}
+    for frames in (5, 2):
+        configs[frames] = tmp_path / f"sim{frames}.json"
+        configs[frames].write_text(json.dumps({"scene": {"n_objects": 2}, "frames": frames}))
+    out = tmp_path / "s1"
+    assert run_command(["simulate", "--config", str(configs[5]), "--seed", "1",
+                        "--out", str(out)]) == 0
+    first = _snapshot(out)
+    capsys.readouterr()
+    assert run_command(["simulate", "--config", str(configs[2]), "--seed", "2",
+                        "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith(f"error: --out {out} already holds a simulate run")
+    assert captured.out == ""
+    assert _snapshot(out) == first
+
+
+@pytest.mark.parametrize("leftover,refused", [
+    ("calib.json", True), ("gt/frame_0007.txt", True), ("pred/x.txt", True),
+    ("notes.txt", False), ("gt/readme.md", False), ("gt/", False),
+])
+def test_simulate_out_check_reads_calibration_and_label_files(tmp_path, capsys, leftover,
+                                                              refused):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"scene": {"n_objects": 1}, "frames": 1}))
+    out = tmp_path / "out"
+    path = out / leftover
+    if leftover.endswith("/"):
+        path.mkdir(parents=True)
+    else:
+        path.parent.mkdir(parents=True)
+        path.write_text("old\n")
+    before = _snapshot(out)
+    code = run_command(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == (1 if refused else 0)
+    if refused:
+        assert _snapshot(out) == before
+        assert capsys.readouterr().err.count("\n") == 1
+    else:
+        assert (out / "calib.json").exists()
+
+
+# Every noise parameter non-zero, and sigma_dims 0.5 on a 0.3-0.4 m
+# category, so that some predicted dimensions are clamped to 0.1 m.
+_ALL_NOISE_SCENE = {
+    "n_objects": 9, "range_band": [10, 120], "pitch_band_deg": [8, 25],
+    "categories": [["car", [[3.8, 5.2], [1.6, 2.0], [1.3, 1.8]]],
+                   ["cone", [[0.3, 0.4], [0.3, 0.4], [0.3, 0.4]]]],
+}
+_ALL_NOISE = {"sigma_hr": 0.2, "sigma_dims": 0.5, "sigma_yaw": 0.3, "sigma_center_px": 1.5,
+              "drop_rate": 0.1, "false_positive_rate": 0.3}
+
+
+@pytest.mark.parametrize("scene,seed,digest", [
+    (_ALL_NOISE_SCENE, 0,
+     "3ed71d83256746b45bfa7605a45bdb8e814b24c909fbc02937e0d37c676b8242"),
+    (_ALL_NOISE_SCENE, 11,
+     "5a0c1068e82fa516b8ca70c56b244c394e64d8516031506ca537fde7f3777ed7"),
+    ({"n_objects": 0}, 4,
+     "f948c69a882d8824b0cd0380b52d6e8ecdba7c9a92fbee36e24672c9cf8f09a9"),
+], ids=["all-noise-0", "all-noise-11", "no-objects"])
+def test_simulate_all_noise_labels_match_recorded_bytes(tmp_path, scene, seed, digest):
+    # Recorded while placement drew each value with its own rng call,
+    # box2d_of took one box and predictions drew their noise in five calls.
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"scene": scene, "noise": _ALL_NOISE, "frames": 4}))
+    out = tmp_path / "sim"
+    assert run_command(["simulate", "--config", str(config), "--seed", str(seed),
+                        "--out", str(out)]) == 0
+    labels = hashlib.sha256()
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            labels.update(path.relative_to(out).as_posix().encode() + b"\0" + path.read_bytes())
+    preds = [box for path in sorted((out / "pred").glob("*.txt"))
+             for box in parse_labels(path.read_text())]
+    if scene["n_objects"]:
+        assert any(0.1 in (box.l, box.w, box.h) for box in preds)
+    else:
+        assert preds == []
+    assert labels.hexdigest() == digest
+
+
 def _calibration_with(change):
     data = json.loads(nadir_calibration_text())
     change(data)

@@ -10,7 +10,9 @@ import pytest
 from roadlift import synthetic_world
 from roadlift.camera_geometry import (
     CameraRig,
+    GeometryError,
     RigidTransform,
+    corners_of,
     ground_plane_from_extrinsics,
     height_sensitivity,
     lift_to_ground,
@@ -553,17 +555,319 @@ class TestRenderCueGrid:
         assert not np.array_equal(ga.values[:, :, 0], gb.values[:, :, 0])
 
 
+# The eval-dense benchmark's scene: 30 objects in three categories seen
+# by a camera pitched 8-12 degrees down.
+DENSE_CFG = SceneConfig(
+    n_objects=30,
+    pitch_band_deg=(8.0, 12.0),
+    categories=(
+        ("car", ((3.8, 5.2), (1.6, 2.0), (1.3, 1.8))),
+        ("truck", ((7.0, 12.0), (2.3, 2.6), (2.8, 3.8))),
+        ("ped", ((0.4, 0.9), (0.4, 0.9), (1.5, 1.9))),
+    ),
+)
+
+
+def _reference_surface(coeffs, bumps, xy_scale, x, y):
+    """synthetic_world._surface as it was while it took every input
+    through np.asarray and summed into np.zeros; kept verbatim as the
+    oracle."""
+    xn = np.asarray(x, dtype=float) / xy_scale
+    yn = np.asarray(y, dtype=float) / xy_scale
+    out = np.zeros(np.broadcast(xn, yn).shape)
+    for coef, (px, py) in zip(coeffs, synthetic_world._POLY_POWERS):
+        if coef:
+            out += coef * xn**px * yn**py
+    for amp, cx, cy, sigma in bumps:
+        dx = np.asarray(x, dtype=float) - cx
+        dy = np.asarray(y, dtype=float) - cy
+        out += amp * np.exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma))
+    return out
+
+
+def _reference_evaluate(field, x, y):
+    """GroundField.evaluate of the same time, on ``_reference_surface``."""
+    raw = _reference_surface(field.coeffs, field.bumps, field.xy_scale, x, y)
+    out = np.clip(raw, -synthetic_world.MAX_SURFACE_HEIGHT, synthetic_world.MAX_SURFACE_HEIGHT)
+    return float(out) if out.ndim == 0 else out
+
+
+def _reference_box2d_of(rig, box):
+    """box2d_of as it was while it took one box and projected its eight
+    corners one call at a time; kept verbatim as the oracle."""
+    us, vs = [], []
+    for corner in corners_of(box):
+        u, v = project_to_image(rig, corner)
+        us.append(u)
+        vs.append(v)
+    return (min(us), min(vs), max(us), max(vs))
+
+
+def _reference_sample_objects(rng, rig, field, config):
+    """synthetic_world._sample_objects as it was while each value had its
+    own rng call; kept verbatim as the oracle, except that heights come
+    from ``_reference_evaluate``."""
+    foot = rig.camera_center_ground()[:2]
+    forward = rig.extrinsic.rotation.T @ np.array([0.0, 0.0, 1.0])
+    az0 = math.atan2(forward[1], forward[0])
+    az_half = math.atan((rig.image_width / 2.0) / rig.f_x) * 0.9
+    margin = synthetic_world.EDGE_MARGIN_PX
+    objects = []
+    for _ in range(config.n_objects):
+        for _ in range(synthetic_world.MAX_PLACEMENT_ATTEMPTS):
+            r = rng.uniform(*config.range_band)
+            az = az0 + rng.uniform(-az_half, az_half)
+            x = foot[0] + r * math.cos(az)
+            y = foot[1] + r * math.sin(az)
+            z = _reference_evaluate(field, x, y)
+            name, bands = config.categories[rng.integers(len(config.categories))]
+            l, w, h = (rng.uniform(lo, hi) for lo, hi in bands)
+            box = Box3D(x, y, z, l, w, h, theta=rng.uniform(-math.pi, math.pi), category=name)
+            try:
+                u, v = project_to_image(rig, box.bottom_center)
+            except GeometryError:
+                continue
+            if (margin <= u < rig.image_width - margin
+                    and margin <= v < rig.image_height - margin):
+                objects.append(box)
+                break
+        else:
+            raise ValueError("infeasible scene config")
+    return tuple(objects)
+
+
+def _reference_simulate_predictions(scene, noise, seed):
+    """simulate_predictions as it was while each object drew its noise in
+    five calls and computed its perturbations and score on its own; kept
+    verbatim as the oracle, except that rectangles and heights come from
+    ``_reference_box2d_of`` and ``_reference_evaluate``."""
+    rng = np.random.default_rng([synthetic_world._SALT_SIM, scene.seed, seed])
+    rig, plane = scene.rig, scene.plane
+    gt2d = tuple(_reference_box2d_of(rig, b) for b in scene.objects)
+    gt_bc = tuple(project_to_image(rig, b.bottom_center) for b in scene.objects)
+
+    preds: list[Box3D] = []
+    preds_2d: list[tuple[float, float, float, float]] = []
+    n_dropped = 0
+    n_lift_failed = 0
+    for i, box in enumerate(scene.objects):
+        # Draw every noise component unconditionally so the stream stays
+        # aligned across noise configurations sharing a seed.
+        u_drop = rng.random()
+        eps_hr = rng.standard_normal()
+        eps_dims = rng.standard_normal(3)
+        eps_yaw = rng.standard_normal()
+        eps_uv = rng.standard_normal(2)
+        if u_drop < noise.drop_rate:
+            n_dropped += 1
+            continue
+        hr_n = box.z + noise.sigma_hr * eps_hr
+        dims_n = np.maximum(
+            np.array([box.l, box.w, box.h]) * (1.0 + noise.sigma_dims * eps_dims), 0.1
+        )
+        yaw_n = box.theta + noise.sigma_yaw * eps_yaw
+        u_n = gt_bc[i][0] + noise.sigma_center_px * eps_uv[0]
+        v_n = gt_bc[i][1] + noise.sigma_center_px * eps_uv[1]
+        try:
+            loc = lift_to_ground(rig, plane, u_n, v_n, hr_n)
+        except GeometryError:
+            n_lift_failed += 1
+            continue
+        penalty = (
+            abs(noise.sigma_hr * eps_hr) / synthetic_world._SCORE_SCALES["hr"]
+            + float(np.abs(noise.sigma_dims * eps_dims).sum()) / synthetic_world._SCORE_SCALES["dims"]
+            + abs(noise.sigma_yaw * eps_yaw) / synthetic_world._SCORE_SCALES["yaw"]
+            + abs(noise.sigma_center_px) * float(np.abs(eps_uv).sum()) / synthetic_world._SCORE_SCALES["center"]
+        )
+        score = float(math.exp(-penalty))
+        preds.append(
+            Box3D(
+                x=float(loc[0]),
+                y=float(loc[1]),
+                z=float(loc[2]),
+                l=float(dims_n[0]),
+                w=float(dims_n[1]),
+                h=float(dims_n[2]),
+                theta=yaw_n,
+                category=box.category,
+                score=score,
+            )
+        )
+        du, dv = u_n - gt_bc[i][0], v_n - gt_bc[i][1]
+        x1, y1, x2, y2 = gt2d[i]
+        preds_2d.append((x1 + du, y1 + dv, x2 + du, y2 + dv))
+
+    n_fp = int(rng.binomial(len(scene.objects), noise.false_positive_rate)) if scene.objects else 0
+    for _ in range(n_fp):
+        for _ in range(50):
+            u = rng.uniform(synthetic_world.EDGE_MARGIN_PX, rig.image_width - synthetic_world.EDGE_MARGIN_PX)
+            v = rng.uniform(synthetic_world.EDGE_MARGIN_PX, rig.image_height - synthetic_world.EDGE_MARGIN_PX)
+            try:
+                flat = lift_to_ground(rig, plane, u, v, 0.0)
+                z = _reference_evaluate(scene.field, flat[0], flat[1])
+                loc = lift_to_ground(rig, plane, u, v, z)
+            except GeometryError:
+                continue
+            # Borrow dimensions/category from a random true object.
+            donor = scene.objects[rng.integers(len(scene.objects))]
+            score = float(math.exp(-(1.0 + abs(rng.standard_normal()))))
+            fp_box = Box3D(
+                x=float(loc[0]),
+                y=float(loc[1]),
+                z=float(loc[2]),
+                l=donor.l,
+                w=donor.w,
+                h=donor.h,
+                theta=rng.uniform(-math.pi, math.pi),
+                category=donor.category,
+                score=score,
+            )
+            try:
+                fp2d = _reference_box2d_of(rig, fp_box)
+            except GeometryError:
+                continue
+            preds.append(fp_box)
+            preds_2d.append(fp2d)
+            break
+
+    return synthetic_world.FrameRecord(
+        gt_boxes=scene.objects,
+        gt_boxes_2d=gt2d,
+        gt_bottom_centers=gt_bc,
+        pred_boxes=tuple(preds),
+        pred_boxes_2d=tuple(preds_2d),
+        n_dropped=n_dropped,
+        n_lift_failed=n_lift_failed,
+    )
+
+
+def _exact(values):
+    """Every number in a nest of tuples, lists, boxes and frame records
+    as float.hex: equal strings mean equal bits, -0.0 and 0.0 apart."""
+    if isinstance(values, (tuple, list)):
+        return tuple(_exact(v) for v in values)
+    if isinstance(values, (Box3D, synthetic_world.FrameRecord)):
+        return _exact([getattr(values, f.name) for f in dataclasses.fields(values)])
+    if values is None or isinstance(values, str):
+        return values
+    return float(values).hex()
+
+
+@pytest.fixture(scope="module")
+def dense_scenes():
+    return [generate_scene(DENSE_CFG, seed) for seed in range(64)]
+
+
+class TestSimulateOracles:
+    """Surface heights, placements and image rectangles against the
+    forms they replaced, bit for bit, on the eval-dense scene over seeds
+    0-63."""
+
+    def test_scalar_heights_equal_reference(self, dense_scenes):
+        for seed, scene in enumerate(dense_scenes):
+            field = scene.field
+            (lo, hi), _ = field.roi
+            # 150 points in and around the ROI, as Python floats and as
+            # np.float64 (the type placement passes).
+            rng = np.random.default_rng(seed)
+            for x, y in (1.2 * rng.uniform(lo, hi, size=(150, 2))).tolist():
+                for px, py in ((x, y), (np.float64(x), np.float64(y))):
+                    got = field.evaluate(px, py)
+                    assert type(got) is float
+                    assert _exact(got) == _exact(_reference_evaluate(field, px, py)), seed
+
+    def test_array_heights_equal_reference(self, dense_scenes):
+        for seed, scene in enumerate(dense_scenes):
+            (lo, hi), _ = scene.field.roi
+            xs, ys = np.meshgrid(np.linspace(1.2 * lo, 1.2 * hi, 40), np.linspace(lo, hi, 30))
+            got = scene.field.evaluate(xs, ys)
+            want = _reference_evaluate(scene.field, xs, ys)
+            assert got.shape == want.shape == (30, 40)
+            assert got.tobytes() == want.tobytes(), seed
+
+    def test_placements_equal_reference(self, dense_scenes):
+        for seed, scene in enumerate(dense_scenes):
+            for k in (1, 2):
+                rng = np.random.default_rng([synthetic_world._SALT_OBJECTS, seed, k])
+                want_rng = np.random.default_rng([synthetic_world._SALT_OBJECTS, seed, k])
+                got = synthetic_world._sample_objects(rng, scene.rig, scene.field, DENSE_CFG)
+                want = _reference_sample_objects(want_rng, scene.rig, scene.field, DENSE_CFG)
+                assert _exact(got) == _exact(want), seed
+                # The two consumed the same draws.
+                assert rng.bit_generator.state == want_rng.bit_generator.state, seed
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(sigma_hr=0.25, drop_rate=0.05, false_positive_rate=0.1),
+        NoiseModel(sigma_hr=0.2, sigma_dims=0.5, sigma_yaw=0.3, sigma_center_px=1.5,
+                   drop_rate=0.1, false_positive_rate=0.3),
+        NoiseModel(),
+    ], ids=["eval-dense", "all-noise", "no-noise"])
+    def test_frame_records_equal_reference(self, dense_scenes, noise):
+        for seed, scene in enumerate(dense_scenes):
+            got = simulate_predictions(scene, noise, seed)
+            want = _reference_simulate_predictions(scene, noise, seed)
+            assert _exact(got) == _exact(want), seed
+            # Rectangles keep their types too (np.float64 for a detection's).
+            assert [list(map(type, r)) for r in got.pred_boxes_2d] == [
+                list(map(type, r)) for r in want.pred_boxes_2d], seed
+
+    def test_rectangles_equal_reference(self, dense_scenes):
+        for seed, scene in enumerate(dense_scenes):
+            boxes = resample_objects(scene, DENSE_CFG, 1).objects + scene.objects
+            got = box2d_of(scene.rig, boxes)
+            want = tuple(_reference_box2d_of(scene.rig, b) for b in boxes)
+            assert _exact(got) == _exact(want), seed
+            assert all(type(v) is float for rect in got for v in rect)
+
+
 class TestBox2D:
     def test_bbox_contains_all_corner_projections(self):
         scene = generate_scene(CFG, 35)
-        from roadlift.camera_geometry import corners_of
-
-        for box in scene.objects:
-            x1, y1, x2, y2 = box2d_of(scene.rig, box)
+        rects = box2d_of(scene.rig, scene.objects)
+        assert len(rects) == len(scene.objects)
+        for box, (x1, y1, x2, y2) in zip(scene.objects, rects):
             for corner in corners_of(box):
                 u, v = project_to_image(scene.rig, corner)
                 assert x1 - 1e-9 <= u <= x2 + 1e-9
                 assert y1 - 1e-9 <= v <= y2 + 1e-9
+
+    def test_no_boxes_give_no_rectangles(self):
+        assert box2d_of(rig_from_pose(7.0, 10.0), ()) == ()
+        assert box2d_of(rig_from_pose(7.0, 10.0), []) == ()
+
+    def test_one_corner_behind_the_camera_fails_the_whole_call(self):
+        # The camera stands over the origin looking along +x; a 20 m box
+        # centred under it has half its corners behind it.
+        rig = rig_from_pose(7.0, 10.0)
+        ahead = Box3D(40.0, 0.0, 0.0, 4.5, 1.8, 1.5, 0.2)
+        straddling = Box3D(0.0, 0.0, 0.0, 20.0, 1.8, 1.5, 0.0)
+        with pytest.raises(GeometryError, match="behind camera"):
+            project_to_image(rig, corners_of(straddling)[0])
+        assert len(box2d_of(rig, [ahead, ahead])) == 2
+        with pytest.raises(GeometryError, match="behind camera"):
+            box2d_of(rig, [ahead, straddling, ahead])
+
+    def test_rectangles_equal_per_corner_projection_on_random_rigs(self):
+        rng = np.random.default_rng(20)
+        behind = 0
+        for _ in range(2000):
+            height, pitch, yaw, roll = rng.uniform((2, -5, -180, -20), (30, 80, 180, 20))
+            f = rng.uniform(300.0, 4000.0)
+            rig = dataclasses.replace(rig_from_pose(height, pitch, yaw, roll, f, f * 1.01),
+                                      a_x=rng.uniform(0, 1536), a_y=rng.uniform(0, 1024))
+            r, az = rng.uniform(1.0, 150.0), math.radians(yaw) + rng.uniform(-1.0, 1.0)
+            boxes = [Box3D(r * math.cos(az), r * math.sin(az), rng.uniform(-2, 2),
+                           *rng.uniform(0.2, 12.0, 3), rng.uniform(-4, 4)) for _ in range(2)]
+            try:
+                want = tuple(_reference_box2d_of(rig, b) for b in boxes)
+            except GeometryError:
+                behind += 1
+                with pytest.raises(GeometryError):
+                    box2d_of(rig, boxes)
+                continue
+            assert _exact(box2d_of(rig, boxes)) == _exact(want)
+        # Both branches ran, the exact one most of the time.
+        assert 0 < behind < 1000
 
 
 class TestConfigParsing:
