@@ -28,10 +28,8 @@ from .evaluation import (
 )
 from .loss_functions import (
     Box3DParams,
-    LossBreakdown,
     gradient_descent_fit,
     loss_gradient,
-    total_loss,
 )
 from .position_embedding import embed_depth_map, sine_encode
 from .scene_cue_bank import (

@@ -201,9 +201,10 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"--iou must be a number in [0, 1], got {args.iou}")
     thresholds = []
     if args.ratio_thresholds:
-        thresholds = [
-            _finite("--ratio-thresholds", float(t)) for t in args.ratio_thresholds.split(",")
-        ]
+        thresholds = [float(t) for t in args.ratio_thresholds.split(",")]
+        for t in thresholds:
+            if not 0.0 <= t < math.inf:
+                raise ValueError(f"--ratio-thresholds must be a finite number >= 0, got {t}")
     foot = (0.0, 0.0)
     if args.calib:
         foot = tuple(_read_calibration(args.calib).camera_center_ground()[:2])

@@ -124,9 +124,11 @@ def box2d_iou(a: tuple[float, float, float, float], b: tuple[float, float, float
 
 
 class MatchPair(NamedTuple):
+    """One matched (ground truth, prediction) index pair; its overlap is
+    ``overlaps[gt_index, pred_index]`` of the matrix ``match`` scored."""
+
     gt_index: int
     pred_index: int
-    iou: float
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,7 @@ def match(gts, preds, iou_threshold: float, iou_kind: str = "bev", overlaps=None
             iou = float(row[gi])
             if iou >= iou_threshold and iou > 0.0:
                 free[:, gi] = -1.0
-                pairs.append(MatchPair(gi, pi, iou))
+                pairs.append(MatchPair(gi, pi))
     return MatchResult(tuple(pairs), gts, preds)
 
 
@@ -257,7 +259,6 @@ class PRCurve(_ArrayRecord):
 
     precisions: np.ndarray
     ap: float
-    zero_gt_warning: bool = False
 
     def __post_init__(self):
         prec = _readonly(self.precisions)
@@ -318,15 +319,15 @@ def stats_from_match(result: MatchResult) -> FrameStats:
 def pr_curve_from_stats(stats_list) -> PRCurve:
     """Fold per-frame stats into the R40 curve: rank all predictions by
     score, sweep the rank cutoff, and take the max precision to the
-    right of each recall sample point."""
+    right of each recall sample point.  With no ground truth or no
+    prediction the curve is all zeros; a caller tells the two apart by
+    the stats' ``n_gt``."""
     stats_list = list(stats_list)
     n_gt = sum(s.n_gt for s in stats_list)
-    if n_gt == 0:
-        return PRCurve(np.zeros(N_RECALL_POINTS), 0.0, zero_gt_warning=True)
+    if n_gt == 0 or not any(s.scores.size for s in stats_list):
+        return PRCurve(np.zeros(N_RECALL_POINTS), 0.0)
     scores = np.concatenate([s.scores for s in stats_list])
     is_tp = np.concatenate([s.is_tp for s in stats_list])
-    if scores.size == 0:
-        return PRCurve(np.zeros(N_RECALL_POINTS), 0.0)
     order = np.argsort(-scores, kind="stable")
     tp = np.cumsum(is_tp[order])
     fp = np.cumsum(~is_tp[order])

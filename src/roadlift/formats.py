@@ -40,10 +40,11 @@ from .scene_cue_bank import MAX_IMAGE_SIDE
 
 PARSE_ROTATION_TOL = 1e-6
 
-# Largest magnitude ``check_json`` accepts for a float field.  Every
-# simulate / bank-sim config number and calibration extrinsic entry
-# passes through it; a finite 1e308 would overflow inside the scene
-# draws, while 1e12 m (or px, or degrees) is far past any real rig.
+# Largest magnitude of a calibration number and of a ``check_json``
+# float field (every simulate / bank-sim config number): a finite 1e308
+# overflows inside the scene draws and a 1e300 principal point puts
+# every lifted depth near 1e-296 m, while 1e12 m (or px, or degrees) is
+# far past any real rig.
 MAX_JSON_NUMBER = 1e12
 
 LABEL_HEADER = (
@@ -70,8 +71,15 @@ def _require(mapping: dict, key: str, context: str):
 
 def _number(mapping: dict, key: str, context: str) -> float:
     value = _require(mapping, key, context)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise FormatError(f"field {context}{key} must be a finite number, got {value!r}")
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not abs(value) <= MAX_JSON_NUMBER  # NaN and inf fail too
+    ):
+        raise FormatError(
+            f"field {context}{key} must be a finite number within +-{MAX_JSON_NUMBER:g}, "
+            f"got {value!r}"
+        )
     return float(value)
 
 

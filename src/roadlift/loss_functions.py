@@ -4,9 +4,10 @@ subgradients.
 The regression loss is the L1 distance between the eight predicted and
 ground-truth box corners, evaluated three times with two of
 {location, dimensions, yaw} pinned to ground truth so each part is
-optimized in isolation.  ``total_loss`` adds the L1 terms on the
-relative height h_r and on the bottom-center pixel, taken as numbers.
-Every term has weight 1: the corner parts enter as their mean.
+optimized in isolation.  The total adds the L1 term on the relative
+height h_r.  Every term has weight 1: the corner parts enter as their
+mean.  MOSE's bottom-center pixel L1 term belongs to a 2-D pixel head
+that this package does not model, not to the 9-vector below.
 
 Gradients are taken over the 9-vector
 (x, y, z, l, w, h, sin_yaw, cos_yaw, h_r); yaw decodes as
@@ -71,22 +72,6 @@ class Box3DParams(_ArrayRecord):
         )
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    reg_location: float
-    reg_dims: float
-    reg_yaw: float
-    l_hr: float
-    l_center_px: float
-    total: float
-
-    def __post_init__(self):
-        for name in ("reg_location", "reg_dims", "reg_yaw", "l_hr", "l_center_px", "total"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {v}")
-
-
 def _part_diffs(
     loc: np.ndarray, dims: np.ndarray, theta: float, gt: Box3D
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -99,15 +84,6 @@ def _part_diffs(
         corners_from_parts(gt.x, gt.y, gt.z, dims[0], dims[1], dims[2], gt.theta) - gt_corners,
         corners_from_parts(gt.x, gt.y, gt.z, gt.l, gt.w, gt.h, theta) - gt_corners,
     )
-
-
-def total_loss(
-    reg_parts: tuple[float, float, float], l_hr: float, l_center_px: float
-) -> LossBreakdown:
-    """Total: mean(reg parts) + l_hr + l_center."""
-    reg_location, reg_dims, reg_yaw = (float(v) for v in reg_parts)
-    total = (reg_location + reg_dims + reg_yaw) / 3.0 + float(l_hr) + float(l_center_px)
-    return LossBreakdown(reg_location, reg_dims, reg_yaw, float(l_hr), float(l_center_px), total)
 
 
 # -- gradient machinery over the 9-parameter vector ----------------------
@@ -136,12 +112,15 @@ def _vector(pred: Box3DParams, pred_hr: float | None) -> np.ndarray:
 
 
 def loss_of_vector(vec: np.ndarray, gt: Box3D) -> float:
-    """Total loss as a plain function of the 9-vector (bottom-center term
-    excluded: it depends on a separate pixel head, not these parameters).
-    The ground-truth h_r is ``gt.z``."""
+    """Total loss as a plain function of the 9-vector: the mean of the
+    three corner parts plus the h_r term, whose ground truth is ``gt.z``.
+    ValueError if it is not finite, so a diverging fit stops."""
     diffs = _part_diffs(vec[0:3], vec[3:6], math.atan2(vec[6], vec[7]), gt)
     parts = tuple(float(np.abs(d).sum()) for d in diffs)
-    return total_loss(parts, abs(vec[8] - gt.z), 0.0).total
+    total = (parts[0] + parts[1] + parts[2]) / 3.0 + float(abs(vec[8] - gt.z))
+    if not math.isfinite(total):
+        raise ValueError(f"loss must be finite, got {total}")
+    return total
 
 
 def loss_gradient(pred: Box3DParams, gt: Box3D, pred_hr: float | None = None) -> np.ndarray:

@@ -155,6 +155,3 @@ class SceneScheduler:
         state.params = sample_augmentation(state.rng, self.config)
         state.frames = 0
         return state.params, True
-
-    def frames_seen(self, scene_id: str) -> int:
-        return self._scenes[scene_id].frames if scene_id in self._scenes else 0

@@ -285,7 +285,6 @@ class FrameRecord:
 
     gt_boxes: tuple[Box3D, ...]
     gt_boxes_2d: tuple[tuple[float, float, float, float], ...]
-    gt_bottom_centers: tuple[tuple[float, float], ...]
     pred_boxes: tuple[Box3D, ...]
     pred_boxes_2d: tuple[tuple[float, float, float, float], ...]
     n_dropped: int = 0
@@ -415,7 +414,6 @@ def simulate_predictions(scene: SyntheticScene, noise: NoiseModel, seed: int) ->
     gt2d = box2d_of(rig, objects)
     centers = np.array([(b.x, b.y, b.z) for b in objects]).reshape(-1, 3)
     bc = np.stack(_project_rows(rig, centers), axis=-1)
-    gt_bc = tuple(map(tuple, bc.tolist()))
 
     # Draw every noise component unconditionally so the stream stays
     # aligned across noise configurations sharing a seed: per object, the
@@ -508,7 +506,6 @@ def simulate_predictions(scene: SyntheticScene, noise: NoiseModel, seed: int) ->
     return FrameRecord(
         gt_boxes=scene.objects,
         gt_boxes_2d=gt2d,
-        gt_bottom_centers=gt_bc,
         pred_boxes=tuple(preds),
         pred_boxes_2d=tuple(preds_2d),
         n_dropped=n_dropped,

@@ -106,9 +106,14 @@ class TestCalibrationFormat:
             ("extrinsic", 2, [0, 0, "-1", 10], r"extrinsic\[2\]\[2\]"),
             ("extrinsic", 2, [0, 0, {}, 10], r"extrinsic\[2\]\[2\]"),
             ("extrinsic", 3, [0, 0, 0, True], r"extrinsic\[3\]\[3\]"),
+            ("intrinsics", "cx", 1e300,
+             r"intrinsics\.cx must be a finite number within \+-1e\+12, got 1e\+300"),
+            ("intrinsics", "cy", -1e300, r"intrinsics\.cy must be a finite number within"),
+            ("intrinsics", "fx", 1e308, r"intrinsics\.fx must be a finite number within"),
         ],
         ids=["negative-fx", "zero-fy", "huge-fx", "subnormal-fy", "zero-width",
-             "negative-height", "ragged-extrinsic", "string-entry", "object-entry", "bool-entry"],
+             "negative-height", "ragged-extrinsic", "string-entry", "object-entry", "bool-entry",
+             "far-cx", "far-cy", "finite-huge-fx"],
     )
     def test_bad_value_raises_format_error_naming_field(self, section, key, value, field):
         data = json.loads(nadir_calibration_text())
@@ -614,29 +619,38 @@ class TestCli:
         assert captured.err.startswith("error: --iou must be a number in [0, 1]")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("argv,flag", [
-        (["lift", "--calib", "{calib}", "--u", "nan", "--v", "800", "--hr", "0"], "--u"),
-        (["lift", "--calib", "{calib}", "--u", "768", "--v", "inf", "--hr", "0"], "--v"),
-        (["lift", "--calib", "{calib}", "--u", "768", "--v", "800", "--hr", "nan"], "--hr"),
-        (["sensitivity", "--height", "nan", "--range", "200", "--dh", "0.5"], "--height"),
-        (["sensitivity", "--height", "7", "--range", "inf", "--dh", "0.5"], "--range"),
+    @pytest.mark.parametrize("argv,message", [
+        (["lift", "--calib", "{calib}", "--u", "nan", "--v", "800", "--hr", "0"],
+         "--u must be a finite number"),
+        (["lift", "--calib", "{calib}", "--u", "768", "--v", "inf", "--hr", "0"],
+         "--v must be a finite number"),
+        (["lift", "--calib", "{calib}", "--u", "768", "--v", "800", "--hr", "nan"],
+         "--hr must be a finite number"),
+        (["sensitivity", "--height", "nan", "--range", "200", "--dh", "0.5"],
+         "--height must be a finite number"),
+        (["sensitivity", "--height", "7", "--range", "inf", "--dh", "0.5"],
+         "--range must be a finite number"),
         (["sensitivity", "--height", "7", "--range", "inf", "--dh", "0.5", "--sweep"],
-         "--range"),
-        (["sensitivity", "--height", "7", "--range", "200", "--dh=-inf"], "--dh"),
+         "--range must be a finite number"),
+        (["sensitivity", "--height", "7", "--range", "200", "--dh=-inf"],
+         "--dh must be a finite number"),
         (["sensitivity", "--height", "7", "--range", "200", "--dh", "0.5", "--hr", "nan"],
-         "--hr"),
+         "--hr must be a finite number"),
         (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--ratio-thresholds", "1,nan"],
-         "--ratio-thresholds"),
+         "--ratio-thresholds must be a finite number >= 0"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--ratio-thresholds=-5,2"],
+         "--ratio-thresholds must be a finite number >= 0"),
     ], ids=["lift-u", "lift-v", "lift-hr", "sensitivity-height", "sensitivity-range",
-            "sweep-range", "sensitivity-dh", "sensitivity-hr", "ratio-threshold"])
-    def test_non_finite_numbers_rejected(self, nadir_calib_file, tmp_path, capsys, argv, flag):
+            "sweep-range", "sensitivity-dh", "sensitivity-hr", "ratio-threshold",
+            "negative-ratio-threshold"])
+    def test_non_finite_numbers_rejected(self, nadir_calib_file, tmp_path, capsys, argv, message):
         labels = tmp_path / "labels.txt"
         labels.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
         argv = [a.format(calib=nadir_calib_file, labels=labels) for a in argv]
         assert run_command(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [captured.err.strip()]
-        assert captured.err.startswith(f"error: {flag} must be a finite number, got ")
+        assert captured.err.startswith(f"error: {message}, got ")
         assert captured.out == ""
 
     @pytest.mark.parametrize("sweep", [[], ["--sweep"]], ids=["scalar", "sweep"])

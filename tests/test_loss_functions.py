@@ -8,15 +8,14 @@ from roadlift.loss_functions import (
     KINK_MARGIN,
     SMOOTH_CASE_TRIES,
     Box3DParams,
-    LossBreakdown,
     _gradient_of_vector,
+    _part_diffs,
     _vector,
     finite_difference_gradient,
     gradient_descent_fit,
     loss_gradient,
     loss_of_vector,
     random_smooth_case,
-    total_loss,
 )
 
 
@@ -93,27 +92,6 @@ class TestDisentangledRegLoss:
         pred_box = Box3D(1, 2, 0.3, 4.4, 2, 1.5, 0.4)
         loss = reg_sum(Box3DParams.from_box(pred_box), gt)
         assert loss > 0 and loss == pytest.approx(reference_corner_l1(pred_box, gt))
-
-
-class TestTotalLoss:
-    def test_all_zero(self):
-        assert total_loss((0, 0, 0), 0, 0).total == 0.0
-
-    def test_mean_of_equal_parts(self):
-        out = total_loss((3, 3, 3), 0.0, 0.0)
-        assert out.total == pytest.approx(3.0)
-
-    def test_weighted_sum(self):
-        # Weights 1/3 on each corner part and 1 on the h_r and pixel terms.
-        rng = np.random.default_rng(4)
-        parts = tuple(rng.uniform(0, 5, 3))
-        l_hr, center = rng.uniform(0, 2), rng.uniform(0, 10)
-        out = total_loss(parts, l_hr, center)
-        assert out.total == pytest.approx(sum(parts) / 3 + l_hr + center)
-
-    def test_breakdown_validation(self):
-        with pytest.raises(ValueError):
-            LossBreakdown(-1, 0, 0, 0, 0, 0)
 
 
 class TestLossGradient:
@@ -240,6 +218,18 @@ def _reference_random_smooth_case(rng: np.random.Generator) -> tuple[Box3DParams
     raise RuntimeError("could not sample a smooth configuration")
 
 
+# A verbatim copy of ``loss_of_vector`` while it summed its terms in a
+# separate helper that built a breakdown record (the helper's body
+# inlined, with its bottom-center pixel term of 0.0): the direct sum must
+# give the same value bit for bit.
+def _reference_loss_of_vector(vec: np.ndarray, gt: Box3D) -> float:
+    diffs = _part_diffs(vec[0:3], vec[3:6], math.atan2(vec[6], vec[7]), gt)
+    parts = tuple(float(np.abs(d).sum()) for d in diffs)
+    l_hr, l_center_px = abs(vec[8] - gt.z), 0.0
+    reg_location, reg_dims, reg_yaw = (float(v) for v in parts)
+    return (reg_location + reg_dims + reg_yaw) / 3.0 + float(l_hr) + float(l_center_px)
+
+
 class TestPinnedToReference:
     SEEDS = range(500)
     # The program's loss weights, passed to the references.
@@ -271,6 +261,16 @@ class TestPinnedToReference:
                 want, rel=1e-12, abs=1e-12
             )
 
+    def test_loss_of_vector_equals_the_reference(self):
+        # On each seed's smooth vector, and on one perturbed off it that
+        # may cross kinks or leave the unit yaw circle.
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            pred, gt, pred_hr = random_smooth_case(rng)
+            smooth = _vector(pred, pred_hr)
+            for vec in (smooth, smooth + rng.standard_normal(9)):
+                assert loss_of_vector(vec, gt) == _reference_loss_of_vector(vec, gt)
+
 
 class TestGradientDescentFit:
     def test_already_at_gt(self):
@@ -292,6 +292,15 @@ class TestGradientDescentFit:
         )
         fit = gradient_descent_fit(init, gt, lr=2e-4)
         assert abs(fit.theta - 0.4) < 0.01
+
+    def test_non_finite_loss_raises(self):
+        # Every term is non-negative, so the total is finite exactly when
+        # each term is; a NaN step size makes the first iterate NaN.
+        gt = Box3D(1, 2, 0.3, 4, 2, 1.5, 0.4)
+        with pytest.raises(ValueError, match="finite"):
+            loss_of_vector(np.full(9, np.nan), gt)
+        with pytest.raises(ValueError, match="finite"):
+            gradient_descent_fit(Box3DParams.from_box(gt), gt, lr=math.nan)
 
 
 class TestBox3DParams:

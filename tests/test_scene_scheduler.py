@@ -189,9 +189,11 @@ class TestSchedulerStep:
     def test_counter_bounded_between_steps(self):
         config = SchedulerConfig(tau=4, seed=0)
         sched = SceneScheduler(config)
-        for _ in range(20):
-            sched.step("s")
-            assert 0 <= sched.frames_seen("s") <= config.tau
+        # The window's counter never passes tau: it rolls over exactly at
+        # steps tau, 2*tau, ...
+        for i in range(1, 21):
+            _, did_reset = sched.step("s")
+            assert did_reset == (i % config.tau == 0)
 
     def test_schedule_reproducible_across_instances(self):
         def run():

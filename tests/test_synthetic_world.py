@@ -292,7 +292,8 @@ class TestSimulatePredictions:
     def test_gt_2d_boxes_cover_bottom_centers(self):
         scene = generate_scene(CFG, 29)
         record = simulate_predictions(scene, NoiseModel(), seed=0)
-        for (x1, y1, x2, y2), (u, v) in zip(record.gt_boxes_2d, record.gt_bottom_centers):
+        for (x1, y1, x2, y2), box in zip(record.gt_boxes_2d, record.gt_boxes):
+            u, v = project_to_image(scene.rig, box.bottom_center)
             assert x1 <= u <= x2 and y1 <= v <= y2
 
     # sha256 of the repr of the list of prediction rectangles, recorded
@@ -733,7 +734,6 @@ def _reference_simulate_predictions(scene, noise, seed):
     return synthetic_world.FrameRecord(
         gt_boxes=scene.objects,
         gt_boxes_2d=gt2d,
-        gt_bottom_centers=gt_bc,
         pred_boxes=tuple(preds),
         pred_boxes_2d=tuple(preds_2d),
         n_dropped=n_dropped,
