@@ -22,6 +22,8 @@ Virtual ground plane, expressed in camera coordinates:
     direction seen from the camera), so A*x + B*y + C*z + D = 0 holds on
     the plane.  The camera center evaluates to D, which is negative for
     any camera above the ground; camera_height == |D| == -D.
+  - A rig's plane is ``rig.plane``, fixed by its extrinsics: the lifting
+    functions take the rig alone and read it there.
 
 Virtual camera frame:
   - Shares its origin with the real camera.  Its y axis is the down
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -163,6 +166,13 @@ class CameraRig:
         ext = self.extrinsic
         return -ext.rotation.T @ ext.translation
 
+    @cached_property
+    def plane(self) -> GroundPlane:
+        """The rig's virtual ground plane, ``ground_plane_from_extrinsics``
+        of the rig, built on first use and kept: a rig with its camera on
+        or below the ground constructs, and raises GeometryError here."""
+        return ground_plane_from_extrinsics(self)
+
 
 @dataclass(frozen=True, eq=False)
 class GroundPlane(_ArrayRecord):
@@ -253,9 +263,10 @@ def ground_plane_from_extrinsics(rig: CameraRig) -> GroundPlane:
     )
 
 
-def depth_to_ground(rig: CameraRig, plane: GroundPlane, u: float, v: float) -> float:
+def depth_to_ground(rig: CameraRig, u: float, v: float) -> float:
     """Camera-frame z depth at which the ray through pixel (u, v) meets
     the virtual ground."""
+    plane = rig.plane
     den = (
         plane.a * (u - rig.a_x) / rig.f_x
         + plane.b * (v - rig.a_y) / rig.f_y
@@ -269,14 +280,13 @@ def depth_to_ground(rig: CameraRig, plane: GroundPlane, u: float, v: float) -> f
     return depth
 
 
-def lift_to_ground(
-    rig: CameraRig, plane: GroundPlane, u_c: float, v_c: float, h_r: float
-) -> np.ndarray:
+def lift_to_ground(rig: CameraRig, u_c: float, v_c: float, h_r: float) -> np.ndarray:
     """Lift a bottom-center pixel with relative height h_r to ground
     coordinates.
 
     The returned point satisfies z_g == h_r by construction.
     """
+    plane = rig.plane
     if h_r >= plane.camera_height:
         raise GeometryError("relative height above camera")
     ray = np.array([(u_c - rig.a_x) / rig.f_x, (v_c - rig.a_y) / rig.f_y, 1.0])
@@ -290,11 +300,12 @@ def lift_to_ground(
     return plane.virtual_to_ground.apply(scale * p_v)
 
 
-def ray_ground(rig: CameraRig, plane: GroundPlane, u, v) -> tuple[np.ndarray, np.ndarray]:
+def ray_ground(rig: CameraRig, u, v) -> tuple[np.ndarray, np.ndarray]:
     """Array form of ``depth_to_ground`` and ``lift_to_ground(..., 0.0)``,
     which serve single pixels: each ray's camera-frame depth and its
     (..., 3) ground point at z_g = 0, NaN where the scalar form raises
     GeometryError (the ray misses the ground in front of the camera)."""
+    plane = rig.plane
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     den = plane.a * (u - rig.a_x) / rig.f_x + plane.b * (v - rig.a_y) / rig.f_y + plane.c
     rays = np.stack([(u - rig.a_x) / rig.f_x, (v - rig.a_y) / rig.f_y, np.ones_like(u)], axis=-1)

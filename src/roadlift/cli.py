@@ -19,7 +19,6 @@ import numpy as np
 from .camera_geometry import (
     GeometryError,
     depth_to_ground,
-    ground_plane_from_extrinsics,
     height_sensitivity,
     lift_to_ground,
     project_to_image,
@@ -113,8 +112,7 @@ def _check_frames(n_frames: int) -> None:
 
 
 def cmd_plane(args) -> int:
-    rig = _read_calibration(args.calib)
-    plane = ground_plane_from_extrinsics(rig)
+    plane = _read_calibration(args.calib).plane
     text = (
         f"{_fmt(plane.a)} {_fmt(plane.b)} {_fmt(plane.c)} {_fmt(plane.d)}\n"
         f"height {_fmt(plane.camera_height)}\n"
@@ -127,8 +125,7 @@ def cmd_lift(args) -> int:
     for name in ("u", "v", "hr"):
         _finite(f"--{name}", getattr(args, name))
     rig = _read_calibration(args.calib)
-    plane = ground_plane_from_extrinsics(rig)
-    point = lift_to_ground(rig, plane, args.u, args.v, args.hr)
+    point = lift_to_ground(rig, args.u, args.v, args.hr)
     _emit(" ".join(_fmt(v) for v in point) + "\n", args.out)
     return 0
 
@@ -201,10 +198,14 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"--iou must be a number in [0, 1], got {args.iou}")
     thresholds = []
     if args.ratio_thresholds:
-        thresholds = [float(t) for t in args.ratio_thresholds.split(",")]
-        for t in thresholds:
-            if not 0.0 <= t < math.inf:
-                raise ValueError(f"--ratio-thresholds must be a finite number >= 0, got {t}")
+        for text in args.ratio_thresholds.split(","):
+            try:
+                t = float(text)
+            except ValueError:
+                t = math.nan
+            if not 0.0 <= t < math.inf:  # NaN fails too
+                raise ValueError(f"--ratio-thresholds must be a finite number >= 0, got {text!r}")
+            thresholds.append(t)
     foot = (0.0, 0.0)
     if args.calib:
         foot = tuple(_read_calibration(args.calib).camera_center_ground()[:2])
@@ -371,8 +372,7 @@ def cmd_bank_sim(args) -> int:
                 pending = _submit_plain(worker, t + 1)
             params, did_reset = scheduler.step(sid)
             if aug_scene is None or did_reset:
-                aug_rig = apply_augmentation(scene.rig, params)
-                aug_scene = replace(scene, rig=aug_rig, plane=ground_plane_from_extrinsics(aug_rig))
+                aug_scene = replace(scene, rig=apply_augmentation(scene.rig, params))
                 aug_cues = CueField(aug_scene, channels)
                 resets += int(did_reset)
             mask = _mask_for(aug_scene, frame_scene)
@@ -426,13 +426,12 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_embed(args) -> int:
     rig = _read_calibration(args.calib)
-    plane = ground_plane_from_extrinsics(rig)
-    grid = embed_depth_map(rig, plane, args.de)
+    grid = embed_depth_map(rig, args.de)
     us, vs = cell_centers(rig.image_height, rig.image_width)
     rows = ["row,col,depth_m,sin0,cos0"]
     for (r, c), u in np.ndenumerate(us):
         try:
-            depth = _fmt(depth_to_ground(rig, plane, float(u), float(vs[r, c])))
+            depth = _fmt(depth_to_ground(rig, float(u), float(vs[r, c])))
         except GeometryError:
             depth = "-"
         rows.append(f"{r},{c},{depth},{_fmt(grid[r, c, 0])},{_fmt(grid[r, c, 1])}")
@@ -514,7 +513,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", parents=[common], help="export the depth embedding grid as CSV")
     p.add_argument("--calib", required=True)
-    p.add_argument("--de", type=int, default=32, help="embedding size (even, default 32)")
+    p.add_argument(
+        "--de", type=int, default=32,
+        help="embedding size (even, default 32); the CSV writes only sin0 and cos0, "
+        "which no size changes",
+    )
     p.set_defaults(func=cmd_embed)
     return parser
 

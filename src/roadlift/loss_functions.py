@@ -232,8 +232,10 @@ def gradient_descent_fit(init: Box3DParams, gt: Box3D, lr: float = 1e-3) -> Box3
     The loss is piecewise linear, so iterates settle into a band of
     width ~ lr * |gradient| around the optimum; pick lr so that band is
     inside the required accuracy.  Dimensions are floored at 1 mm to
-    stay valid.
+    stay valid.  ValueError unless 0 < lr < inf.
     """
+    if not 0.0 < lr < math.inf:  # NaN fails too
+        raise ValueError(f"lr must be a finite number > 0, got {lr}")
     vec = _vector(init, None)
     best_vec = vec.copy()
     best_loss = loss_of_vector(vec, gt)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .camera_geometry import CameraRig, GroundPlane, ray_ground
+from .camera_geometry import CameraRig, ray_ground
 from .scene_cue_bank import bank_memory_elements, cell_centers
 
 TEMPERATURE = 10000.0
@@ -31,7 +31,7 @@ def sine_encode(value, d_e: int) -> np.ndarray:
     return out
 
 
-def embed_depth_map(rig: CameraRig, plane: GroundPlane, d_e: int) -> np.ndarray:
+def embed_depth_map(rig: CameraRig, d_e: int) -> np.ndarray:
     """Per-cell sine embedding of the ground depth d(u, v) at 1/8 image
     resolution, evaluated at cell-center pixels.
 
@@ -41,7 +41,7 @@ def embed_depth_map(rig: CameraRig, plane: GroundPlane, d_e: int) -> np.ndarray:
     ValueError before anything is allocated.
     """
     bank_memory_elements(rig.image_height, rig.image_width, d_e)
-    depth, _ = ray_ground(rig, plane, *cell_centers(rig.image_height, rig.image_width))
+    depth, _ = ray_ground(rig, *cell_centers(rig.image_height, rig.image_width))
     out = sine_encode(depth, d_e)
     out[np.isnan(depth)] = 0.0
     return out

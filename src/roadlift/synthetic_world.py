@@ -22,14 +22,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .camera_geometry import (
+    MIN_CAMERA_HEIGHT,
     Box3D,
     CameraRig,
     GeometryError,
-    GroundPlane,
     _project_rows,
     check_category,
     corners_of,
-    ground_plane_from_extrinsics,
     lift_to_ground,
     project_to_image,
     ray_ground,
@@ -230,6 +229,11 @@ class SceneConfig:
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ValueError(f"{name} must be ordered (lo <= hi)")
+        if self.height_band[0] < MIN_CAMERA_HEIGHT:
+            raise ValueError(
+                f"height_band must start at a camera height of at least {MIN_CAMERA_HEIGHT:g} m, "
+                f"got {self.height_band[0]}"
+            )
         for i, (name, dims) in enumerate(self.categories):
             check_category(name)
             for lo, hi in dims:
@@ -270,7 +274,6 @@ class NoiseModel:
 @dataclass(frozen=True)
 class SyntheticScene:
     rig: CameraRig
-    plane: GroundPlane
     field: GroundField
     objects: tuple[Box3D, ...]
     scene_id: str
@@ -375,14 +378,13 @@ def generate_scene(config: SceneConfig, seed: int) -> SyntheticScene:
         image_width=config.image_width,
         image_height=config.image_height,
     )
-    plane = ground_plane_from_extrinsics(rig)
     reach = config.range_band[1] + 20.0
     field = GroundField.random(
         rng, amplitude=config.field_amplitude, roi=((-reach, reach), (-reach, reach))
     )
     objects = _sample_objects(rng, rig, field, config)
     return SyntheticScene(
-        rig=rig, plane=plane, field=field, objects=objects, scene_id=f"scene-{seed:08x}", seed=seed
+        rig=rig, field=field, objects=objects, scene_id=f"scene-{seed:08x}", seed=seed
     )
 
 
@@ -410,7 +412,7 @@ def simulate_predictions(scene: SyntheticScene, noise: NoiseModel, seed: int) ->
     still lifted by its own ``lift_to_ground`` call.
     """
     rng = np.random.default_rng([_SALT_SIM, scene.seed, seed])
-    rig, plane, objects = scene.rig, scene.plane, scene.objects
+    rig, objects = scene.rig, scene.objects
     gt2d = box2d_of(rig, objects)
     centers = np.array([(b.x, b.y, b.z) for b in objects]).reshape(-1, 3)
     bc = np.stack(_project_rows(rig, centers), axis=-1)
@@ -451,7 +453,7 @@ def simulate_predictions(scene: SyntheticScene, noise: NoiseModel, seed: int) ->
             n_dropped += 1
             continue
         try:
-            loc = lift_to_ground(rig, plane, u, v, hr)
+            loc = lift_to_ground(rig, u, v, hr)
         except GeometryError:
             n_lift_failed += 1
             continue
@@ -476,9 +478,9 @@ def simulate_predictions(scene: SyntheticScene, noise: NoiseModel, seed: int) ->
             u = rng.uniform(EDGE_MARGIN_PX, rig.image_width - EDGE_MARGIN_PX)
             v = rng.uniform(EDGE_MARGIN_PX, rig.image_height - EDGE_MARGIN_PX)
             try:
-                flat = lift_to_ground(rig, plane, u, v, 0.0)
+                flat = lift_to_ground(rig, u, v, 0.0)
                 z = scene.field.evaluate(flat[0], flat[1])
-                loc = lift_to_ground(rig, plane, u, v, z)
+                loc = lift_to_ground(rig, u, v, z)
             except GeometryError:
                 continue
             # Borrow dimensions/category from a random true object.
@@ -531,7 +533,7 @@ class CueField:
         check_channels(channels)
         rig = scene.rig
         bank_memory_elements(rig.image_height, rig.image_width, channels)
-        _, ground = ray_ground(rig, scene.plane, *cell_centers(rig.image_height, rig.image_width))
+        _, ground = ray_ground(rig, *cell_centers(rig.image_height, rig.image_width))
         self.shape = (*ground.shape[:2], channels)
         height = scene.field.evaluate(ground[..., 0], ground[..., 1])
         self._height = np.where(np.isnan(height), 0.0, height).reshape(-1)

@@ -60,10 +60,9 @@ def test_criterion_1_height_sensitivity_claim():
     in_band = 13.5 <= formula <= 15.5
 
     rig = rig_from_pose(7.0, 10.0, f_x=1400.0, f_y=1400.0)
-    plane = ground_plane_from_extrinsics(rig)
     u, v = project_to_image(rig, (200.0, 0.0, 0.0))
-    p0 = lift_to_ground(rig, plane, u, v, 0.0)
-    p1 = lift_to_ground(rig, plane, u, v, 0.5)
+    p0 = lift_to_ground(rig, u, v, 0.0)
+    p1 = lift_to_ground(rig, u, v, 0.5)
     foot = rig.camera_center_ground()[:2]
     r0 = math.hypot(p0[0] - foot[0], p0[1] - foot[1])
     numeric = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
@@ -112,9 +111,9 @@ def test_criterion_3_lifting_round_trip():
             v = rng.uniform(0.0, rig.image_height)
             h_r = rng.uniform(0.0, plane.camera_height - 1.0)
             try:
-                point = lift_to_ground(rig, plane, u, v, h_r)
+                point = lift_to_ground(rig, u, v, h_r)
                 u2, v2 = project_to_image(rig, point)
-                recovered = lift_to_ground(rig, plane, u2, v2, h_r)
+                recovered = lift_to_ground(rig, u2, v2, h_r)
             except GeometryError:
                 continue
             worst = max(worst, float(np.abs(recovered - point).max()))
@@ -460,7 +459,6 @@ def test_criterion_9_scene_cue_frame_invariance():
 
     base = SyntheticScene(
         rig=scene.rig,
-        plane=scene.plane,
         field=GroundField.constant(0.2),
         objects=(),
         scene_id="a",
@@ -468,7 +466,6 @@ def test_criterion_9_scene_cue_frame_invariance():
     )
     other = SyntheticScene(
         rig=scene.rig,
-        plane=scene.plane,
         field=GroundField.constant(0.8),
         objects=(),
         scene_id="b",

@@ -73,17 +73,45 @@ class TestGroundPlane:
         np.testing.assert_allclose(rot[:, 1], [0, 0, -1], atol=1e-12)
 
 
+class TestRigPlane:
+    def test_is_the_plane_of_the_extrinsics(self):
+        rig = rig_from_pose(7.0, 20.0, yaw_deg=10.0, roll_deg=-1.0)
+        assert rig.plane == ground_plane_from_extrinsics(rig)
+
+    def test_built_once_per_rig(self):
+        rig = rig_from_pose(7.0, 20.0)
+        assert rig.plane is rig.plane
+
+    def test_replaced_rig_gets_its_own_plane(self):
+        rig = rig_from_pose(7.0, 20.0)
+        wider = dataclasses.replace(rig, f_x=2.0 * rig.f_x)
+        assert wider.plane is not rig.plane
+        assert wider.plane == rig.plane
+        moved = dataclasses.replace(rig, extrinsic=rig_from_pose(9.0, 35.0).extrinsic)
+        assert moved.plane == ground_plane_from_extrinsics(moved)
+        assert moved.plane.camera_height == pytest.approx(9.0)
+
+    @pytest.mark.parametrize("use", [
+        lambda rig: rig.plane,
+        lambda rig: lift_to_ground(rig, rig.a_x, rig.a_y, 0.0),
+        lambda rig: depth_to_ground(rig, rig.a_x, rig.a_y),
+        lambda rig: ray_ground(rig, rig.a_x, rig.a_y),
+    ], ids=["plane", "lift", "depth", "ray"])
+    def test_below_ground_rig_constructs_and_raises_on_first_use(self, use):
+        rig = rig_from_pose(-5.0, 30.0)
+        with pytest.raises(GeometryError, match="camera below ground plane"):
+            use(rig)
+
+
 class TestDepthToGround:
     def test_nadir_principal_ray(self):
         rig = nadir_rig()
-        plane = ground_plane_from_extrinsics(rig)
-        assert depth_to_ground(rig, plane, rig.a_x, rig.a_y) == pytest.approx(10.0)
+        assert depth_to_ground(rig, rig.a_x, rig.a_y) == pytest.approx(10.0)
 
     def test_nadir_constant_everywhere(self):
         rig = nadir_rig()
-        plane = ground_plane_from_extrinsics(rig)
         for u, v in [(0, 0), (1535, 1023), (100, 900)]:
-            assert depth_to_ground(rig, plane, u, v) == pytest.approx(10.0)
+            assert depth_to_ground(rig, u, v) == pytest.approx(10.0)
 
     def test_matches_parametric_ray_oracle(self):
         rig = rig_from_pose(7.0, 20.0, yaw_deg=10.0, roll_deg=-1.0)
@@ -96,7 +124,7 @@ class TestDepthToGround:
             n = np.array([plane.a, plane.b, plane.c])
             t = -plane.d / float(n @ direction)
             expected = t * direction[2]
-            got = depth_to_ground(rig, plane, u, v)
+            got = depth_to_ground(rig, u, v)
             assert got == pytest.approx(expected, rel=1e-9)
 
     def test_horizon_ray_rejected(self):
@@ -105,34 +133,31 @@ class TestDepthToGround:
         # Solve the pixel row where the denominator vanishes (the horizon).
         v_horizon = rig.a_y - rig.f_y * plane.c / plane.b
         with pytest.raises(GeometryError, match="ray parallel to ground"):
-            depth_to_ground(rig, plane, rig.a_x, v_horizon)
+            depth_to_ground(rig, rig.a_x, v_horizon)
 
     def test_sky_ray_rejected(self):
         rig = rig_from_pose(7.0, 10.0)
-        plane = ground_plane_from_extrinsics(rig)
         with pytest.raises(GeometryError, match="plane behind camera"):
-            depth_to_ground(rig, plane, rig.a_x, 0.0)
+            depth_to_ground(rig, rig.a_x, 0.0)
 
 
 class TestLiftToGround:
     def test_nadir_principal_point(self):
         rig = nadir_rig()
-        plane = ground_plane_from_extrinsics(rig)
         np.testing.assert_allclose(
-            lift_to_ground(rig, plane, rig.a_x, rig.a_y, 0.0), [0, 0, 0], atol=1e-12
+            lift_to_ground(rig, rig.a_x, rig.a_y, 0.0), [0, 0, 0], atol=1e-12
         )
 
     def test_projection_round_trip(self):
         rig = rig_from_pose(8.0, 25.0, yaw_deg=40.0, roll_deg=2.0)
-        plane = ground_plane_from_extrinsics(rig)
         rng = np.random.default_rng(1)
         for _ in range(100):
             h_r = rng.uniform(0.0, 2.0)
             u = rng.uniform(0, rig.image_width)
             v = rng.uniform(rig.a_y + 40, rig.image_height)
-            point = lift_to_ground(rig, plane, u, v, h_r)
+            point = lift_to_ground(rig, u, v, h_r)
             u2, v2 = project_to_image(rig, point)
-            recovered = lift_to_ground(rig, plane, u2, v2, h_r)
+            recovered = lift_to_ground(rig, u2, v2, h_r)
             assert np.abs(recovered - point).max() < 1e-6
             assert point[2] == pytest.approx(h_r, abs=1e-9)
 
@@ -140,10 +165,9 @@ class TestLiftToGround:
         # At 200 m with a 7 m camera, a 0.5 m height error moves the lifted
         # point by roughly 14.3 m (the order-15 m effect).
         rig = rig_from_pose(7.0, 10.0, f_x=1400.0, f_y=1400.0)
-        plane = ground_plane_from_extrinsics(rig)
         u, v = project_to_image(rig, (200.0, 0.0, 0.0))
-        p0 = lift_to_ground(rig, plane, u, v, 0.0)
-        p1 = lift_to_ground(rig, plane, u, v, 0.5)
+        p0 = lift_to_ground(rig, u, v, 0.0)
+        p1 = lift_to_ground(rig, u, v, 0.5)
         foot = rig.camera_center_ground()[:2]
         shift = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
         assert 13.5 <= shift <= 15.5
@@ -152,15 +176,13 @@ class TestLiftToGround:
 
     def test_height_above_camera_rejected(self):
         rig = nadir_rig()
-        plane = ground_plane_from_extrinsics(rig)
         with pytest.raises(GeometryError, match="relative height above camera"):
-            lift_to_ground(rig, plane, 700.0, 600.0, 10.5)
+            lift_to_ground(rig, 700.0, 600.0, 10.5)
 
     def test_sky_pixel_rejected(self):
         rig = rig_from_pose(7.0, 10.0)
-        plane = ground_plane_from_extrinsics(rig)
         with pytest.raises(GeometryError):
-            lift_to_ground(rig, plane, rig.a_x, 0.0, 0.0)
+            lift_to_ground(rig, rig.a_x, 0.0, 0.0)
 
 
 RAY_RIGS = {
@@ -176,20 +198,19 @@ class TestRayGround:
     @pytest.mark.parametrize("name", sorted(RAY_RIGS))
     def test_scalar_pixels_equal_scalar_functions(self, name):
         rig = RAY_RIGS[name]
-        plane = ground_plane_from_extrinsics(rig)
         rng = np.random.default_rng(5)
         pixels = [(rig.a_x, rig.a_y), (0.0, 0.0), (1535.5, 1023.5), (-400.0, -2000.0)]
         pixels += [tuple(p) for p in rng.uniform((-200, -600), (1736, 1224), (400, 2))]
         missed = 0
         for u, v in pixels:
-            depth, point = ray_ground(rig, plane, u, v)
+            depth, point = ray_ground(rig, u, v)
             assert depth.shape == () and point.shape == (3,)
             try:
-                assert depth == depth_to_ground(rig, plane, u, v)
+                assert depth == depth_to_ground(rig, u, v)
             except GeometryError:
                 assert np.isnan(depth)
             try:
-                assert np.array_equal(point, lift_to_ground(rig, plane, u, v, 0.0))
+                assert np.array_equal(point, lift_to_ground(rig, u, v, 0.0))
             except GeometryError:
                 assert np.isnan(point).all()
                 missed += 1
@@ -199,18 +220,17 @@ class TestRayGround:
     @pytest.mark.parametrize("name", sorted(RAY_RIGS))
     def test_cell_grid_matches_per_cell_scalar(self, name):
         rig = RAY_RIGS[name]
-        plane = ground_plane_from_extrinsics(rig)
         us, vs = cell_centers(rig.image_height, rig.image_width)
-        depth, points = ray_ground(rig, plane, us, vs)
+        depth, points = ray_ground(rig, us, vs)
         assert depth.shape == us.shape and points.shape == us.shape + (3,)
         for (r, c), u in np.ndenumerate(us):
             v = vs[r, c]
             try:
-                assert depth[r, c] == depth_to_ground(rig, plane, u, v)
+                assert depth[r, c] == depth_to_ground(rig, u, v)
             except GeometryError:
                 assert np.isnan(depth[r, c])
             try:
-                expected = lift_to_ground(rig, plane, u, v, 0.0)
+                expected = lift_to_ground(rig, u, v, 0.0)
             except GeometryError:
                 assert np.isnan(points[r, c]).all()
                 continue
@@ -258,11 +278,10 @@ class TestHeightSensitivity:
 
     def test_matches_two_lift_differencing(self):
         rig = rig_from_pose(7.0, 9.0, f_x=1600.0, f_y=1600.0)
-        plane = ground_plane_from_extrinsics(rig)
         u, v = project_to_image(rig, (200.0, 30.0, 0.3))
         delta = 0.4
-        p0 = lift_to_ground(rig, plane, u, v, 0.3)
-        p1 = lift_to_ground(rig, plane, u, v, 0.3 + delta)
+        p0 = lift_to_ground(rig, u, v, 0.3)
+        p1 = lift_to_ground(rig, u, v, 0.3 + delta)
         foot = rig.camera_center_ground()[:2]
         r0 = math.hypot(p0[0] - foot[0], p0[1] - foot[1])
         measured = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
@@ -408,21 +427,20 @@ class TestProperties:
         assert plane.camera_height == -plane.d
         h_r = hr_frac * (plane.camera_height - 1.0)
         try:
-            point = lift_to_ground(rig, plane, u, v, h_r)
+            point = lift_to_ground(rig, u, v, h_r)
         except GeometryError:
             assume(False)
         u2, v2 = project_to_image(rig, point)
-        recovered = lift_to_ground(rig, plane, u2, v2, h_r)
+        recovered = lift_to_ground(rig, u2, v2, h_r)
         assert np.abs(recovered - point).max() < 1e-6
         assert abs(point[2] - h_r) < 1e-9
 
     @settings(max_examples=100, deadline=None)
     @given(rig=rigs(), u=st.floats(0.0, 1536.0), v=st.floats(0.0, 1024.0))
     def test_depth_equals_lift_camera_z(self, rig, u, v):
-        plane = ground_plane_from_extrinsics(rig)
         try:
-            depth = depth_to_ground(rig, plane, u, v)
-            point = lift_to_ground(rig, plane, u, v, 0.0)
+            depth = depth_to_ground(rig, u, v)
+            point = lift_to_ground(rig, u, v, 0.0)
         except GeometryError:
             assume(False)
         cam_z = rig.extrinsic.apply(point)[2]
@@ -495,13 +513,12 @@ def test_shortest_focal_length_lifts_the_corner_pixels_without_overflow():
     side = 16_384
     rig = rig_from_pose(7.0, 60.0, f_x=MIN_FOCAL_PX, f_y=MIN_FOCAL_PX,
                         image_width=side, image_height=side)
-    plane = ground_plane_from_extrinsics(rig)
     us, vs = np.meshgrid([0.5, side / 2.0, side - 0.5], [0.5, side / 2.0, side - 0.5])
-    depth, ground = ray_ground(rig, plane, us, vs)
+    depth, ground = ray_ground(rig, us, vs)
     hit = ~np.isnan(depth)
     assert hit.any()
     assert np.isfinite(ground[hit]).all()
-    assert np.isfinite(lift_to_ground(rig, plane, us[hit][0], vs[hit][0], 0.0)).all()
+    assert np.isfinite(lift_to_ground(rig, us[hit][0], vs[hit][0], 0.0)).all()
 
 
 @pytest.mark.parametrize(
@@ -515,6 +532,6 @@ def test_minimal_rotation_branches_lift_and_project_back(roll_deg, v_offset, cam
     assert np.allclose(plane.cam_to_virtual, cam_to_virtual, atol=1e-12)
     assert plane.camera_height == pytest.approx(8.0)
     u, v = rig.a_x + 50.0, rig.a_y + v_offset
-    point = lift_to_ground(rig, plane, u, v, 0.0)
+    point = lift_to_ground(rig, u, v, 0.0)
     assert point[2] == pytest.approx(0.0, abs=1e-9)
     assert project_to_image(rig, point) == pytest.approx((u, v), abs=1e-6)

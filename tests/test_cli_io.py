@@ -15,7 +15,6 @@ from roadlift.camera_geometry import (
     Box3D,
     CameraRig,
     RigidTransform,
-    ground_plane_from_extrinsics,
     rig_from_pose,
 )
 from roadlift.cli import _observe, run_command
@@ -640,9 +639,13 @@ class TestCli:
          "--ratio-thresholds must be a finite number >= 0"),
         (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--ratio-thresholds=-5,2"],
          "--ratio-thresholds must be a finite number >= 0"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--ratio-thresholds", "1,abc"],
+         "--ratio-thresholds must be a finite number >= 0"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--ratio-thresholds", "1,,2"],
+         "--ratio-thresholds must be a finite number >= 0"),
     ], ids=["lift-u", "lift-v", "lift-hr", "sensitivity-height", "sensitivity-range",
             "sweep-range", "sensitivity-dh", "sensitivity-hr", "ratio-threshold",
-            "negative-ratio-threshold"])
+            "negative-ratio-threshold", "word-ratio-threshold", "empty-ratio-threshold"])
     def test_non_finite_numbers_rejected(self, nadir_calib_file, tmp_path, capsys, argv, message):
         labels = tmp_path / "labels.txt"
         labels.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
@@ -885,6 +888,8 @@ class TestCli:
              "error: field scene.range_band[0] must be like 5.0, got 1e+308"),
             ({"scene": {"height_band": [4, 1e308]}},
              "error: field scene.height_band[1] must be like 12.0, got 1e+308"),
+            ({"scene": {"height_band": [-5, -4]}},
+             "error: height_band must start at a camera height of at least 1e-06 m, got -5"),
             ({"scene": {"focal_band": [1e308, 1e308]}},
              "error: field scene.focal_band[0] must be like 1000.0, got 1e+308"),
             ({"noise": {"sigma_hr": 1e308}},
@@ -899,6 +904,7 @@ class TestCli:
              "objects-over-cap", "reversed-category-band", "negative-category-band",
              "comment-category", "empty-category", "spaced-category",
              "comment-category-without-objects", "huge-range-band", "huge-height-band",
+             "below-ground-height-band",
              "huge-focal-band", "huge-sigma-hr", "huge-sigma-dims"],
     )
     def test_simulate_rejects_bad_config(self, tmp_path, capsys, override, message):
@@ -1625,5 +1631,5 @@ class TestGeometryCommandsPinned:
     @pytest.mark.parametrize("d_e", list(GRID_SHA256))
     def test_embedding_grid_matches_recorded_bytes(self, tilted_calib_file, d_e):
         rig = parse_calibration_doc(tilted_calib_file.read_text()).rig
-        grid = embed_depth_map(rig, ground_plane_from_extrinsics(rig), d_e)
+        grid = embed_depth_map(rig, d_e)
         assert hashlib.sha256(grid.tobytes()).hexdigest() == self.GRID_SHA256[d_e]

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -180,39 +181,64 @@ def test_every_public_field_has_a_reader(path):
     assert [f"{cls}.{f}" for cls, f in fields if f not in LOADED_ATTRIBUTES] == []
 
 
-def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, str, int | None]]:
-    """(function or Class.method, bare name, parameter, position) of every
-    parameter with a default on a module's public functions and the
-    public methods of its public classes.  The position counts the
-    arguments a caller writes, so a method's first parameter (self or
-    cls; the package has no static method) is not one; it is None for a
-    keyword-only parameter."""
+def _public_callables(tree: ast.Module) -> list[tuple[str, ast.FunctionDef, int]]:
+    """(function or Class.method, node, leading parameters a caller does
+    not write) of a module's public functions and the public methods of
+    its public classes: 1 for a method's self or cls (the package has no
+    static method), 0 for a function."""
     found = []
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
         if isinstance(node, ast.FunctionDef):
-            defs = [(node.name, node, 0)]
+            found.append((node.name, node, 0))
         else:
-            defs = [
+            found += [
                 (f"{node.name}.{m.name}", m, 1)
                 for m in node.body
                 if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
             ]
-        for qualname, fn, skipped in defs:
-            a = fn.args
-            positional = a.posonlyargs + a.args
-            first = len(positional) - len(a.defaults)
-            found += [
-                (qualname, fn.name, arg.arg, i - skipped)
-                for i, arg in enumerate(positional)
-                if i >= first
-            ]
-            found += [
-                (qualname, fn.name, arg.arg, None)
-                for arg, default in zip(a.kwonlyargs, a.kw_defaults)
-                if default is not None
-            ]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_public_callable_takes_a_plane(path):
+    # A rig fixes its ground plane (CameraRig.plane), so a callable that
+    # took a rig and a plane could be handed two that disagree.  An
+    # annotation naming GroundPlane marks such a parameter.
+    takes_plane = []
+    for qualname, fn, _ in _public_callables(TREES[path]):
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        takes_plane += [
+            f"{qualname}({p.arg})"
+            for p in params
+            if p.annotation and re.search(r"\bGroundPlane\b", ast.unparse(p.annotation))
+        ]
+    assert takes_plane == []
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, str, int | None]]:
+    """(function or Class.method, bare name, parameter, position) of every
+    parameter with a default on a module's public functions and the
+    public methods of its public classes.  The position counts the
+    arguments a caller writes, so a method's first parameter is not one;
+    it is None for a keyword-only parameter."""
+    found = []
+    for qualname, fn, skipped in _public_callables(tree):
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        found += [
+            (qualname, fn.name, arg.arg, i - skipped)
+            for i, arg in enumerate(positional)
+            if i >= first
+        ]
+        found += [
+            (qualname, fn.name, arg.arg, None)
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+            if default is not None
+        ]
     return found
 
 

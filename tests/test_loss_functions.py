@@ -302,6 +302,14 @@ class TestGradientDescentFit:
         with pytest.raises(ValueError, match="finite"):
             gradient_descent_fit(Box3DParams.from_box(gt), gt, lr=math.nan)
 
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, math.inf, math.nan])
+    def test_step_size_outside_open_interval_rejected(self, lr):
+        # Unchecked, -1 and 0 would return the start unchanged and inf would overflow.
+        gt = Box3D(1, 2, 0.3, 4, 2, 1.5, 0.4)
+        init = Box3DParams.from_box(Box3D(1.5, 2, 0.3, 4, 2, 1.5, 0.4))
+        with pytest.raises(ValueError, match=f"lr must be a finite number > 0, got {lr}"):
+            gradient_descent_fit(init, gt, lr=lr)
+
 
 class TestBox3DParams:
     def test_yaw_encoding_validated(self):

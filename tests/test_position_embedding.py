@@ -10,7 +10,6 @@ from roadlift.camera_geometry import (
     GeometryError,
     RigidTransform,
     depth_to_ground,
-    ground_plane_from_extrinsics,
     rig_from_pose,
 )
 from roadlift.position_embedding import TEMPERATURE, embed_depth_map, sine_encode
@@ -107,36 +106,32 @@ class TestEmbedDepthMap:
     @pytest.mark.parametrize("d_e,temperature", [(2, 10000.0), (6, 10000.0), (64, 10000.0)])
     def test_equals_reference_inline_encoding(self, name, d_e, temperature):
         rig = PIN_RIGS[name]
-        plane = ground_plane_from_extrinsics(rig)
-        grid = embed_depth_map(rig, plane, d_e)
-        assert np.array_equal(grid, _reference_embed_depth_map(rig, plane, d_e, temperature))
+        grid = embed_depth_map(rig, d_e)
+        assert np.array_equal(grid, _reference_embed_depth_map(rig, rig.plane, d_e, temperature))
 
     def test_nadir_constant(self):
         rig = nadir_rig()
-        plane = ground_plane_from_extrinsics(rig)
-        grid = embed_depth_map(rig, plane, 8)
+        grid = embed_depth_map(rig, 8)
         assert grid.shape == (128, 192, 8)
         np.testing.assert_allclose(grid, np.broadcast_to(grid[0, 0], grid.shape), atol=1e-12)
 
     def test_horizon_cells_are_zero_sentinels(self):
         rig = rig_from_pose(7.0, 8.0)  # sky occupies the upper image
-        plane = ground_plane_from_extrinsics(rig)
-        grid = embed_depth_map(rig, plane, 4)
+        grid = embed_depth_map(rig, 4)
         assert not grid[0].any()  # topmost row is above the horizon
         assert grid[-1].any()
 
     def test_cells_match_per_pixel_recomputation(self):
         rig = rig_from_pose(9.0, 25.0, yaw_deg=30.0)
-        plane = ground_plane_from_extrinsics(rig)
         d_e = 6
-        grid = embed_depth_map(rig, plane, d_e)
+        grid = embed_depth_map(rig, d_e)
         rng = np.random.default_rng(2)
         for _ in range(50):
             r = int(rng.integers(0, 128))
             c = int(rng.integers(0, 192))
             u, v = (c + 0.5) * 8, (r + 0.5) * 8
             try:
-                depth = depth_to_ground(rig, plane, u, v)
+                depth = depth_to_ground(rig, u, v)
             except GeometryError:
                 np.testing.assert_array_equal(grid[r, c], np.zeros(d_e))
                 continue
@@ -146,10 +141,9 @@ class TestEmbedDepthMap:
 
     def test_depth_monotone_down_columns_below_horizon(self):
         rig = rig_from_pose(7.0, 20.0)
-        plane = ground_plane_from_extrinsics(rig)
         depths = []
         for r in range(40, 128):
             u, v = (96 + 0.5) * 8, (r + 0.5) * 8
-            depths.append(depth_to_ground(rig, plane, u, v))
+            depths.append(depth_to_ground(rig, u, v))
         assert all(a > b for a, b in zip(depths, depths[1:]))
 

@@ -13,7 +13,6 @@ from roadlift.camera_geometry import (
     GeometryError,
     RigidTransform,
     corners_of,
-    ground_plane_from_extrinsics,
     height_sensitivity,
     lift_to_ground,
     project_to_image,
@@ -48,10 +47,9 @@ CFG = SceneConfig(
 
 def single_object_scene(r=200.0, field=None, h=7.0, pitch=10.0, f=1400.0):
     rig = rig_from_pose(h, pitch, f_x=f, f_y=f)
-    plane = ground_plane_from_extrinsics(rig)
     field = field or GroundField.constant(0.0)
     box = Box3D(r, 0.0, field.evaluate(r, 0.0), 4.5, 1.8, 1.5, 0.2)
-    return SyntheticScene(rig, plane, field, (box,), "single", seed=0)
+    return SyntheticScene(rig, field, (box,), "single", seed=0)
 
 
 # GroundField.random's (amplitude, roi, n_bumps) cases.  The program draws
@@ -221,7 +219,7 @@ class TestGenerateScene:
         scene = generate_scene(CFG, 13)
         for box in scene.objects:
             u, v = project_to_image(scene.rig, box.bottom_center)
-            recovered = lift_to_ground(scene.rig, scene.plane, u, v, box.z)
+            recovered = lift_to_ground(scene.rig, u, v, box.z)
             assert np.abs(recovered - box.bottom_center).max() < 1e-6
 
     def test_infeasible_config_raises(self):
@@ -319,7 +317,7 @@ class TestSimulatePredictions:
 def _reference_render_channel0(scene):
     """Channel 0 of render_cue_grid as its inline vectorised lift computed
     it before the shared ray-ground kernel; kept verbatim as the oracle."""
-    rig, plane = scene.rig, scene.plane
+    rig, plane = scene.rig, scene.rig.plane
     h_cells, w_cells = grid_dims_for_image(rig.image_height, rig.image_width)
     u = (np.arange(w_cells) + 0.5) * STRIDE
     v = (np.arange(h_cells) + 0.5) * STRIDE
@@ -389,7 +387,7 @@ def _reference_render_cue_grid(scene, channels):
     if channels < 1:
         raise ValueError("at least one channel is required")
     rig = scene.rig
-    _, ground = ray_ground(rig, scene.plane, *cell_centers(rig.image_height, rig.image_width))
+    _, ground = ray_ground(rig, *cell_centers(rig.image_height, rig.image_width))
     h_cells, w_cells = ground.shape[:2]
     values = np.zeros((h_cells, w_cells, channels))
     height = scene.field.evaluate(ground[..., 0], ground[..., 1])
@@ -429,8 +427,7 @@ def _pin_scenes():
     ]
     scenes = [generate_scene(CFG, seed) for seed in (0, 1, 2, 31)]
     for i, rig in enumerate(rigs):
-        plane = ground_plane_from_extrinsics(rig)
-        scenes.append(SyntheticScene(rig, plane, field, (), f"pin-{i}", seed=i))
+        scenes.append(SyntheticScene(rig, field, (), f"pin-{i}", seed=i))
     return scenes
 
 
@@ -534,13 +531,13 @@ class TestRenderCueGrid:
         field = GroundField.random(rng, amplitude=1.5, roi=((-300, 300), (-300, 300)))
         scene = single_object_scene(r=100.0, field=field)
         grid = render_cue_grid(scene, 1)
-        rig, plane = scene.rig, scene.plane
+        rig = scene.rig
         for _ in range(50):
             r = int(rng.integers(0, grid.values.shape[0]))
             c = int(rng.integers(0, grid.values.shape[1]))
             u, v = (c + 0.5) * 8, (r + 0.5) * 8
             try:
-                ground = lift_to_ground(rig, plane, u, v, 0.0)
+                ground = lift_to_ground(rig, u, v, 0.0)
             except Exception:
                 assert grid.values[r, c, 0] == 0.0
                 continue
@@ -643,7 +640,7 @@ def _reference_simulate_predictions(scene, noise, seed):
     verbatim as the oracle, except that rectangles and heights come from
     ``_reference_box2d_of`` and ``_reference_evaluate``."""
     rng = np.random.default_rng([synthetic_world._SALT_SIM, scene.seed, seed])
-    rig, plane = scene.rig, scene.plane
+    rig = scene.rig
     gt2d = tuple(_reference_box2d_of(rig, b) for b in scene.objects)
     gt_bc = tuple(project_to_image(rig, b.bottom_center) for b in scene.objects)
 
@@ -670,7 +667,7 @@ def _reference_simulate_predictions(scene, noise, seed):
         u_n = gt_bc[i][0] + noise.sigma_center_px * eps_uv[0]
         v_n = gt_bc[i][1] + noise.sigma_center_px * eps_uv[1]
         try:
-            loc = lift_to_ground(rig, plane, u_n, v_n, hr_n)
+            loc = lift_to_ground(rig, u_n, v_n, hr_n)
         except GeometryError:
             n_lift_failed += 1
             continue
@@ -704,9 +701,9 @@ def _reference_simulate_predictions(scene, noise, seed):
             u = rng.uniform(synthetic_world.EDGE_MARGIN_PX, rig.image_width - synthetic_world.EDGE_MARGIN_PX)
             v = rng.uniform(synthetic_world.EDGE_MARGIN_PX, rig.image_height - synthetic_world.EDGE_MARGIN_PX)
             try:
-                flat = lift_to_ground(rig, plane, u, v, 0.0)
+                flat = lift_to_ground(rig, u, v, 0.0)
                 z = _reference_evaluate(scene.field, flat[0], flat[1])
-                loc = lift_to_ground(rig, plane, u, v, z)
+                loc = lift_to_ground(rig, u, v, z)
             except GeometryError:
                 continue
             # Borrow dimensions/category from a random true object.
@@ -913,6 +910,9 @@ class TestConfigParsing:
          r"amplitude must lie in \(0, 2\]"),
         (lambda: SceneConfig(n_objects=-1), "n_objects must be non-negative"),
         (lambda: SceneConfig(height_band=(12.0, 4.0)), r"height_band must be ordered"),
+        (lambda: SceneConfig(height_band=(-5.0, -4.0)),
+         r"height_band must start at a camera height of at least 1e-06 m, got -5.0"),
+        (lambda: SceneConfig(height_band=(0.0, 4.0)), r"height_band must start at a camera height"),
         (lambda: SceneConfig(range_band=(0.0, 100.0)), "range band must start above zero"),
         (lambda: SceneConfig(field_amplitude=3.0), r"field amplitude must lie in \(0, 2\]"),
         (lambda: SceneConfig(categories=()), "at least one category is required"),
@@ -921,7 +921,8 @@ class TestConfigParsing:
     ],
     ids=["coefficient-count", "nan-coefficient", "nan-bump-amplitude", "infinite-bump-centre",
          "negative-bump-sigma", "zero-bump-sigma", "infinite-bump-sigma", "random-amplitude",
-         "negative-objects", "unordered-band", "range-from-zero",
+         "negative-objects", "unordered-band", "below-ground-band", "on-ground-band",
+         "range-from-zero",
          "field-amplitude", "no-categories", "comment-category"],
 )
 def test_rejects_bad_values(build, message):
