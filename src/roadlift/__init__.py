@@ -25,6 +25,7 @@ from .evaluation import (
     distance_error,
     iou3d,
     match,
+    overlap_matrix,
 )
 from .loss_functions import (
     Box3DParams,

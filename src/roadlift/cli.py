@@ -224,9 +224,7 @@ def cmd_evaluate(args) -> int:
     # One overlap matrix per frame; the "all" row matches on it whole
     # (across categories), each class row on its class's rows and columns.
     overlaps = [overlap_matrix(g, p, args.kind) for g, p in zip(gts, preds)]
-    matches = [
-        match(g, p, args.iou, args.kind, overlaps=m) for g, p, m in zip(gts, preds, overlaps)
-    ]
+    matches = [match(g, p, m, args.iou) for g, p, m in zip(gts, preds, overlaps)]
 
     rows = ["metric,class,threshold,value"]
     metric = f"ap_{args.kind}"
@@ -237,9 +235,9 @@ def cmd_evaluate(args) -> int:
         for g, p, m in zip(gts, preds, overlaps):
             keep = [i for i, c in enumerate(g.categories) if c == cls]
             cols = [i for i, c in enumerate(p.categories) if c == cls]
-            stats.append(frame_detection_stats(
-                g.take(keep), p.take(cols), args.iou, args.kind, overlaps=m[keep][:, cols],
-            ))
+            stats.append(
+                frame_detection_stats(g.take(keep), p.take(cols), m[keep][:, cols], args.iou)
+            )
         curve = pr_curve_from_stats(stats)
         rows.append(f"{metric},{cls},{_fmt(args.iou)},{_fmt(curve.ap)}")
     if thresholds:
@@ -529,6 +527,9 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        # numpy's own message for a negative seed does not name the flag.
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except BrokenPipeError:
         return 1

@@ -5,8 +5,9 @@ and the detected-ratio-vs-distance curve.
 Matching follows the usual benchmark convention: predictions claim
 ground truths in descending score order, each taking the unmatched GT
 with the highest IoU at or above the threshold (ties break toward the
-lower GT index).  Each frame's overlaps are one ``overlap_matrix``,
-which every metric of that frame can share; per-frame statistics are
+lower GT index).  Matching scores one overlap matrix per frame, which
+every metric of that frame can share: ``overlap_matrix`` (BEV or 3D)
+or ``box2d_overlap_matrix`` (image plane).  Per-frame statistics are
 merged before the precision/recall sweep.
 
 The frame-level functions take each side's boxes as a ``LabelFrame``
@@ -141,7 +142,7 @@ class MatchResult:
     preds: LabelFrame
 
 
-_IOU_KINDS = ("bev", "3d", "pixel")
+_IOU_KINDS = ("bev", "3d")
 
 # Relative and absolute slack on the prefilter's reach, so rounding in
 # the centre distance can never drop a pair whose footprints touch.
@@ -158,36 +159,22 @@ class _BoxRow:
         self.x, self.y, self.z, self.l, self.w, self.h, self.theta = x, y, z, l, w, h, theta
 
 
-def _check_kind(iou_kind: str) -> None:
+def overlap_matrix(gts, preds, iou_kind: str) -> np.ndarray:
+    """(n_gt, n_pred) "bev" or "3d" IoU of every ground truth and prediction.
+
+    A numpy prefilter keeps only the pairs whose BEV centre distance is
+    within the sum of the two footprints' half diagonals (and, for "3d",
+    whose [z, z+h] extents overlap, the test ``iou3d`` makes first);
+    only those are scored by ``bev_iou`` / ``iou3d``, on one light row
+    per box of each frame (not a ``Box3D``).  The pairs dropped are
+    disjoint, which the scalar functions score exactly 0, so every entry
+    equals the scalar IoU.  Image-plane overlaps come from
+    ``box2d_overlap_matrix``.
+    """
     if iou_kind not in _IOU_KINDS:
         raise ValueError(f"iou_kind must be one of {_IOU_KINDS}, got {iou_kind!r}")
-
-
-def overlap_matrix(gts, preds, iou_kind: str, gt_boxes_2d=None, pred_boxes_2d=None) -> np.ndarray:
-    """(n_gt, n_pred) overlap of every ground truth with every prediction.
-
-    For "bev" and "3d" a numpy prefilter keeps only the pairs whose BEV
-    centre distance is within the sum of the two footprints' half
-    diagonals (and, for "3d", whose [z, z+h] extents overlap, the test
-    ``iou3d`` makes first); only those are scored by ``bev_iou`` /
-    ``iou3d``, on one light row per box of each frame (not a
-    ``Box3D``).  The pairs dropped are disjoint, which the scalar
-    functions score exactly 0, so every entry equals the scalar IoU.
-    "pixel" scores every pair with ``box2d_iou`` on the supplied image
-    rectangles.
-    """
-    _check_kind(iou_kind)
     gts, preds = LabelFrame.of(gts), LabelFrame.of(preds)
     out = np.zeros((len(gts), len(preds)))
-    if iou_kind == "pixel":
-        if gt_boxes_2d is None or pred_boxes_2d is None:
-            raise ValueError("pixel matching requires 2D boxes for both sides")
-        if len(gt_boxes_2d) != len(gts) or len(pred_boxes_2d) != len(preds):
-            raise ValueError("2D box lists must align with the 3D boxes")
-        for gi, g2d in enumerate(gt_boxes_2d):
-            for pi, p2d in enumerate(pred_boxes_2d):
-                out[gi, pi] = box2d_iou(g2d, p2d)
-        return out
     if not gts or not preds:
         return out
     gx, gy, gz, gl, gw, gh, _ = gts.params.T
@@ -210,16 +197,19 @@ def overlap_matrix(gts, preds, iou_kind: str, gt_boxes_2d=None, pred_boxes_2d=No
     return out
 
 
-def match(gts, preds, iou_threshold: float, iou_kind: str = "bev", overlaps=None) -> MatchResult:
+def box2d_overlap_matrix(gt_boxes_2d, pred_boxes_2d) -> np.ndarray:
+    """(n_gt, n_pred) ``box2d_iou`` of every ground-truth image rectangle
+    with every predicted one, for matching in the image plane."""
+    rows = [[box2d_iou(g2d, p2d) for p2d in pred_boxes_2d] for g2d in gt_boxes_2d]
+    return np.array(rows, dtype=float).reshape(len(gt_boxes_2d), len(pred_boxes_2d))
+
+
+def match(gts, preds, overlaps, iou_threshold: float) -> MatchResult:
     """Greedy score-descending matching of predictions to ground truths.
 
-    ``overlaps`` is the ``overlap_matrix`` of these boxes; without it
-    the matrix is computed here with ``iou_kind``'s measure.  "bev" and
-    "3d" work on the boxes themselves; "pixel" matching needs the image
-    rectangles of both sides, so it takes
-    ``overlaps=overlap_matrix(gts, preds, "pixel", gt_boxes_2d, pred_boxes_2d)``
-    (mirroring benchmarks that associate boxes in the image plane before
-    measuring 3D error).  Predictions are taken in descending score
+    ``overlaps`` is the (n_gt, n_pred) matrix that is scored: an
+    ``overlap_matrix`` of these boxes, or a ``box2d_overlap_matrix`` of
+    their image rectangles.  Predictions are taken in descending score
     order, ties in index order; ``gts`` and ``preds`` are frames or
     sequences of ``Box3D`` (see the module docstring).
 
@@ -227,13 +217,10 @@ def match(gts, preds, iou_threshold: float, iou_kind: str = "bev", overlaps=None
     ground truth.  Per-class scores come from passing one class on each
     side; the KITTI devkit instead always matches within each class.
     """
-    _check_kind(iou_kind)
     gts, preds = LabelFrame.of(gts), LabelFrame.of(preds)
     if np.isnan(preds.scores).any():
         raise ValueError("all predictions must carry a score")
-    if overlaps is None:
-        overlaps = overlap_matrix(gts, preds, iou_kind)
-    elif np.shape(overlaps) != (len(gts), len(preds)):
+    if np.shape(overlaps) != (len(gts), len(preds)):
         raise ValueError(
             f"overlaps must have shape {(len(gts), len(preds))}, got {np.shape(overlaps)}"
         )
@@ -286,23 +273,23 @@ class FrameStats(_ArrayRecord):
             raise ValueError(
                 f"scores and is_tp need one row per prediction, got {len(scores)} and {len(is_tp)}"
             )
+        # Each true positive claims its own ground truth.
+        n_tp = int(is_tp.sum())
+        whole = isinstance(self.n_gt, (int, np.integer)) and not isinstance(self.n_gt, bool)
+        if not (whole and self.n_gt >= n_tp):
+            raise ValueError(
+                f"n_gt must be an integer >= the {n_tp} true positive(s), got {self.n_gt!r}"
+            )
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "is_tp", is_tp)
 
 
-def frame_detection_stats(
-    gts,
-    preds,
-    iou_threshold: float,
-    iou_kind: str = "bev",
-    overlaps=None,
-) -> FrameStats:
-    """Match one frame and reduce it to score/TP rows.  ``overlaps`` is
-    the ``overlap_matrix`` of ``gts`` against ``preds``; "pixel" stats
-    need it, since the image rectangles go to ``overlap_matrix``.  A
-    subset (a class, a difficulty tier) is scored by slicing the frames
-    first, with ``LabelFrame.take``."""
-    return stats_from_match(match(gts, preds, iou_threshold, iou_kind, overlaps=overlaps))
+def frame_detection_stats(gts, preds, overlaps, iou_threshold: float) -> FrameStats:
+    """Match one frame on ``overlaps`` (as ``match`` does) and reduce it
+    to score/TP rows.  A subset (a class, a difficulty tier) is scored
+    by slicing the frames first, with ``LabelFrame.take``, and the
+    matrix's rows and columns with them."""
+    return stats_from_match(match(gts, preds, overlaps, iou_threshold))
 
 
 def stats_from_match(result: MatchResult) -> FrameStats:
@@ -343,11 +330,11 @@ def pr_curve_from_stats(stats_list) -> PRCurve:
 
 
 def _paired_frames(gts_per_frame, preds_per_frame):
-    """The (gts, preds) pairs of two parallel frame lists."""
+    """The (gts, preds) ``LabelFrame`` pairs of two parallel frame lists."""
     gts_per_frame, preds_per_frame = list(gts_per_frame), list(preds_per_frame)
     if len(gts_per_frame) != len(preds_per_frame):
         raise ValueError("frame lists must have equal length")
-    return zip(gts_per_frame, preds_per_frame)
+    return ((LabelFrame.of(g), LabelFrame.of(p)) for g, p in zip(gts_per_frame, preds_per_frame))
 
 
 def average_precision_r40(
@@ -357,9 +344,10 @@ def average_precision_r40(
     iou_kind: str = "bev",
 ) -> PRCurve:
     """AP|R40 over a list of frames (parallel lists of GT and prediction
-    box lists)."""
+    box lists), each frame matched on its ``overlap_matrix`` of
+    ``iou_kind``."""
     stats = [
-        frame_detection_stats(g, p, iou_threshold, iou_kind)
+        frame_detection_stats(g, p, overlap_matrix(g, p, iou_kind), iou_threshold)
         for g, p in _paired_frames(gts_per_frame, preds_per_frame)
     ]
     return pr_curve_from_stats(stats)
@@ -387,7 +375,9 @@ def distance_error(matches, camera_foot: tuple[float, float] = (0.0, 0.0)) -> Di
     from the boxes of each result's frames.  ``matches`` is a sequence
     of MatchResults, one per frame; empty bins report ``None``.  A pair
     whose ground truth stands at the foot point (d_g = 0) has no
-    relative error: it is skipped and counted.
+    relative error: it is skipped and counted.  A pair whose ground
+    truth stands at 200 m or more, past the last bin, joins no bin and
+    is not counted in ``skipped`` either.
     """
     sums = [0.0] * len(DISTANCE_BINS)
     counts = [0] * len(DISTANCE_BINS)
@@ -422,7 +412,6 @@ def detection_ratio_curve(gts_per_frame, preds_per_frame, thresholds) -> list[fl
     Non-decreasing in the threshold by construction."""
     nearest = []
     for gts, preds in _paired_frames(gts_per_frame, preds_per_frame):
-        gts, preds = LabelFrame.of(gts), LabelFrame.of(preds)
         if not gts:
             continue
         if not preds:

@@ -22,6 +22,7 @@ from roadlift.camera_geometry import (
 from roadlift.evaluation import (
     average_precision_r40,
     bev_iou,
+    box2d_overlap_matrix,
     detection_ratio_curve,
     distance_error,
     footprint_polygon,
@@ -342,7 +343,8 @@ def test_criterion_7_metric_oracle_equivalence():
             )
             for _ in range(n_pred)
         ]
-        got = {p.pred_index: p.gt_index for p in match(gts, preds, 0.1).pairs}
+        overlaps = overlap_matrix(gts, preds, "bev")
+        got = {p.pred_index: p.gt_index for p in match(gts, preds, overlaps, 0.1).pairs}
         match_ok &= got == _brute_force_match(gts, preds, 0.1)
     elapsed = time.perf_counter() - start
     report(
@@ -416,15 +418,8 @@ def test_criterion_8_end_to_end_pipeline():
                 match(
                     r.gt_boxes,
                     r.pred_boxes,
+                    box2d_overlap_matrix(r.gt_boxes_2d, r.pred_boxes_2d),
                     0.5,
-                    "pixel",
-                    overlaps=overlap_matrix(
-                        r.gt_boxes,
-                        r.pred_boxes,
-                        "pixel",
-                        r.gt_boxes_2d,
-                        r.pred_boxes_2d,
-                    ),
                 )
                 for r in records[sigma]
             ]

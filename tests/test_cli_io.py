@@ -643,18 +643,29 @@ class TestCli:
          "--ratio-thresholds must be a finite number >= 0"),
         (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--ratio-thresholds", "1,,2"],
          "--ratio-thresholds must be a finite number >= 0"),
+        (["simulate", "--config", "{config}", "--out", "{out}", "--seed", "-1"],
+         "--seed must be a non-negative integer"),
+        (["bank-sim", "--config", "{config}", "--out", "{out}", "--seed", "-1"],
+         "--seed must be a non-negative integer"),
+        (["gradcheck", "--seed", "-1"], "--seed must be a non-negative integer"),
     ], ids=["lift-u", "lift-v", "lift-hr", "sensitivity-height", "sensitivity-range",
             "sweep-range", "sensitivity-dh", "sensitivity-hr", "ratio-threshold",
-            "negative-ratio-threshold", "word-ratio-threshold", "empty-ratio-threshold"])
+            "negative-ratio-threshold", "word-ratio-threshold", "empty-ratio-threshold",
+            "simulate-seed", "bank-sim-seed", "gradcheck-seed"])
     def test_non_finite_numbers_rejected(self, nadir_calib_file, tmp_path, capsys, argv, message):
         labels = tmp_path / "labels.txt"
         labels.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
-        argv = [a.format(calib=nadir_calib_file, labels=labels) for a in argv]
+        config = tmp_path / "config.json"
+        config.write_text("{}")  # every default: a config that runs
+        out = tmp_path / "out"
+        argv = [a.format(calib=nadir_calib_file, labels=labels, config=config, out=out)
+                for a in argv]
         assert run_command(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [captured.err.strip()]
         assert captured.err.startswith(f"error: {message}, got ")
         assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("sweep", [[], ["--sweep"]], ids=["scalar", "sweep"])
     def test_negative_range_rejected(self, capsys, sweep):

@@ -283,3 +283,22 @@ def test_every_defaulted_parameter_is_passed(path):
         if not ({param, None} & keywords or (position is not None and most > position)):
             unpassed.append(f"{qualname}({param})")
     assert unpassed == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_matching_takes_a_matrix(path):
+    # Matching scores the overlap matrix it is given, and only the matrix
+    # builders know the IoU kind.  A default for ``overlaps`` would let a
+    # callee build the matrix itself, and an ``iou_kind`` beside it is a
+    # second home for the kind, one the matrix silently overrides.
+    found = []
+    for qualname, fn, _ in _public_callables(TREES[path]):
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaulted = positional[len(positional) - len(a.defaults):] + [
+            arg for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None
+        ]
+        names = {arg.arg for arg in positional + a.kwonlyargs}
+        if "overlaps" in {arg.arg for arg in defaulted} or {"overlaps", "iou_kind"} <= names:
+            found.append(qualname)
+    assert found == []

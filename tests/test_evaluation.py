@@ -10,6 +10,7 @@ from roadlift.evaluation import (
     average_precision_r40,
     bev_iou,
     box2d_iou,
+    box2d_overlap_matrix,
     detection_ratio_curve,
     distance_error,
     footprint_polygon,
@@ -27,6 +28,11 @@ from roadlift.evaluation import PRCurve
 
 def box(x=0.0, y=0.0, z=0.0, l=1.0, w=1.0, h=1.0, theta=0.0, score=None):
     return Box3D(x, y, z, l, w, h, theta, score=score)
+
+
+def bev_match(gts, preds, iou_threshold):
+    """``match`` on the frame's BEV overlap matrix."""
+    return match(gts, preds, overlap_matrix(gts, preds, "bev"), iou_threshold)
 
 
 def unmatched(result) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -177,13 +183,13 @@ class TestMatch:
     def test_perfect_predictions_all_matched(self):
         gts = [box(x=10 * i, l=4, w=2) for i in range(3)]
         preds = [box(x=10 * i, l=4, w=2, score=0.9 - 0.1 * i) for i in range(3)]
-        result = match(gts, preds, 0.5)
+        result = bev_match(gts, preds, 0.5)
         assert len(result.pairs) == 3
         assert unmatched(result) == ((), ())
 
     def test_no_predictions(self):
         gts = [box(), box(x=5)]
-        result = match(gts, [], 0.5)
+        result = bev_match(gts, [], 0.5)
         assert result.pairs == ()
         assert unmatched(result) == ((0, 1), ())
 
@@ -193,14 +199,14 @@ class TestMatch:
             box(x=0.2, l=4, w=2, score=0.6),
             box(x=0.1, l=4, w=2, score=0.9),
         ]
-        result = match(gts, preds, 0.3)
+        result = bev_match(gts, preds, 0.3)
         assert len(result.pairs) == 1
         assert result.pairs[0].pred_index == 1
         assert unmatched(result) == ((), (0,))
 
     def test_missing_scores_rejected(self):
         with pytest.raises(ValueError, match="score"):
-            match([box()], [box()], 0.5)
+            bev_match([box()], [box()], 0.5)
 
     def test_agrees_with_brute_force_enumeration(self):
         rng = np.random.default_rng(2)
@@ -217,7 +223,7 @@ class TestMatch:
                     theta=rng.uniform(-0.4, 0.4), score=round(rng.uniform(0.1, 0.99), 3))
                 for _ in range(n_pred)
             ]
-            got = {p.pred_index: p.gt_index for p in match(gts, preds, 0.1).pairs}
+            got = {p.pred_index: p.gt_index for p in bev_match(gts, preds, 0.1).pairs}
             want = brute_force_match_oracle(gts, preds, 0.1, bev_iou)
             assert got == want
 
@@ -226,17 +232,14 @@ class TestMatch:
         preds = [box(x=0.0, l=4, w=2, score=0.9)]
         gt2d = [(10.0, 10.0, 50.0, 40.0)]
         pred2d = [(12.0, 11.0, 52.0, 41.0)]
-        result = match(gts, preds, 0.5, "pixel",
-                       overlaps=overlap_matrix(gts, preds, "pixel", gt2d, pred2d))
+        result = match(gts, preds, box2d_overlap_matrix(gt2d, pred2d), 0.5)
         assert result.pairs == (MatchPair(0, 0),)
 
-    def test_pixel_kind_requires_boxes(self):
-        with pytest.raises(ValueError, match="2D boxes"):
-            match([box()], [box(score=0.5)], 0.5, "pixel")
-
     def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError, match="iou_kind"):
-            match([], [], 0.5, "volumetric")
+        # Image-plane overlaps have their own builder, so "pixel" is no kind.
+        for kind in ("volumetric", "pixel"):
+            with pytest.raises(ValueError, match="iou_kind"):
+                overlap_matrix([], [], kind)
 
 
 def _reference_match(gts, preds, iou_threshold, measure):
@@ -325,7 +328,7 @@ class TestMatchPinnedToReference:
         for _ in range(60):
             gts, preds = _random_frame(rng, sparse)
             for threshold in (0.0, 0.1, 0.5):
-                got = match(gts, preds, threshold, kind)
+                got = match(gts, preds, overlap_matrix(gts, preds, kind), threshold)
                 want = _reference_match(gts, preds, threshold, measure)
                 assert (got.pairs, *unmatched(got)) == want
 
@@ -365,13 +368,15 @@ class TestOverlapMatrix:
     def test_empty_sides(self, kind):
         boxes = [box(), box(x=1.0)]
         preds = [box(score=0.5)]
-        extra = {"gt_boxes_2d": [], "pred_boxes_2d": [(0, 0, 1, 1)]} if kind == "pixel" else {}
-        assert overlap_matrix([], preds, kind, **extra).shape == (0, 1)
-        extra = {"gt_boxes_2d": [(0, 0, 1, 1)] * 2, "pred_boxes_2d": []} if kind == "pixel" else {}
-        assert overlap_matrix(boxes, [], kind, **extra).shape == (2, 0)
-        empty_gt = match([], preds, 0.5, "bev", overlaps=np.zeros((0, 1)))
+        if kind == "pixel":
+            assert box2d_overlap_matrix([], [(0, 0, 1, 1)]).shape == (0, 1)
+            assert box2d_overlap_matrix([(0, 0, 1, 1)] * 2, []).shape == (2, 0)
+        else:
+            assert overlap_matrix([], preds, kind).shape == (0, 1)
+            assert overlap_matrix(boxes, [], kind).shape == (2, 0)
+        empty_gt = match([], preds, np.zeros((0, 1)), 0.5)
         assert empty_gt.pairs == () and unmatched(empty_gt) == ((), (0,))
-        empty_pred = match(boxes, [], 0.5, "bev", overlaps=np.zeros((2, 0)))
+        empty_pred = match(boxes, [], np.zeros((2, 0)), 0.5)
         assert empty_pred.pairs == () and unmatched(empty_pred) == ((0, 1), ())
 
     def test_pixel_kind_is_the_box2d_matrix(self):
@@ -382,11 +387,12 @@ class TestOverlapMatrix:
             gt2d.append((x1, y1, x1 + rng.uniform(5, 40), y1 + rng.uniform(5, 40)))
         pred2d = [(x1 + rng.normal(0, 5), y1 + rng.normal(0, 5), x2, y2)
                   for x1, y1, x2, y2 in gt2d[:4]]
-        gts = [box(x=100.0 * i) for i in range(5)]
-        preds = [box(score=0.5) for _ in range(4)]
-        m = overlap_matrix(gts, preds, "pixel", gt2d, pred2d)
-        want = np.array([[box2d_iou(g, p) for p in pred2d] for g in gt2d])
-        assert np.array_equal(m, want)
+        # Reference: one scalar box2d_iou per pair, filled in a loop.
+        want = np.zeros((len(gt2d), len(pred2d)))
+        for gi, pi in itertools.product(range(len(gt2d)), range(len(pred2d))):
+            want[gi, pi] = box2d_iou(gt2d[gi], pred2d[pi])
+        m = box2d_overlap_matrix(gt2d, pred2d)
+        assert m.dtype == want.dtype and np.array_equal(m, want)
 
     def test_pixel_kind_stats_take_the_box2d_matrix(self):
         rng = np.random.default_rng(10)
@@ -398,25 +404,23 @@ class TestOverlapMatrix:
                   for x1, y1, x2, y2 in gt2d[:5]]
         gts = [box(x=100.0 * i) for i in range(6)]
         preds = [box(score=round(rng.uniform(0.1, 0.99), 3)) for _ in range(5)]
-        got = frame_detection_stats(
-            gts, preds, 0.7, "pixel", overlaps=overlap_matrix(gts, preds, "pixel", gt2d, pred2d)
-        )
-        want = stats_from_match(
-            match(gts, preds, 0.7, "pixel",
-                  overlaps=overlap_matrix(gts, preds, "pixel", gt2d, pred2d))
-        )
+        overlaps = box2d_overlap_matrix(gt2d, pred2d)
+        got = frame_detection_stats(gts, preds, overlaps, 0.7)
+        want = stats_from_match(match(gts, preds, overlaps, 0.7))
         assert 0 < got.is_tp.sum() < len(preds)
         assert np.array_equal(got.scores, want.scores)
         assert np.array_equal(got.is_tp, want.is_tp)
         assert got.n_gt == want.n_gt == 6
 
     def test_pixel_kind_requires_aligned_boxes(self):
-        with pytest.raises(ValueError, match="align"):
-            overlap_matrix([box()], [box(score=0.5)], "pixel", [], [(0, 0, 1, 1)])
+        # One ground truth but no ground-truth rectangle: the matrix has
+        # the wrong shape for the frame.
+        with pytest.raises(ValueError, match="shape"):
+            match([box()], [box(score=0.5)], box2d_overlap_matrix([], [(0, 0, 1, 1)]), 0.5)
 
     def test_match_rejects_misshapen_overlaps(self):
         with pytest.raises(ValueError, match="shape"):
-            match([box()], [box(score=0.5)], 0.5, overlaps=np.zeros((2, 1)))
+            match([box()], [box(score=0.5)], np.zeros((2, 1)), 0.5)
 
     @pytest.mark.parametrize("kind", ["bev", "3d"])
     def test_class_slice_equals_direct_stats(self, kind):
@@ -428,9 +432,10 @@ class TestOverlapMatrix:
                 rows = [i for i, b in enumerate(gts) if b.category == cls]
                 cols = [i for i, b in enumerate(preds) if b.category == cls]
                 class_gts, class_preds = [gts[i] for i in rows], [preds[i] for i in cols]
-                got = frame_detection_stats(class_gts, class_preds, 0.3, kind,
-                                            overlaps=m[rows][:, cols])
-                want = frame_detection_stats(class_gts, class_preds, 0.3, kind)
+                got = frame_detection_stats(class_gts, class_preds, m[rows][:, cols], 0.3)
+                want = frame_detection_stats(
+                    class_gts, class_preds, overlap_matrix(class_gts, class_preds, kind), 0.3
+                )
                 assert np.array_equal(got.scores, want.scores)
                 assert np.array_equal(got.is_tp, want.is_tp)
                 assert got.n_gt == want.n_gt
@@ -483,26 +488,26 @@ class TestAveragePrecision:
                 [box(x=rng.uniform(-20, 20), l=4, w=2, score=rng.uniform(0.1, 1)) for _ in range(3)]
             )
         whole = average_precision_r40(gts, preds, 0.1).ap
-        stats = [frame_detection_stats(g, p, 0.1) for g, p in zip(gts, preds)]
+        stats = [
+            frame_detection_stats(g, p, overlap_matrix(g, p, "bev"), 0.1)
+            for g, p in zip(gts, preds)
+        ]
         assert pr_curve_from_stats(stats).ap == whole
 
 
 class TestDistanceError:
-    def _match_all(self, gts, preds):
-        return match(gts, preds, 0.0, "bev")
-
     def test_simple_arithmetic(self):
         # Long boxes so the 10 m offset still clears the match threshold.
         gts = [box(x=100.0, l=30, w=2)]
         preds = [box(x=110.0, l=30, w=2, score=0.9)]
-        table = distance_error([match(gts, preds, 0.1)])
+        table = distance_error([bev_match(gts, preds, 0.1)])
         assert [b.count for b in table.bins] == [0, 0, 1, 0]
         assert table.bins[2].mean_error_pct == pytest.approx(10.0)
 
     def test_exact_predictions_zero_error(self):
         gts = [box(x=40.0, l=4, w=2), box(x=120.0, l=4, w=2)]
         preds = [box(x=40.0, l=4, w=2, score=0.9), box(x=120.0, l=4, w=2, score=0.8)]
-        table = distance_error([match(gts, preds, 0.5)])
+        table = distance_error([bev_match(gts, preds, 0.5)])
         populated = [b for b in table.bins if b.count]
         assert len(populated) == 2
         assert all(b.mean_error_pct == pytest.approx(0.0) for b in populated)
@@ -510,7 +515,7 @@ class TestDistanceError:
     def test_empty_bin_marker(self):
         gts = [box(x=40.0, l=4, w=2)]
         preds = [box(x=40.0, l=4, w=2, score=0.9)]
-        table = distance_error([match(gts, preds, 0.5)])
+        table = distance_error([bev_match(gts, preds, 0.5)])
         assert table.bins[-1].mean_error_pct is None
         assert table.bins[-1].count == 0
 
@@ -519,7 +524,7 @@ class TestDistanceError:
         # counted in ``skipped`` and in no bin; the other pair is binned.
         gts = [box(l=4, w=2), box(x=60.0, l=4, w=2)]
         preds = [box(x=0.5, l=4, w=2, score=0.9), box(x=63.0, l=4, w=2, score=0.8)]
-        result = match(gts, preds, 0.1)
+        result = bev_match(gts, preds, 0.1)
         assert len(result.pairs) == 2
         table = distance_error([result])
         assert table.skipped == 1
@@ -532,7 +537,7 @@ class TestDistanceError:
         for _ in range(5):
             gts, preds = [], []
             for _ in range(6):
-                d = rng.uniform(5, 195)
+                d = rng.uniform(5, 260)
                 angle = rng.uniform(-math.pi, math.pi)
                 gt = box(x=d * math.cos(angle), y=d * math.sin(angle), l=4, w=2)
                 noise = rng.normal(0, 1.0, 2)
@@ -540,7 +545,7 @@ class TestDistanceError:
                     box(x=gt.x + noise[0], y=gt.y + noise[1], l=4, w=2, score=rng.uniform(0.5, 1))
                 )
                 gts.append(gt)
-            results.append(match(gts, preds, 0.01))
+            results.append(bev_match(gts, preds, 0.01))
         table = distance_error(results)
         # Flat oracle: recompute every pair error and bin by hand.
         bins = {(lo, hi): [] for lo, hi in ((0, 50), (50, 100), (100, 150), (150, 200))}
@@ -559,6 +564,15 @@ class TestDistanceError:
                 assert entry.count == len(samples)
             else:
                 assert entry.mean_error_pct is None
+        # A pair whose ground truth stands at 200 m or more joins no bin
+        # and is not counted as skipped either.
+        near = [
+            pair for res in results for pair in res.pairs
+            if math.hypot(res.gts[pair.gt_index].x, res.gts[pair.gt_index].y) < 200.0
+        ]
+        n_pairs = sum(len(res.pairs) for res in results)
+        assert sum(b.count for b in table.bins) == len(near) < n_pairs
+        assert table.skipped == 0
 
 
 class TestDetectionRatio:
@@ -620,7 +634,7 @@ class TestStructuralInvariants:
                 box(x=rng.uniform(-3, 3), l=4, w=2, score=rng.uniform(0, 1)) for _ in range(6)
             ]
             overlaps = overlap_matrix(gts, preds, "bev")
-            result = match(gts, preds, 0.05, overlaps=overlaps)
+            result = match(gts, preds, overlaps, 0.05)
             gt_idx = [p.gt_index for p in result.pairs]
             pred_idx = [p.pred_index for p in result.pairs]
             assert len(gt_idx) == len(set(gt_idx))
@@ -639,9 +653,14 @@ class TestStructuralInvariants:
         (lambda: detection_ratio_curve([], [[]], [1.0]), "frame lists must have equal length"),
         (lambda: FrameStats([0.9], [True, True, True], 2), "got 1 and 3"),
         (lambda: FrameStats([0.9, 0.8, 0.7], [True], 2), "got 3 and 1"),
+        (lambda: FrameStats([0.9, 0.8], [True, True], 1), "n_gt must be an integer >= the 2"),
+        (lambda: FrameStats([0.9, 0.8], [True, False], 1.5), "n_gt must be an integer"),
+        (lambda: FrameStats([], [], -1), "n_gt must be an integer >= the 0"),
+        (lambda: FrameStats([0.9], [True], True), "n_gt must be an integer"),
     ],
     ids=["sample-count", "precision-above-one", "nan-precision", "ap-above-100",
-         "ap-unequal-frames", "ratio-unequal-frames", "stats-short-scores", "stats-short-tp"],
+         "ap-unequal-frames", "ratio-unequal-frames", "stats-short-scores", "stats-short-tp",
+         "stats-fewer-gt-than-tp", "stats-fractional-gt", "stats-negative-gt", "stats-bool-gt"],
 )
 def test_rejects_bad_values(build, message):
     with pytest.raises(ValueError, match=message):

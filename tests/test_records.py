@@ -15,7 +15,14 @@ from roadlift.camera_geometry import (
     rig_from_pose,
     rot_z,
 )
-from roadlift.evaluation import FrameStats, PRCurve, match, pr_curve_from_stats, stats_from_match
+from roadlift.evaluation import (
+    FrameStats,
+    PRCurve,
+    match,
+    overlap_matrix,
+    pr_curve_from_stats,
+    stats_from_match,
+)
 from roadlift.formats import parse_labels
 from roadlift.loss_functions import Box3DParams
 from roadlift.scene_cue_bank import CueMask, FeatureGrid
@@ -83,10 +90,11 @@ def test_match_results_compare_by_value():
     gts = [Box3D(30, 0, 0, 4, 1.8, 1.5, 0.0), Box3D(60, 5, 0, 4, 1.8, 1.5, 0.5)]
     preds = [Box3D(30.3, 0.1, 0, 4, 1.8, 1.5, 0.05, score=0.8),
              Box3D(90, 0, 0, 4, 1.8, 1.5, 0.0, score=0.4)]
-    result = match(gts, preds, 0.5)
-    assert result == match(gts, preds, 0.5)
-    assert result != match(gts, preds[:1], 0.5)
-    assert stats_from_match(result) == stats_from_match(match(gts, preds, 0.5))
+    overlaps = overlap_matrix(gts, preds, "bev")
+    result = match(gts, preds, overlaps, 0.5)
+    assert result == match(gts, preds, overlaps, 0.5)
+    assert result != match(gts, preds[:1], overlaps[:, :1], 0.5)
+    assert stats_from_match(result) == stats_from_match(match(gts, preds, overlaps, 0.5))
 
 
 def test_curves_and_stats_compare_to_a_bool():
