@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -102,6 +103,17 @@ def _finite(flag: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{flag} must be a finite number, got {value}")
     return value
+
+
+def _check_distinct_outputs(args) -> None:
+    """Refuse ``--out`` naming the same file as ``--bank-out`` or
+    ``--distance-csv``: the second write would replace the first.  Paths
+    are compared resolved (``os.path.realpath``, which is what
+    ``Path.resolve`` returns, but without raising on a symlink loop)."""
+    for flag in ("--bank-out", "--distance-csv"):
+        other = getattr(args, flag[2:].replace("-", "_"), None)
+        if args.out and other and os.path.realpath(args.out) == os.path.realpath(other):
+            raise ValueError(f"--out and {flag} must name different files, got {other} for both")
 
 
 def _check_frames(n_frames: int) -> None:
@@ -305,7 +317,12 @@ def cmd_bank_sim(args) -> int:
     frame order, so the outputs do not depend on thread timing.  Each
     stream's grids are built just before its bank update and dropped
     right after it, so the two streams' observation grids are never
-    alive together and the worker holds none."""
+    alive together and the worker holds none.  Those grids, and the
+    inference bank's memory, are ``scene_cue_bank._zero_grid`` arrays:
+    each maps its own zero pages, and only the pages of masked cells
+    become resident.  ``np.zeros`` would, once glibc serves grid-sized
+    blocks from its heap, memset every page and keep freed pages
+    resident; the price is one mapping per grid and one page at least."""
     # --seed is the one scheduler seed: the scheduler block has no seed key.
     scheduler_like = {k: v for k, v in vars(SchedulerConfig(tau=20)).items() if k != "seed"}
     like = {"scene": SceneConfig(), "frames": 60, "momentum": 0.1, "channels": 4,
@@ -530,6 +547,7 @@ def run_command(argv) -> int:
         # numpy's own message for a negative seed does not name the flag.
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+        _check_distinct_outputs(args)
         return args.func(args)
     except BrokenPipeError:
         return 1

@@ -18,6 +18,8 @@ All scenes in one container share the grid shape.
 
 from __future__ import annotations
 
+import math
+import mmap
 import struct
 from dataclasses import dataclass
 
@@ -72,10 +74,25 @@ def _frozen_grid(values: np.ndarray) -> FeatureGrid:
     return grid
 
 
+def _zero_grid(shape) -> np.ndarray:
+    """A writable C-order float64 array of +0.0 in ``shape``, backed by
+    its own anonymous ``mmap``.  The OS zero-fills a page when it is
+    first written, so pages never written never become resident, and
+    the pages go back to the OS when the array is freed.  ``np.zeros``
+    gives no such promise: once glibc has freed one grid-sized block it
+    serves the next ones from its heap, memsets every page and keeps
+    freed pages resident.  Each array costs one mapping and at least
+    one page (a zero-size shape too, since ``mmap`` refuses length 0)."""
+    return np.ndarray(shape, buffer=mmap.mmap(-1, max(8 * math.prod(shape), 1)))
+
+
 def _scattered_grid(values: np.ndarray, cells: np.ndarray, shape) -> FeatureGrid:
     """A read-only grid of ``shape`` that holds ``values`` (one row of
-    channels per flat row-major cell in ``cells``) and +0.0 elsewhere."""
-    grid = np.zeros(shape)
+    channels per flat row-major cell in ``cells``) and +0.0 elsewhere.
+    The grid comes from ``_zero_grid``, so only the pages that hold
+    ``cells`` become resident (a masked cue grid writes a few hundred
+    cells of tens of thousands), at the cost of one mapping per grid."""
+    grid = _zero_grid(shape)
     grid.reshape(-1, shape[2])[cells] = values
     return _frozen_grid(grid)
 
@@ -220,7 +237,10 @@ class SceneBank:
 
     def reset_scene(self, scene_id: str, init: FeatureGrid) -> None:
         """Replace the scene's memory with ``init``; counters become the
-        indicator of init's per-pixel nonzero support; frame count 0."""
+        indicator of init's per-pixel nonzero support; frame count 0.
+        The old slot is dropped before ``init`` is copied, so a reset
+        never holds two memories of the scene."""
+        self._scenes.pop(scene_id, None)
         self._scenes[scene_id] = _SceneSlot(
             memorized=np.array(init.values),
             counter=np.any(init.values != 0, axis=2).astype(np.int64),
@@ -272,13 +292,16 @@ class SceneBank:
         """Inference-mode update: at each masked cell, bump its counter N
         and fold the cue in as a running mean
         ((N-1)/N)*memory + cue/N.  Off-mask cells and counters are
-        untouched.  Unknown scenes start from zero memory and counters.
+        untouched.  Unknown scenes start from zero memory and counters;
+        that memory comes from ``_zero_grid``, so only the pages of
+        cells some mask has written become resident (``np.zeros`` may
+        memset every page), at the cost of one mapping.
         """
         _check_mask_shape(mask, cues)
         slot = self._slot_for_update(scene_id, cues)
         if slot is None:
             slot = _SceneSlot(
-                memorized=np.zeros_like(cues.values),
+                memorized=_zero_grid(cues.values.shape),
                 counter=np.zeros(cues.values.shape[:2], dtype=np.int64),
             )
             self._scenes[scene_id] = slot

@@ -648,10 +648,16 @@ class TestCli:
         (["bank-sim", "--config", "{config}", "--out", "{out}", "--seed", "-1"],
          "--seed must be a non-negative integer"),
         (["gradcheck", "--seed", "-1"], "--seed must be a non-negative integer"),
+        (["bank-sim", "--config", "{config}", "--out", "{out}", "--bank-out", "{out}/../out"],
+         "--out and --bank-out must name different files"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--out", "{out}",
+          "--distance-csv", "{out}"],
+         "--out and --distance-csv must name different files"),
     ], ids=["lift-u", "lift-v", "lift-hr", "sensitivity-height", "sensitivity-range",
             "sweep-range", "sensitivity-dh", "sensitivity-hr", "ratio-threshold",
             "negative-ratio-threshold", "word-ratio-threshold", "empty-ratio-threshold",
-            "simulate-seed", "bank-sim-seed", "gradcheck-seed"])
+            "simulate-seed", "bank-sim-seed", "gradcheck-seed", "bank-sim-same-outputs",
+            "evaluate-same-outputs"])
     def test_non_finite_numbers_rejected(self, nadir_calib_file, tmp_path, capsys, argv, message):
         labels = tmp_path / "labels.txt"
         labels.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
@@ -1370,11 +1376,14 @@ class TestBankSimMemory:
     # 64x96-cell grid, 64 channels of float64 (3 MiB).  Three grids live
     # for the whole run (the plain cues and the two banks' memories); one
     # stream's observation at a time adds a scattered grid and its cues.
-    # Seeds 0-2 measured 4.9-5.4 grids (5.4 as a process's first
-    # bank-sim), and 6.8-7.2 while the worker returned a scattered grid
-    # and the training cues outlived the inference grids (Python 3.11,
-    # numpy 2).
-    MAX_PEAK_GRIDS = 6.0
+    # tracemalloc sees only the heap grids: the plain cues, the training
+    # memory and a reset's copy.  The scattered grids, the cues and the
+    # inference memory are scene_cue_bank._zero_grid mappings, which it
+    # does not trace.  Seeds 0-2 measured 2.4-2.7 grids (Python 3.11,
+    # numpy 2); with np.zeros grids they measured 4.9-5.4, and 6.8-7.2
+    # while the worker returned a scattered grid and the training cues
+    # outlived the inference grids.
+    MAX_PEAK_GRIDS = 3.5
 
     def test_traced_peak_is_about_five_grids(self, tmp_path):
         # tau 2 over 3 frames: a first update, a reset and a momentum blend.

@@ -1,4 +1,6 @@
 import struct
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from roadlift.scene_cue_bank import (
     make_mask,
     save_bank,
 )
-from roadlift.scene_cue_bank import MAX_CHANNELS, check_channels
+from roadlift.scene_cue_bank import MAX_CHANNELS, _scattered_grid, check_channels
 
 
 def grid_from(values):
@@ -157,6 +159,37 @@ class TestExtractCues:
         out = extract_cues(random_grid(np.random.default_rng(3)), full_mask())
         with pytest.raises(ValueError):
             out.values[0, 0, 0] = 1.0
+
+
+def _reference_scattered_grid(values: np.ndarray, cells: np.ndarray, shape) -> np.ndarray:
+    """_scattered_grid's grid as the np.zeros construction it replaced."""
+    grid = np.zeros(shape)
+    grid.reshape(-1, shape[2])[cells] = values
+    return grid
+
+
+class TestScatteredGrid:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_np_zeros_construction(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(n) for n in rng.integers(1, 12, size=3))
+        n_cells = shape[0] * shape[1]
+        some = np.sort(rng.choice(n_cells, size=rng.integers(1, n_cells + 1), replace=False))
+        for cells in (np.arange(0), some, np.arange(n_cells)):
+            values = rng.standard_normal((cells.size, shape[2]))
+            values[::3] = -0.0  # sign bits must survive the scatter
+            grid = _scattered_grid(values, cells, shape).values
+            assert grid.dtype == np.float64 and grid.flags.c_contiguous
+            assert not grid.flags.writeable
+            assert grid.shape == shape
+            assert grid.tobytes() == _reference_scattered_grid(values, cells, shape).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (4, 0, 3), (0, 0, 1)])
+    def test_zero_size_shape(self, shape):
+        values = np.empty((0, shape[2]))
+        grid = _scattered_grid(values, np.arange(0), shape).values
+        assert grid.shape == shape and grid.dtype == np.float64 and grid.flags.c_contiguous
+        assert grid.tobytes() == b""
 
 
 class TestMomentumUpdate:
@@ -413,6 +446,43 @@ class TestResetScene:
             dirty.memorized("s").values, fresh.memorized("s").values, atol=1e-12
         )
         np.testing.assert_array_equal(dirty.counter("s"), fresh.counter("s"))
+
+    def test_reset_over_a_scene_equals_reset_of_a_fresh_bank(self):
+        rng = np.random.default_rng(15)
+        bank = SceneBank()
+        bank.update_running_average("s", random_grid(rng), full_mask())
+        bank.update_momentum("s", random_grid(rng), 0.5)
+        # The same shape, then an augmentation scale change.
+        for shape in ((4, 5, 2), (3, 6, 2)):
+            values = rng.standard_normal(shape)
+            values[rng.random(shape[:2]) < 0.5] = 0.0
+            init = grid_from(values)
+            old = weakref.ref(bank._scenes["s"].memorized)
+            bank.reset_scene("s", init)
+            assert old() is None
+            fresh = SceneBank()
+            fresh.reset_scene("s", init)
+            assert bank.memorized("s").values.tobytes() == fresh.memorized("s").values.tobytes()
+            np.testing.assert_array_equal(bank.counter("s"), fresh.counter("s"))
+            assert bank.frames_seen("s") == fresh.frames_seen("s") == 0
+            bank.update_momentum("s", random_grid(rng, *shape), 0.5)
+
+    def test_reset_frees_the_old_memory_before_copying_init(self):
+        # numpy reports its allocations to tracemalloc: a reset that copied
+        # init while the old memory was alive would peak one grid higher.
+        init = FeatureGrid(np.ones((32, 48, 16)))
+        grid_bytes = init.values.nbytes
+        bank = SceneBank()
+        tracemalloc.start()
+        try:
+            bank.reset_scene("s", init)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            bank.reset_scene("s", init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < grid_bytes / 2
 
     def test_nonzero_init_counters_mark_support(self):
         values = np.zeros((2, 3, 2))
