@@ -64,6 +64,32 @@ class TestSineEncode:
         np.fill_diagonal(diffs, 1.0)
         assert diffs.min() > 1e-6
 
+    @pytest.mark.parametrize("d_e", [2, 8, 64])
+    @pytest.mark.parametrize("kind", ["scalar", "0-d", "1-D", "2-D"])
+    def test_equals_reference_broadcast_formula(self, kind, d_e):
+        rng = np.random.default_rng(d_e)
+        values = {
+            "scalar": 37.25,
+            "0-d": np.array(-4.5),
+            "1-D": np.concatenate([rng.uniform(-300.0, 300.0, 40), [np.nan, 0.0, -0.0, 1e6]]),
+            "2-D": np.where(rng.random((16, 24)) < 0.2, np.nan, rng.uniform(0.0, 500.0, (16, 24))),
+        }[kind]
+        got = sine_encode(values, d_e)
+        want = _reference_sine_encode(values, d_e)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def _reference_sine_encode(value, d_e):
+    """sine_encode as one broadcast over a trailing frequency axis,
+    verbatim."""
+    freq = TEMPERATURE ** (2.0 * np.arange(d_e // 2) / d_e)
+    ang = np.asarray(value, dtype=float)[..., None] / freq
+    out = np.empty(ang.shape[:-1] + (d_e,))
+    out[..., 0::2] = np.sin(ang)
+    out[..., 1::2] = np.cos(ang)
+    return out
+
 
 def _reference_embed_depth_map(rig, plane, d_e, temperature):
     """embed_depth_map as its inline depth and encoding computed it before
