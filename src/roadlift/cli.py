@@ -106,14 +106,43 @@ def _finite(flag: str, value: float) -> float:
 
 
 def _check_distinct_outputs(args) -> None:
-    """Refuse ``--out`` naming the same file as ``--bank-out`` or
-    ``--distance-csv``: the second write would replace the first.  Paths
-    are compared resolved (``os.path.realpath``, which is what
-    ``Path.resolve`` returns, but without raising on a symlink loop)."""
-    for flag in ("--bank-out", "--distance-csv"):
-        other = getattr(args, flag[2:].replace("-", "_"), None)
-        if args.out and other and os.path.realpath(args.out) == os.path.realpath(other):
-            raise ValueError(f"--out and {flag} must name different files, got {other} for both")
+    """Refuse an output flag (``--out``, ``--bank-out``,
+    ``--distance-csv``) naming the same file as another output, whose
+    write would replace the first, or as one of the command's inputs
+    (``--config``, ``--calib``, ``--gt``, ``--pred``, and for a
+    directory input its ``*.txt`` label files), which the write would
+    replace.  Paths are compared resolved (``os.path.realpath``, which
+    is what ``Path.resolve`` returns, but without raising on a symlink
+    loop).  A directory is resolved once: a label file in it that is
+    not a symlink resolves to the directory's path joined with its
+    name, so only symlinks are resolved one by one (an ``evaluate`` of
+    400 frames per side would otherwise resolve 800 paths)."""
+    inputs = {}
+    for flag in ("--config", "--calib", "--gt", "--pred"):
+        path = getattr(args, flag[2:], None)
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        files = [real]
+        if os.path.isdir(real):
+            with os.scandir(real) as entries:
+                files = [os.path.realpath(e.path) if e.is_symlink() else e.path
+                         for e in entries if e.name.endswith(".txt")]
+        for f in files:
+            inputs.setdefault(f, flag)
+    outputs = {}
+    for flag in ("--out", "--bank-out", "--distance-csv"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if real in outputs:
+            raise ValueError(
+                f"{outputs[real]} and {flag} must name different files, got {path} for both"
+            )
+        if real in inputs:
+            raise ValueError(f"{flag} must not name an input file ({inputs[real]}), got {path}")
+        outputs[real] = flag
 
 
 def _check_frames(n_frames: int) -> None:
@@ -317,12 +346,16 @@ def cmd_bank_sim(args) -> int:
     frame order, so the outputs do not depend on thread timing.  Each
     stream's grids are built just before its bank update and dropped
     right after it, so the two streams' observation grids are never
-    alive together and the worker holds none.  Those grids, and the
-    inference bank's memory, are ``scene_cue_bank._zero_grid`` arrays:
-    each maps its own zero pages, and only the pages of masked cells
-    become resident.  ``np.zeros`` would, once glibc serves grid-sized
-    blocks from its heap, memset every page and keep freed pages
-    resident; the price is one mapping per grid and one page at least."""
+    alive together and the worker holds none.  Those grids, the
+    inference bank's memory and the render's full-grid ``CueField.at``
+    result are ``scene_cue_bank._zero_grid`` arrays: each maps its own
+    private zero pages, and only the pages written (at masked cells,
+    for all but the render) become resident, even where a full read
+    such as ``save_bank``'s follows.  ``np.zeros`` would, once glibc
+    serves grid-sized blocks from its heap, memset every page and keep
+    freed pages resident; the price is one mapping per grid and one
+    page at least.  A reset passes the frame's mask, so it reads only
+    the masked rows of its cues."""
     # --seed is the one scheduler seed: the scheduler block has no seed key.
     scheduler_like = {k: v for k, v in vars(SchedulerConfig(tau=20)).items() if k != "seed"}
     like = {"scene": SceneConfig(), "frames": 60, "momentum": 0.1, "channels": 4,
@@ -398,7 +431,7 @@ def cmd_bank_sim(args) -> int:
                 _scattered_grid(_observe(truth, cells, sigma, rng), cells, aug_cues.shape), mask
             )
             if did_reset:
-                bank_train.reset_scene(sid, cues)
+                bank_train.reset_scene(sid, cues, mask)
             else:
                 bank_train.update_momentum(sid, cues, momentum, mask)
             # Each stream's grids go as soon as its bank has read them:

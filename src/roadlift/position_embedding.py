@@ -20,14 +20,21 @@ def sine_encode(value, d_e: int) -> np.ndarray:
     sin(value / TEMPERATURE^(2i/d_e)), entry 2i+1 the matching cos.
 
     Arrays are encoded elementwise: an input of shape S gives (*S, d_e).
+    The output is filled one sin/cos pair at a time through two
+    temporaries of the input's shape, so the peak is about one output
+    plus two inputs, not the output plus full angle, sin and cos arrays.
     """
     if d_e <= 0 or d_e % 2:
         raise ValueError(f"embedding size must be a positive even integer, got {d_e}")
     freq = TEMPERATURE ** (2.0 * np.arange(d_e // 2) / d_e)
-    ang = np.asarray(value, dtype=float)[..., None] / freq
-    out = np.empty(ang.shape[:-1] + (d_e,))
-    out[..., 0::2] = np.sin(ang)
-    out[..., 1::2] = np.cos(ang)
+    value = np.asarray(value, dtype=float)
+    out = np.empty(value.shape + (d_e,))
+    ang = np.empty(value.shape)
+    trig = np.empty(value.shape)
+    for i, f in enumerate(freq):
+        np.divide(value, f, out=ang)
+        out[..., 2 * i] = np.sin(ang, out=trig)
+        out[..., 2 * i + 1] = np.cos(ang, out=trig)
     return out
 
 

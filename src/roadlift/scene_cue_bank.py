@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,22 +78,30 @@ def _frozen_grid(values: np.ndarray) -> FeatureGrid:
 
 def _zero_grid(shape) -> np.ndarray:
     """A writable C-order float64 array of +0.0 in ``shape``, backed by
-    its own anonymous ``mmap``.  The OS zero-fills a page when it is
-    first written, so pages never written never become resident, and
-    the pages go back to the OS when the array is freed.  ``np.zeros``
-    gives no such promise: once glibc has freed one grid-sized block it
-    serves the next ones from its heap, memsets every page and keeps
-    freed pages resident.  Each array costs one mapping and at least
-    one page (a zero-size shape too, since ``mmap`` refuses length 0)."""
-    return np.ndarray(shape, buffer=mmap.mmap(-1, max(8 * math.prod(shape), 1)))
+    its own private anonymous ``mmap`` (``ACCESS_COPY``).  The OS
+    zero-fills a page when it is first written, so only written pages
+    become resident, and they go back to the OS when the array is
+    freed.  Reading a page never written maps the kernel's shared zero
+    page, which is not resident memory of the process; in a shared map
+    (``mmap``'s default) the same read faults in a fresh page, so a
+    full read such as ``save_bank``'s would make the whole grid
+    resident.  ``np.zeros`` gives no such promise: once glibc has freed
+    one grid-sized block it serves the next ones from its heap, memsets
+    every page and keeps freed pages resident.  Each array costs one
+    mapping and at least one page (a zero-size shape too, since
+    ``mmap`` refuses length 0)."""
+    return np.ndarray(
+        shape, buffer=mmap.mmap(-1, max(8 * math.prod(shape), 1), access=mmap.ACCESS_COPY)
+    )
 
 
 def _scattered_grid(values: np.ndarray, cells: np.ndarray, shape) -> FeatureGrid:
     """A read-only grid of ``shape`` that holds ``values`` (one row of
     channels per flat row-major cell in ``cells``) and +0.0 elsewhere.
-    The grid comes from ``_zero_grid``, so only the pages that hold
+    The grid comes from ``_zero_grid``, so only the pages written at
     ``cells`` become resident (a masked cue grid writes a few hundred
-    cells of tens of thousands), at the cost of one mapping per grid."""
+    cells of tens of thousands), whatever later reads the grid, at the
+    cost of one mapping per grid."""
     grid = _zero_grid(shape)
     grid.reshape(-1, shape[2])[cells] = values
     return _frozen_grid(grid)
@@ -235,17 +245,34 @@ class SceneBank:
     def frames_seen(self, scene_id: str) -> int:
         return self._scenes[scene_id].frames_seen
 
-    def reset_scene(self, scene_id: str, init: FeatureGrid) -> None:
+    def reset_scene(self, scene_id: str, init: FeatureGrid, mask: CueMask | None = None) -> None:
         """Replace the scene's memory with ``init``; counters become the
         indicator of init's per-pixel nonzero support; frame count 0.
         The old slot is dropped before ``init`` is copied, so a reset
-        never holds two memories of the scene."""
+        never holds two memories of the scene.
+
+        Given the ``mask`` that ``init``'s cues came through (as for
+        ``update_momentum``), only its cells of ``init`` are read: the
+        memory is +0.0 elsewhere and a counter is 1 where the cell's row
+        holds a nonzero value.  For cues from ``extract_cues`` that is the
+        full copy byte for byte; values off the mask are ignored.  The
+        reset then reads and writes the masked rows only, not a full-grid
+        copy and support scan, and the new memory is resident only where
+        they were written until the next blend scales every cell."""
+        if mask is not None:
+            _check_mask_shape(mask, init)
         self._scenes.pop(scene_id, None)
-        self._scenes[scene_id] = _SceneSlot(
-            memorized=np.array(init.values),
-            counter=np.any(init.values != 0, axis=2).astype(np.int64),
-            frames_seen=0,
-        )
+        if mask is None:
+            memorized = np.array(init.values)
+            counter = np.any(init.values != 0, axis=2).astype(np.int64)
+        else:
+            sel = np.nonzero(mask.cells)
+            rows = init.values[sel]
+            memorized = np.zeros(init.values.shape)
+            memorized[sel] = rows
+            counter = np.zeros(init.values.shape[:2], dtype=np.int64)
+            counter[sel] = np.any(rows != 0, axis=1)
+        self._scenes[scene_id] = _SceneSlot(memorized, counter, frames_seen=0)
 
     def _slot_for_update(self, scene_id: str, cues: FeatureGrid) -> _SceneSlot:
         slot = self._scenes.get(scene_id)
@@ -267,7 +294,8 @@ class SceneBank:
         momentum*cues is added at the masked cells, with no full-grid
         temporary.  Off-mask cells then skip adding a +0.0 cue, which
         changes only a -0.0 product, left as -0.0.  The first update of
-        an unknown scene initializes the memory to that frame's cues.
+        an unknown scene initializes the memory to that frame's cues,
+        through ``reset_scene`` with the same mask.
         """
         if not 0.0 <= momentum <= 1.0:
             raise ValueError(f"momentum must lie in [0, 1], got {momentum}")
@@ -275,7 +303,7 @@ class SceneBank:
             _check_mask_shape(mask, cues)
         slot = self._slot_for_update(scene_id, cues)
         if slot is None:
-            self.reset_scene(scene_id, cues)
+            self.reset_scene(scene_id, cues, mask)
             self._scenes[scene_id].frames_seen = 1
             return
         # In place, same operations as (1-m)*memory + m*cues; every slot
@@ -294,8 +322,9 @@ class SceneBank:
         ((N-1)/N)*memory + cue/N.  Off-mask cells and counters are
         untouched.  Unknown scenes start from zero memory and counters;
         that memory comes from ``_zero_grid``, so only the pages of
-        cells some mask has written become resident (``np.zeros`` may
-        memset every page), at the cost of one mapping.
+        cells some mask has written become resident, even once
+        ``save_bank`` has read it whole (``np.zeros`` may memset every
+        page), at the cost of one mapping.
         """
         _check_mask_shape(mask, cues)
         slot = self._slot_for_update(scene_id, cues)
@@ -334,41 +363,53 @@ def save_bank(bank: SceneBank, path) -> None:
 def load_bank(path) -> SceneBank:
     """Read a bank written by ``save_bank``; a truncated or overlong file,
     a repeated scene, non-finite memory or a negative counter raises
-    ValueError naming the problem."""
+    ValueError naming the problem.
+
+    Each field is read only once the file size shows it is all there,
+    and each scene's values and counters are read straight into the
+    arrays the bank keeps (``readinto``): the file's bytes are never
+    held as a second copy.  The values go into a ``_zero_grid``, so
+    they go back to the OS when the bank is freed.  The file holds
+    little-endian ``<f8`` and ``<i8``; on a big-endian host both arrays
+    are byteswapped in place after the read."""
     with open(path, "rb") as fh:
-        data = memoryview(fh.read())
-    if data[:4] != _MAGIC:
-        raise ValueError("not a scene bank file (bad magic)")
-    pos = 4
+        if fh.read(4) != _MAGIC:
+            raise ValueError("not a scene bank file (bad magic)")
+        size = os.fstat(fh.fileno()).st_size
+        pos = 4
 
-    def take(n: int, what: str) -> memoryview:
-        nonlocal pos
-        if len(data) - pos < n:
+        def take(n: int, what: str, array=None):
+            """The next ``n`` bytes in a new bytearray, or read into
+            ``array()``, an array of ``n`` bytes that is built only once
+            the file size shows the bytes are there."""
+            nonlocal pos
+            if size - pos >= n:
+                buf = array() if array else bytearray(n)
+                if fh.readinto(buf) == n:
+                    pos += n
+                    if array and sys.byteorder == "big":
+                        buf.byteswap(inplace=True)
+                    return buf
             raise ValueError(f"truncated bank file: {what} needs {n} bytes at offset {pos}")
-        pos += n
-        return data[pos - n : pos]
 
-    version, n_scenes, h, w, d = struct.unpack("<5I", take(20, "header"))
-    if version != _VERSION:
-        raise ValueError(f"unsupported bank version {version}")
-    bank = SceneBank()
-    for _ in range(n_scenes):
-        (id_len,) = struct.unpack("<I", take(4, "scene id length"))
-        sid = str(take(id_len, "scene id"), "utf-8")
-        if sid in bank._scenes:
-            raise ValueError(f"duplicate scene {sid!r}")
-        (frames_seen,) = struct.unpack("<Q", take(8, f"scene {sid!r} frame count"))
-        values = np.frombuffer(take(8 * h * w * d, f"scene {sid!r} values"), dtype="<f8")
-        counter = np.frombuffer(take(8 * h * w, f"scene {sid!r} counters"), dtype="<i8")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"scene {sid!r}: memory contains non-finite values")
-        if np.any(counter < 0):
-            raise ValueError(f"scene {sid!r}: negative observation counter")
-        bank._scenes[sid] = _SceneSlot(
-            memorized=values.astype(float).reshape(h, w, d),
-            counter=counter.astype(np.int64).reshape(h, w),
-            frames_seen=frames_seen,
-        )
-    if pos != len(data):
-        raise ValueError(f"{len(data) - pos} trailing bytes after the last scene")
+        version, n_scenes, h, w, d = struct.unpack("<5I", take(20, "header"))
+        if version != _VERSION:
+            raise ValueError(f"unsupported bank version {version}")
+        bank = SceneBank()
+        for _ in range(n_scenes):
+            (id_len,) = struct.unpack("<I", take(4, "scene id length"))
+            sid = str(take(id_len, "scene id"), "utf-8")
+            if sid in bank._scenes:
+                raise ValueError(f"duplicate scene {sid!r}")
+            (frames_seen,) = struct.unpack("<Q", take(8, f"scene {sid!r} frame count"))
+            values = take(8 * h * w * d, f"scene {sid!r} values", lambda: _zero_grid((h, w, d)))
+            counter = take(8 * h * w, f"scene {sid!r} counters",
+                           lambda: np.empty((h, w), dtype=np.int64))
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"scene {sid!r}: memory contains non-finite values")
+            if np.any(counter < 0):
+                raise ValueError(f"scene {sid!r}: negative observation counter")
+            bank._scenes[sid] = _SceneSlot(values, counter, frames_seen)
+    if pos != size:
+        raise ValueError(f"{size - pos} trailing bytes after the last scene")
     return bank

@@ -673,6 +673,59 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["evaluate", "--gt", "{gt}", "--pred", "{labels}", "--out", "{gt}"],
+         "--out must not name an input file (--gt)"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--out", "{out}",
+          "--distance-csv", "{labels}"],
+         "--distance-csv must not name an input file (--gt)"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{preds}", "--out", "{preds}/../preds/p.txt"],
+         "--out must not name an input file (--pred)"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{preds}", "--out", "{linked}"],
+         "--out must not name an input file (--pred)"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--calib", "{calib}",
+          "--out", "{calib}"],
+         "--out must not name an input file (--calib)"),
+        (["bank-sim", "--config", "{config}", "--out", "{config}"],
+         "--out must not name an input file (--config)"),
+        (["bank-sim", "--config", "{config}", "--out", "{out}", "--bank-out", "{config}"],
+         "--bank-out must not name an input file (--config)"),
+        (["simulate", "--config", "{config}", "--out", "{config}"],
+         "--out must not name an input file (--config)"),
+        (["plane", "--calib", "{calib}", "--out", "{calib}"],
+         "--out must not name an input file (--calib)"),
+    ], ids=["evaluate-out-gt", "evaluate-distance-gt", "evaluate-out-in-pred-dir",
+            "evaluate-out-linked-from-pred-dir", "evaluate-out-calib", "bank-sim-out-config", "bank-sim-bank-out-config",
+            "simulate-out-config", "plane-out-calib"])
+    def test_output_naming_an_input_is_refused(self, tmp_path, capsys, argv, message):
+        # Each of these exited 0 and replaced the input it named.
+        calib = tmp_path / "calib.json"
+        calib.write_text(serialize_calibration(rig_from_pose(6.0, 20.0), "s"))
+        gt = tmp_path / "g.txt"
+        gt.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0)]))
+        labels = tmp_path / "labels.txt"
+        labels.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        (preds / "p.txt").write_text(labels.read_text())
+        linked = tmp_path / "linked.txt"
+        linked.write_text(labels.read_text())
+        (preds / "q.txt").symlink_to(linked)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scene": {"n_objects": 3, "image_width": 256,
+                                                "image_height": 128}, "frames": 2}))
+        out = tmp_path / "out"
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        argv = [a.format(calib=calib, gt=gt, labels=labels, preds=preds, linked=linked,
+                         config=config, out=out)
+                for a in argv]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: {message}, got ")
+        assert captured.out == ""
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
     @pytest.mark.parametrize("sweep", [[], ["--sweep"]], ids=["scalar", "sweep"])
     def test_negative_range_rejected(self, capsys, sweep):
         argv = ["sensitivity", "--height", "7", "--range", "-10", "--dh", "0.1", *sweep]
@@ -1376,13 +1429,16 @@ class TestBankSimMemory:
     # 64x96-cell grid, 64 channels of float64 (3 MiB).  Three grids live
     # for the whole run (the plain cues and the two banks' memories); one
     # stream's observation at a time adds a scattered grid and its cues.
-    # tracemalloc sees only the heap grids: the plain cues, the training
-    # memory and a reset's copy.  The scattered grids, the cues and the
-    # inference memory are scene_cue_bank._zero_grid mappings, which it
-    # does not trace.  Seeds 0-2 measured 2.4-2.7 grids (Python 3.11,
-    # numpy 2); with np.zeros grids they measured 4.9-5.4, and 6.8-7.2
-    # while the worker returned a scattered grid and the training cues
-    # outlived the inference grids.
+    # tracemalloc sees only the heap grids: the plain cues and the
+    # training memory, which an augmented camera may make larger than a
+    # plain grid.  The scattered grids, the cues, the inference memory and
+    # CueField.at's results are scene_cue_bank._zero_grid mappings, which
+    # it does not trace.  Seeds 0-2 measured 2.37-2.84 grids (Python 3.11,
+    # numpy 2), as they did while the render's CueField.at result and a
+    # reset's full copy were heap arrays (2.39-2.85); the render's copy
+    # and the reset are not the peak.  With np.zeros grids they measured
+    # 4.9-5.4, and 6.8-7.2 while the worker returned a scattered grid and
+    # the training cues outlived the inference grids.
     MAX_PEAK_GRIDS = 3.5
 
     def test_traced_peak_is_about_five_grids(self, tmp_path):

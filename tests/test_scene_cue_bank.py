@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from roadlift import scene_cue_bank
 from roadlift.scene_cue_bank import (
     MAX_GRID_VALUES,
     MAX_IMAGE_SIDE,
@@ -287,13 +289,16 @@ class TestMomentumUpdate:
             lambda: extract_cues(grid, mask),
             lambda: bank.update_momentum("s", grid, 0.5, mask),
             lambda: bank.update_running_average("s", grid, mask),
+            lambda: bank.reset_scene("s", grid, mask),
         )
         messages = []
         for call in calls:
             with pytest.raises(ValueError) as info:
                 call()
             messages.append(str(info.value))
-        assert messages == ["mask shape (5, 4) does not match grid (4, 5)"] * 3
+        assert messages == ["mask shape (5, 4) does not match grid (4, 5)"] * 4
+        # A refused reset keeps the scene it would have replaced.
+        assert bank.scene_ids() == ["s"]
 
     def test_masked_blend_checks_the_mask_shape(self):
         bank = SceneBank()
@@ -484,6 +489,57 @@ class TestResetScene:
             tracemalloc.stop()
         assert peak - before < grid_bytes / 2
 
+    @staticmethod
+    def _masked_cues(rng, mask, d):
+        """Cues zero off ``mask`` (+0.0) with, at its cells, random rows,
+        some rows all -0.0 and some holding a -0.0 entry."""
+        h, w = mask.cells.shape
+        values = rng.standard_normal((h, w, d))
+        values[rng.random((h, w)) < 0.2] = -0.0
+        values[..., 0][rng.random((h, w)) < 0.2] = -0.0
+        return extract_cues(grid_from(values), mask)
+
+    @staticmethod
+    def _slot_bytes(bank, sid):
+        return (bank.memorized(sid).values.tobytes(), bank.counter(sid).tobytes(),
+                bank.frames_seen(sid))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_masked_reset_equals_full_reset(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        h, w, d = rng.integers(1, 12), rng.integers(1, 12), rng.integers(1, 5)
+        one_cell = np.zeros((h, w), dtype=np.uint8)
+        one_cell[rng.integers(h), rng.integers(w)] = 1
+        for mask in pin_masks(rng, h, w) + [CueMask(one_cell)]:
+            init = self._masked_cues(rng, mask, d)
+            full, masked = SceneBank(), SceneBank()
+            full.reset_scene("s", init)
+            masked.update_running_average("s", random_grid(rng, h, w, d), full_mask(h, w))
+            masked.reset_scene("s", init, mask)
+            assert self._slot_bytes(masked, "s") == self._slot_bytes(full, "s")
+
+    def test_masked_reset_ignores_values_off_the_mask(self):
+        rng = np.random.default_rng(310)
+        mask = CueMask((rng.random((6, 7)) < 0.4).astype(np.uint8))
+        features = random_grid(rng, 6, 7, 3)
+        masked, full = SceneBank(), SceneBank()
+        masked.reset_scene("s", features, mask)
+        full.reset_scene("s", extract_cues(features, mask))
+        assert self._slot_bytes(masked, "s") == self._slot_bytes(full, "s")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_masked_momentum_update_is_the_frames_cues(self, seed):
+        # The first update of an unknown scene copies the whole cue grid,
+        # counts its nonzero support and counts one frame.
+        rng = np.random.default_rng(320 + seed)
+        for mask in pin_masks(rng, 5, 9):
+            cues = self._masked_cues(rng, mask, 4)
+            bank = SceneBank()
+            bank.update_momentum("s", cues, 0.25, mask)
+            want_counter = np.any(cues.values != 0, axis=2).astype(np.int64)
+            assert self._slot_bytes(bank, "s") == (
+                cues.values.tobytes(), want_counter.tobytes(), 1)
+
     def test_nonzero_init_counters_mark_support(self):
         values = np.zeros((2, 3, 2))
         values[0, 1, 0] = 4.0
@@ -563,6 +619,102 @@ class TestSerialization:
             )
             np.testing.assert_array_equal(loaded.counter(sid), bank.counter(sid))
             assert loaded.frames_seen(sid) == bank.frames_seen(sid)
+
+    @staticmethod
+    def _inference_bank(rng):
+        # Sparse masks on a grid of several pages: the memory is a
+        # mapped zero grid that the masks write a few cells of.
+        bank = SceneBank()
+        for _ in range(5):
+            mask = make_mask(rng.uniform(0.0, 8 * 48, (6, 2)) * [1.0, 32 / 48], (32, 48))
+            bank.update_running_average("inference", random_grid(rng, 32, 48, 16), mask)
+        return bank
+
+    @staticmethod
+    def _momentum_bank(rng):
+        # A reset from cues holding -0.0 rows, then masked blends, which
+        # keep -0.0 off their masks.
+        values = rng.standard_normal((6, 7, 3))
+        values[rng.random((6, 7)) < 0.3] = -0.0
+        bank = SceneBank()
+        bank.reset_scene("momentum", grid_from(values))
+        for _ in range(3):
+            mask = CueMask((rng.random((6, 7)) < 0.3).astype(np.uint8))
+            bank.update_momentum("momentum", extract_cues(random_grid(rng, 6, 7, 3), mask),
+                                 0.1, mask)
+        return bank
+
+    @staticmethod
+    def _two_scene_bank(rng):
+        bank = SceneBank()
+        for sid in ("zeta", "alpha"):
+            for _ in range(2):
+                mask = CueMask((rng.random((3, 4)) < 0.5).astype(np.uint8))
+                bank.update_running_average(sid, random_grid(rng, 3, 4, 2), mask)
+        return bank
+
+    @pytest.mark.parametrize("build", ["_inference_bank", "_momentum_bank", "_two_scene_bank"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, build):
+        bank = getattr(self, build)(np.random.default_rng(330))
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save_bank(bank, first)
+        loaded = load_bank(first)
+        save_bank(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert sorted(loaded.scene_ids()) == sorted(bank.scene_ids())
+        for sid in bank.scene_ids():
+            values = loaded.memorized(sid).values
+            assert values.dtype == np.float64 and values.flags.c_contiguous
+            assert values.tobytes() == bank.memorized(sid).values.tobytes()
+            assert loaded.counter(sid).dtype == np.int64
+            assert loaded.counter(sid).tobytes() == bank.counter(sid).tobytes()
+            assert loaded.frames_seen(sid) == bank.frames_seen(sid)
+        if build == "_momentum_bank":
+            values = loaded.memorized("momentum").values
+            assert ((values == 0.0) & np.signbit(values)).any()
+
+    def test_big_endian_host_swaps_the_little_endian_file(self, tmp_path, monkeypatch):
+        # On a big-endian host the bytes read into a native array are
+        # swapped in place; here the swap shows as a byte-reversed value.
+        # Dyadic values, whose swapped bytes are still finite.
+        bank = SceneBank()
+        bank.update_running_average("s", grid_from([[[1.5, -2.0], [0.25, 3.0]]]), full_mask(1, 2))
+        path = tmp_path / "bank.bin"
+        save_bank(bank, path)
+        monkeypatch.setattr(scene_cue_bank, "sys", types.SimpleNamespace(byteorder="big"))
+        loaded = load_bank(path)
+        assert loaded.memorized("s").values.tobytes() == np.array(
+            [[[1.5, -2.0], [0.25, 3.0]]], dtype=">f8").tobytes()
+        assert loaded.counter("s").tobytes() == np.ones((1, 2), dtype=">i8").tobytes()
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda raw: raw[:3], "not a scene bank file (bad magic)"),
+        (lambda raw: raw[:10], "truncated bank file: header needs 20 bytes at offset 4"),
+        (lambda raw: raw[:27], "truncated bank file: scene id length needs 4 bytes at offset 24"),
+        (lambda raw: raw[:33],
+         "truncated bank file: scene 'a' frame count needs 8 bytes at offset 29"),
+        (lambda raw: raw[:40], "truncated bank file: scene 'a' values needs 16 bytes at offset 37"),
+        (lambda raw: raw[:-4], "truncated bank file: scene 'b' counters needs 8 bytes at offset 90"),
+        (lambda raw: raw + b"\x00" * 9, "9 trailing bytes after the last scene"),
+        (lambda raw: raw[:37] + struct.pack("<d", np.nan) + raw[45:],
+         "scene 'a': memory contains non-finite values"),
+        (lambda raw: raw[:-8] + struct.pack("<q", -1), "scene 'b': negative observation counter"),
+        (lambda raw: raw[:65] + b"a" + raw[66:], "duplicate scene 'a'"),
+        (lambda raw: raw[:24] + struct.pack("<I", 2**32 - 1) + raw[28:],
+         "truncated bank file: scene id needs 4294967295 bytes at offset 28"),
+    ], ids=["magic", "header", "id-length", "frames", "values", "counters", "trailing", "nan",
+            "negative", "duplicate", "huge-id"])
+    def test_malformed_file_messages_are_pinned(self, tmp_path, corrupt, message):
+        # The whole message, as the whole-file reader gave it.
+        bank = SceneBank()
+        for sid in ("a", "b"):
+            bank.update_running_average(sid, grid_from([[[1.5, -2.0]]]), full_mask(1, 1))
+        path = tmp_path / "bank.bin"
+        save_bank(bank, path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ValueError) as info:
+            load_bank(path)
+        assert str(info.value) == message
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
