@@ -113,23 +113,10 @@ def _check_distinct_outputs(args) -> None:
     directory input its ``*.txt`` label files), which the write would
     replace.  Paths are compared resolved (``os.path.realpath``, which
     is what ``Path.resolve`` returns, but without raising on a symlink
-    loop).  A directory is resolved once: a label file in it that is
-    not a symlink resolves to the directory's path joined with its
-    name, so only symlinks are resolved one by one (an ``evaluate`` of
-    400 frames per side would otherwise resolve 800 paths)."""
-    inputs = {}
-    for flag in ("--config", "--calib", "--gt", "--pred"):
-        path = getattr(args, flag[2:], None)
-        if not path:
-            continue
-        real = os.path.realpath(path)
-        files = [real]
-        if os.path.isdir(real):
-            with os.scandir(real) as entries:
-                files = [os.path.realpath(e.path) if e.is_symlink() else e.path
-                         for e in entries if e.name.endswith(".txt")]
-        for f in files:
-            inputs.setdefault(f, flag)
+    loop).  Inputs are looked up only for outputs that exist already,
+    since no other can be a file the command reads, and a directory is
+    resolved once: a label file in it that is not a symlink resolves to
+    the directory's path joined with its name."""
     outputs = {}
     for flag in ("--out", "--bank-out", "--distance-csv"):
         path = getattr(args, flag[2:].replace("-", "_"), None)
@@ -138,11 +125,23 @@ def _check_distinct_outputs(args) -> None:
         real = os.path.realpath(path)
         if real in outputs:
             raise ValueError(
-                f"{outputs[real]} and {flag} must name different files, got {path} for both"
+                f"{outputs[real][0]} and {flag} must name different files, got {path} for both"
             )
-        if real in inputs:
-            raise ValueError(f"{flag} must not name an input file ({inputs[real]}), got {path}")
-        outputs[real] = flag
+        outputs[real] = flag, path
+    existing = {real: named for real, named in outputs.items() if os.path.exists(real)}
+    for in_flag in ("--config", "--calib", "--gt", "--pred"):
+        path = getattr(args, in_flag[2:], None)
+        if not (path and existing):
+            continue
+        files = [os.path.realpath(path)]
+        if os.path.isdir(files[0]):
+            with os.scandir(files[0]) as entries:
+                files = [os.path.realpath(e.path) if e.is_symlink() else e.path
+                         for e in entries if e.name.endswith(".txt")]
+        for f in files:
+            if f in existing:
+                flag, named = existing[f]
+                raise ValueError(f"{flag} must not name an input file ({in_flag}), got {named}")
 
 
 def _check_frames(n_frames: int) -> None:
