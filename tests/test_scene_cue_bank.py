@@ -687,24 +687,38 @@ class TestSerialization:
             [[[1.5, -2.0], [0.25, 3.0]]], dtype=">f8").tobytes()
         assert loaded.counter("s").tobytes() == np.ones((1, 2), dtype=">i8").tobytes()
 
-    @pytest.mark.parametrize("corrupt,message", [
-        (lambda raw: raw[:3], "not a scene bank file (bad magic)"),
-        (lambda raw: raw[:10], "truncated bank file: header needs 20 bytes at offset 4"),
-        (lambda raw: raw[:27], "truncated bank file: scene id length needs 4 bytes at offset 24"),
-        (lambda raw: raw[:33],
-         "truncated bank file: scene 'a' frame count needs 8 bytes at offset 29"),
-        (lambda raw: raw[:40], "truncated bank file: scene 'a' values needs 16 bytes at offset 37"),
-        (lambda raw: raw[:-4], "truncated bank file: scene 'b' counters needs 8 bytes at offset 90"),
-        (lambda raw: raw + b"\x00" * 9, "9 trailing bytes after the last scene"),
-        (lambda raw: raw[:37] + struct.pack("<d", np.nan) + raw[45:],
-         "scene 'a': memory contains non-finite values"),
-        (lambda raw: raw[:-8] + struct.pack("<q", -1), "scene 'b': negative observation counter"),
-        (lambda raw: raw[:65] + b"a" + raw[66:], "duplicate scene 'a'"),
-        (lambda raw: raw[:24] + struct.pack("<I", 2**32 - 1) + raw[28:],
-         "truncated bank file: scene id needs 4294967295 bytes at offset 28"),
-    ], ids=["magic", "header", "id-length", "frames", "values", "counters", "trailing", "nan",
-            "negative", "duplicate", "huge-id"])
-    def test_malformed_file_messages_are_pinned(self, tmp_path, corrupt, message):
+    def test_bad_magic_rejected(self, tmp_path):
+        path = tmp_path / "junk.bin"
+        path.write_bytes(b"NOPE" + b"\x00" * 40)
+        with pytest.raises(ValueError, match="magic"):
+            load_bank(path)
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda raw: raw[:10], "truncated bank file: header needs 20 bytes at offset 4"),
+            (lambda raw: raw[:33],
+             "truncated bank file: scene 'a' frame count needs 8 bytes at offset 29"),
+            (lambda raw: raw[:-4],
+             "truncated bank file: scene 'b' counters needs 8 bytes at offset 90"),
+            (lambda raw: raw + b"\x00", "1 trailing bytes after the last scene"),
+            (lambda raw: raw[:37] + struct.pack("<d", np.nan) + raw[45:],
+             "scene 'a': memory contains non-finite values"),
+            (lambda raw: raw[:-8] + struct.pack("<q", -1),
+             "scene 'b': negative observation counter"),
+            (lambda raw: raw[:65] + b"a" + raw[66:], "duplicate scene 'a'"),
+            (lambda raw: raw[:3], "not a scene bank file (bad magic)"),
+            (lambda raw: raw[:27],
+             "truncated bank file: scene id length needs 4 bytes at offset 24"),
+            (lambda raw: raw[:40],
+             "truncated bank file: scene 'a' values needs 16 bytes at offset 37"),
+            (lambda raw: raw[:24] + struct.pack("<I", 2**32 - 1) + raw[28:],
+             "truncated bank file: scene id needs 4294967295 bytes at offset 28"),
+        ],
+        ids=["short-header", "short-frames", "short-counters", "trailing", "nan", "negative",
+             "duplicate", "short-magic", "short-id-length", "short-values", "huge-id-length"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, corrupt, message):
         # The whole message, as the whole-file reader gave it.
         bank = SceneBank()
         for sid in ("a", "b"):
@@ -715,36 +729,6 @@ class TestSerialization:
         with pytest.raises(ValueError) as info:
             load_bank(path)
         assert str(info.value) == message
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(ValueError, match="magic"):
-            load_bank(path)
-
-    @pytest.mark.parametrize(
-        "corrupt,message",
-        [
-            (lambda raw: raw[:10], "truncated bank file: header"),
-            (lambda raw: raw[:33], "truncated bank file: scene 'a' frame count"),
-            (lambda raw: raw[:-4], "truncated bank file: scene 'b' counters"),
-            (lambda raw: raw + b"\x00", "1 trailing bytes"),
-            (lambda raw: raw[:37] + struct.pack("<d", np.nan) + raw[45:], "non-finite"),
-            (lambda raw: raw[:-8] + struct.pack("<q", -1), "negative"),
-            (lambda raw: raw[:65] + b"a" + raw[66:], "duplicate scene 'a'"),
-        ],
-        ids=["short-header", "short-frames", "short-counters", "trailing", "nan", "negative",
-             "duplicate"],
-    )
-    def test_malformed_file_rejected(self, tmp_path, corrupt, message):
-        bank = SceneBank()
-        for sid in ("a", "b"):
-            bank.update_running_average(sid, grid_from([[[1.5, -2.0]]]), full_mask(1, 1))
-        path = tmp_path / "bank.bin"
-        save_bank(bank, path)
-        path.write_bytes(corrupt(path.read_bytes()))
-        with pytest.raises(ValueError, match=message):
-            load_bank(path)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
