@@ -346,15 +346,14 @@ def cmd_bank_sim(args) -> int:
     stream's grids are built just before its bank update and dropped
     right after it, so the two streams' observation grids are never
     alive together and the worker holds none.  Those grids, the
-    inference bank's memory and the render's full-grid ``CueField.at``
-    result are ``scene_cue_bank._zero_grid`` arrays: each maps its own
-    private zero pages, and only the pages written (at masked cells,
-    for all but the render) become resident, even where a full read
-    such as ``save_bank``'s follows.  ``np.zeros`` would, once glibc
-    serves grid-sized blocks from its heap, memset every page and keep
-    freed pages resident; the price is one mapping per grid and one
-    page at least.  A reset passes the frame's mask, so it reads only
-    the masked rows of its cues."""
+    inference bank's memory and ``CueField.at``'s results (the render's
+    full grid among them) are ``scene_cue_bank.zero_grid`` arrays: each
+    maps its own private zero pages, and only the pages written (at
+    masked cells, for all but the render) become resident, even where a
+    full read such as ``save_bank``'s follows.  ``np.zeros`` would, once
+    glibc serves grid-sized blocks from its heap, memset every page and
+    keep freed pages resident; the price is one mapping per grid and one
+    page at least."""
     # --seed is the one scheduler seed: the scheduler block has no seed key.
     scheduler_like = {k: v for k, v in vars(SchedulerConfig(tau=20)).items() if k != "seed"}
     like = {"scene": SceneConfig(), "frames": 60, "momentum": 0.1, "channels": 4,
@@ -430,7 +429,7 @@ def cmd_bank_sim(args) -> int:
                 _scattered_grid(_observe(truth, cells, sigma, rng), cells, aug_cues.shape), mask
             )
             if did_reset:
-                bank_train.reset_scene(sid, cues, mask)
+                bank_train.reset_scene(sid, cues)
             else:
                 bank_train.update_momentum(sid, cues, momentum, mask)
             # Each stream's grids go as soon as its bank has read them:

@@ -76,7 +76,7 @@ def _frozen_grid(values: np.ndarray) -> FeatureGrid:
     return grid
 
 
-def _zero_grid(shape) -> np.ndarray:
+def zero_grid(shape) -> np.ndarray:
     """A writable C-order float64 array of +0.0 in ``shape``, backed by
     its own private anonymous ``mmap`` (``ACCESS_COPY``).  The OS
     zero-fills a page when it is first written, so only written pages
@@ -98,11 +98,11 @@ def _zero_grid(shape) -> np.ndarray:
 def _scattered_grid(values: np.ndarray, cells: np.ndarray, shape) -> FeatureGrid:
     """A read-only grid of ``shape`` that holds ``values`` (one row of
     channels per flat row-major cell in ``cells``) and +0.0 elsewhere.
-    The grid comes from ``_zero_grid``, so only the pages written at
+    The grid comes from ``zero_grid``, so only the pages written at
     ``cells`` become resident (a masked cue grid writes a few hundred
     cells of tens of thousands), whatever later reads the grid, at the
     cost of one mapping per grid."""
-    grid = _zero_grid(shape)
+    grid = zero_grid(shape)
     grid.reshape(-1, shape[2])[cells] = values
     return _frozen_grid(grid)
 
@@ -245,34 +245,17 @@ class SceneBank:
     def frames_seen(self, scene_id: str) -> int:
         return self._scenes[scene_id].frames_seen
 
-    def reset_scene(self, scene_id: str, init: FeatureGrid, mask: CueMask | None = None) -> None:
+    def reset_scene(self, scene_id: str, init: FeatureGrid) -> None:
         """Replace the scene's memory with ``init``; counters become the
         indicator of init's per-pixel nonzero support; frame count 0.
         The old slot is dropped before ``init`` is copied, so a reset
-        never holds two memories of the scene.
-
-        Given the ``mask`` that ``init``'s cues came through (as for
-        ``update_momentum``), only its cells of ``init`` are read: the
-        memory is +0.0 elsewhere and a counter is 1 where the cell's row
-        holds a nonzero value.  For cues from ``extract_cues`` that is the
-        full copy byte for byte; values off the mask are ignored.  The
-        reset then reads and writes the masked rows only, not a full-grid
-        copy and support scan, and the new memory is resident only where
-        they were written until the next blend scales every cell."""
-        if mask is not None:
-            _check_mask_shape(mask, init)
+        never holds two memories of the scene."""
         self._scenes.pop(scene_id, None)
-        if mask is None:
-            memorized = np.array(init.values)
-            counter = np.any(init.values != 0, axis=2).astype(np.int64)
-        else:
-            sel = np.nonzero(mask.cells)
-            rows = init.values[sel]
-            memorized = np.zeros(init.values.shape)
-            memorized[sel] = rows
-            counter = np.zeros(init.values.shape[:2], dtype=np.int64)
-            counter[sel] = np.any(rows != 0, axis=1)
-        self._scenes[scene_id] = _SceneSlot(memorized, counter, frames_seen=0)
+        self._scenes[scene_id] = _SceneSlot(
+            memorized=np.array(init.values),
+            counter=np.any(init.values != 0, axis=2).astype(np.int64),
+            frames_seen=0,
+        )
 
     def _slot_for_update(self, scene_id: str, cues: FeatureGrid) -> _SceneSlot:
         slot = self._scenes.get(scene_id)
@@ -294,8 +277,7 @@ class SceneBank:
         momentum*cues is added at the masked cells, with no full-grid
         temporary.  Off-mask cells then skip adding a +0.0 cue, which
         changes only a -0.0 product, left as -0.0.  The first update of
-        an unknown scene initializes the memory to that frame's cues,
-        through ``reset_scene`` with the same mask.
+        an unknown scene initializes the memory to that frame's cues.
         """
         if not 0.0 <= momentum <= 1.0:
             raise ValueError(f"momentum must lie in [0, 1], got {momentum}")
@@ -303,12 +285,12 @@ class SceneBank:
             _check_mask_shape(mask, cues)
         slot = self._slot_for_update(scene_id, cues)
         if slot is None:
-            self.reset_scene(scene_id, cues, mask)
+            self.reset_scene(scene_id, cues)
             self._scenes[scene_id].frames_seen = 1
             return
         # In place, same operations as (1-m)*memory + m*cues; every slot
-        # owns its array (reset_scene and load_bank copy).  Without a mask
-        # the selection is every cell.
+        # owns its array (reset_scene copies, load_bank reads into a new
+        # one).  Without a mask the selection is every cell.
         sel = ... if mask is None else np.nonzero(mask.cells)
         slot.memorized *= 1.0 - momentum
         slot.memorized[sel] += momentum * cues.values[sel]
@@ -321,7 +303,7 @@ class SceneBank:
         and fold the cue in as a running mean
         ((N-1)/N)*memory + cue/N.  Off-mask cells and counters are
         untouched.  Unknown scenes start from zero memory and counters;
-        that memory comes from ``_zero_grid``, so only the pages of
+        that memory comes from ``zero_grid``, so only the pages of
         cells some mask has written become resident, even once
         ``save_bank`` has read it whole (``np.zeros`` may memset every
         page), at the cost of one mapping.
@@ -330,7 +312,7 @@ class SceneBank:
         slot = self._slot_for_update(scene_id, cues)
         if slot is None:
             slot = _SceneSlot(
-                memorized=_zero_grid(cues.values.shape),
+                memorized=zero_grid(cues.values.shape),
                 counter=np.zeros(cues.values.shape[:2], dtype=np.int64),
             )
             self._scenes[scene_id] = slot
@@ -368,7 +350,7 @@ def load_bank(path) -> SceneBank:
     Each field is read only once the file size shows it is all there,
     and each scene's values and counters are read straight into the
     arrays the bank keeps (``readinto``): the file's bytes are never
-    held as a second copy.  The values go into a ``_zero_grid``, so
+    held as a second copy.  The values go into a ``zero_grid``, so
     they go back to the OS when the bank is freed.  The file holds
     little-endian ``<f8`` and ``<i8``; on a big-endian host both arrays
     are byteswapped in place after the read."""
@@ -402,7 +384,7 @@ def load_bank(path) -> SceneBank:
             if sid in bank._scenes:
                 raise ValueError(f"duplicate scene {sid!r}")
             (frames_seen,) = struct.unpack("<Q", take(8, f"scene {sid!r} frame count"))
-            values = take(8 * h * w * d, f"scene {sid!r} values", lambda: _zero_grid((h, w, d)))
+            values = take(8 * h * w * d, f"scene {sid!r} values", lambda: zero_grid((h, w, d)))
             counter = take(8 * h * w, f"scene {sid!r} counters",
                            lambda: np.empty((h, w), dtype=np.int64))
             if not np.all(np.isfinite(values)):

@@ -37,11 +37,11 @@ from .camera_geometry import (
 from .scene_cue_bank import (
     CELL_BLOCK,
     FeatureGrid,
-    _zero_grid,
     bank_memory_elements,
     cell_centers,
     check_channels,
     grid_dims_for_image,
+    zero_grid,
 )
 
 # Salt values keeping the generation / simulation / cue-noise streams apart.
@@ -552,15 +552,17 @@ class CueField:
         """Every channel at the given flat (row-major) cell indices, as a
         new (len(cells), channels) array.  Each value is computed by the
         same operations in the same order whichever cells are asked for,
-        so it does not depend on the set.  The array is a ``_zero_grid``
+        so it does not depend on the set.  The array is a ``zero_grid``
         mapping: ``render_cue_grid``'s full-grid result, which
         ``FeatureGrid`` copies and drops, then goes back to the OS instead
-        of staying resident on the allocator's heap."""
+        of staying resident on the allocator's heap.  A small call pays
+        the mapping and its page faults too (about 50 us for 300 cells
+        of 64 channels, against 6 us from the heap)."""
         h_cells, w_cells, channels = self.shape
         cells = np.asarray(cells, dtype=np.intp).reshape(-1)
         if cells.size and not (0 <= cells.min() and cells.max() < h_cells * w_cells):
             raise ValueError(f"cell index out of range for a {h_cells}x{w_cells} grid")
-        out = _zero_grid((cells.size, channels))
+        out = zero_grid((cells.size, channels))
         out[:, 0] = self._height[cells]
         for lo in range(0, cells.size, CELL_BLOCK):
             block = cells[lo : lo + CELL_BLOCK]

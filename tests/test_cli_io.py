@@ -679,9 +679,9 @@ class TestCli:
         (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--out", "{out}",
           "--distance-csv", "{labels}"],
          "--distance-csv must not name an input file (--gt)"),
-        (["evaluate", "--gt", "{labels}", "--pred", "{preds}", "--out", "{preds}/../preds/p.txt"],
+        (["evaluate", "--gt", "{truth}", "--pred", "{preds}", "--out", "{preds}/../preds/p.txt"],
          "--out must not name an input file (--pred)"),
-        (["evaluate", "--gt", "{labels}", "--pred", "{preds}", "--out", "{linked}"],
+        (["evaluate", "--gt", "{truth}", "--pred", "{preds}", "--out", "{linked}"],
          "--out must not name an input file (--pred)"),
         (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--calib", "{calib}",
           "--out", "{calib}"],
@@ -695,29 +695,35 @@ class TestCli:
         (["plane", "--calib", "{calib}", "--out", "{calib}"],
          "--out must not name an input file (--calib)"),
     ], ids=["evaluate-out-gt", "evaluate-distance-gt", "evaluate-out-in-pred-dir",
-            "evaluate-out-linked-from-pred-dir", "evaluate-out-calib", "bank-sim-out-config", "bank-sim-bank-out-config",
-            "simulate-out-config", "plane-out-calib"])
+            "evaluate-out-linked-from-pred-dir", "evaluate-out-calib", "bank-sim-out-config",
+            "bank-sim-bank-out-config", "simulate-out-config", "plane-out-calib"])
     def test_output_naming_an_input_is_refused(self, tmp_path, capsys, argv, message):
-        # Each of these exited 0 and replaced the input it named.
+        # Without the check, each of these but simulate-out-config exited
+        # 0 and replaced the input it named.  simulate-out-config failed
+        # already, on an OS error once it made the --out directory's
+        # subdirectory; the check refuses it first, with a clear message.
         calib = tmp_path / "calib.json"
         calib.write_text(serialize_calibration(rig_from_pose(6.0, 20.0), "s"))
         gt = tmp_path / "g.txt"
         gt.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0)]))
         labels = tmp_path / "labels.txt"
         labels.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
-        preds = tmp_path / "preds"
+        truth, preds = tmp_path / "truth", tmp_path / "preds"
+        truth.mkdir()
         preds.mkdir()
+        for name in ("p.txt", "q.txt"):
+            (truth / name).write_text(gt.read_text())
         (preds / "p.txt").write_text(labels.read_text())
         linked = tmp_path / "linked.txt"
         linked.write_text(labels.read_text())
         (preds / "q.txt").symlink_to(linked)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"scene": {"n_objects": 3, "image_width": 256,
-                                                "image_height": 128}, "frames": 2}))
+        config.write_text(json.dumps({"scene": {"n_objects": 2, "image_width": 512,
+                                                "image_height": 256}, "frames": 2}))
         out = tmp_path / "out"
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        argv = [a.format(calib=calib, gt=gt, labels=labels, preds=preds, linked=linked,
-                         config=config, out=out)
+        argv = [a.format(calib=calib, gt=gt, labels=labels, truth=truth, preds=preds,
+                         linked=linked, config=config, out=out)
                 for a in argv]
         assert run_command(argv) == 1
         captured = capsys.readouterr()
@@ -1432,7 +1438,7 @@ class TestBankSimMemory:
     # tracemalloc sees only the heap grids: the plain cues and the
     # training memory, which an augmented camera may make larger than a
     # plain grid.  The scattered grids, the cues, the inference memory and
-    # CueField.at's results are scene_cue_bank._zero_grid mappings, which
+    # CueField.at's results are scene_cue_bank.zero_grid mappings, which
     # it does not trace.  Seeds 0-2 measured 2.37-2.84 grids (Python 3.11,
     # numpy 2), as they did while the render's CueField.at result and a
     # reset's full copy were heap arrays (2.39-2.85); the render's copy

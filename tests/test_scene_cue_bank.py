@@ -289,16 +289,13 @@ class TestMomentumUpdate:
             lambda: extract_cues(grid, mask),
             lambda: bank.update_momentum("s", grid, 0.5, mask),
             lambda: bank.update_running_average("s", grid, mask),
-            lambda: bank.reset_scene("s", grid, mask),
         )
         messages = []
         for call in calls:
             with pytest.raises(ValueError) as info:
                 call()
             messages.append(str(info.value))
-        assert messages == ["mask shape (5, 4) does not match grid (4, 5)"] * 4
-        # A refused reset keeps the scene it would have replaced.
-        assert bank.scene_ids() == ["s"]
+        assert messages == ["mask shape (5, 4) does not match grid (4, 5)"] * 3
 
     def test_masked_blend_checks_the_mask_shape(self):
         bank = SceneBank()
@@ -488,57 +485,6 @@ class TestResetScene:
         finally:
             tracemalloc.stop()
         assert peak - before < grid_bytes / 2
-
-    @staticmethod
-    def _masked_cues(rng, mask, d):
-        """Cues zero off ``mask`` (+0.0) with, at its cells, random rows,
-        some rows all -0.0 and some holding a -0.0 entry."""
-        h, w = mask.cells.shape
-        values = rng.standard_normal((h, w, d))
-        values[rng.random((h, w)) < 0.2] = -0.0
-        values[..., 0][rng.random((h, w)) < 0.2] = -0.0
-        return extract_cues(grid_from(values), mask)
-
-    @staticmethod
-    def _slot_bytes(bank, sid):
-        return (bank.memorized(sid).values.tobytes(), bank.counter(sid).tobytes(),
-                bank.frames_seen(sid))
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_masked_reset_equals_full_reset(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        h, w, d = rng.integers(1, 12), rng.integers(1, 12), rng.integers(1, 5)
-        one_cell = np.zeros((h, w), dtype=np.uint8)
-        one_cell[rng.integers(h), rng.integers(w)] = 1
-        for mask in pin_masks(rng, h, w) + [CueMask(one_cell)]:
-            init = self._masked_cues(rng, mask, d)
-            full, masked = SceneBank(), SceneBank()
-            full.reset_scene("s", init)
-            masked.update_running_average("s", random_grid(rng, h, w, d), full_mask(h, w))
-            masked.reset_scene("s", init, mask)
-            assert self._slot_bytes(masked, "s") == self._slot_bytes(full, "s")
-
-    def test_masked_reset_ignores_values_off_the_mask(self):
-        rng = np.random.default_rng(310)
-        mask = CueMask((rng.random((6, 7)) < 0.4).astype(np.uint8))
-        features = random_grid(rng, 6, 7, 3)
-        masked, full = SceneBank(), SceneBank()
-        masked.reset_scene("s", features, mask)
-        full.reset_scene("s", extract_cues(features, mask))
-        assert self._slot_bytes(masked, "s") == self._slot_bytes(full, "s")
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_first_masked_momentum_update_is_the_frames_cues(self, seed):
-        # The first update of an unknown scene copies the whole cue grid,
-        # counts its nonzero support and counts one frame.
-        rng = np.random.default_rng(320 + seed)
-        for mask in pin_masks(rng, 5, 9):
-            cues = self._masked_cues(rng, mask, 4)
-            bank = SceneBank()
-            bank.update_momentum("s", cues, 0.25, mask)
-            want_counter = np.any(cues.values != 0, axis=2).astype(np.int64)
-            assert self._slot_bytes(bank, "s") == (
-                cues.values.tobytes(), want_counter.tobytes(), 1)
 
     def test_nonzero_init_counters_mark_support(self):
         values = np.zeros((2, 3, 2))
