@@ -249,10 +249,15 @@ class SceneBank:
         """Replace the scene's memory with ``init``; counters become the
         indicator of init's per-pixel nonzero support; frame count 0.
         The old slot is dropped before ``init`` is copied, so a reset
-        never holds two memories of the scene."""
+        never holds two memories of the scene.  The copy goes into a
+        ``zero_grid``, so a memory the next reset drops goes back to the
+        OS; from glibc's heap a freed block of its size may stay
+        resident and add to the next one."""
         self._scenes.pop(scene_id, None)
+        memorized = zero_grid(init.values.shape)
+        memorized[...] = init.values
         self._scenes[scene_id] = _SceneSlot(
-            memorized=np.array(init.values),
+            memorized=memorized,
             counter=np.any(init.values != 0, axis=2).astype(np.int64),
             frames_seen=0,
         )

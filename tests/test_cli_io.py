@@ -1435,17 +1435,15 @@ class TestBankSimMemory:
     # 64x96-cell grid, 64 channels of float64 (3 MiB).  Three grids live
     # for the whole run (the plain cues and the two banks' memories); one
     # stream's observation at a time adds a scattered grid and its cues.
-    # tracemalloc sees only the heap grids: the plain cues and the
-    # training memory, which an augmented camera may make larger than a
-    # plain grid.  The scattered grids, the cues, the inference memory and
-    # CueField.at's results are scene_cue_bank.zero_grid mappings, which
-    # it does not trace.  Seeds 0-2 measured 2.37-2.84 grids (Python 3.11,
-    # numpy 2), as they did while the render's CueField.at result and a
-    # reset's full copy were heap arrays (2.39-2.85); the render's copy
-    # and the reset are not the peak.  With np.zeros grids they measured
-    # 4.9-5.4, and 6.8-7.2 while the worker returned a scattered grid and
-    # the training cues outlived the inference grids.
-    MAX_PEAK_GRIDS = 3.5
+    # tracemalloc sees only the heap grids, of which the plain cues are
+    # the largest.  The scattered grids, the cues, both banks' memories
+    # and CueField.at's results are scene_cue_bank.zero_grid mappings,
+    # which it does not trace.  Seeds 0-2 measured 1.38-2.03 grids
+    # (Python 3.11, numpy 2); 2.25-2.84 while a reset copied the training
+    # memory onto the heap, 4.9-5.4 with np.zeros grids, and 6.8-7.2
+    # while the worker returned a scattered grid and the training cues
+    # outlived the inference grids.
+    MAX_PEAK_GRIDS = 2.5
 
     def test_traced_peak_is_about_five_grids(self, tmp_path):
         # tau 2 over 3 frames: a first update, a reset and a momentum blend.
