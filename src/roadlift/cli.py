@@ -345,11 +345,11 @@ def cmd_bank_sim(args) -> int:
     frame order, so the outputs do not depend on thread timing.  Each
     stream's grids are built just before its bank update and dropped
     right after it, so the two streams' observation grids are never
-    alive together and the worker holds none.  Those grids, the
-    inference bank's memory and ``CueField.at``'s results (the render's
-    full grid among them) are ``scene_cue_bank.zero_grid`` arrays: each
-    maps its own private zero pages, and only the pages written (at
-    masked cells, for all but the render) become resident, even where a
+    alive together and the worker holds none.  Those grids, both banks'
+    memories and ``CueField.at``'s results (the render's full grid among
+    them) are ``scene_cue_bank.zero_grid`` arrays: each maps its own
+    private zero pages, and only the pages written (at masked cells, for
+    all but the render and a reset's copy) become resident, even where a
     full read such as ``save_bank``'s follows.  ``np.zeros`` would, once
     glibc serves grid-sized blocks from its heap, memset every page and
     keep freed pages resident; the price is one mapping per grid and one
