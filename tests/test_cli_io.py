@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -404,6 +405,17 @@ def pinned_label_texts(draw):
     return "".join(out)
 
 
+# One line of each kind the reader refuses, by the check that refuses it.
+_BAD_LABEL_LINES = {
+    "car 1 2": "field-count",
+    "car 1_0 2 0.3 4 2 1.5 0.4": "underscore",
+    "car one 2 0.3 4 2 1.5 0.4": "non-numeric",
+    "car 1 2 0.3 4 2 1.5 nan": "nan",
+    "car 1 2 0.3 -4 2 1.5 0.4": "non-positive-size",
+    "car 1 2 0.3 4 2 1.5 0.4 1.5": "score-above-one",
+}
+
+
 class TestLabelReaderPinned:
     """The array reader against the line-by-line reader it replaced."""
 
@@ -421,6 +433,17 @@ class TestLabelReaderPinned:
             assert str(got.value) == str(exc)
             return
         assert list(parse_labels(text)) == want
+
+    @pytest.mark.parametrize("first,second", itertools.permutations(_BAD_LABEL_LINES, 2),
+                             ids=lambda line: _BAD_LABEL_LINES[line])
+    def test_first_bad_line_raises(self, first, second):
+        text = f"car 1 2 0.3 4 2 1.5 0.4\n{first}\n{second}\n"
+        with pytest.raises(FormatError) as want:
+            _reference_parse_labels(text)
+        assert str(want.value).startswith("line 2: ")
+        with pytest.raises(FormatError) as got:
+            parse_labels(text)
+        assert str(got.value) == str(want.value)
 
     @settings(max_examples=200, deadline=None)
     @given(thetas=st.lists(
