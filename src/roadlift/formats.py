@@ -34,7 +34,6 @@ from .camera_geometry import (
     CameraRig,
     LabelFrame,
     RigidTransform,
-    wrap_angle,
 )
 from .scene_cue_bank import MAX_IMAGE_SIDE
 
@@ -201,72 +200,44 @@ def serialize_calibration(rig: CameraRig, scene_id: str = "scene-0") -> str:
 
 def parse_labels(text: str) -> LabelFrame:
     """Parse a label file into one ``LabelFrame``; errors carry the line
-    number.  Every line's numbers are read with ``float``, then checked
-    as one array; only a failed check goes back to the lines, to name
-    the first bad one, so the first error is the one a line-by-line
-    reader would raise.  A number is ASCII without '_': ``float`` alone
+    number.  Each line is checked as it is read, so the first bad line
+    is the one named.  A number is ASCII without '_': ``float`` alone
     would also read ``1_0`` as 10 and the Arabic-Indic ``٣`` as 3."""
-    categories, values, unscored, linenos = [], [], [], []
+    categories, values = [], []
     # Only such a file can hold a number float reads beyond that syntax.
     odd_syntax = "_" in text or not text.isascii()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
-        if not fields or fields[0].startswith("#"):
+        if not fields or fields[0][0] == "#":
             continue
         if len(fields) not in (8, 9):
-            _label_table(values, unscored, linenos)  # an earlier line's error comes first
             raise FormatError(f"line {lineno}: expected 8 or 9 fields, got {len(fields)}")
         if odd_syntax and not all(f.isascii() and "_" not in f for f in fields[1:]):
-            _label_table(values, unscored, linenos)
             raise FormatError(f"line {lineno}: numbers must be ASCII without '_'")
         try:
-            values.extend(map(float, fields[1:]))
+            numbers = list(map(float, fields[1:]))
         except ValueError as exc:
-            del values[8 * len(linenos):]  # this line's numbers before the bad one
-            _label_table(values, unscored, linenos)
             raise FormatError(f"line {lineno}: non-numeric field ({exc})") from exc
-        if len(fields) == 8:
-            unscored.append(len(linenos))
-            values.append(math.nan)
-        categories.append(fields[0])
-        linenos.append(lineno)
-    table = _label_table(values, unscored, linenos)
-    theta = table[:, 6]
-    # Box3D's wrap leaves |theta| < pi untouched; the rest, -pi included,
-    # take its scalar formula.
-    for i in np.flatnonzero(~(np.abs(theta) < math.pi)).tolist():
-        theta[i] = wrap_angle(theta[i])
-    return LabelFrame(table[:, :7], categories, table[:, 7])
-
-
-# Open bounds on each label column (x, y, z, l, w, h, theta, score):
-# every number finite, l/w/h positive, and the score in [0, 1], whose
-# open bounds are the doubles next to 0 and 1.
-_LABEL_LO = np.array([-math.inf] * 3 + [0.0] * 3 + [-math.inf, math.nextafter(0.0, -1.0)])
-_LABEL_HI = np.array([math.inf] * 7 + [math.nextafter(1.0, 2.0)])
-
-
-def _label_table(values, unscored, linenos) -> np.ndarray:
-    """The label numbers ``values``, eight per line read (x, y, z, l, w,
-    h, theta, score; a NaN score in the rows at ``unscored``), as an
-    (n, 8) array.  FormatError, naming the line from ``linenos``, for
-    the first row with a non-finite value, a non-positive l/w/h or a
-    score outside [0, 1]."""
-    table = np.array(values, dtype=float).reshape(-1, 8)
-    inside = (table > _LABEL_LO) & (table < _LABEL_HI)
-    # NaN fails both comparisons, so a good file fails at its NaN scores only.
-    if np.count_nonzero(inside) != inside.size - len(unscored):
-        # Find the line with the checks of a line-by-line reader.
-        unscored = set(unscored)
-        for i, lineno in enumerate(linenos):
-            numbers = values[8 * i: 8 * i + (7 if i in unscored else 8)]
-            if not all(map(math.isfinite, numbers)):
+        scored = len(numbers) == 8
+        if not scored:
+            numbers.append(math.nan)
+        x, y, z, l, w, h, theta, score = numbers
+        # Box3D's rules in one test, which also fails for |theta| >= pi
+        # and for finite x..h whose sum overflows.  Such a line is checked
+        # as Box3D checks it: a bad one raises, a good one has its theta
+        # wrapped by Box3D.
+        if not (-math.inf < x + y + z + l + w + h < math.inf and l > 0 and w > 0 and h > 0
+                and -math.pi < theta < math.pi and (0.0 <= score <= 1.0 or not scored)):
+            if not all(map(math.isfinite, (x, y, z, l, w, h, theta, score if scored else 0.0))):
                 raise FormatError(f"line {lineno}: non-finite value")
             try:
-                Box3D(*numbers[:7], score=numbers[7] if len(numbers) == 8 else None)
+                numbers[6] = Box3D(x, y, z, l, w, h, theta, score=score if scored else None).theta
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
-    return table
+        values += numbers
+        categories.append(fields[0])
+    table = np.array(values, dtype=float).reshape(-1, 8)
+    return LabelFrame(table[:, :7], categories, table[:, 7])
 
 
 def serialize_labels(boxes) -> str:
