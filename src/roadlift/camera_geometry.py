@@ -352,13 +352,18 @@ def height_sensitivity(
 
     Lifting scales horizontal range by (camera_height - h_r), so the
     error is exactly range * delta_h / (camera_height - h_r).  A
-    negative range raises ValueError.
+    negative range, or an error past the float range, raises ValueError;
+    h_r or h_r + delta_h at or above the camera raises GeometryError, as
+    ``lift_to_ground`` does.
     """
     if not horizontal_range >= 0:  # NaN fails too
         raise ValueError(f"horizontal range must be non-negative, got {horizontal_range}")
-    if camera_height <= h_r + delta_h:
+    if camera_height <= max(h_r, h_r + delta_h):
         raise GeometryError("relative height above camera")
-    return horizontal_range * delta_h / (camera_height - h_r)
+    error = horizontal_range * delta_h / (camera_height - h_r)
+    if not math.isfinite(error):
+        raise ValueError(f"location error is not a finite number, got {error}")
+    return error
 
 
 def check_category(name) -> None:

@@ -8,6 +8,7 @@ take --seed, and their outputs are deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -165,7 +166,11 @@ def cmd_lift(args) -> int:
     for name in ("u", "v", "hr"):
         _finite(f"--{name}", getattr(args, name))
     rig = _read_calibration(args.calib)
-    point = lift_to_ground(rig, args.u, args.v, args.hr)
+    # A value past the float range shows as a non-finite point, refused here.
+    with np.errstate(all="ignore"):
+        point = lift_to_ground(rig, args.u, args.v, args.hr)
+    if not np.isfinite(point).all():
+        raise ValueError(f"the lifted point is not finite, got {' '.join(map(_fmt, point))}")
     _emit(" ".join(_fmt(v) for v in point) + "\n", args.out)
     return 0
 
@@ -237,7 +242,7 @@ def cmd_evaluate(args) -> int:
     if not 0.0 <= args.iou <= 1.0:
         raise ValueError(f"--iou must be a number in [0, 1], got {args.iou}")
     thresholds = []
-    if args.ratio_thresholds:
+    if args.ratio_thresholds is not None:
         for text in args.ratio_thresholds.split(","):
             try:
                 t = float(text)
@@ -485,16 +490,51 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that adds the option strings of each
+    one-value option added to it to ``value_flags``, a set it may share
+    with other parsers."""
+
+    def __init__(self, *args, value_flags: set[str], **kwargs):
+        self.value_flags = value_flags  # before the base class adds --help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:
+            self.value_flags.update(action.option_strings)
+        return action
+
+
+def _attach_dash_values(argv, value_flags: set[str]) -> list[str]:
+    """``argv`` with each token that starts with a single '-' and follows
+    one of ``value_flags`` joined to that flag, as ``--flag=token``.
+    argparse reads such a token as an option unless its negative-number
+    pattern matches, and that pattern reads no exponent (``-1e-1``), no
+    ``-inf`` and no list (``-1,2``)."""
+    tokens = []
+    for token in argv:
+        if (tokens and tokens[-1] in value_flags
+                and token.startswith("-") and not token.startswith("--")):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    return tokens
+
+
+def _build_parser() -> _Parser:
+    """The CLI's parser; its ``value_flags`` are every subcommand's
+    one-value options."""
+    make = functools.partial(_Parser, value_flags=set())
+    parser = make(
         prog="roadlift",
         description="Roadside monocular 3D detection geometry and metrics toolkit",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = make(add_help=False)
     common.add_argument("--out", default=None, help="write primary output to this path")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded = make(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=make)
 
     p = sub.add_parser("plane", parents=[common], help="print the virtual ground plane")
     p.add_argument("--calib", required=True, help="calibration JSON file")
@@ -571,7 +611,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_command(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(argv, parser.value_flags))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

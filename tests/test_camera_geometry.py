@@ -291,6 +291,21 @@ class TestHeightSensitivity:
         with pytest.raises(GeometryError):
             height_sensitivity(2.0, 1.5, 100.0, 0.6)
 
+    @pytest.mark.parametrize("h_r", [2.0, 3.0])
+    def test_base_height_at_or_above_camera_rejected(self, h_r):
+        # A negative delta_h keeps h_r + delta_h below the camera; h_r = 2
+        # divided by zero, and h_r = 3 gave a number for a box above it.
+        with pytest.raises(GeometryError, match="relative height above camera"):
+            height_sensitivity(2.0, h_r, 100.0, -1.5)
+
+    @pytest.mark.parametrize("args,got", [
+        ((1e308, 0.0, 1e308, 1e307), "inf"),
+        ((1e308, -1e308, 1e308, 1e308), "nan"),
+    ])
+    def test_result_past_float_range_rejected(self, args, got):
+        with pytest.raises(ValueError, match=f"^location error is not a finite number, got {got}$"):
+            height_sensitivity(*args)
+
 
 class TestCorners:
     def test_unit_cube(self):

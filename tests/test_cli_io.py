@@ -1,10 +1,15 @@
 import concurrent.futures
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
+import tempfile
 import tracemalloc
 import warnings
+from decimal import Decimal, InvalidOperation
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +329,109 @@ class TestReaderFuzz:
             assert_success_or_one_error_line(argv, capsys)
 
 
+# Number texts: negative exponents, subnormals, the ends of the float
+# range, NaN and infinities, integers (--de takes only these) and text no
+# number type reads.
+_NUMBER_TEXTS = st.one_of(
+    st.sampled_from([
+        "0", "-0.0", "0.5", "1", "-1e-1", "1e-300", "5e-324", "-5e-324", "2.2250738585072014e-308",
+        "1e308", "-1e308", "1.7976931348623157e308", "1e309", "nan", "-nan", "inf", "-inf",
+        "2", "-2", "7", "64", str(2**24), "1" + "0" * 30, "", "1,2", "-1,2", "abc", "0x10",
+    ]),
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:e}".format),
+)
+# Each command's numeric flags, their argparse types and a value that
+# runs; ``--ratio-thresholds`` is a string of comma-separated numbers.
+_NUMERIC_FLAGS = {
+    "lift": {"--u": (float, "32"), "--v": (float, "30"), "--hr": (float, "0")},
+    "sensitivity": {"--height": (float, "7"), "--range": (float, "200"),
+                    "--dh": (float, "0.5"), "--hr": (float, "0")},
+    "evaluate": {"--iou": (float, "0.5"), "--ratio-thresholds": (str, "1,5")},
+    "embed": {"--de": (int, "8")},
+}
+
+
+@st.composite
+def numeric_flag_runs(draw):
+    """A command, and each of its numeric flags with a number text in
+    the ``--flag text`` or the ``--flag=text`` form."""
+    command = draw(st.sampled_from(sorted(_NUMERIC_FLAGS)))
+    flags = []
+    for flag, (kind, good) in _NUMERIC_FLAGS[command].items():
+        numbers = _NUMBER_TEXTS
+        if kind is int:
+            numbers |= st.integers(-2, 130).map(str)
+        elif kind is str:
+            numbers = st.lists(_NUMBER_TEXTS, min_size=1, max_size=3).map(",".join)
+        text = draw(st.just(good) | numbers)
+        flags.append((flag, kind, text, draw(st.booleans())))
+    sweep = command == "sensitivity" and draw(st.booleans())
+    return command, flags, sweep
+
+
+def _reads(kind, text: str) -> bool:
+    try:
+        kind(text)
+    except (ValueError, InvalidOperation):
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def numeric_flag_inputs(tmp_path_factory):
+    """A small camera (a 64 x 32 image: 8 x 4 embedding cells) and a
+    label file with one scored box."""
+    root = tmp_path_factory.mktemp("numeric-flags")
+    calib = root / "calib.json"
+    calib.write_text(serialize_calibration(
+        rig_from_pose(6.0, 30.0, image_width=64, image_height=32), "small"))
+    labels = root / "labels.txt"
+    labels.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
+    return {"lift": ["--calib", str(calib)], "embed": ["--calib", str(calib)],
+            "evaluate": ["--gt", str(labels), "--pred", str(labels)], "sensitivity": []}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(run=numeric_flag_runs())
+@example(run=("lift", [("--u", float, "32", True), ("--v", float, "30", True),
+                       ("--hr", float, "-1e-1", True)], False))
+@example(run=("lift", [("--u", float, "32", True), ("--v", float, "30", True),
+                       ("--hr", float, "-1e308", False)], False))
+@example(run=("sensitivity", [("--height", float, "1e308", True), ("--range", float, "1e308", True),
+                              ("--dh", float, "1e308", True), ("--hr", float, "-1e308", True)],
+              True))
+@example(run=("evaluate", [("--iou", float, "0.5", True),
+                           ("--ratio-thresholds", str, "", True)], False))
+def test_numeric_flags_end_in_a_result_or_one_error(numeric_flag_inputs, run):
+    """Exit 0 with finite numbers in the output, exit 1 with one
+    ``error:`` line and no output file, or exit 2 only for a text the
+    flag's type cannot read."""
+    command, flags, sweep = run
+    argv = [command, *numeric_flag_inputs[command]]
+    for flag, _, text, spaced in flags:
+        argv += [flag, text] if spaced else [f"{flag}={text}"]
+    argv += ["--sweep"] * sweep
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.txt"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run_command([*argv, "--out", str(out)])
+        written = out.read_text() if out.exists() else None
+    unreadable = [text for _, kind, text, _ in flags if not _reads(kind, text)]
+    assert (code == 2) == bool(unreadable), (code, err.getvalue())
+    if code == 0:
+        # Decimal, not float: 10 significant digits of a value near the
+        # float range's end read back as inf, but the text is finite.
+        numbers = [Decimal(t) for t in written.replace(",", " ").split() if _reads(Decimal, t)]
+        assert all(n.is_finite() for n in numbers), written
+    else:
+        assert written is None
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (
+            err.getvalue())
+
+
 def _reference_parse_labels(text: str) -> list[Box3D]:
     """The line-by-line reader ``parse_labels`` was before it read files
     into one array frame, kept verbatim as the behaviour to preserve,
@@ -417,7 +525,8 @@ _BAD_LABEL_LINES = {
 
 
 class TestLabelReaderPinned:
-    """The array reader against the line-by-line reader it replaced."""
+    """``parse_labels``, which reads each line into one frame's arrays,
+    against the reference reader, which builds a ``Box3D`` per line."""
 
     @settings(max_examples=300, deadline=None)
     @given(text=pinned_label_texts())
@@ -666,6 +775,8 @@ class TestCli:
          "--ratio-thresholds must be a finite number >= 0"),
         (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--ratio-thresholds", "1,,2"],
          "--ratio-thresholds must be a finite number >= 0"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--ratio-thresholds", ""],
+         "--ratio-thresholds must be a finite number >= 0"),
         (["simulate", "--config", "{config}", "--out", "{out}", "--seed", "-1"],
          "--seed must be a non-negative integer"),
         (["bank-sim", "--config", "{config}", "--out", "{out}", "--seed", "-1"],
@@ -679,6 +790,7 @@ class TestCli:
     ], ids=["lift-u", "lift-v", "lift-hr", "sensitivity-height", "sensitivity-range",
             "sweep-range", "sensitivity-dh", "sensitivity-hr", "ratio-threshold",
             "negative-ratio-threshold", "word-ratio-threshold", "empty-ratio-threshold",
+            "blank-ratio-thresholds",
             "simulate-seed", "bank-sim-seed", "gradcheck-seed", "bank-sim-same-outputs",
             "evaluate-same-outputs"])
     def test_non_finite_numbers_rejected(self, nadir_calib_file, tmp_path, capsys, argv, message):
@@ -762,6 +874,51 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "error: horizontal range must be non-negative, got -10.0\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep"]], ids=["scalar", "sweep"])
+    @pytest.mark.parametrize("argv,message", [
+        (["--height", "1e308", "--range", "1e308", "--dh", "1e307"],
+         "location error is not a finite number, got inf"),
+        (["--height", "1e308", "--range", "1e308", "--dh", "1e308", "--hr=-1e308"],
+         "location error is not a finite number, got nan"),
+        (["--height", "1", "--range", "10", "--dh=-1", "--hr", "1"],
+         "relative height above camera"),
+    ], ids=["inf", "nan", "hr-at-camera"])
+    def test_sensitivity_refuses_a_result_it_cannot_give(self, capsys, argv, message, sweep):
+        # Finite input: the first two printed inf and nan with exit 0, the
+        # third raised ZeroDivisionError.
+        assert run_command(["sensitivity", *argv, *sweep]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["-1e-1", "-inf", "-0.1", "-1", "-1,2", "1e-1", "-5e-324"])
+    @pytest.mark.parametrize("argv,flag", [
+        (["lift", "--calib", "{calib}", "--u", "768", "--v", "900", "--hr", "0"], "--u"),
+        (["lift", "--calib", "{calib}", "--u", "768", "--v", "900", "--hr", "0"], "--v"),
+        (["lift", "--calib", "{calib}", "--u", "768", "--v", "900", "--hr", "0"], "--hr"),
+        (["sensitivity", "--height", "7", "--range", "200", "--dh", "0.5"], "--height"),
+        (["sensitivity", "--height", "7", "--range", "200", "--dh", "0.5"], "--range"),
+        (["sensitivity", "--height", "7", "--range", "200", "--dh", "0.5"], "--dh"),
+        (["sensitivity", "--height", "7", "--range", "200", "--dh", "0.5", "--hr", "0"], "--hr"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--iou", "0.5"], "--iou"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--ratio-thresholds", "1"],
+         "--ratio-thresholds"),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_dash_led_value_reads_as_with_equals(self, nadir_calib_file, tmp_path, capsys,
+                                                 argv, flag, value):
+        # argparse read -1e-1, -inf and -1,2 after a flag as an option and
+        # exited 2 with "expected one argument"; --flag=value worked.
+        labels = tmp_path / "labels.txt"
+        labels.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
+        argv = [a.format(calib=nadir_calib_file, labels=labels) for a in argv]
+        at = argv.index(flag)
+        results = []
+        for form in ([flag, value], [f"{flag}={value}"]):
+            code = run_command(argv[:at] + form + argv[at + 2:])
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1]
+        assert "expected one argument" not in results[0][2]
 
     def test_evaluate_all_row_matches_across_categories(self, tmp_path, capsys):
         # A car prediction on a truck: the "all" row counts it, the truck
