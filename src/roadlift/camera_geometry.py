@@ -284,20 +284,27 @@ def lift_to_ground(rig: CameraRig, u_c: float, v_c: float, h_r: float) -> np.nda
     """Lift a bottom-center pixel with relative height h_r to ground
     coordinates.
 
-    The returned point satisfies z_g == h_r by construction.
+    The returned point satisfies z_g == h_r by construction.  Inputs
+    near the end of the float range can overflow it: a point that is not
+    finite raises GeometryError, with no overflow warning.
     """
     plane = rig.plane
     if h_r >= plane.camera_height:
         raise GeometryError("relative height above camera")
-    ray = np.array([(u_c - rig.a_x) / rig.f_x, (v_c - rig.a_y) / rig.f_y, 1.0])
-    p_v = plane.cam_to_virtual @ ray
-    y_v = p_v[1]
-    if abs(y_v) <= RAY_PARALLEL_TOL:
-        raise GeometryError("ray parallel to ground")
-    if y_v < 0:
-        raise GeometryError("plane behind camera")
-    scale = (plane.camera_height - h_r) / y_v
-    return plane.virtual_to_ground.apply(scale * p_v)
+    # NaN from an overflow passes both ray tests and is refused below.
+    with np.errstate(all="ignore"):
+        ray = np.array([(u_c - rig.a_x) / rig.f_x, (v_c - rig.a_y) / rig.f_y, 1.0])
+        p_v = plane.cam_to_virtual @ ray
+        y_v = p_v[1]
+        if abs(y_v) <= RAY_PARALLEL_TOL:
+            raise GeometryError("ray parallel to ground")
+        if y_v < 0:
+            raise GeometryError("plane behind camera")
+        scale = (plane.camera_height - h_r) / y_v
+        point = plane.virtual_to_ground.apply(scale * p_v)
+    if not all(map(math.isfinite, point.tolist())):
+        raise GeometryError("lifted point is not finite")
+    return point
 
 
 def ray_ground(rig: CameraRig, u, v) -> tuple[np.ndarray, np.ndarray]:

@@ -85,7 +85,11 @@ MAX_SWEEP_ROWS = 100_000
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.10g}"
+    # Ten significant digits round a value this near the end of the float
+    # range up to 1.797693135e308, which reads back as inf.
+    if -1.7976931345e308 < value < 1.7976931345e308:
+        return f"{value:.10g}"
+    return repr(float(value))  # NaN and the infinities print as before
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -106,24 +110,36 @@ def _finite(flag: str, value: float) -> float:
     return value
 
 
-def _check_distinct_outputs(args) -> None:
-    """Refuse an output flag (``--out``, ``--bank-out``,
-    ``--distance-csv``) naming the same file as another output, whose
-    write would replace the first, or as one of the command's inputs
-    (``--config``, ``--calib``, ``--gt``, ``--pred``, and for a
-    directory input its ``*.txt`` label files), which the write would
-    replace.  Paths are compared resolved (``os.path.realpath``, which
-    is what ``Path.resolve`` returns, but without raising on a symlink
-    loop).  Inputs are looked up only for outputs that exist already,
-    since no other can be a file the command reads, and a directory is
-    resolved once: a label file in it that is not a symlink resolves to
-    the directory's path joined with its name."""
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output flag (``--out``, ``--bank-out``,
+    ``--distance-csv``) whose write would fail or replace a file the
+    command uses, so that no output is written when another cannot be.
+    A file output (all but simulate's ``--out``, a directory) must not
+    name a directory or a symlink loop, and its parent directory must
+    exist.  No output
+    may name the same file as another output, whose write would replace
+    the first, or as one of the command's inputs (``--config``,
+    ``--calib``, ``--gt``, ``--pred``, and for a directory input its
+    ``*.txt`` label files), which the write would replace.  Paths are
+    compared resolved (``os.path.realpath``, which is what
+    ``Path.resolve`` returns, but without raising on a symlink loop).
+    Inputs are looked up only for outputs that exist already, since no
+    other can be a file the command reads, and a directory is resolved
+    once: a label file in it that is not a symlink resolves to the
+    directory's path joined with its name."""
     outputs = {}
     for flag in ("--out", "--bank-out", "--distance-csv"):
         path = getattr(args, flag[2:].replace("-", "_"), None)
         if not path:
             continue
         real = os.path.realpath(path)
+        if not (flag == "--out" and args.command == "simulate"):
+            if os.path.basename(path) in ("", ".", "..") or os.path.isdir(real):
+                raise ValueError(f"{flag} must name a file, not a directory, got {path}")
+            if not os.path.isdir(os.path.dirname(real)):
+                raise ValueError(f"{flag} must name a file in an existing directory, got {path}")
+            if os.path.islink(real):  # realpath leaves only a loop unresolved
+                raise ValueError(f"{flag} must not name a symlink loop, got {path}")
         if real in outputs:
             raise ValueError(
                 f"{outputs[real][0]} and {flag} must name different files, got {path} for both"
@@ -165,12 +181,7 @@ def cmd_plane(args) -> int:
 def cmd_lift(args) -> int:
     for name in ("u", "v", "hr"):
         _finite(f"--{name}", getattr(args, name))
-    rig = _read_calibration(args.calib)
-    # A value past the float range shows as a non-finite point, refused here.
-    with np.errstate(all="ignore"):
-        point = lift_to_ground(rig, args.u, args.v, args.hr)
-    if not np.isfinite(point).all():
-        raise ValueError(f"the lifted point is not finite, got {' '.join(map(_fmt, point))}")
+    point = lift_to_ground(_read_calibration(args.calib), args.u, args.v, args.hr)
     _emit(" ".join(_fmt(v) for v in point) + "\n", args.out)
     return 0
 
@@ -525,7 +536,9 @@ def _attach_dash_values(argv, value_flags: set[str]) -> list[str]:
 def _build_parser() -> _Parser:
     """The CLI's parser; its ``value_flags`` are every subcommand's
     one-value options."""
-    make = functools.partial(_Parser, value_flags=set())
+    # Flags are written in full: an abbreviation would also escape
+    # _attach_dash_values, which sees the flags as typed.
+    make = functools.partial(_Parser, value_flags=set(), allow_abbrev=False)
     parser = make(
         prog="roadlift",
         description="Roadside monocular 3D detection geometry and metrics toolkit",
@@ -618,7 +631,7 @@ def run_command(argv) -> int:
         # numpy's own message for a negative seed does not name the flag.
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-        _check_distinct_outputs(args)
+        _check_outputs(args)
         return args.func(args)
     except BrokenPipeError:
         return 1

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +185,21 @@ class TestLiftToGround:
         rig = rig_from_pose(7.0, 10.0)
         with pytest.raises(GeometryError):
             lift_to_ground(rig, rig.a_x, 0.0, 0.0)
+
+    @pytest.mark.parametrize("u,v,h_r", [
+        (None, None, -1e308),
+        (None, None, -sys.float_info.max),
+        (1e308, None, -1e300),
+    ], ids=["principal-point", "max-depth", "far-pixel"])
+    def test_point_past_the_float_range_rejected_without_warning(self, u, v, h_r):
+        # These returned a NaN point, with overflow warnings.
+        rig = rig_from_pose(7.0, 10.0)
+        u = rig.a_x if u is None else u
+        v = rig.a_y if v is None else v
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="lifted point is not finite"):
+                lift_to_ground(rig, u, v, h_r)
 
 
 RAY_RIGS = {

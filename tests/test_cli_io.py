@@ -5,6 +5,8 @@ import io
 import itertools
 import json
 import math
+import os
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -403,6 +405,8 @@ def numeric_flag_inputs(tmp_path_factory):
               True))
 @example(run=("evaluate", [("--iou", float, "0.5", True),
                            ("--ratio-thresholds", str, "", True)], False))
+@example(run=("evaluate", [("--iou", float, "0.5", True),
+                           ("--ratio-thresholds", str, "1.7976931348623157e308", True)], False))
 def test_numeric_flags_end_in_a_result_or_one_error(numeric_flag_inputs, run):
     """Exit 0 with finite numbers in the output, exit 1 with one
     ``error:`` line and no output file, or exit 2 only for a text the
@@ -421,12 +425,114 @@ def test_numeric_flags_end_in_a_result_or_one_error(numeric_flag_inputs, run):
     unreadable = [text for _, kind, text, _ in flags if not _reads(kind, text)]
     assert (code == 2) == bool(unreadable), (code, err.getvalue())
     if code == 0:
-        # Decimal, not float: 10 significant digits of a value near the
-        # float range's end read back as inf, but the text is finite.
-        numbers = [Decimal(t) for t in written.replace(",", " ").split() if _reads(Decimal, t)]
-        assert all(n.is_finite() for n in numbers), written
+        # Each number must read back finite as a float, too: 10 significant
+        # digits of a value near the float range's end would read as inf.
+        numbers = [float(t) for t in written.replace(",", " ").split() if _reads(float, t)]
+        assert all(map(math.isfinite, numbers)), written
     else:
         assert written is None
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (
+            err.getvalue())
+
+
+# Each command's path flags, with the file a run reads (None for an
+# output), and the flags it needs besides them.
+_PATH_FLAGS = {
+    "plane": {"--calib": "calib.json", "--out": None},
+    "lift": {"--calib": "calib.json", "--out": None},
+    "sensitivity": {"--out": None},
+    "simulate": {"--config": "sim.json", "--out": None},
+    "evaluate": {"--gt": "labels.txt", "--pred": "labels.txt", "--calib": "calib.json",
+                 "--out": None, "--distance-csv": None},
+    "bank-sim": {"--config": "bank.json", "--out": None, "--bank-out": None},
+    "gradcheck": {"--out": None},
+    "embed": {"--calib": "calib.json", "--out": None},
+}
+_OTHER_FLAGS = {"lift": ["--u", "32", "--v", "30", "--hr", "0"],
+                "sensitivity": ["--height", "7", "--range", "200", "--dh", "0.5"],
+                "embed": ["--de", "8"]}
+# A file of the wrong kind for each input, and an existing file for an output.
+_WRONG_KIND = {"calib.json": "labels.txt", "sim.json": "binary.bin", "bank.json": "binary.bin",
+               "labels.txt": "calib.json", None: "binary.bin"}
+_SMALL_SCENE = {"image_width": 128, "image_height": 64, "n_objects": 2, "focal_band": [100, 150],
+                "range_band": [10, 60], "pitch_band_deg": [8, 25], "height_band": [5, 10]}
+
+
+@st.composite
+def path_flag_runs(draw):
+    """A command and, for each of its path flags, the text written for
+    the flag (in full, or cut short), a path and the ``--flag path`` or
+    ``--flag=path`` form.  A path is the flag's own file (a new one for
+    an output), a missing file, a directory, a new name ending in '/', a
+    file of the wrong kind, a file in a missing directory, or another
+    flag's path."""
+    command = draw(st.sampled_from(sorted(_PATH_FLAGS)))
+    paths = {}
+    for flag, own in _PATH_FLAGS[command].items():
+        kind = draw(st.sampled_from(
+            ["own"] * 3 + ["missing", "directory", "new-directory", "wrong", "no-parent"]))
+        paths[flag] = {"own": own or flag[2:] + ".new", "missing": "missing.txt",
+                       "directory": "frames", "new-directory": "new/",
+                       "wrong": _WRONG_KIND[own], "no-parent": "missing/new.txt"}[kind]
+    for flag in paths:
+        others = sorted(set(paths.values()) - {paths[flag]})
+        if others and draw(st.integers(0, 5)) == 0:
+            paths[flag] = draw(st.sampled_from(others))
+    flags = []
+    for flag, path in paths.items():
+        cut = draw(st.integers(3, len(flag) - 1)) if draw(st.integers(0, 19)) == 0 else len(flag)
+        flags.append((flag[:cut], path, draw(st.booleans())))
+    return command, flags
+
+
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every file's bytes and every directory (None) under ``root``."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(run=path_flag_runs())
+@example(run=("evaluate", [("--gt", "labels.txt", True), ("--pred", "labels.txt", True),
+                           ("--out", "out.new", True), ("--distance-csv", "frames", True)]))
+@example(run=("bank-sim", [("--config", "bank.json", True), ("--out", "out.new", True),
+                           ("--bank-out", "missing/new.txt", True)]))
+@example(run=("plane", [("--calib", "calib.json", True), ("--ou", "out.new", True)]))
+def test_path_flags_end_in_a_result_or_one_error(run):
+    """Exit 0, exit 1 with one ``error:`` line, no warning and no file
+    or directory written, or exit 2 (nothing written) exactly when a
+    flag is not written in full."""
+    command, flags = run
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        argv = [command, *_OTHER_FLAGS.get(command, [])]
+        for flag, path, spaced in flags:
+            path = os.path.join(tmp, path)  # keeps a trailing '/'
+            argv += [flag, path] if spaced else [f"{flag}={path}"]
+        (root / "calib.json").write_text(serialize_calibration(
+            rig_from_pose(6.0, 30.0, image_width=64, image_height=32), "small"))
+        (root / "labels.txt").write_text(
+            serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
+        (root / "sim.json").write_text(json.dumps({"scene": _SMALL_SCENE, "frames": 2}))
+        (root / "bank.json").write_text(
+            json.dumps({"scene": _SMALL_SCENE, "frames": 2, "channels": 2}))
+        (root / "binary.bin").write_bytes(bytes(range(256)))
+        (root / "frames").mkdir()
+        (root / "frames" / "a.txt").write_text((root / "labels.txt").read_text())
+        before = _tree(root)
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            code = run_command(argv)
+        after = _tree(root)
+    assert not caught, [str(w.message) for w in caught]
+    cut = [flag for flag, _, _ in flags if flag not in _PATH_FLAGS[command]]
+    assert (code == 2) == bool(cut), (code, err.getvalue())
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert after == before, err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (
             err.getvalue())
@@ -866,6 +972,81 @@ class TestCli:
         assert captured.err.startswith(f"error: {message}, got ")
         assert captured.out == ""
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("argv,message", [
+        (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--out", "{out}",
+          "--distance-csv", "{dir}"],
+         "--distance-csv must name a file, not a directory"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--out", "{out}",
+          "--distance-csv", "{missing}/d.csv"],
+         "--distance-csv must name a file in an existing directory"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--out", "{out}",
+          "--distance-csv", "{missing}/"],
+         "--distance-csv must name a file, not a directory"),
+        (["bank-sim", "--config", "{config}", "--out", "{out}", "--bank-out", "{dir}"],
+         "--bank-out must name a file, not a directory"),
+        (["bank-sim", "--config", "{config}", "--out", "{out}", "--bank-out", "{missing}/b.bin"],
+         "--bank-out must name a file in an existing directory"),
+        (["evaluate", "--gt", "{labels}", "--pred", "{labels}", "--out", "{out}",
+          "--distance-csv", "{loop}"],
+         "--distance-csv must not name a symlink loop"),
+        (["gradcheck", "--out", "{dir}/"], "--out must name a file, not a directory"),
+        (["plane", "--calib", "{calib}", "--out", "{missing}/p.txt"],
+         "--out must name a file in an existing directory"),
+    ], ids=["distance-csv-directory", "distance-csv-missing-parent",
+            "distance-csv-trailing-slash", "distance-csv-symlink-loop", "bank-out-directory",
+            "bank-out-missing-parent", "out-directory", "out-missing-parent"])
+    def test_output_that_cannot_be_written_is_refused(self, tmp_path, capsys, argv, message):
+        # The first six exited 1 only once the second write failed, and
+        # left the --out file on disk.
+        calib = tmp_path / "calib.json"
+        calib.write_text(serialize_calibration(rig_from_pose(6.0, 20.0), "s"))
+        labels = tmp_path / "labels.txt"
+        labels.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scene": {"n_objects": 2, "image_width": 512,
+                                                "image_height": 256}, "frames": 2}))
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "loop").symlink_to(tmp_path / "loop2")
+        (tmp_path / "loop2").symlink_to(tmp_path / "loop")
+        before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        argv = [a.format(calib=calib, labels=labels, config=config, out=tmp_path / "out.csv",
+                         dir=tmp_path / "dir", missing=tmp_path / "missing",
+                         loop=tmp_path / "loop")
+                for a in argv]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: {message}, got ")
+        assert captured.out == ""
+        assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+    @pytest.mark.parametrize("value", ["100", "-1e-1"])
+    @pytest.mark.parametrize("spaced", [True, False], ids=["spaced", "equals"])
+    def test_abbreviated_flag_is_a_usage_error(self, capsys, value, spaced):
+        # --ran 100 read as --range 100 and exited 0, but --ran -1e-1
+        # exited 2: the dash-led value is joined only to a flag written in
+        # full.  Every flag must now be written in full.
+        flag = ["--ran", value] if spaced else [f"--ran={value}"]
+        assert run_command(["sensitivity", "--height", "7", *flag, "--dh", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert "the following arguments are required: --range" in captured.err
+        assert captured.out == ""
+
+    def test_near_max_numbers_read_back_finite(self, tmp_path, capsys):
+        # Ten significant digits of DBL_MAX, 1.797693135e+308, read back
+        # as inf.
+        for x in (sys.float_info.max, -sys.float_info.max, 1.7976931345e308):
+            assert math.isfinite(float(cli._fmt(x))), x
+        assert cli._fmt(np.float64(sys.float_info.max)) == repr(sys.float_info.max)
+        labels = tmp_path / "labels.txt"
+        labels.write_text(serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
+        argv = ["evaluate", "--gt", str(labels), "--pred", str(labels),
+                "--ratio-thresholds", repr(sys.float_info.max)]
+        assert run_command(argv) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert row[:2] == ["detection_ratio", "all"]
+        assert float(row[2]) == sys.float_info.max
 
     @pytest.mark.parametrize("sweep", [[], ["--sweep"]], ids=["scalar", "sweep"])
     def test_negative_range_rejected(self, capsys, sweep):

@@ -10,17 +10,24 @@ ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "roadlift").glob("*.py"))
 # Every file is parsed once and the trees are shared by the checks below.
 TREES = {p: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
-MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
-# The readers of the public API: the program (the package, whose
-# __init__.py only re-exports, and the benchmark, without its selftest)
-# and the acceptance tests.
+# The readers of the public API: the program (the package and the
+# benchmark, without its selftest) and the acceptance tests.
 READERS = [
-    *MODULES,
+    *SOURCES,
     *(p for p in sorted((ROOT / "bench").glob("*.py")) if p.name != "selftest.py"),
     ROOT / "tests" / "test_acceptance.py",
 ]
 READER_TREES = [TREES.get(p) or ast.parse(p.read_text(), filename=str(p)) for p in READERS]
+
+
+def test_package_root_imports_and_defines_nothing():
+    # Each public name has one import path, its module: a root that
+    # re-exported some of them was a second, partial path that every
+    # rename had to edit too.
+    body = TREES[ROOT / "src" / "roadlift" / "__init__.py"].body
+    assert [type(node).__name__ for node in body] == ["Expr"]
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -36,9 +43,8 @@ def test_numpy_is_the_only_runtime_dependency(path):
     assert [m for m in modules if m.split(".")[0] not in allowed] == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
-    # __init__.py is left out: it imports names only to re-export them.
     tree = TREES[path]
     imported = set()
     for node in ast.walk(tree):
@@ -119,7 +125,7 @@ READ_ATTRIBUTES = {
 }
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_public_name_has_a_reader(path):
     # A public function or class must be read by the program or the
     # acceptance tests: loaded as a name, read as an attribute or
@@ -165,7 +171,7 @@ LOADED_ATTRIBUTES = {
 }
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_public_field_has_a_reader(path):
     # A field of a public record must be loaded as an attribute by the
     # program or the acceptance tests; generic access (dataclasses.fields,
@@ -201,7 +207,7 @@ def _public_callables(tree: ast.Module) -> list[tuple[str, ast.FunctionDef, int]
     return found
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_public_callable_takes_a_plane(path):
     # A rig fixes its ground plane (CameraRig.plane), so a callable that
     # took a rig and a plane could be handed two that disagree.  An
@@ -269,7 +275,7 @@ def _passed_arguments() -> dict[str, tuple[set[str], float]]:
 PASSED = _passed_arguments()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_defaulted_parameter_is_passed(path):
     # A parameter with a default that no caller in the program or the
     # acceptance tests passes has one value in use: it belongs in the
@@ -285,7 +291,7 @@ def test_every_defaulted_parameter_is_passed(path):
     assert unpassed == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_matching_takes_a_matrix(path):
     # Matching scores the overlap matrix it is given, and only the matrix
     # builders know the IoU kind.  A default for ``overlaps`` would let a
@@ -302,3 +308,12 @@ def test_matching_takes_a_matrix(path):
         if "overlaps" in {arg.arg for arg in defaulted} or {"overlaps", "iou_kind"} <= names:
             found.append(qualname)
     assert found == []
+
+
+def test_readme_library_example_runs(capsys):
+    # The example is run exactly as written, so the import path it
+    # documents cannot drift from the package.
+    text = (ROOT / "README.md").read_text().split("\n## Library example\n", 1)[1]
+    code = re.search(r"^```python\n(.*?)^```$", text, re.M | re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme_example"})
+    assert 0.0 <= float(capsys.readouterr().out) <= 100.0
