@@ -10,7 +10,6 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import numpy as np
@@ -375,7 +374,7 @@ def numeric_flag_runs(draw):
 def _reads(kind, text: str) -> bool:
     try:
         kind(text)
-    except (ValueError, InvalidOperation):
+    except ValueError:
         return False
     return True
 
