@@ -284,16 +284,11 @@ class FrameStats(_ArrayRecord):
         object.__setattr__(self, "is_tp", is_tp)
 
 
-def frame_detection_stats(gts, preds, overlaps, iou_threshold: float) -> FrameStats:
-    """Match one frame on ``overlaps`` (as ``match`` does) and reduce it
-    to score/TP rows.  A subset (a class, a difficulty tier) is scored
-    by slicing the frames first, with ``LabelFrame.take``, and the
-    matrix's rows and columns with them."""
-    return stats_from_match(match(gts, preds, overlaps, iou_threshold))
-
-
-def stats_from_match(result: MatchResult) -> FrameStats:
-    """The score/TP rows of one matched frame."""
+def frame_detection_stats(result: MatchResult) -> FrameStats:
+    """The score/TP rows of one matched frame.  A subset (a class, a
+    difficulty tier) is scored by matching its slice: the frames cut
+    with ``LabelFrame.take``, and the matrix's rows and columns with
+    them."""
     is_tp = np.zeros(len(result.preds), dtype=bool)
     is_tp[[p.pred_index for p in result.pairs]] = True
     return FrameStats(
@@ -346,11 +341,10 @@ def average_precision_r40(
     """AP|R40 over a list of frames (parallel lists of GT and prediction
     box lists), each frame matched on its ``overlap_matrix`` of
     ``iou_kind``."""
-    stats = [
-        frame_detection_stats(g, p, overlap_matrix(g, p, iou_kind), iou_threshold)
+    return pr_curve_from_stats(
+        frame_detection_stats(match(g, p, overlap_matrix(g, p, iou_kind), iou_threshold))
         for g, p in _paired_frames(gts_per_frame, preds_per_frame)
-    ]
-    return pr_curve_from_stats(stats)
+    )
 
 
 @dataclass(frozen=True)

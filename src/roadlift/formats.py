@@ -166,10 +166,10 @@ def parse_calibration_doc(text: str) -> CalibrationDoc:
     if ortho_err > 1e-9:
         # Rounded file entries: snap to the nearest exact rotation so the
         # strict rig invariants hold; exact entries pass through untouched.
+        # Within the 1e-6 gate every singular value is near 1, so u @ vt
+        # keeps the sign of det(rot), which is positive here.
         u, _, vt = np.linalg.svd(rot)
         rot = u @ vt
-        if np.linalg.det(rot) < 0:
-            rot = u @ np.diag([1.0, 1.0, -1.0]) @ vt
     rig = CameraRig(
         f_x=fx,
         f_y=fy,

@@ -167,9 +167,7 @@ def _gradient_of_vector(vec: np.ndarray, gt: Box3D) -> np.ndarray:
     return grad
 
 
-def finite_difference_gradient(
-    pred: Box3DParams, gt: Box3D, pred_hr: float | None = None
-) -> np.ndarray:
+def finite_difference_gradient(pred: Box3DParams, gt: Box3D, pred_hr: float | None) -> np.ndarray:
     """Central finite differences of the total loss over the 9-vector,
     at ``FD_STEP``."""
     vec = _vector(pred, pred_hr)
@@ -225,7 +223,7 @@ def random_smooth_case(rng: np.random.Generator) -> tuple[Box3DParams, Box3D, fl
     raise RuntimeError("could not sample a smooth configuration")
 
 
-def gradient_descent_fit(init: Box3DParams, gt: Box3D, lr: float = 1e-3) -> Box3DParams:
+def gradient_descent_fit(init: Box3DParams, gt: Box3D, lr: float) -> Box3DParams:
     """``FIT_STEPS`` fixed-size subgradient descent steps of the total
     loss from ``init`` toward ``gt``; returns the best iterate seen.
 

@@ -273,7 +273,7 @@ class SceneBank:
         return slot
 
     def update_momentum(
-        self, scene_id: str, cues: FeatureGrid, momentum: float = 0.1, mask: CueMask | None = None
+        self, scene_id: str, cues: FeatureGrid, momentum: float, mask: CueMask | None = None
     ) -> None:
         """Training-mode update: memory <- (1-momentum)*memory + momentum*cues
         at every cell.  Cues from ``extract_cues`` are zero off the mask,

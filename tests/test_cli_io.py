@@ -21,6 +21,7 @@ from roadlift import cli
 from roadlift.camera_geometry import (
     Box3D,
     CameraRig,
+    GeometryError,
     RigidTransform,
     rig_from_pose,
 )
@@ -80,6 +81,20 @@ class TestCalibrationFormat:
         data["extrinsic"] = [[round(v, 7) for v in row] for row in data["extrinsic"]]
         parsed = parse_calibration_doc(json.dumps(data)).rig
         assert np.max(np.abs(parsed.extrinsic.rotation - rig.extrinsic.rotation)) < 1e-6
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pose=st.tuples(st.floats(1, 20), st.floats(5, 85), st.floats(-180, 180),
+                          st.floats(-10, 10)),
+           offsets=st.lists(st.floats(-1.5e-7, 1.5e-7), min_size=9, max_size=9))
+    def test_snapped_near_rotation_has_determinant_one(self, pose, offsets):
+        # Entries moved by at most 1.5e-7 keep R^T R within the parser's
+        # 1e-6 of the identity, so the rotation is read and snapped.
+        data = json.loads(serialize_calibration(rig_from_pose(*pose)))
+        for k, offset in enumerate(offsets):
+            data["extrinsic"][k // 3][k % 3] += offset
+        rot = parse_calibration_doc(json.dumps(data)).rig.extrinsic.rotation
+        assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(rot.T @ rot, np.eye(3), rtol=0, atol=1e-12)
 
     def test_random_round_trips(self):
         rng = np.random.default_rng(0)
@@ -1118,6 +1133,59 @@ class TestCli:
             "ap_3d,truck,0.5,0",
         ]
 
+    @pytest.mark.parametrize("category", ["all", "car,truck"])
+    def test_evaluate_refuses_a_category_no_row_can_name(self, tmp_path, capsys, category):
+        # An "all" class would write a second all row, and a comma would
+        # split its row into one field more than the header has.
+        gt, pred, out = tmp_path / "gt.txt", tmp_path / "pred.txt", tmp_path / "e.csv"
+        gt.write_text(f"{category} 30 0 0 4 1.8 1.5 0\ncar 60 0 0 4 1.8 1.5 0\n")
+        pred.write_text(f"{category} 30 0 0 4 1.8 1.5 0 0.9\n")
+        code = run_command(["evaluate", "--gt", str(gt), "--pred", str(pred), "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --gt category {category!r} cannot name an AP row")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["evaluate", "--gt", "{tmp}/gt", "--pred", "{tmp}/pred"],
+             "--pred {tmp}/pred/b.txt: line 1: expected 8 or 9 fields, got 3"),
+            (["evaluate", "--gt", "{tmp}/binary", "--pred", "{tmp}/pred/a.txt"],
+             "--gt {tmp}/binary: 'utf-8' codec can't decode byte 0x80 in position 4: "
+             "invalid start byte"),
+            (["plane", "--calib", "{tmp}/binary"],
+             "--calib {tmp}/binary: 'utf-8' codec can't decode byte 0x80 in position 4: "
+             "invalid start byte"),
+            (["embed", "--calib", "{tmp}/missing.json"],
+             "--calib {tmp}/missing.json: No such file or directory"),
+            (["simulate", "--config", "{tmp}/truncated.json", "--out", "{tmp}/sim"],
+             "--config {tmp}/truncated.json: config is not valid JSON: "
+             "Expecting ',' delimiter: line 1 column 13 (char 12)"),
+            (["bank-sim", "--config", "{tmp}/binary"],
+             "--config {tmp}/binary: 'utf-8' codec can't decode byte 0x80 in position 4: "
+             "invalid start byte"),
+        ],
+        ids=["directory-label-line", "label-bytes", "calibration-bytes", "missing-calibration",
+             "truncated-config", "config-bytes"],
+    )
+    def test_input_file_error_names_its_flag_and_file(self, tmp_path, capsys, argv, message):
+        for side in ("gt", "pred"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "a.txt").write_text(
+                serialize_labels([Box3D(30, 0, 0, 4, 1.8, 1.5, 0, score=0.9)]))
+            (tmp_path / side / "b.txt").write_text(serialize_labels([]))
+        (tmp_path / "pred" / "b.txt").write_text("car 1 2\n")
+        (tmp_path / "binary").write_bytes(b"car \x80 1\n")
+        (tmp_path / "truncated.json").write_text('{"frames": 1')
+        before = sorted(tmp_path.rglob("*"))
+        assert run_command([a.format(tmp=tmp_path) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(tmp=tmp_path)}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_gradcheck_exit_code_and_csv(self, tmp_path, capsys):
         out = tmp_path / "grad.csv"
         code = run_command(["gradcheck", "--seed", "3", "--out", str(out)])
@@ -1194,6 +1262,27 @@ class TestCli:
         first, last = float(infer[0][5]), float(infer[-1][5])
         assert last < first
 
+    def test_bank_sim_skips_an_object_behind_the_augmented_camera(self, tmp_path, monkeypatch):
+        # A pitch drawn this wide turns the camera past the nadir, so some
+        # objects fall behind it and stay out of that frame's mask.
+        skipped = []
+        real_project = cli.project_to_image
+
+        def project(rig, point):
+            try:
+                return real_project(rig, point)
+            except GeometryError:
+                skipped.append(point)
+                raise
+
+        monkeypatch.setattr(cli, "project_to_image", project)
+        config, out = tmp_path / "bank.json", tmp_path / "bank.csv"
+        config.write_text(json.dumps({"scene": {"n_objects": 6}, "frames": 4, "channels": 2,
+                                      "scheduler": {"tau": 1, "sigma_pitch_deg": 90}}))
+        assert run_command(["bank-sim", "--config", str(config), "--out", str(out)]) == 0
+        assert skipped
+        assert out.read_text().startswith("phase,frame,did_reset,cells,mean_abs_err,mean_sq_err\n")
+
     @pytest.mark.parametrize(
         "override,message",
         [
@@ -1201,20 +1290,25 @@ class TestCli:
             ({"frames": -3}, "error: frames must be at least 1"),
             ({"cue_noise_sigma": -0.05}, "error: cue_noise_sigma must be a finite number >= 0"),
             ({"cue_noise_sigma": math.nan}, "error: cue_noise_sigma must be a finite number >= 0"),
-            ([], "error: config must be a JSON object"),
-            ({"frames": None}, "error: field frames must be like 60, got null"),
-            ({"frames": [1]}, "error: field frames must be like 60, got [1]"),
-            ({"frames": 2.5}, "error: field frames must be like 60, got 2.5"),
-            ({"scene": {"n_objects": "5"}}, 'error: field scene.n_objects must be like 8, got "5"'),
-            ({"scene": {"range_band": 5}}, "error: field scene.range_band must be like [5.0, "),
-            ({"momentum": None}, "error: field momentum must be like 0.1, got null"),
-            ({"cue_noise_sigma": 10**400}, "error: field cue_noise_sigma must be like 0.05"),
-            ({"scene": []}, "error: scene config must be a JSON object"),
-            ({"scheduler": []}, "error: scheduler config must be a JSON object"),
-            ({"scheduler": {"tau": 2.5}}, "error: field scheduler.tau must be like 20, got 2.5"),
-            ({"frmes": 2}, "error: unknown config keys: ['frmes']"),
-            ({"tau": 12}, "error: unknown config keys: ['tau']"),
-            ({"noise": {}}, "error: unknown config keys: ['noise']"),
+            ([], "error: --config {config}: config must be a JSON object"),
+            ({"frames": None}, "error: --config {config}: field frames must be like 60, got null"),
+            ({"frames": [1]}, "error: --config {config}: field frames must be like 60, got [1]"),
+            ({"frames": 2.5}, "error: --config {config}: field frames must be like 60, got 2.5"),
+            ({"scene": {"n_objects": "5"}},
+             'error: --config {config}: field scene.n_objects must be like 8, got "5"'),
+            ({"scene": {"range_band": 5}},
+             "error: --config {config}: field scene.range_band must be like [5.0, "),
+            ({"momentum": None},
+             "error: --config {config}: field momentum must be like 0.1, got null"),
+            ({"cue_noise_sigma": 10**400},
+             "error: --config {config}: field cue_noise_sigma must be like 0.05"),
+            ({"scene": []}, "error: --config {config}: scene config must be a JSON object"),
+            ({"scheduler": []}, "error: --config {config}: scheduler config must be a JSON object"),
+            ({"scheduler": {"tau": 2.5}},
+             "error: --config {config}: field scheduler.tau must be like 20, got 2.5"),
+            ({"frmes": 2}, "error: --config {config}: unknown config keys: ['frmes']"),
+            ({"tau": 12}, "error: --config {config}: unknown config keys: ['tau']"),
+            ({"noise": {}}, "error: --config {config}: unknown config keys: ['noise']"),
             ({"scheduler": {"sigma_scale": math.nan}},
              "error: sigma_scale must be non-negative, got nan"),
             ({"scheduler": {"sigma_roll_deg": math.nan}},
@@ -1225,13 +1319,17 @@ class TestCli:
             ({"momentum": math.nan}, "error: momentum must lie in [0, 1], got nan"),
             ({"channels": 0}, "error: channels must be at least 1, got 0"),
             ({"scheduler": {"sigma_roll_deg": math.inf}},
-             "error: field scheduler.sigma_roll_deg must be like 2.0, got Infinity"),
-            ({"momentum": -math.inf}, "error: field momentum must be like 0.1, got -Infinity"),
+             "error: --config {config}: field scheduler.sigma_roll_deg must be like 2.0, got "
+             "Infinity"),
+            ({"momentum": -math.inf},
+             "error: --config {config}: field momentum must be like 0.1, got -Infinity"),
             ({"scene": {"range_band": [5, math.inf]}},
-             "error: field scene.range_band[1] must be like 250.0, got Infinity"),
+             "error: --config {config}: field scene.range_band[1] must be like 250.0, got "
+             "Infinity"),
             ({"channels": 683},
              "error: a 128x192-cell grid with 683 channels exceeds 16777216 values"),
-            ({"scheduler": {"seed": 7}}, "error: unknown scheduler config keys: ['seed']"),
+            ({"scheduler": {"seed": 7}},
+             "error: --config {config}: unknown scheduler config keys: ['seed']"),
             ({"channels": 400, "frames": 2, "scheduler": {"clamp_lo": 1.5, "clamp_hi": 1.5}},
              "error: a 192x288-cell grid with 400 channels exceeds 16777216 values"),
             ({"scheduler": {"clamp_lo": 0.001, "clamp_hi": 0.001}},
@@ -1239,13 +1337,14 @@ class TestCli:
             ({"scheduler": {"clamp_hi": 20}},
              "error: image sides must be at most 16384 px, got 20480x30720"),
             ({"scheduler": {"clamp_hi": 1e308}},
-             "error: field scheduler.clamp_hi must be like 0.9, got 1e+308"),
+             "error: --config {config}: field scheduler.clamp_hi must be like 0.9, got 1e+308"),
             ({"cue_noise_sigma": 1e308},
-             "error: field cue_noise_sigma must be like 0.05, got 1e+308"),
+             "error: --config {config}: field cue_noise_sigma must be like 0.05, got 1e+308"),
             ({"scene": {"n_objects": 0, "image_width": 8, "image_height": 8}, "channels": 4097},
              "error: channels must be at most 4096, got 4097"),
             ({"frames": 100_001}, "error: frames must be at most 100000, got 100001"),
-            ({"scene": {"n_objects": 1001}}, "error: n_objects must be at most 1000, got 1001"),
+            ({"scene": {"n_objects": 1001}},
+             "error: --config {config}: n_objects must be at most 1000, got 1001"),
         ],
         ids=["zero-frames", "negative-frames", "negative-sigma", "nan-sigma", "list-document",
              "null-frames", "list-frames", "float-frames", "string-objects", "number-band",
@@ -1275,7 +1374,7 @@ class TestCli:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [captured.err.strip()]
-        assert captured.err.startswith(message)
+        assert captured.err.startswith(message.replace("{config}", str(config)))
         assert captured.out == ""
         assert not out.exists() and not bank_path.exists()
         assert generated == []
@@ -1284,54 +1383,64 @@ class TestCli:
         "override,message",
         [
             ({"frames": 0}, "error: frames must be at least 1"),
-            ([], "error: config must be a JSON object"),
-            ({"frames": None}, "error: field frames must be like 1, got null"),
-            ({"frames": [1]}, "error: field frames must be like 1, got [1]"),
-            ({"frames": 2.5}, "error: field frames must be like 1, got 2.5"),
-            ({"scene": {"n_objects": "5"}}, 'error: field scene.n_objects must be like 8, got "5"'),
-            ({"scene": {"range_band": 5}}, "error: field scene.range_band must be like [5.0, "),
-            ({"noise": {"sigma_hr": "x"}}, 'error: field noise.sigma_hr must be like 0.0, got "x"'),
-            ({"noise": {"sigma_hr": math.nan}}, "error: noise sigmas must be non-negative"),
-            ({"scene": []}, "error: scene config must be a JSON object"),
-            ({"noise": []}, "error: noise config must be a JSON object"),
-            ({"frmes": 2}, "error: unknown config keys: ['frmes']"),
-            ({"noise": {"sigma": 0.1}}, "error: unknown noise config keys: ['sigma']"),
+            ([], "error: --config {config}: config must be a JSON object"),
+            ({"frames": None}, "error: --config {config}: field frames must be like 1, got null"),
+            ({"frames": [1]}, "error: --config {config}: field frames must be like 1, got [1]"),
+            ({"frames": 2.5}, "error: --config {config}: field frames must be like 1, got 2.5"),
+            ({"scene": {"n_objects": "5"}},
+             'error: --config {config}: field scene.n_objects must be like 8, got "5"'),
+            ({"scene": {"range_band": 5}},
+             "error: --config {config}: field scene.range_band must be like [5.0, "),
+            ({"noise": {"sigma_hr": "x"}},
+             'error: --config {config}: field noise.sigma_hr must be like 0.0, got "x"'),
+            ({"noise": {"sigma_hr": math.nan}},
+             "error: --config {config}: noise sigmas must be non-negative"),
+            ({"scene": []}, "error: --config {config}: scene config must be a JSON object"),
+            ({"noise": []}, "error: --config {config}: noise config must be a JSON object"),
+            ({"frmes": 2}, "error: --config {config}: unknown config keys: ['frmes']"),
+            ({"noise": {"sigma": 0.1}},
+             "error: --config {config}: unknown noise config keys: ['sigma']"),
             ({"noise": {"sigma_hr": math.inf}},
-             "error: field noise.sigma_hr must be like 0.0, got Infinity"),
+             "error: --config {config}: field noise.sigma_hr must be like 0.0, got Infinity"),
             ({"noise": {"sigma_hr": -math.inf}},
-             "error: field noise.sigma_hr must be like 0.0, got -Infinity"),
+             "error: --config {config}: field noise.sigma_hr must be like 0.0, got -Infinity"),
             ({"scene": {"range_band": [5, math.inf]}},
-             "error: field scene.range_band[1] must be like 250.0, got Infinity"),
+             "error: --config {config}: field scene.range_band[1] must be like 250.0, got "
+             "Infinity"),
             ({"scene": {"edge_margin_px": 8}},
-             "error: unknown scene config keys: ['edge_margin_px']"),
+             "error: --config {config}: unknown scene config keys: ['edge_margin_px']"),
             ({"frames": 100_001}, "error: frames must be at most 100000, got 100001"),
-            ({"scene": {"n_objects": 1001}}, "error: n_objects must be at most 1000, got 1001"),
+            ({"scene": {"n_objects": 1001}},
+             "error: --config {config}: n_objects must be at most 1000, got 1001"),
             ({"scene": {"categories": [["car", [[5, 3], [1.6, 2], [1.3, 1.8]]]]}},
-             "error: categories[0] dimension bands must satisfy 0 < lo <= hi, got [5, 3]"),
+             "error: --config {config}: categories[0] dimension bands must satisfy 0 < lo <= hi, "
+             "got [5, 3]"),
             ({"scene": {"categories": [["car", [[4, 5], [1.6, 2], [1.3, 1.8]]],
                                        ["cone", [[0.3, 0.4], [-1, -0.5], [0.5, 0.7]]]]}},
-             "error: categories[1] dimension bands must satisfy 0 < lo <= hi, got [-1, -0.5]"),
+             "error: --config {config}: categories[1] dimension bands must satisfy 0 < lo <= hi, "
+             "got [-1, -0.5]"),
             ({"scene": {"categories": [["#car", [[4, 5], [1.6, 2], [1.3, 1.8]]]]}},
-             "error: category must be a non-empty string without whitespace, not starting "
-             "with '#', got '#car'"),
+             "error: --config {config}: category must be a non-empty string without whitespace, "
+             "not starting with '#', got '#car'"),
             ({"scene": {"categories": [["", [[4, 5], [1.6, 2], [1.3, 1.8]]]]}},
-             "error: category must be a non-empty string"),
+             "error: --config {config}: category must be a non-empty string"),
             ({"scene": {"categories": [["my car", [[4, 5], [1.6, 2], [1.3, 1.8]]]]}},
-             "error: category must be a non-empty string"),
+             "error: --config {config}: category must be a non-empty string"),
             ({"scene": {"n_objects": 0, "categories": [["#car", [[4, 5], [1.6, 2], [1.3, 1.8]]]]}},
-             "error: category must be a non-empty string"),
+             "error: --config {config}: category must be a non-empty string"),
             ({"scene": {"range_band": [1e308, 1e308]}},
-             "error: field scene.range_band[0] must be like 5.0, got 1e+308"),
+             "error: --config {config}: field scene.range_band[0] must be like 5.0, got 1e+308"),
             ({"scene": {"height_band": [4, 1e308]}},
-             "error: field scene.height_band[1] must be like 12.0, got 1e+308"),
+             "error: --config {config}: field scene.height_band[1] must be like 12.0, got 1e+308"),
             ({"scene": {"height_band": [-5, -4]}},
-             "error: height_band must start at a camera height of at least 1e-06 m, got -5"),
+             "error: --config {config}: height_band must start at a camera height of at least "
+             "1e-06 m, got -5"),
             ({"scene": {"focal_band": [1e308, 1e308]}},
-             "error: field scene.focal_band[0] must be like 1000.0, got 1e+308"),
+             "error: --config {config}: field scene.focal_band[0] must be like 1000.0, got 1e+308"),
             ({"noise": {"sigma_hr": 1e308}},
-             "error: field noise.sigma_hr must be like 0.0, got 1e+308"),
+             "error: --config {config}: field noise.sigma_hr must be like 0.0, got 1e+308"),
             ({"noise": {"sigma_dims": 1e308}},
-             "error: field noise.sigma_dims must be like 0.0, got 1e+308"),
+             "error: --config {config}: field noise.sigma_dims must be like 0.0, got 1e+308"),
         ],
         ids=["zero-frames", "list-document", "null-frames", "list-frames", "float-frames",
              "string-objects", "number-band", "string-sigma", "nan-sigma", "list-scene",
@@ -1352,7 +1461,7 @@ class TestCli:
         assert run_command(["simulate", "--config", str(config), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [captured.err.strip()]
-        assert captured.err.startswith(message)
+        assert captured.err.startswith(message.replace("{config}", str(config)))
         assert captured.out == ""
         assert not out.exists()
 
@@ -1368,7 +1477,7 @@ class TestCli:
         out = tmp_path / "out"
         assert run_command([command, "--config", str(config), "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: field {message}")
+        assert captured.err.startswith(f"error: --config {config}: field {message}")
         assert captured.err.endswith("Infinity\n") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert not out.exists()
@@ -1413,13 +1522,15 @@ class TestCli:
             source = tmp_path / "calib.json"
             source.write_text(json.dumps(doc))
             argv, message = ["embed", "--calib", str(source)], (
-                f"error: field image.{side} must be at most 16384 px, got 16392\n")
+                f"error: --calib {source}: field image.{side} must be at most 16384 px, "
+                "got 16392\n")
         else:
             source = tmp_path / "config.json"
             source.write_text(json.dumps({"scene": {f"image_{side}": 16_392}, "frames": 1}))
             argv = [command, "--config", str(source)]
             dims = "16392x1536" if side == "height" else "1024x16392"
-            message = f"error: image sides must be at most 16384 px, got {dims}\n"
+            message = (f"error: --config {source}: image sides must be at most 16384 px, "
+                       f"got {dims}\n")
         out = tmp_path / "out"
         assert run_command(argv + ["--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -1435,7 +1546,8 @@ class TestCli:
             out = tmp_path / command
             assert run_command([command, "--config", str(config), "--out", str(out)]) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.startswith(f"error: --config {config}: config is not valid JSON: ")
+            assert "recursion" in err and err.count("\n") == 1
             assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1489,6 +1601,17 @@ class TestCli:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert run_command(["plane", "--nope"]) == 2
+
+    def test_closed_stdout_exits_1_without_a_message(self, nadir_calib_file, capsys,
+                                                      monkeypatch):
+        # As in `roadlift plane ... | head -c0`: the reader is gone.
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run_command(["plane", "--calib", str(nadir_calib_file)]) == 1
+        assert capsys.readouterr().err == ""
 
     def test_missing_file_reports_error(self, capsys):
         assert run_command(["plane", "--calib", "/does/not/exist.json"]) == 1
@@ -2004,8 +2127,8 @@ def _empty_label_directories(tmp_path):
 @pytest.mark.parametrize(
     "paths,message",
     [
-        (_empty_label_directories, "error: no .txt label files under "),
-        (_two_prediction_files, "error: frame count mismatch: 1 GT vs 2 prediction files"),
+        (_empty_label_directories, "error: --gt {tmp}/gt: no .txt label files\n"),
+        (_two_prediction_files, "error: frame count mismatch: 1 GT vs 2 prediction files\n"),
     ],
     ids=["empty-directory", "file-against-two-files"],
 )
@@ -2013,8 +2136,7 @@ def test_evaluate_rejects_unpairable_inputs(tmp_path, capsys, paths, message):
     gt, pred = paths(tmp_path)
     assert run_command(["evaluate", "--gt", gt, "--pred", pred]) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [captured.err.strip()]
-    assert captured.err.startswith(message)
+    assert captured.err == message.replace("{tmp}", str(tmp_path))
     assert captured.out == ""
 
 

@@ -248,12 +248,12 @@ def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, str, int | N
     return found
 
 
-def _passed_arguments() -> dict[str, tuple[set[str], float]]:
-    """For each bare callee name in the readers: the keywords passed to
-    it and the most positional arguments any call gives it (infinite
-    after a ``*args``; a ``**kwargs`` passes every keyword)."""
-    passed = {}
-    for tree in READER_TREES:
+def _calls(trees) -> dict[str, list[tuple[float, set[str | None]]]]:
+    """For each bare callee name in ``trees``: one (positional arguments,
+    keywords) pair per call.  The count is infinite after a ``*args``,
+    and a ``**kwargs`` (None among the keywords) passes every keyword."""
+    calls = {}
+    for tree in trees:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -263,16 +263,24 @@ def _passed_arguments() -> dict[str, tuple[set[str], float]]:
                 name = node.func.attr
             else:
                 continue
-            keywords, most = passed.get(name, (set(), 0))
-            if any(isinstance(a, ast.Starred) for a in node.args):
-                most = math.inf
-            most = max(most, len(node.args))
-            keywords |= {k.arg for k in node.keywords}  # None stands for **kwargs
-            passed[name] = (keywords, most)
-    return passed
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((math.inf if starred else len(node.args), keywords))
+    return calls
 
 
-PASSED = _passed_arguments()
+def _passes(call, param: str, position: int | None) -> bool:
+    """Whether a call from ``_calls`` passes ``param``, by keyword or at
+    ``position``."""
+    n_args, keywords = call
+    return bool({param, None} & keywords) or (position is not None and n_args > position)
+
+
+READER_CALLS = _calls(READER_TREES)
+# Every caller: the package, the benchmark (its selftest too) and the tests.
+CALLER_PATHS = [*SOURCES, *sorted((ROOT / "bench").glob("*.py")),
+                *sorted((ROOT / "tests").glob("*.py"))]
+ALL_CALLS = _calls(TREES.get(p) or ast.parse(p.read_text(), filename=str(p)) for p in CALLER_PATHS)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -283,12 +291,26 @@ def test_every_defaulted_parameter_is_passed(path):
     # to another function of the same name (rng.random for
     # GroundField.random, say) can hide a parameter it passes by
     # position or by a keyword of the same name.
-    unpassed = []
-    for qualname, name, param, position in _defaulted_parameters(TREES[path]):
-        keywords, most = PASSED.get(name, (set(), 0))
-        if not ({param, None} & keywords or (position is not None and most > position)):
-            unpassed.append(f"{qualname}({param})")
+    unpassed = [
+        f"{qualname}({param})"
+        for qualname, name, param, position in _defaulted_parameters(TREES[path])
+        if not any(_passes(c, param, position) for c in READER_CALLS.get(name, []))
+    ]
     assert unpassed == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_default_is_left_out_somewhere(path):
+    # A default that every call in the package, the benchmark and the
+    # tests overrides is never used: the parameter should be required.
+    # Callees are matched by bare name, as above, so a call to another
+    # function of the same name can hide a default that no call uses.
+    unused = [
+        f"{qualname}({param})"
+        for qualname, name, param, position in _defaulted_parameters(TREES[path])
+        if all(_passes(c, param, position) for c in ALL_CALLS.get(name, []))
+    ]
+    assert unused == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -21,7 +21,6 @@ from roadlift.evaluation import (
     match,
     overlap_matrix,
     pr_curve_from_stats,
-    stats_from_match,
 )
 from roadlift.evaluation import PRCurve
 
@@ -404,13 +403,10 @@ class TestOverlapMatrix:
                   for x1, y1, x2, y2 in gt2d[:5]]
         gts = [box(x=100.0 * i) for i in range(6)]
         preds = [box(score=round(rng.uniform(0.1, 0.99), 3)) for _ in range(5)]
-        overlaps = box2d_overlap_matrix(gt2d, pred2d)
-        got = frame_detection_stats(gts, preds, overlaps, 0.7)
-        want = stats_from_match(match(gts, preds, overlaps, 0.7))
+        got = frame_detection_stats(match(gts, preds, box2d_overlap_matrix(gt2d, pred2d), 0.7))
         assert 0 < got.is_tp.sum() < len(preds)
-        assert np.array_equal(got.scores, want.scores)
-        assert np.array_equal(got.is_tp, want.is_tp)
-        assert got.n_gt == want.n_gt == 6
+        assert np.array_equal(got.scores, [p.score for p in preds])
+        assert got.n_gt == 6
 
     def test_pixel_kind_requires_aligned_boxes(self):
         # One ground truth but no ground-truth rectangle: the matrix has
@@ -432,9 +428,9 @@ class TestOverlapMatrix:
                 rows = [i for i, b in enumerate(gts) if b.category == cls]
                 cols = [i for i, b in enumerate(preds) if b.category == cls]
                 class_gts, class_preds = [gts[i] for i in rows], [preds[i] for i in cols]
-                got = frame_detection_stats(class_gts, class_preds, m[rows][:, cols], 0.3)
+                got = frame_detection_stats(match(class_gts, class_preds, m[rows][:, cols], 0.3))
                 want = frame_detection_stats(
-                    class_gts, class_preds, overlap_matrix(class_gts, class_preds, kind), 0.3
+                    match(class_gts, class_preds, overlap_matrix(class_gts, class_preds, kind), 0.3)
                 )
                 assert np.array_equal(got.scores, want.scores)
                 assert np.array_equal(got.is_tp, want.is_tp)
@@ -488,10 +484,7 @@ class TestAveragePrecision:
                 [box(x=rng.uniform(-20, 20), l=4, w=2, score=rng.uniform(0.1, 1)) for _ in range(3)]
             )
         whole = average_precision_r40(gts, preds, 0.1).ap
-        stats = [
-            frame_detection_stats(g, p, overlap_matrix(g, p, "bev"), 0.1)
-            for g, p in zip(gts, preds)
-        ]
+        stats = [frame_detection_stats(bev_match(g, p, 0.1)) for g, p in zip(gts, preds)]
         assert pr_curve_from_stats(stats).ap == whole
 
 

@@ -18,10 +18,10 @@ from roadlift.camera_geometry import (
 from roadlift.evaluation import (
     FrameStats,
     PRCurve,
+    frame_detection_stats,
     match,
     overlap_matrix,
     pr_curve_from_stats,
-    stats_from_match,
 )
 from roadlift.formats import parse_labels
 from roadlift.loss_functions import Box3DParams
@@ -94,7 +94,7 @@ def test_match_results_compare_by_value():
     result = match(gts, preds, overlaps, 0.5)
     assert result == match(gts, preds, overlaps, 0.5)
     assert result != match(gts, preds[:1], overlaps[:, :1], 0.5)
-    assert stats_from_match(result) == stats_from_match(match(gts, preds, overlaps, 0.5))
+    assert frame_detection_stats(result) == frame_detection_stats(match(gts, preds, overlaps, 0.5))
 
 
 def test_curves_and_stats_compare_to_a_bool():

@@ -257,6 +257,15 @@ class TestSimulatePredictions:
         assert record.pred_boxes == ()
         assert record.n_dropped == len(scene.objects)
 
+    def test_lift_failures_are_counted(self):
+        # A 1 km spread of h_r puts some objects' heights above the camera,
+        # where no ray lifts to them.
+        scene = generate_scene(SceneConfig(n_objects=20), 31)
+        record = simulate_predictions(scene, NoiseModel(sigma_hr=1e3, drop_rate=0.2), seed=0)
+        assert record.n_lift_failed > 0 and record.n_dropped > 0
+        kept = len(record.pred_boxes)
+        assert record.n_dropped + record.n_lift_failed + kept == len(scene.objects)
+
     def test_deterministic_given_seed(self):
         scene = generate_scene(CFG, 25)
         noise = NoiseModel(sigma_hr=0.3, sigma_center_px=2.0, drop_rate=0.2)
