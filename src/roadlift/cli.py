@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,10 +113,10 @@ def _read_input(flag: str, path, parse):
         raise ValueError(f"{flag} {path}: {exc}") from exc
 
 
-def _read_config(path: str, like: dict) -> dict:
-    """The ``--config`` JSON at ``path``, checked against ``like``."""
+def _read_config(path: str, like):
+    """The ``--config`` JSON at ``path``, checked into a copy of ``like``."""
 
-    def parse(text: str) -> dict:
+    def parse(text: str):
         try:
             data = json.loads(text)
         except (ValueError, RecursionError) as exc:  # or nested past the parser's stack
@@ -149,7 +149,8 @@ def _check_outputs(args) -> None:
     Inputs are looked up only for outputs that exist already, since no
     other can be a file the command reads, and a directory is resolved
     once: a label file in it that is not a symlink resolves to the
-    directory's path joined with its name."""
+    directory's path joined with its name.  Last, the nearest path that
+    exists on the way up from simulate's ``--out`` must be a directory."""
     outputs = {}
     for flag in ("--out", "--bank-out", "--distance-csv"):
         path = getattr(args, flag[2:].replace("-", "_"), None)
@@ -182,6 +183,12 @@ def _check_outputs(args) -> None:
             if f in existing:
                 flag, named = existing[f]
                 raise ValueError(f"{flag} must not name an input file ({in_flag}), got {named}")
+    if args.command == "simulate" and args.out:
+        up = os.path.realpath(args.out)  # absolute: the walk ends at the root at the latest
+        while not os.path.lexists(up):
+            up = os.path.dirname(up)
+        if not os.path.isdir(up):  # a file, or a symlink loop
+            raise ValueError(f"--out must name a directory, got {args.out}")
 
 
 def _check_frames(n_frames: int) -> None:
@@ -189,6 +196,46 @@ def _check_frames(n_frames: int) -> None:
         raise ValueError(f"frames must be at least 1, got {n_frames}")
     if n_frames > MAX_FRAMES:
         raise ValueError(f"frames must be at most {MAX_FRAMES}, got {n_frames}")
+
+
+@dataclass(frozen=True)
+class _SimulateConfig:
+    """A ``simulate --config``."""
+
+    scene: SceneConfig
+    noise: NoiseModel
+    frames: int
+
+    def __post_init__(self):
+        _check_frames(self.frames)
+
+
+@dataclass(frozen=True)
+class _BankSimConfig:
+    """A ``bank-sim --config``; ``--seed`` is its one scheduler seed."""
+
+    scene: SceneConfig
+    frames: int
+    momentum: float
+    channels: int
+    cue_noise_sigma: float
+    scheduler: SchedulerConfig
+
+    def __post_init__(self):
+        _check_frames(self.frames)
+        check_channels(self.channels)
+        if not 0.0 <= self.momentum <= 1.0:  # NaN fails too
+            raise ValueError(f"momentum must lie in [0, 1], got {self.momentum}")
+        sigma = self.cue_noise_sigma
+        if not (math.isfinite(sigma) and sigma >= 0.0):
+            raise ValueError(f"cue_noise_sigma must be a finite number >= 0, got {sigma}")
+        height, width = self.scene.image_height, self.scene.image_width
+        bank_memory_elements(height, width, self.channels)
+        # Each drawn scale lies in [clamp_lo, clamp_hi] and no image side
+        # shrinks as the scale grows, so these two sizes bound every
+        # augmented camera's grid.
+        for scale in (self.scheduler.clamp_lo, self.scheduler.clamp_hi):
+            bank_memory_elements(*scaled_image_size(height, width, scale), self.channels)
 
 
 def cmd_plane(args) -> int:
@@ -236,10 +283,8 @@ def cmd_sensitivity(args) -> int:
 def cmd_simulate(args) -> int:
     if not args.out:
         raise ValueError("simulate requires --out (output directory)")
-    like = {"scene": SceneConfig(), "noise": NoiseModel(), "frames": 1}
-    config = _read_config(args.config, like)
-    scene_cfg, noise, n_frames = config["scene"], config["noise"], config["frames"]
-    _check_frames(n_frames)
+    config = _read_config(args.config, _SimulateConfig(SceneConfig(), NoiseModel(), frames=1))
+    scene_cfg, noise, n_frames = config.scene, config.noise, config.frames
     out = Path(args.out)
     # A second run would overwrite some frames and leave the rest beside
     # another scene's calibration.
@@ -399,28 +444,12 @@ def cmd_bank_sim(args) -> int:
     glibc serves grid-sized blocks from its heap, memset every page and
     keep freed pages resident; the price is one mapping per grid and one
     page at least."""
-    # --seed is the one scheduler seed: the scheduler block has no seed key.
-    scheduler_like = {k: v for k, v in vars(SchedulerConfig(tau=20)).items() if k != "seed"}
-    like = {"scene": SceneConfig(), "frames": 60, "momentum": 0.1, "channels": 4,
-            "cue_noise_sigma": 0.05, "scheduler": scheduler_like}
+    like = _BankSimConfig(SceneConfig(), frames=60, momentum=0.1, channels=4,
+                          cue_noise_sigma=0.05, scheduler=SchedulerConfig(tau=20))
     config = _read_config(args.config, like)
-    scheduler = SceneScheduler(SchedulerConfig(**config["scheduler"], seed=args.seed))
-    scene_cfg, n_frames, channels = config["scene"], config["frames"], config["channels"]
-    _check_frames(n_frames)
-    check_channels(channels)
-    momentum, sigma = config["momentum"], config["cue_noise_sigma"]
-    if not 0.0 <= momentum <= 1.0:  # NaN fails too
-        raise ValueError(f"momentum must lie in [0, 1], got {momentum}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"cue_noise_sigma must be a finite number >= 0, got {sigma}")
-    height, width = scene_cfg.image_height, scene_cfg.image_width
-    bank_memory_elements(height, width, channels)
-    # Each drawn scale lies in [clamp_lo, clamp_hi] and no image side
-    # shrinks as the scale grows, so these two sizes bound every
-    # augmented camera's grid.
-    for scale in (scheduler.config.clamp_lo, scheduler.config.clamp_hi):
-        bank_memory_elements(*scaled_image_size(height, width, scale), channels)
-    scene = generate_scene(scene_cfg, args.seed)
+    scheduler = SceneScheduler(config.scheduler, args.seed)
+    n_frames, channels, sigma = config.frames, config.channels, config.cue_noise_sigma
+    scene = generate_scene(config.scene, args.seed)
     sid = scene.scene_id
     bank_train = SceneBank()
     bank_infer = SceneBank()
@@ -446,7 +475,7 @@ def cmd_bank_sim(args) -> int:
     def _submit_plain(worker, t: int):
         """Frame ``t``'s objects and plain mask, with its inference
         observation rows queued on ``worker``."""
-        frame_scene = scene if t == 0 else resample_objects(scene, scene_cfg, t)
+        frame_scene = scene if t == 0 else resample_objects(scene, config.scene, t)
         mask_plain = _mask_for(scene, frame_scene)
         cells_plain = np.flatnonzero(mask_plain.cells)
         observed_plain = worker.submit(
@@ -476,7 +505,7 @@ def cmd_bank_sim(args) -> int:
             if did_reset:
                 bank_train.reset_scene(sid, cues)
             else:
-                bank_train.update_momentum(sid, cues, momentum, mask)
+                bank_train.update_momentum(sid, cues, config.momentum, mask)
             # Each stream's grids go as soon as its bank has read them:
             # the peak RSS is set by how many grids are alive at once.
             del cues
@@ -516,6 +545,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    # sine_encode's own message for such a size does not name the flag.
+    if args.de <= 0 or args.de % 2:
+        raise ValueError(f"--de must be a positive even integer, got {args.de}")
     rig = _read_input("--calib", args.calib, parse_calibration_doc).rig
     grid = embed_depth_map(rig, args.de)
     us, vs = cell_centers(rig.image_height, rig.image_width)

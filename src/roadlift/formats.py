@@ -86,13 +86,14 @@ def check_json(value, like, name: str):
     """``like`` with parsed JSON ``value`` in its place, or FormatError
     naming the field ``name``.  An int takes an integer, a float any
     number, a str a string, a tuple an equally long list matched item by
-    item (a one-item tuple: any length), and a dict or dataclass an
-    object with known keys, which replace those of ``like``.  A float
+    item (a one-item tuple: any length), and a dataclass an object with
+    known keys, which replace those of ``like`` and whose type then
+    checks the whole (its ``__post_init__``).  A float
     field's number must lie within +-``MAX_JSON_NUMBER``: ``1e308``,
     JSON ``Infinity`` and ``1e999`` are rejected, while NaN is left to
     each field's own check."""
-    if isinstance(like, dict) or is_dataclass(like):
-        keys = like if isinstance(like, dict) else vars(like)
+    if is_dataclass(like):
+        keys = vars(like)
         where = f"{name} config" if name else "config"
         if not isinstance(value, dict):
             raise FormatError(f"{where} must be a JSON object, got {json.dumps(value)}")
@@ -101,7 +102,7 @@ def check_json(value, like, name: str):
             raise FormatError(f"unknown {where} keys: {sorted(unknown)}")
         prefix = f"{name}." if name else ""
         checked = {k: check_json(v, keys[k], prefix + k) for k, v in value.items()}
-        return {**like, **checked} if isinstance(like, dict) else replace(like, **checked)
+        return replace(like, **checked)
     if isinstance(like, tuple):
         if isinstance(value, list) and len(like) in (1, len(value)):
             return tuple(

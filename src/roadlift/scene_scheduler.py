@@ -53,7 +53,6 @@ class SchedulerConfig:
     sigma_scale: float = 0.2
     sigma_roll_deg: float = 2.0
     sigma_pitch_deg: float = 0.67
-    seed: int = 0
 
     def __post_init__(self):
         if self.tau < 1:
@@ -127,19 +126,20 @@ class _SceneState:
 class SceneScheduler:
     """Per-scene augmentation state with the tau-frame replacement rule.
 
-    Every scene draws from its own generator seeded by (config.seed,
-    scene id), so schedules are reproducible regardless of how steps of
+    Every scene draws from its own generator seeded by (``seed``, scene
+    id), so schedules are reproducible regardless of how steps of
     different scenes interleave.
     """
 
-    def __init__(self, config: SchedulerConfig):
+    def __init__(self, config: SchedulerConfig, seed: int):
         self.config = config
+        self.seed = seed
         self._scenes: dict[str, _SceneState] = {}
 
     def _state(self, scene_id: str) -> _SceneState:
         state = self._scenes.get(scene_id)
         if state is None:
-            rng = np.random.default_rng([self.config.seed, _scene_key(scene_id)])
+            rng = np.random.default_rng([self.seed, _scene_key(scene_id)])
             state = _SceneState(sample_augmentation(rng, self.config), 0, rng)
             self._scenes[scene_id] = state
         return state

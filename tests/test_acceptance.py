@@ -221,7 +221,7 @@ def test_criterion_6_bank_semantics():
 
     # Schedule: floor(n/tau) resets, bitwise-identical params inside windows.
     tau, n = 7, 100
-    sched = SceneScheduler(SchedulerConfig(tau=tau, seed=5))
+    sched = SceneScheduler(SchedulerConfig(tau=tau), 5)
     resets = 0
     window: list = []
     windows_ok = True

@@ -1286,10 +1286,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "override,message",
         [
-            ({"frames": 0}, "error: frames must be at least 1"),
-            ({"frames": -3}, "error: frames must be at least 1"),
-            ({"cue_noise_sigma": -0.05}, "error: cue_noise_sigma must be a finite number >= 0"),
-            ({"cue_noise_sigma": math.nan}, "error: cue_noise_sigma must be a finite number >= 0"),
+            ({"frames": 0}, "error: --config {config}: frames must be at least 1"),
+            ({"frames": -3}, "error: --config {config}: frames must be at least 1"),
+            ({"cue_noise_sigma": -0.05},
+             "error: --config {config}: cue_noise_sigma must be a finite number >= 0"),
+            ({"cue_noise_sigma": math.nan},
+             "error: --config {config}: cue_noise_sigma must be a finite number >= 0"),
             ([], "error: --config {config}: config must be a JSON object"),
             ({"frames": None}, "error: --config {config}: field frames must be like 60, got null"),
             ({"frames": [1]}, "error: --config {config}: field frames must be like 60, got [1]"),
@@ -1310,14 +1312,15 @@ class TestCli:
             ({"tau": 12}, "error: --config {config}: unknown config keys: ['tau']"),
             ({"noise": {}}, "error: --config {config}: unknown config keys: ['noise']"),
             ({"scheduler": {"sigma_scale": math.nan}},
-             "error: sigma_scale must be non-negative, got nan"),
+             "error: --config {config}: sigma_scale must be non-negative, got nan"),
             ({"scheduler": {"sigma_roll_deg": math.nan}},
-             "error: sigma_roll_deg must be non-negative, got nan"),
+             "error: --config {config}: sigma_roll_deg must be non-negative, got nan"),
             ({"scheduler": {"sigma_pitch_deg": math.nan}},
-             "error: sigma_pitch_deg must be non-negative, got nan"),
-            ({"momentum": 2.0}, "error: momentum must lie in [0, 1], got 2.0"),
-            ({"momentum": math.nan}, "error: momentum must lie in [0, 1], got nan"),
-            ({"channels": 0}, "error: channels must be at least 1, got 0"),
+             "error: --config {config}: sigma_pitch_deg must be non-negative, got nan"),
+            ({"momentum": 2.0}, "error: --config {config}: momentum must lie in [0, 1], got 2.0"),
+            ({"momentum": math.nan},
+             "error: --config {config}: momentum must lie in [0, 1], got nan"),
+            ({"channels": 0}, "error: --config {config}: channels must be at least 1, got 0"),
             ({"scheduler": {"sigma_roll_deg": math.inf}},
              "error: --config {config}: field scheduler.sigma_roll_deg must be like 2.0, got "
              "Infinity"),
@@ -1327,22 +1330,25 @@ class TestCli:
              "error: --config {config}: field scene.range_band[1] must be like 250.0, got "
              "Infinity"),
             ({"channels": 683},
-             "error: a 128x192-cell grid with 683 channels exceeds 16777216 values"),
+             "error: --config {config}: a 128x192-cell grid with 683 channels exceeds "
+             "16777216 values"),
             ({"scheduler": {"seed": 7}},
              "error: --config {config}: unknown scheduler config keys: ['seed']"),
             ({"channels": 400, "frames": 2, "scheduler": {"clamp_lo": 1.5, "clamp_hi": 1.5}},
-             "error: a 192x288-cell grid with 400 channels exceeds 16777216 values"),
+             "error: --config {config}: a 192x288-cell grid with 400 channels exceeds "
+             "16777216 values"),
             ({"scheduler": {"clamp_lo": 0.001, "clamp_hi": 0.001}},
-             "error: intrinsic scale shrinks the image below one grid cell"),
+             "error: --config {config}: intrinsic scale shrinks the image below one grid cell"),
             ({"scheduler": {"clamp_hi": 20}},
-             "error: image sides must be at most 16384 px, got 20480x30720"),
+             "error: --config {config}: image sides must be at most 16384 px, got 20480x30720"),
             ({"scheduler": {"clamp_hi": 1e308}},
              "error: --config {config}: field scheduler.clamp_hi must be like 0.9, got 1e+308"),
             ({"cue_noise_sigma": 1e308},
              "error: --config {config}: field cue_noise_sigma must be like 0.05, got 1e+308"),
             ({"scene": {"n_objects": 0, "image_width": 8, "image_height": 8}, "channels": 4097},
-             "error: channels must be at most 4096, got 4097"),
-            ({"frames": 100_001}, "error: frames must be at most 100000, got 100001"),
+             "error: --config {config}: channels must be at most 4096, got 4097"),
+            ({"frames": 100_001},
+             "error: --config {config}: frames must be at most 100000, got 100001"),
             ({"scene": {"n_objects": 1001}},
              "error: --config {config}: n_objects must be at most 1000, got 1001"),
         ],
@@ -1382,7 +1388,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "override,message",
         [
-            ({"frames": 0}, "error: frames must be at least 1"),
+            ({"frames": 0}, "error: --config {config}: frames must be at least 1"),
             ([], "error: --config {config}: config must be a JSON object"),
             ({"frames": None}, "error: --config {config}: field frames must be like 1, got null"),
             ({"frames": [1]}, "error: --config {config}: field frames must be like 1, got [1]"),
@@ -1409,7 +1415,8 @@ class TestCli:
              "Infinity"),
             ({"scene": {"edge_margin_px": 8}},
              "error: --config {config}: unknown scene config keys: ['edge_margin_px']"),
-            ({"frames": 100_001}, "error: frames must be at most 100000, got 100001"),
+            ({"frames": 100_001},
+             "error: --config {config}: frames must be at most 100000, got 100001"),
             ({"scene": {"n_objects": 1001}},
              "error: --config {config}: n_objects must be at most 1000, got 1001"),
             ({"scene": {"categories": [["car", [[5, 3], [1.6, 2], [1.3, 1.8]]]]}},
@@ -1821,7 +1828,7 @@ class TestBankSimNoise:
                             "--out", str(out), "--bank-out", str(bank_path)])
         assert code == 0
         base = generate_scene(check_json(scene, SceneConfig(), "scene"), 4)
-        steps = SceneScheduler(SchedulerConfig(seed=4, **scheduler))
+        steps = SceneScheduler(SchedulerConfig(**scheduler), 4)
         sizes = []
         for _ in range(12):
             params, did_reset = steps.step(base.scene_id)
@@ -2043,6 +2050,43 @@ def test_simulate_out_check_reads_calibration_and_label_files(tmp_path, capsys, 
         assert capsys.readouterr().err.count("\n") == 1
     else:
         assert (out / "calib.json").exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub", "loop", "loop/sub"])
+def test_simulate_out_that_cannot_be_a_directory_is_refused(tmp_path, capsys, monkeypatch, out):
+    # Each generated the scene and then ended with an OS error ("[Errno 20]
+    # Not a directory: 'afile/gt'" and the like) that named neither the
+    # flag nor the cause.  The refusal now comes before the config is read.
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"scene": {"n_objects": 2}, "frames": 1}))
+    (tmp_path / "afile").write_text("old\n")
+    (tmp_path / "loop").symlink_to(tmp_path / "loop2")
+    (tmp_path / "loop2").symlink_to(tmp_path / "loop")
+    reads = []
+    real_read = cli._read_config
+    monkeypatch.setattr(cli, "_read_config", lambda *a: reads.append(a) or real_read(*a))
+    before = sorted(os.listdir(tmp_path))
+    code = run_command(["simulate", "--config", str(config), "--out", str(tmp_path / out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out must name a directory, got {tmp_path / out}\n"
+    assert captured.out == ""
+    assert reads == []
+    assert sorted(os.listdir(tmp_path)) == before
+    assert (tmp_path / "afile").read_text() == "old\n"
+
+
+@pytest.mark.parametrize("de", ["3", "0", "-2"])
+def test_embed_size_error_names_the_flag(nadir_calib_file, tmp_path, capsys, de):
+    # The size check was sine_encode's alone, whose message does not name
+    # --de.
+    out = tmp_path / "embed.csv"
+    argv = ["embed", "--calib", str(nadir_calib_file), "--de", de, "--out", str(out)]
+    assert run_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --de must be a positive even integer, got {de}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 # Every noise parameter non-zero, and sigma_dims 0.5 on a 0.3-0.4 m

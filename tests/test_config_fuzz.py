@@ -1,6 +1,7 @@
 """Mangled simulate and bank-sim configs: each run exits 0, or exits 1
 with one ``error:`` line, and never leaks a traceback or a warning (the
-suite turns warnings into errors)."""
+suite turns warnings into errors).  A run that fails before any scene is
+generated fails on its config, and its error names the file."""
 
 import contextlib
 import dataclasses
@@ -9,10 +10,12 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from roadlift import cli
 from roadlift.cli import run_command
 from roadlift.scene_scheduler import SchedulerConfig
 from roadlift.synthetic_world import NoiseModel, SceneConfig
@@ -44,7 +47,7 @@ BASES = {
         "momentum": 0.1,
         "channels": 2,
         "cue_noise_sigma": 0.05,
-        "scheduler": {k: v for k, v in _plain(SchedulerConfig(tau=1)).items() if k != "seed"},
+        "scheduler": _plain(SchedulerConfig(tau=1)),
     },
 }
 
@@ -113,17 +116,23 @@ def _pinned(command, path, value):
 @example(_pinned("simulate", ("scene", "focal_band"), [1e308, 1e308]))
 @example(_pinned("simulate", ("noise", "sigma_hr"), 1e308))
 @example(_pinned("simulate", ("noise", "sigma_dims"), 1e308))
+@example(_pinned("simulate", ("frames",), 0))
+@example(_pinned("bank-sim", ("frames",), 0))
+@example(_pinned("bank-sim", ("momentum",), 2.0))
 def test_every_config_exits_cleanly(case):
     command, doc = case
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "config.json", Path(tmp) / "out"
         config.write_text(json.dumps(doc))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+              mock.patch.object(cli, "generate_scene", wraps=cli.generate_scene) as generate):
             code = run_command([command, "--config", str(config), "--out", str(out)])
         rows = out.read_text().splitlines()[1:] if code == 0 and command == "bank-sim" else []
     assert code in (0, 1)
     if code == 1:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        if not generate.called:
+            assert err.getvalue().startswith(f"error: --config {config}: "), err.getvalue()
     for row in rows:
         assert all(math.isfinite(float(v)) for v in row.split(",")[1:]), row

@@ -339,3 +339,16 @@ def test_readme_library_example_runs(capsys):
     code = re.search(r"^```python\n(.*?)^```$", text, re.M | re.S).group(1)
     exec(compile(code, "README.md", "exec"), {"__name__": "readme_example"})
     assert 0.0 <= float(capsys.readouterr().out) <= 100.0
+
+
+@pytest.mark.parametrize("command", ["simulate", "bank-sim"])
+def test_readme_config_example_runs(command, tmp_path):
+    # Each documented config runs as written, so it cannot drift from the
+    # types that check it.
+    from roadlift.cli import run_command
+
+    text = (ROOT / "README.md").read_text()
+    pattern = rf"^`{command}` config example:\n\n```json\n(.*?)^```$"
+    config = tmp_path / "config.json"
+    config.write_text(re.search(pattern, text, re.M | re.S).group(1))
+    assert run_command([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0

@@ -156,7 +156,7 @@ class TestApplyAugmentation:
 
 class TestSchedulerStep:
     def test_tau_three_window(self):
-        sched = SceneScheduler(SchedulerConfig(tau=3, seed=0))
+        sched = SceneScheduler(SchedulerConfig(tau=3), 0)
         p1, r1 = sched.step("s")
         p2, r2 = sched.step("s")
         p3, r3 = sched.step("s")
@@ -165,16 +165,16 @@ class TestSchedulerStep:
         assert p3 != p1
 
     def test_tau_one_always_resets(self):
-        sched = SceneScheduler(SchedulerConfig(tau=1, seed=0))
+        sched = SceneScheduler(SchedulerConfig(tau=1), 0)
         assert all(sched.step("s")[1] for _ in range(10))
 
     def test_reset_count_is_floor_n_over_tau(self):
-        sched = SceneScheduler(SchedulerConfig(tau=1000, seed=0))
+        sched = SceneScheduler(SchedulerConfig(tau=1000), 0)
         resets = sum(sched.step("s")[1] for _ in range(3000))
         assert resets == 3
 
     def test_params_bitwise_stable_within_window(self):
-        sched = SceneScheduler(SchedulerConfig(tau=50, seed=3))
+        sched = SceneScheduler(SchedulerConfig(tau=50), 3)
         windows = []
         current = []
         for _ in range(150):
@@ -187,8 +187,8 @@ class TestSchedulerStep:
             assert all(p == window[0] for p in window)
 
     def test_counter_bounded_between_steps(self):
-        config = SchedulerConfig(tau=4, seed=0)
-        sched = SceneScheduler(config)
+        config = SchedulerConfig(tau=4)
+        sched = SceneScheduler(config, 0)
         # The window's counter never passes tau: it rolls over exactly at
         # steps tau, 2*tau, ...
         for i in range(1, 21):
@@ -197,15 +197,15 @@ class TestSchedulerStep:
 
     def test_schedule_reproducible_across_instances(self):
         def run():
-            sched = SceneScheduler(SchedulerConfig(tau=5, seed=11))
+            sched = SceneScheduler(SchedulerConfig(tau=5), 11)
             return [sched.step("scene-a") for _ in range(23)]
 
         assert run() == run()
 
     def test_scenes_independent_of_interleaving(self):
-        solo = SceneScheduler(SchedulerConfig(tau=4, seed=5))
+        solo = SceneScheduler(SchedulerConfig(tau=4), 5)
         solo_seq = [solo.step("a") for _ in range(12)]
-        mixed = SceneScheduler(SchedulerConfig(tau=4, seed=5))
+        mixed = SceneScheduler(SchedulerConfig(tau=4), 5)
         mixed_seq = []
         for i in range(12):
             mixed_seq.append(mixed.step("a"))
@@ -215,7 +215,7 @@ class TestSchedulerStep:
     @settings(max_examples=30, deadline=None)
     @given(tau=st.integers(1, 20), n=st.integers(0, 200))
     def test_reset_count_property(self, tau, n):
-        sched = SceneScheduler(SchedulerConfig(tau=tau, seed=1))
+        sched = SceneScheduler(SchedulerConfig(tau=tau), 1)
         resets = sum(sched.step("s")[1] for _ in range(n))
         assert resets == n // tau
 
