@@ -57,6 +57,9 @@ MIN_CAMERA_HEIGHT = 1e-6
 # does, and the ray directions (u - a_x) / f_x grow without bound: a
 # subnormal focal length overflows them to inf.
 MIN_FOCAL_PX = 1.0
+# Largest accepted image side in pixels, checked before any cell grid is
+# allocated.  The Rope3D and DAIR-V2X-I frames are 1920x1080.
+MAX_IMAGE_SIDE = 16_384
 # Points at a camera-frame depth of at most this do not project.
 MIN_DEPTH = 1e-6
 
@@ -92,7 +95,8 @@ class _ArrayRecord:
     """Base of the package's frozen dataclasses (``eq=False``) that hold
     numpy arrays.  The record rule: every array field is set in
     ``__post_init__`` through ``_readonly`` (0/1 flags through
-    ``_flags``), so a record holds read-only copies; two records are
+    ``_flags``, a ``FeatureGrid`` through ``scene_cue_bank.heap_grid``),
+    so a record holds read-only copies; two records are
     equal when they have the same type and equal fields, arrays compared
     by value with NaN equal to NaN (a ``LabelFrame`` stores a missing
     score as NaN); records are unhashable, since defining ``__eq__``
@@ -133,13 +137,25 @@ class RigidTransform(_ArrayRecord):
         return p @ self.rotation.T + self.translation
 
 
+def check_focal_length(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is finite and at least ``MIN_FOCAL_PX``."""
+    if not MIN_FOCAL_PX <= value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and at least {MIN_FOCAL_PX:g} px, got {value}")
+
+
+def check_image_side(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer from 1 to ``MAX_IMAGE_SIDE``."""
+    if not (isinstance(value, (int, np.integer)) and 1 <= value <= MAX_IMAGE_SIDE):
+        raise ValueError(f"{name} must be an integer from 1 to {MAX_IMAGE_SIDE} px, got {value}")
+
+
 @dataclass(frozen=True)
 class CameraRig:
     """Calibration for one roadside camera.
 
-    f_x, f_y are focal lengths in pixels, finite and at least
-    ``MIN_FOCAL_PX``; (a_x, a_y) is the principal point; ``extrinsic``
-    maps ground-frame points to camera-frame points.
+    f_x, f_y are focal lengths in pixels (``check_focal_length``);
+    (a_x, a_y) is the principal point; ``extrinsic`` maps ground-frame
+    points to camera-frame points; image sides pass ``check_image_side``.
     """
 
     f_x: float
@@ -151,15 +167,12 @@ class CameraRig:
     image_height: int
 
     def __post_init__(self):
-        if not (MIN_FOCAL_PX <= self.f_x < math.inf and MIN_FOCAL_PX <= self.f_y < math.inf):
-            raise ValueError(
-                f"focal lengths must be positive, finite and at least {MIN_FOCAL_PX:g} px, "
-                f"got {self.f_x} and {self.f_y}"
-            )
+        check_focal_length("f_x", self.f_x)
+        check_focal_length("f_y", self.f_y)
         if not (math.isfinite(self.a_x) and math.isfinite(self.a_y)):
             raise ValueError("principal point must be finite")
-        if not (self.image_width > 0 and self.image_height > 0):
-            raise ValueError("image dimensions must be positive")
+        check_image_side("image_width", self.image_width)
+        check_image_side("image_height", self.image_height)
 
     def camera_center_ground(self) -> np.ndarray:
         """Camera optical center expressed in ground coordinates."""

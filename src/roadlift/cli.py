@@ -20,12 +20,14 @@ import numpy as np
 
 from .camera_geometry import (
     GeometryError,
+    check_focal_length,
     depth_to_ground,
     height_sensitivity,
     lift_to_ground,
     project_to_image,
 )
 from .evaluation import (
+    check_scored,
     distance_error,
     detection_ratio_curve,
     frame_detection_stats,
@@ -236,6 +238,9 @@ class _BankSimConfig:
         # augmented camera's grid.
         for scale in (self.scheduler.clamp_lo, self.scheduler.clamp_hi):
             bank_memory_elements(*scaled_image_size(height, width, scale), self.channels)
+        # The shortest augmented focal length is the band's at clamp_lo.
+        check_focal_length("focal_band[0] * clamp_lo",
+                           self.scene.focal_band[0] * self.scheduler.clamp_lo)
 
 
 def cmd_plane(args) -> int:
@@ -344,15 +349,23 @@ def cmd_evaluate(args) -> int:
         raise ValueError(
             f"frame count mismatch: {len(gt_files)} GT vs {len(pred_files)} prediction files"
         )
-    gts = [_read_input("--gt", f, parse_labels) for f in gt_files]
-    preds = [_read_input("--pred", f, parse_labels) for f in pred_files]
+
+    def gt_frame(text: str):
+        frame = parse_labels(text)
+        for cls in frame.categories:
+            if cls == "all" or "," in cls:
+                raise ValueError(
+                    f"category {cls!r} cannot name an AP row: 'all' is the row of every "
+                    "category, and ',' separates CSV fields"
+                )
+        return frame
+
+    # Each file's content rules are checked as it is read, so an error
+    # names the file.
+    gts = [_read_input("--gt", f, gt_frame) for f in gt_files]
+    preds = [_read_input("--pred", f, lambda text: check_scored(parse_labels(text)))
+             for f in pred_files]
     classes = sorted({c for frame in gts for c in frame.categories})
-    for cls in classes:
-        if cls == "all" or "," in cls:
-            raise ValueError(
-                f"--gt category {cls!r} cannot name an AP row: 'all' is the row of every "
-                "category, and ',' separates CSV fields"
-            )
     # One overlap matrix per frame; the "all" row matches on it whole
     # (across categories), each class row on its class's rows and columns.
     overlaps = [overlap_matrix(g, p, args.kind) for g, p in zip(gts, preds)]
@@ -478,11 +491,15 @@ def cmd_bank_sim(args) -> int:
         frame_scene = scene if t == 0 else resample_objects(scene, config.scene, t)
         mask_plain = _mask_for(scene, frame_scene)
         cells_plain = np.flatnonzero(mask_plain.cells)
-        observed_plain = worker.submit(
-            _observe, plain_rows[cells_plain], cells_plain, sigma,
-            np.random.default_rng([args.seed, 6, t]),
-        )
+        observed_plain = worker.submit(_observe_plain, cells_plain, t)
         return frame_scene, mask_plain, cells_plain, observed_plain
+
+    def _observe_plain(cells: np.ndarray, t: int) -> np.ndarray:
+        """Frame ``t``'s inference rows, gathered and seeded here on the
+        worker, so no heap block of this thread is freed at a moment set
+        by the worker's timing."""
+        return _observe(plain_rows[cells], cells, sigma,
+                        np.random.default_rng([args.seed, 6, t]))
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         pending = _submit_plain(worker, 0)
@@ -688,6 +705,11 @@ def run_command(argv) -> int:
         args = parser.parse_args(_attach_dash_values(argv, parser.value_flags))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    # The parser is cyclic garbage from here on.  Dropped now, it is freed
+    # young, on this thread, before a command starts a worker; held for
+    # the whole command it would be freed by a full collection later, at
+    # a moment set by thread timing.
+    del parser
     try:
         # numpy's own message for a negative seed does not name the flag.
         if getattr(args, "seed", 0) < 0:

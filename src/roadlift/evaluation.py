@@ -204,6 +204,13 @@ def box2d_overlap_matrix(gt_boxes_2d, pred_boxes_2d) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(gt_boxes_2d), len(pred_boxes_2d))
 
 
+def check_scored(preds: LabelFrame) -> LabelFrame:
+    """``preds``, or ValueError unless every prediction carries a score."""
+    if np.isnan(preds.scores).any():
+        raise ValueError("all predictions must carry a score")
+    return preds
+
+
 def match(gts, preds, overlaps, iou_threshold: float) -> MatchResult:
     """Greedy score-descending matching of predictions to ground truths.
 
@@ -217,9 +224,7 @@ def match(gts, preds, overlaps, iou_threshold: float) -> MatchResult:
     ground truth.  Per-class scores come from passing one class on each
     side; the KITTI devkit instead always matches within each class.
     """
-    gts, preds = LabelFrame.of(gts), LabelFrame.of(preds)
-    if np.isnan(preds.scores).any():
-        raise ValueError("all predictions must carry a score")
+    gts, preds = LabelFrame.of(gts), check_scored(LabelFrame.of(preds))
     if np.shape(overlaps) != (len(gts), len(preds)):
         raise ValueError(
             f"overlaps must have shape {(len(gts), len(preds))}, got {np.shape(overlaps)}"

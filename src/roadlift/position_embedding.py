@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .camera_geometry import CameraRig, ray_ground
-from .scene_cue_bank import bank_memory_elements, cell_centers
+from .scene_cue_bank import bank_memory_elements, cell_centers, heap_grid
 
 TEMPERATURE = 10000.0
 
@@ -23,12 +23,14 @@ def sine_encode(value, d_e: int) -> np.ndarray:
     The output is filled one sin/cos pair at a time through two
     temporaries of the input's shape, so the peak is about one output
     plus two inputs, not the output plus full angle, sin and cos arrays.
+    The output is a ``scene_cue_bank.heap_grid``: a depth embedding is
+    grid-sized.
     """
     if d_e <= 0 or d_e % 2:
         raise ValueError(f"embedding size must be a positive even integer, got {d_e}")
     freq = TEMPERATURE ** (2.0 * np.arange(d_e // 2) / d_e)
     value = np.asarray(value, dtype=float)
-    out = np.empty(value.shape + (d_e,))
+    out = heap_grid(value.shape + (d_e,))
     ang = np.empty(value.shape)
     trig = np.empty(value.shape)
     for i, f in enumerate(freq):

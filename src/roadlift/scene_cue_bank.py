@@ -27,16 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera_geometry import _ArrayRecord, _flags, _readonly
+from .camera_geometry import _ArrayRecord, _flags, check_image_side
 
 STRIDE = 8
 # Cells per block wherever a per-cell pass over a grid is cut into
 # blocks (CueField.at, cli._observe): a temporary then holds one block's
 # cells x channels, not the whole grid's.
 CELL_BLOCK = 1024
-# Largest accepted image side in pixels, checked before any grid is
-# allocated.  The Rope3D and DAIR-V2X-I frames are 1920x1080.
-MAX_IMAGE_SIDE = 16_384
 # Largest accepted cells x channels of one grid, checked by
 # bank_memory_elements before the grid is allocated: 128 MiB of float64,
 # 10.7x the 128x192x64 grid of a 1536x1024 image with 64 channels.
@@ -58,9 +55,12 @@ class FeatureGrid(_ArrayRecord):
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _readonly(self.values)
-        if vals.ndim != 3:
-            raise ValueError(f"feature grid must be 3-dimensional, got {vals.ndim}")
+        given = np.asarray(self.values, dtype=float)
+        if given.ndim != 3:
+            raise ValueError(f"feature grid must be 3-dimensional, got {given.ndim}")
+        vals = heap_grid(given.shape)  # a rendered grid is grid-sized
+        vals[...] = given
+        vals.setflags(write=False)
         if not np.all(np.isfinite(vals)):
             raise ValueError("feature grid contains non-finite values")
         object.__setattr__(self, "values", vals)
@@ -95,6 +95,19 @@ def zero_grid(shape) -> np.ndarray:
     )
 
 
+def heap_grid(shape) -> np.ndarray:
+    """A writable C-order float64 array of +0.0 in ``shape``, held in a
+    ``bytearray`` on the allocator's heap.  numpy advises the kernel to
+    back each buffer of 4 MiB or more that it allocates itself with huge
+    pages (``MADV_HUGEPAGE``).  On the heap that advice outlives the
+    array: whatever later reuses the range is faulted in 2 MiB at a
+    time whenever the kernel has a huge page free, so peak RSS moves by
+    up to a grid from one run to the next.  numpy allocates no part of
+    this array and gives no such advice.  Unlike ``zero_grid``'s pages,
+    freed ones stay with the heap for the next grid-sized block."""
+    return np.frombuffer(bytearray(8 * math.prod(shape)), dtype=np.float64).reshape(shape)
+
+
 def _scattered_grid(values: np.ndarray, cells: np.ndarray, shape) -> FeatureGrid:
     """A read-only grid of ``shape`` that holds ``values`` (one row of
     channels per flat row-major cell in ``cells``) and +0.0 elsewhere.
@@ -123,16 +136,12 @@ class CueMask(_ArrayRecord):
 
 
 def grid_dims_for_image(image_height: int, image_width: int) -> tuple[int, int]:
-    if image_height > MAX_IMAGE_SIDE or image_width > MAX_IMAGE_SIDE:
-        raise ValueError(
-            f"image sides must be at most {MAX_IMAGE_SIDE} px, "
-            f"got {image_height}x{image_width}"
-        )
-    if image_height % STRIDE or image_width % STRIDE:
-        raise ValueError(
-            f"image dimensions must be divisible by {STRIDE}, "
-            f"got {image_height}x{image_width}"
-        )
+    """(H/8, W/8) cells of an image whose sides pass ``check_image_side``
+    and are multiples of ``STRIDE``; ValueError naming the side otherwise."""
+    for name, side in (("image_width", image_width), ("image_height", image_height)):
+        check_image_side(name, side)
+        if side % STRIDE:
+            raise ValueError(f"{name} must be a multiple of {STRIDE} px, got {side}")
     return image_height // STRIDE, image_width // STRIDE
 
 

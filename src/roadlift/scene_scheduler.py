@@ -57,12 +57,12 @@ class SchedulerConfig:
     def __post_init__(self):
         if self.tau < 1:
             raise ValueError("tau must be at least 1")
-        if not 0 < self.clamp_lo <= self.clamp_hi:
-            raise ValueError("clamp interval must satisfy 0 < lo <= hi")
+        if not 0 < self.clamp_lo <= self.clamp_hi < math.inf:  # NaN fails too
+            raise ValueError("clamp interval must satisfy 0 < lo <= hi < inf")
         for name in ("sigma_scale", "sigma_roll_deg", "sigma_pitch_deg"):
             value = getattr(self, name)
-            if not value >= 0:  # NaN fails too
-                raise ValueError(f"{name} must be non-negative, got {value}")
+            if not 0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
 def sample_augmentation(rng: np.random.Generator, config: SchedulerConfig) -> AugmentationParams:

@@ -28,6 +28,7 @@ from .camera_geometry import (
     GeometryError,
     _project_rows,
     check_category,
+    check_focal_length,
     corners_of,
     lift_to_ground,
     project_to_image,
@@ -228,8 +229,10 @@ class SceneConfig:
             raise ValueError(f"n_objects must be at most {MAX_OBJECTS}, got {self.n_objects}")
         for name in ("range_band", "height_band", "pitch_band_deg", "roll_band_deg", "focal_band"):
             lo, hi = getattr(self, name)
-            if not lo <= hi:
-                raise ValueError(f"{name} must be ordered (lo <= hi)")
+            if not -math.inf < lo <= hi < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be ordered (lo <= hi) and finite, got {[lo, hi]}")
+        for i, focal in enumerate(self.focal_band):
+            check_focal_length(f"focal_band[{i}]", focal)
         if self.height_band[0] < MIN_CAMERA_HEIGHT:
             raise ValueError(
                 f"height_band must start at a camera height of at least {MIN_CAMERA_HEIGHT:g} m, "
@@ -238,9 +241,9 @@ class SceneConfig:
         for i, (name, dims) in enumerate(self.categories):
             check_category(name)
             for lo, hi in dims:
-                if not 0 < lo <= hi:  # NaN fails too
+                if not 0 < lo <= hi < math.inf:  # NaN fails too
                     raise ValueError(
-                        f"categories[{i}] dimension bands must satisfy 0 < lo <= hi, "
+                        f"categories[{i}] dimension bands must satisfy 0 < lo <= hi < inf, "
                         f"got {[lo, hi]}"
                     )
         if self.range_band[0] <= 0:
@@ -266,8 +269,8 @@ class NoiseModel:
 
     def __post_init__(self):
         sigmas = (self.sigma_hr, self.sigma_dims, self.sigma_yaw, self.sigma_center_px)
-        if not all(s >= 0 for s in sigmas):  # NaN fails too
-            raise ValueError("noise sigmas must be non-negative")
+        if not all(0 <= s < math.inf for s in sigmas):  # NaN fails too
+            raise ValueError(f"noise sigmas must be non-negative and finite, got {sigmas}")
         if not (0 <= self.drop_rate <= 1 and 0 <= self.false_positive_rate <= 1):
             raise ValueError("rates must lie in [0, 1]")
 

@@ -254,6 +254,20 @@ class TestRayGround:
             # A batched (N, 3) @ R.T may round the last bit differently.
             assert np.abs(points[r, c] - expected).max() <= 1e-9
 
+    @pytest.mark.parametrize("h_r", [0.0, 1.5, -1.0])
+    def test_level_camera_horizon_row_meets_no_ground(self, h_r):
+        # A pitch-0 camera's principal row images rays exactly parallel
+        # to the ground, in the virtual frame too (its y component is 0).
+        rig = rig_from_pose(7.0, 0.0)
+        us = rig.a_x + np.array([0.0, -300.5, 700.0])
+        for u in us.tolist():
+            with pytest.raises(GeometryError, match="ray parallel to ground"):
+                lift_to_ground(rig, u, rig.a_y, h_r)
+            with pytest.raises(GeometryError, match="ray parallel to ground"):
+                depth_to_ground(rig, u, rig.a_y)
+        depth, points = ray_ground(rig, us, rig.a_y)
+        assert np.isnan(depth).all() and np.isnan(points).all()
+
 
 class TestProjectToImage:
     def test_nadir_origin_hits_principal_point(self):
@@ -503,10 +517,11 @@ def _plane(**change):
          "rotation is not orthonormal"),
         (lambda: RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3)), ValueError,
          r"rotation determinant is not \+1"),
-        (lambda: _rig(f_y=0.0), ValueError, "focal lengths must be positive"),
-        (lambda: _rig(f_x=math.inf), ValueError, "focal lengths must be positive"),
+        (lambda: _rig(f_y=0.0), ValueError, "f_y must be finite and at least 1 px, got 0.0"),
+        (lambda: _rig(f_x=math.inf), ValueError, "f_x must be finite and at least 1 px, got inf"),
         (lambda: _rig(a_x=math.nan), ValueError, "principal point must be finite"),
-        (lambda: _rig(image_height=0), ValueError, "image dimensions must be positive"),
+        (lambda: _rig(image_height=0), ValueError,
+         "image_height must be an integer from 1 to 16384 px, got 0"),
         (lambda: _plane(a=0.5), ValueError, "plane normal is not unit length"),
         (lambda: _plane(d=0.0), ValueError, "camera height must be positive"),
         (lambda: _plane(cam_to_virtual=2.0 * _tilted_plane().cam_to_virtual), ValueError,
@@ -534,7 +549,7 @@ def test_constructors_reject_bad_values(build, error, message):
 @pytest.mark.parametrize("focal", [5e-324, 1e-300, math.nextafter(MIN_FOCAL_PX, 0.0)])
 @pytest.mark.parametrize("axis", ["f_x", "f_y"])
 def test_focal_length_below_the_floor_rejected(axis, focal):
-    with pytest.raises(ValueError, match="focal lengths must be .* at least 1 px"):
+    with pytest.raises(ValueError, match=f"{axis} must be finite and at least 1 px"):
         _rig(**{axis: focal})
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -10,6 +11,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -117,12 +119,12 @@ class TestCalibrationFormat:
     @pytest.mark.parametrize(
         "section,key,value,field",
         [
-            ("intrinsics", "fx", -1000.0, "intrinsics.fx"),
-            ("intrinsics", "fy", 0, "intrinsics.fy"),
+            ("intrinsics", "fx", -1000.0, "f_x must be finite and at least 1 px, got -1000.0"),
+            ("intrinsics", "fy", 0, "f_y must be finite and at least 1 px, got 0.0"),
             ("intrinsics", "fx", 10**400, "intrinsics.fx"),
-            ("intrinsics", "fy", 5e-324, r"intrinsics.fy must be at least 1 px"),
-            ("image", "width", 0, "image.width"),
-            ("image", "height", -8, "image.height"),
+            ("intrinsics", "fy", 5e-324, "f_y must be finite and at least 1 px, got 5e-324"),
+            ("image", "width", 0, "image_width must be an integer from 1 to 16384 px, got 0"),
+            ("image", "height", -8, "image_height must be an integer from 1 to 16384 px, got -8"),
             ("extrinsic", 1, [0, -1, 0], r"extrinsic\[1\]"),
             ("extrinsic", 2, [0, 0, "-1", 10], r"extrinsic\[2\]\[2\]"),
             ("extrinsic", 2, [0, 0, {}, 10], r"extrinsic\[2\]\[2\]"),
@@ -1143,7 +1145,8 @@ class TestCli:
         code = run_command(["evaluate", "--gt", str(gt), "--pred", str(pred), "--out", str(out)])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: --gt category {category!r} cannot name an AP row")
+        assert captured.err.startswith(
+            f"error: --gt {gt}: category {category!r} cannot name an AP row")
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert not out.exists()
 
@@ -1312,11 +1315,11 @@ class TestCli:
             ({"tau": 12}, "error: --config {config}: unknown config keys: ['tau']"),
             ({"noise": {}}, "error: --config {config}: unknown config keys: ['noise']"),
             ({"scheduler": {"sigma_scale": math.nan}},
-             "error: --config {config}: sigma_scale must be non-negative, got nan"),
+             "error: --config {config}: sigma_scale must be a finite number >= 0, got nan"),
             ({"scheduler": {"sigma_roll_deg": math.nan}},
-             "error: --config {config}: sigma_roll_deg must be non-negative, got nan"),
+             "error: --config {config}: sigma_roll_deg must be a finite number >= 0, got nan"),
             ({"scheduler": {"sigma_pitch_deg": math.nan}},
-             "error: --config {config}: sigma_pitch_deg must be non-negative, got nan"),
+             "error: --config {config}: sigma_pitch_deg must be a finite number >= 0, got nan"),
             ({"momentum": 2.0}, "error: --config {config}: momentum must lie in [0, 1], got 2.0"),
             ({"momentum": math.nan},
              "error: --config {config}: momentum must lie in [0, 1], got nan"),
@@ -1340,7 +1343,8 @@ class TestCli:
             ({"scheduler": {"clamp_lo": 0.001, "clamp_hi": 0.001}},
              "error: --config {config}: intrinsic scale shrinks the image below one grid cell"),
             ({"scheduler": {"clamp_hi": 20}},
-             "error: --config {config}: image sides must be at most 16384 px, got 20480x30720"),
+             "error: --config {config}: image_width must be an integer from 1 to 16384 px, "
+             "got 30720"),
             ({"scheduler": {"clamp_hi": 1e308}},
              "error: --config {config}: field scheduler.clamp_hi must be like 0.9, got 1e+308"),
             ({"cue_noise_sigma": 1e308},
@@ -1351,6 +1355,9 @@ class TestCli:
              "error: --config {config}: frames must be at most 100000, got 100001"),
             ({"scene": {"n_objects": 1001}},
              "error: --config {config}: n_objects must be at most 1000, got 1001"),
+            ({"scene": {"focal_band": [1.0, 1.0]}, "scheduler": {"clamp_lo": 0.8}},
+             "error: --config {config}: focal_band[0] * clamp_lo must be finite and at least "
+             "1 px, got 0.8"),
         ],
         ids=["zero-frames", "negative-frames", "negative-sigma", "nan-sigma", "list-document",
              "null-frames", "list-frames", "float-frames", "string-objects", "number-band",
@@ -1361,7 +1368,7 @@ class TestCli:
              "infinite-band", "channels-over-grid-cap", "scheduler-seed",
              "augmented-grid-over-cap", "scale-below-one-cell", "augmented-side-over-cap",
              "scale-past-float-range", "huge-cue-noise-sigma", "channels-over-cap",
-             "frames-over-cap", "objects-over-cap"],
+             "frames-over-cap", "objects-over-cap", "augmented-focal-below-floor"],
     )
     def test_bank_sim_rejects_bad_config(self, tmp_path, capsys, monkeypatch, override, message):
         # Configs are checked before any work: no scene is generated.
@@ -1420,12 +1427,12 @@ class TestCli:
             ({"scene": {"n_objects": 1001}},
              "error: --config {config}: n_objects must be at most 1000, got 1001"),
             ({"scene": {"categories": [["car", [[5, 3], [1.6, 2], [1.3, 1.8]]]]}},
-             "error: --config {config}: categories[0] dimension bands must satisfy 0 < lo <= hi, "
-             "got [5, 3]"),
+             "error: --config {config}: categories[0] dimension bands must satisfy 0 < lo <= hi < "
+             "inf, got [5, 3]"),
             ({"scene": {"categories": [["car", [[4, 5], [1.6, 2], [1.3, 1.8]]],
                                        ["cone", [[0.3, 0.4], [-1, -0.5], [0.5, 0.7]]]]}},
-             "error: --config {config}: categories[1] dimension bands must satisfy 0 < lo <= hi, "
-             "got [-1, -0.5]"),
+             "error: --config {config}: categories[1] dimension bands must satisfy 0 < lo <= hi < "
+             "inf, got [-1, -0.5]"),
             ({"scene": {"categories": [["#car", [[4, 5], [1.6, 2], [1.3, 1.8]]]]}},
              "error: --config {config}: category must be a non-empty string without whitespace, "
              "not starting with '#', got '#car'"),
@@ -1529,15 +1536,14 @@ class TestCli:
             source = tmp_path / "calib.json"
             source.write_text(json.dumps(doc))
             argv, message = ["embed", "--calib", str(source)], (
-                f"error: --calib {source}: field image.{side} must be at most 16384 px, "
+                f"error: --calib {source}: image_{side} must be an integer from 1 to 16384 px, "
                 "got 16392\n")
         else:
             source = tmp_path / "config.json"
             source.write_text(json.dumps({"scene": {f"image_{side}": 16_392}, "frames": 1}))
             argv = [command, "--config", str(source)]
-            dims = "16392x1536" if side == "height" else "1024x16392"
-            message = (f"error: --config {source}: image sides must be at most 16384 px, "
-                       f"got {dims}\n")
+            message = (f"error: --config {source}: image_{side} must be an integer from 1 to "
+                       "16384 px, got 16392\n")
         out = tmp_path / "out"
         assert run_command(argv + ["--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -1706,7 +1712,29 @@ class TestEvaluateOnFrames:
                             "--pred", str(pred), "--kind", "3d", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == "error: all predictions must carry a score\n"
+        assert err == f"error: --pred {pred}: all predictions must carry a score\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("side,line,message", [
+        ("pred", "car 1 2 0 4 2 1.5 0.1", "all predictions must carry a score"),
+        ("gt", "all 1 2 0 4 2 1.5 0.1", "category 'all' cannot name an AP row"),
+        ("gt", "car,bus 1 2 0 4 2 1.5 0.1", "category 'car,bus' cannot name an AP row"),
+    ], ids=["unscored-prediction", "all-category", "comma-category"])
+    def test_label_content_error_names_the_file(self, tmp_path, capsys, side, line, message):
+        # A rule on a file's content is checked as the file is read, so in
+        # a directory of label files the error says which one is bad.
+        for d in ("gt", "pred"):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "a.txt").write_text("car 1 2 0 4 2 1.5 0.1 0.9\n")
+            (tmp_path / d / "b.txt").write_text("car 1 2 0 4 2 1.5 0.1 0.9\n")
+        (tmp_path / side / "b.txt").write_text(line + "\n")
+        out = tmp_path / "evaluate.csv"
+        code = run_command(["evaluate", "--gt", str(tmp_path / "gt"), "--pred",
+                            str(tmp_path / "pred"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{side} {tmp_path / side / 'b.txt'}: {message}")
+        assert err.count("\n") == 1
         assert not out.exists()
 
 
@@ -1879,7 +1907,8 @@ class TestBankSimNoise:
     def test_bank_sim_outputs_do_not_depend_on_the_worker_thread(self, tmp_path, monkeypatch):
         # The inference noise draw runs on a worker thread; run inline on
         # this thread, each submit completing at once, the CSV and the
-        # saved bank must be the same bytes.
+        # saved bank must be the same bytes.  The worker gathers its rows
+        # and seeds its stream itself, in cmd_bank_sim's _observe_plain.
         config = tmp_path / "bank.json"
         config.write_text(json.dumps({
             "scene": {"n_objects": 12, "range_band": [10, 150], "pitch_band_deg": [8, 20],
@@ -1917,7 +1946,7 @@ class TestBankSimNoise:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
         assert outputs("inline") == threaded
-        assert submitted == [_observe] * 10
+        assert [fn.__name__ for fn in submitted] == ["_observe_plain"] * 10
 
 
 class TestBankSimMemory:
@@ -1956,9 +1985,13 @@ class TestBankSimMemory:
 
 @pytest.mark.parametrize("command", ["simulate", "bank-sim"])
 @pytest.mark.parametrize("focal", [5e-324, 1e-300, 0.5])
-def test_focal_length_below_one_pixel_is_one_error_line(tmp_path, capsys, command, focal):
+def test_focal_length_below_one_pixel_is_one_error_line(tmp_path, capsys, monkeypatch, command,
+                                                        focal):
     # A subnormal focal length overflowed the ray directions (a numpy
-    # RuntimeWarning traceback); CameraRig now refuses it up front.
+    # RuntimeWarning traceback); the scene config now refuses it by the
+    # rig's focal rule, before any scene is generated.
+    generated = []
+    monkeypatch.setattr(cli, "generate_scene", lambda *a: generated.append(a))
     scene = {"n_objects": 3, "image_width": 256, "image_height": 128,
              "focal_band": [focal, focal]}
     config = tmp_path / "config.json"
@@ -1968,10 +2001,58 @@ def test_focal_length_below_one_pixel_is_one_error_line(tmp_path, capsys, comman
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [captured.err.strip()]
     assert captured.err.startswith(
-        "error: focal lengths must be positive, finite and at least 1 px"
+        f"error: --config {config}: focal_band[0] must be finite and at least 1 px, got {focal}"
     )
     assert captured.out == ""
     assert not out.exists()
+    assert generated == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "bank-sim"])
+@pytest.mark.parametrize("scene,message", [
+    ({"image_width": 0}, "image_width must be an integer from 1 to 16384 px, got 0"),
+    ({"image_width": -1536}, "image_width must be an integer from 1 to 16384 px, got -1536"),
+    ({"image_width": 960, "image_height": 540},
+     "image_height must be a multiple of 8 px, got 540"),
+], ids=["zero-width", "negative-width", "height-off-the-stride"])
+def test_bad_camera_in_a_scene_config_names_the_config(tmp_path, capsys, monkeypatch, command,
+                                                       scene, message):
+    # The scene config checks its image sides by the rig's own rule, so a
+    # bad side is refused before any scene is generated, naming the file.
+    generated = []
+    monkeypatch.setattr(cli, "generate_scene", lambda *a: generated.append(a))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scene": {"n_objects": 2, **scene}, "frames": 1}))
+    out = tmp_path / "out"
+    assert run_command([command, "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --config {config}: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+    assert generated == []
+
+
+def test_parser_is_garbage_before_the_command_runs(monkeypatch):
+    # The parser is cyclic.  run_command drops it before the command runs,
+    # so the collector frees it on this thread before a command starts a
+    # worker thread, not later at a moment set by thread timing.
+    parsers, alive = [], []
+    build = cli._build_parser
+
+    def tracked_build():
+        parser = build()
+        parsers.append(weakref.ref(parser))
+        return parser
+
+    def command(args):
+        gc.collect()
+        alive.append(parsers[0]() is not None)
+        return 0
+
+    monkeypatch.setattr(cli, "_build_parser", tracked_build)
+    monkeypatch.setattr(cli, "cmd_plane", command)
+    assert run_command(["plane", "--calib", "unused.json"]) == 0
+    assert alive == [False]
 
 
 def test_simulate_labels_match_recorded_bytes(tmp_path):
@@ -2141,9 +2222,9 @@ def _calibration_with(change):
         (lambda d: d.update(image=[1536, 1024]), "field image must be an object"),
         (lambda d: d["image"].update(width=1536.5), "image dimensions must be integers"),
         (lambda d: d["extrinsic"][0].__setitem__(3, math.nan),
-         "field extrinsic must be a finite 4x4 matrix"),
+         "field extrinsic: transform contains non-finite values"),
         (lambda d: d.update(extrinsic=[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 10], [0, 0, 0, 1]]),
-         r"extrinsic rotation must have determinant \+1"),
+         r"field extrinsic: rotation determinant is not \+1"),
         (lambda d: d.update(scene_id=7), "field scene_id must be a string"),
     ],
     ids=["image-not-object", "fractional-width", "nan-extrinsic", "reflection", "numeric-id"],

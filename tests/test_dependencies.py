@@ -352,3 +352,12 @@ def test_readme_config_example_runs(command, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(re.search(pattern, text, re.M | re.S).group(1))
     assert run_command([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_camera_rules_have_one_home():
+    # The image-side and focal-length rules are each written once, in
+    # camera_geometry (check_image_side, check_focal_length): another
+    # module that loads their bounds holds a partial copy of a rule.
+    bounds = {"MIN_FOCAL_PX", "MAX_IMAGE_SIDE"}
+    loaders = [p.name for p, tree in TREES.items() if bounds & _referenced_names(tree)]
+    assert loaders == ["camera_geometry.py"]

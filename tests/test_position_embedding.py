@@ -142,6 +142,13 @@ class TestEmbedDepthMap:
         assert grid.shape == (128, 192, 8)
         np.testing.assert_allclose(grid, np.broadcast_to(grid[0, 0], grid.shape), atol=1e-12)
 
+    def test_grid_is_a_bytearray_buffer(self):
+        # A depth embedding is grid-sized; see scene_cue_bank.heap_grid.
+        base = embed_depth_map(nadir_rig(), 64).base
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base.obj, bytearray)
+
     def test_horizon_cells_are_zero_sentinels(self):
         rig = rig_from_pose(7.0, 8.0)  # sky occupies the upper image
         grid = embed_depth_map(rig, 4)

@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from roadlift import scene_cue_bank
+from roadlift.camera_geometry import MAX_IMAGE_SIDE
 from roadlift.scene_cue_bank import (
     MAX_GRID_VALUES,
-    MAX_IMAGE_SIDE,
     CueMask,
     FeatureGrid,
     SceneBank,
@@ -537,13 +537,13 @@ class TestCellCenters:
         np.testing.assert_array_equal(vs, [[4.0] * 3, [12.0] * 3])
 
     def test_indivisible_dims_rejected(self):
-        with pytest.raises(ValueError, match="divisible"):
+        with pytest.raises(ValueError, match="image_height must be a multiple of 8 px, got 1020"):
             cell_centers(1020, 1536)
 
     def test_image_side_capped(self):
         assert grid_dims_for_image(MAX_IMAGE_SIDE, MAX_IMAGE_SIDE) == (2048, 2048)
         for dims in ((MAX_IMAGE_SIDE + 8, 1536), (1024, MAX_IMAGE_SIDE + 8)):
-            with pytest.raises(ValueError, match="at most 16384 px"):
+            with pytest.raises(ValueError, match="must be an integer from 1 to 16384 px"):
                 grid_dims_for_image(*dims)
 
 
@@ -783,6 +783,30 @@ class TestFeatureGrid:
         bank.reset_scene("s", FeatureGrid(np.zeros((4, 5, 2))))
         with pytest.raises(ValueError):
             bank.update_momentum("s", FeatureGrid(np.zeros((4, 4, 2))), momentum=0.5)
+
+
+def buffer_owner(array):
+    """The object whose memory ``array`` views."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array.base.obj if isinstance(array.base, memoryview) else array.base
+
+
+class TestHeapGrid:
+    # numpy advises huge pages on each buffer of 4 MiB or more that it
+    # allocates, and the advice stays on the heap range after the array is
+    # freed; the package's grid-sized heap arrays are bytearray buffers.
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (0, 5, 2), (128, 192, 64)])
+    def test_zero_float_grid_in_a_bytearray(self, shape):
+        grid = scene_cue_bank.heap_grid(shape)
+        assert grid.shape == shape and grid.dtype == np.float64
+        assert grid.flags.c_contiguous and grid.flags.writeable and not grid.any()
+        assert isinstance(buffer_owner(grid), bytearray)
+
+    def test_feature_grid_copies_into_a_bytearray(self):
+        grid = FeatureGrid(np.ones((4, 5, 2)))
+        assert isinstance(buffer_owner(grid.values), bytearray)
+        assert not grid.values.flags.writeable
 
 
 def _bank_file_with_version(path, version):

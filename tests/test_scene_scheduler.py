@@ -232,7 +232,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name", ["sigma_scale", "sigma_roll_deg", "sigma_pitch_deg"])
     @pytest.mark.parametrize("value", [-0.1, math.nan])
     def test_bad_sigma_names_field(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got {value}$"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got {value}$"):
             SchedulerConfig(**{name: value})
 
     def test_scale_must_be_positive(self):

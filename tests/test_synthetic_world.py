@@ -20,6 +20,7 @@ from roadlift.camera_geometry import (
     rig_from_pose,
 )
 from roadlift.formats import check_json
+from roadlift.scene_scheduler import SchedulerConfig
 from roadlift.synthetic_world import (
     _SALT_CUE,
     Box3D,
@@ -927,12 +928,30 @@ class TestConfigParsing:
         (lambda: SceneConfig(categories=()), "at least one category is required"),
         (lambda: SceneConfig(categories=(("#car", ((4.0, 5.0), (1.6, 2.0), (1.3, 1.8))),)),
          "category must be a non-empty string without whitespace"),
+        # Non-finite numbers were accepted and failed later, or not at all:
+        # an infinite sigma_hr made every prediction a lift failure,
+        # sigma_roll_deg failed at the first scheduler step and an infinite
+        # height band overflowed in generate_scene.
+        (lambda: NoiseModel(sigma_hr=math.inf), "noise sigmas must be non-negative and finite"),
+        (lambda: NoiseModel(sigma_center_px=math.inf), "noise sigmas must be non-negative and"),
+        (lambda: SchedulerConfig(sigma_roll_deg=math.inf),
+         "^sigma_roll_deg must be a finite number >= 0, got inf$"),
+        (lambda: SchedulerConfig(clamp_hi=math.inf),
+         "clamp interval must satisfy 0 < lo <= hi < inf"),
+        (lambda: SceneConfig(height_band=(4.0, math.inf)),
+         r"^height_band must be ordered \(lo <= hi\) and finite, got \[4.0, inf\]$"),
+        (lambda: SceneConfig(range_band=(-math.inf, 5.0)), "range_band must be ordered"),
+        (lambda: SceneConfig(categories=(("car", ((4.0, math.inf), (1.6, 2.0), (1.3, 1.8))),)),
+         r"categories\[0\] dimension bands must satisfy 0 < lo <= hi < inf, got \[4.0, inf\]"),
     ],
     ids=["coefficient-count", "nan-coefficient", "nan-bump-amplitude", "infinite-bump-centre",
          "negative-bump-sigma", "zero-bump-sigma", "infinite-bump-sigma", "random-amplitude",
          "negative-objects", "unordered-band", "below-ground-band", "on-ground-band",
          "range-from-zero",
-         "field-amplitude", "no-categories", "comment-category"],
+         "field-amplitude", "no-categories", "comment-category",
+         "infinite-noise-sigma-hr", "infinite-noise-sigma-center", "infinite-scheduler-sigma-roll",
+         "infinite-scheduler-clamp-hi", "infinite-height-band", "infinite-range-band",
+         "infinite-category-band"],
 )
 def test_rejects_bad_values(build, message):
     with pytest.raises(ValueError, match=message):
